@@ -51,7 +51,7 @@ from .chains import (
     _chain_report,
     _order_report_from_matrices,
 )
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError, ConvergenceError, DomainViolationError
 from .functions import (
     DEFAULT_CONVEXITY_TOL,
     DEFAULT_GRID_N,
@@ -276,27 +276,43 @@ def _spd_pair_with_x(stream: RandomStream, dim: int):
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
+    """Symmetric part of a matrix, or of each matrix of a stack."""
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
 # ---------------------------------------------------------------------------
 # non-commuting and non-positive ablation machinery
 
 
+# nodes evaluated per stacked call: the doubling pass at the default quad_n is
+# one block, and longer node arrays (the phi grid) are cut into blocks so the
+# eig, inv and svd work arrays stay small
+_NODE_BLOCK = 128
+
+
+def _in_blocks(fn, ts: np.ndarray) -> np.ndarray:
+    """fn over the node array ts, called on blocks of at most _NODE_BLOCK nodes."""
+    return np.concatenate(
+        [fn(ts[i : i + _NODE_BLOCK]) for i in range(0, ts.shape[0], _NODE_BLOCK)]
+    )
+
+
 def _general_apply(m: np.ndarray, fn) -> np.ndarray:
-    """fn on the (real, positive) spectrum of a product of positives.
+    """fn on the (real, positive) spectrum of a product of positives, for one
+    matrix or for each matrix of a (T, n, n) stack.
 
     The eigenbasis is no longer orthogonal, so this goes through a general
-    eigendecomposition; a non-real or non-positive spectrum aborts the trial
-    as unreliable rather than producing garbage.
+    eigendecomposition; a non-real or non-positive spectrum of any matrix
+    aborts the trial as unreliable rather than producing garbage.
     """
     w, v = np.linalg.eig(m)
     wr = w.real
     if not np.isfinite(wr).all() or (wr <= 0.0).any():
         raise ConvergenceError("spectrum of the non-commuting product is not positive")
-    if float(np.max(np.abs(w.imag))) > 1e-8 * (1.0 + float(np.max(np.abs(wr)))):
+    imag = np.max(np.abs(w.imag), axis=-1)
+    if (imag > 1e-8 * (1.0 + np.max(np.abs(wr), axis=-1))).any():
         raise ConvergenceError("spectrum of the non-commuting product is not real")
-    return np.real((v * fn(wr)) @ np.linalg.inv(v))
+    return np.real((v * fn(wr)[..., None, :]) @ np.linalg.inv(v))
 
 
 def _principal_power(m: np.ndarray, t: float) -> np.ndarray:
@@ -305,13 +321,19 @@ def _principal_power(m: np.ndarray, t: float) -> np.ndarray:
     return (v * np.power(w.astype(np.complex128), t)) @ np.linalg.inv(v)
 
 
-def _sv_norm(m: np.ndarray, spec: NormSpec) -> float:
+def _sv_norm(m: np.ndarray, spec: NormSpec):
+    """Norm of one matrix, or the array of norms of a (T, n, n) stack."""
     s = np.linalg.svd(m, compute_uv=False)
-    return float(spec.of_singular_values(np.maximum(s, 0.0)))
+    return spec.of_singular_values(np.maximum(s, 0.0))
 
 
 def _log_f_of_sym(d, f: FunctionSpec) -> np.ndarray:
     return d.apply(np.log(f.eval_array(d.eigenvalues)))
+
+
+def _weighted_products(da, db, a, b, ts: np.ndarray) -> np.ndarray:
+    """The (T, n, n) stack of A^t B^(1-t) over the nodes ts."""
+    return power_from_decomp(da, ts, a) @ power_from_decomp(db, 1.0 - ts, b)
 
 
 def _run_op_gg_hh_nc(stream: RandomStream, dim: int, p: TrialParams):
@@ -320,11 +342,11 @@ def _run_op_gg_hh_nc(stream: RandomStream, dim: int, p: TrialParams):
     try:
         t1 = _sym(_general_apply(a @ b, lambda w: np.log(p.f.eval_array(np.sqrt(w)))))
 
-        def node(t: float) -> np.ndarray:
-            m = power_from_decomp(da, t, a) @ power_from_decomp(db, 1.0 - t, b)
+        def nodes(ts: np.ndarray) -> np.ndarray:
+            m = _weighted_products(da, db, a, b, ts)
             return _sym(_general_apply(m, lambda w: np.log(p.f.eval_array(w))))
 
-        t2, ok = integrate_matrix_checked(node, 0.0, 1.0, p.quad_n)
+        t2, ok = integrate_matrix_checked(lambda ts: _in_blocks(nodes, ts), 0.0, 1.0, p.quad_n)
     except (np.linalg.LinAlgError, ConvergenceError):
         return _unreliable("op_gg_hh")
     t3 = 0.5 * (_log_f_of_sym(da, p.f) + _log_f_of_sym(db, p.f))
@@ -334,6 +356,20 @@ def _run_op_gg_hh_nc(stream: RandomStream, dim: int, p: TrialParams):
     )
 
 
+def _segment_functions(f: FunctionSpec, a: np.ndarray, b: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """f(t A + (1-t) B) for every t in ts via one stacked eigh, each equal bit
+    for bit to matrix_function(eigh(t A + (1-t) B), f).
+
+    Unlike chains._segment_stack, it symmetrizes before and after, as eigh
+    and matrix_function do; the sampled A and B are not exactly symmetric.
+    """
+    lam, q = np.linalg.eigh(_sym(ts[:, None, None] * a + (1.0 - ts)[:, None, None] * b))
+    ok = f.defined_at(lam)
+    if not ok.all():
+        raise DomainViolationError(f"{f.describe()} undefined at eigenvalue {lam[~ok][0]!r}")
+    return _sym((q * f.eval_array(lam)[:, None, :]) @ np.swapaxes(q, 1, 2))
+
+
 def _run_op_ag_midpoint_nc(stream: RandomStream, dim: int, p: TrialParams):
     a, b = _spd_pair(stream, dim)
     da, db = eigh(a), eigh(b)
@@ -341,12 +377,13 @@ def _run_op_ag_midpoint_nc(stream: RandomStream, dim: int, p: TrialParams):
     t1 = matrix_function(eigh(0.5 * (a + b)), p.f)
     try:
 
-        def node(al: float) -> np.ndarray:
-            fp = matrix_function(eigh(al * a + (1.0 - al) * b), p.f)
-            fq = matrix_function(eigh((1.0 - al) * a + al * b), p.f)
+        def nodes(als: np.ndarray) -> np.ndarray:
+            # (1 - al) A + al B is al B + (1 - al) A: the sum is the same bits
+            fp = _segment_functions(p.f, a, b, als)
+            fq = _segment_functions(p.f, b, a, als)
             return _sym(_general_apply(fp @ fq, np.sqrt))
 
-        t2, ok = integrate_matrix_checked(node, 0.0, 1.0, p.quad_n)
+        t2, ok = integrate_matrix_checked(lambda ts: _in_blocks(nodes, ts), 0.0, 1.0, p.quad_n)
         t3 = _sym(_general_apply(fa @ fb, np.sqrt))
     except (np.linalg.LinAlgError, ConvergenceError):
         return _unreliable("op_ag_midpoint")
@@ -356,23 +393,29 @@ def _run_op_ag_midpoint_nc(stream: RandomStream, dim: int, p: TrialParams):
     )
 
 
-def _nc_phi(da, db, a, b, f: FunctionSpec, spec: NormSpec, t: float) -> float:
-    m = power_from_decomp(da, t, a) @ power_from_decomp(db, 1.0 - t, b)
-    fm = _general_apply(m, f.eval_array)
-    return _sv_norm(fm, spec)
+def _nc_phi(da, db, a, b, f: FunctionSpec, spec: NormSpec, ts: np.ndarray) -> np.ndarray:
+    """phi(t) = ||f(A^t B^(1-t))|| at every node of ts."""
+
+    def block(t: np.ndarray) -> np.ndarray:
+        return _sv_norm(_general_apply(_weighted_products(da, db, a, b, t), f.eval_array), spec)
+
+    return _in_blocks(block, ts)
 
 
 def _run_norm_gg_nc(theorem_id: str, stream: RandomStream, dim: int, p: TrialParams):
     a, b = _spd_pair(stream, dim)
     da, db = eigh(a), eigh(b)
     try:
-        anchors = [_nc_phi(da, db, a, b, p.f, p.norm, u) for u in (0.0, 0.25, 0.5, 0.75, 1.0)]
+        anchors = _nc_phi(
+            da, db, a, b, p.f, p.norm, np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+        ).tolist()
         if min(anchors) <= 0.0:
             return _unreliable(theorem_id)
 
         def g(ts: np.ndarray) -> np.ndarray:
+            # math.log, not np.log: the two can differ in the last bit
             return np.array(
-                [math.log(_nc_phi(da, db, a, b, p.f, p.norm, float(t))) for t in ts]
+                [math.log(v) for v in _nc_phi(da, db, a, b, p.f, p.norm, ts).tolist()]
             )
 
         integral, ok = integrate_scalar_checked(g, 0.0, 1.0, p.quad_n)
@@ -446,9 +489,7 @@ def _run_phi_operator_nc(stream: RandomStream, dim: int, p: TrialParams):
     m = p.grid_n * p.grid_n
     ts = np.arange(m + 1) / m
     try:
-        vals = np.array(
-            [_nc_phi(da, db, a, b, p.f, p.norm, float(t)) for t in ts]
-        )
+        vals = _nc_phi(da, db, a, b, p.f, p.norm, ts)
     except (np.linalg.LinAlgError, ConvergenceError):
         return _unreliable("phi_operator")
     if not (np.isfinite(vals).all() and (vals > 0.0).all()):

@@ -9,6 +9,7 @@ with status 2.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import __version__
@@ -216,59 +217,56 @@ def _verdict(st: TheoremStats) -> str:
     return "PASS"
 
 
-def _print_campaign(report: CampaignReport, stream) -> None:
+def _campaign_text(report: CampaignReport) -> str:
+    lines: list[str] = []
     cfg = report.config
-    print(f"hhverify {report.version}", file=stream)
+    lines.append(f"hhverify {report.version}")
     norm_text = cfg.norm.describe() if cfg.norm is not None else "per-theorem default"
     fn_text = cfg.function.describe() if cfg.function is not None else "per-theorem default"
     abl_text = ",".join(sorted(cfg.ablation)) if cfg.ablation else "none"
-    print(
+    lines.append(
         f"config: trials={cfg.trials} dims={','.join(map(str, cfg.dims))} "
         f"seed={cfg.master_seed} rtol={cfg.rtol:g} atol={cfg.atol:g} nu={cfg.nu:g} "
-        f"quad_n={cfg.quad_n} norm={norm_text} fn={fn_text} ablation={abl_text}",
-        file=stream,
+        f"quad_n={cfg.quad_n} norm={norm_text} fn={fn_text} ablation={abl_text}"
     )
     header = (
         f"{'theorem':<16} {'trials':>7} {'pass':>7} {'fail':>7} "
         f"{'unreliable':>10} {'min_margin':>14}  verdict"
     )
-    print(header, file=stream)
-    print("-" * len(header), file=stream)
+    lines.append(header)
+    lines.append("-" * len(header))
     repro_lines = []
     for st in report.stats:
         margin_text = "n/a" if st.min_margin is None else format(st.min_margin, ".6g")
-        print(
+        lines.append(
             f"{st.theorem_id:<16} {st.trials_run:>7} {st.pass_count:>7} "
-            f"{st.fail_count:>7} {st.unreliable_count:>10} {margin_text:>14}  {_verdict(st)}",
-            file=stream,
+            f"{st.fail_count:>7} {st.unreliable_count:>10} {margin_text:>14}  {_verdict(st)}"
         )
         if st.fail_count > 0 and st.worst_trial_seed is not None:
             repro_lines.append(f"repro ({st.theorem_id}): {repro_command(st.theorem_id, st, cfg)}")
-    for line in repro_lines:
-        print(line, file=stream)
+    lines.extend(repro_lines)
     total = sum(st.trials_run for st in report.stats)
     unreliable = sum(st.unreliable_count for st in report.stats)
     genuine = sum(1 for st in report.stats if st.genuine_violation)
     frac = 100.0 * unreliable / total if total else 0.0
-    print(
+    lines.append(
         f"total: {total} trials, {genuine} theorems with genuine violations, "
-        f"{frac:.2f}% unreliable, wall time {report.wall_time_ms:.0f} ms",
-        file=stream,
+        f"{frac:.2f}% unreliable, wall time {report.wall_time_ms:.0f} ms"
     )
-    print(f"exit code {report.exit_code}", file=stream)
+    lines.append(f"exit code {report.exit_code}")
+    return "\n".join(lines)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, str]:
     cfg, out = _verify_config(args)
     report = run_campaign(cfg)
-    _print_campaign(report, sys.stdout)
     if out is not None:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(serialize_report(report))
-    return report.exit_code
+    return report.exit_code, _campaign_text(report)
 
 
-def _cmd_demo(args) -> int:
+def _cmd_demo(args) -> tuple[int, str]:
     tid = args.theorem.strip()
     if tid not in THEOREM_IDS:
         raise UnknownTheoremError(f"unknown theorem id {tid!r}")
@@ -290,21 +288,31 @@ def _cmd_demo(args) -> int:
         ablation=ablation,
     )
     text, payload, outcome = demo_trial(tid, seed, dim, cfg)
-    print(text)
-    print(_json_value(payload, 0))
-    return 0 if outcome.passed else 1
+    return (0 if outcome.passed else 1), text + "\n" + _json_value(payload, 0)
+
+
+def _write_stdout(text: str) -> None:
+    """Print text. A reader that closed the pipe early (``| head``) drops the
+    rest of it, and is not an error."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # stdout now leads to /dev/null, so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        return _cmd_demo(args)
+        code, text = _cmd_verify(args) if args.command == "verify" else _cmd_demo(args)
     except (ConfigError, UnknownTheoremError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    _write_stdout(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ MAX_DIM = 64
 # |s[i,j] - s[j,i]| <= SYMMETRY_TOL * (1 + max |entry|) or the input is rejected
 SYMMETRY_TOL = 1e-12
 
-# eigenvalues above -PSD_TOL * scale are clamped to zero by pd_power
+# eigenvalues above -PSD_TOL * scale are clamped to zero by pd_power and power_from_decomp
 PSD_TOL = 1e-12
 
 
@@ -201,7 +201,13 @@ def pd_power(a, t: float) -> np.ndarray:
         return m
     if t == 0.0:
         return np.eye(m.shape[0])
-    d = eigh(m)
+    return power_from_decomp(eigh(m), t)
+
+
+def _psd_spectrum(d: SpectralDecomp, t: float) -> np.ndarray:
+    """The eigenvalues of d ready for the power t: tiny negatives within the
+    PSD tolerance clamped to zero, larger ones and negative powers of a
+    singular matrix refused."""
     lam = d.eigenvalues.copy()
     scale = max(1.0, float(np.max(np.abs(lam))))
     if lam[0] < -PSD_TOL * scale:
@@ -209,25 +215,50 @@ def pd_power(a, t: float) -> np.ndarray:
     lam[lam < 0.0] = 0.0
     if t < 0.0 and lam[0] == 0.0:
         raise SingularPowerError(f"negative power {t} of a singular matrix")
-    return d.apply(np.power(lam, t))
+    return lam
 
 
-def power_from_decomp(d: SpectralDecomp, t: float, original: np.ndarray | None = None) -> np.ndarray:
+def power_from_decomp(d: SpectralDecomp, t, original: np.ndarray | None = None) -> np.ndarray:
     """pd_power via a precomputed decomposition; t in {0, 1} short-circuits
     to exact identity / the original matrix so endpoint terms carry no
-    reconstruction noise."""
+    reconstruction noise.
+
+    ``t`` may also be a 1-d array of T exponents. The result is then the
+    (T, n, n) stack of the powers, made with one stacked matmul, and each
+    power is equal bit for bit to the call with its exponent alone.
+    """
+    if isinstance(t, np.ndarray):
+        return _power_stack(d, t, original)
     if t == 0.0:
         return np.eye(d.dim)
     if t == 1.0 and original is not None:
         return original
-    lam = d.eigenvalues.copy()
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    if lam[0] < -PSD_TOL * scale:
-        raise NotPositiveSemidefiniteError(f"matrix has eigenvalue {lam[0]!r} < 0")
-    lam[lam < 0.0] = 0.0
-    if t < 0.0 and lam[0] == 0.0:
-        raise SingularPowerError(f"negative power {t} of a singular matrix")
-    return d.apply(np.power(lam, t))
+    return d.apply(np.power(_psd_spectrum(d, t), t))
+
+
+# numpy evaluates a power with one of these scalar exponents as reciprocal,
+# sqrt or square, which can differ in the last bit from the general power
+# that an array of exponents gets
+_SCALAR_POWER_SHORTCUTS = (-1.0, 0.5, 2.0)
+
+
+def _power_stack(d: SpectralDecomp, ts: np.ndarray, original: np.ndarray | None) -> np.ndarray:
+    out = np.empty((ts.shape[0], d.dim, d.dim))
+    eye = ts == 0.0
+    same = ts == 1.0 if original is not None else np.zeros(ts.shape, dtype=bool)
+    rest = ~(eye | same)
+    out[eye] = np.eye(d.dim)
+    out[same] = original
+    if rest.any():
+        tr = ts[rest]
+        # the guard names the first negative exponent, as a loop over ts would
+        lam = _psd_spectrum(d, float(tr[np.argmax(tr < 0.0)]))
+        vals = np.power(lam[None, :], tr[:, None])
+        for k in np.flatnonzero(np.isin(tr, _SCALAR_POWER_SHORTCUTS)):
+            vals[k] = np.power(lam, float(tr[k]))
+        m = (d.q * vals[:, None, :]) @ d.q.T
+        out[rest] = 0.5 * (m + np.swapaxes(m, 1, 2))
+    return out
 
 
 def weighted_geometric_mean(a, b, nu: float) -> np.ndarray:

@@ -57,8 +57,14 @@ class NormSpec:
             return "tracenorm"
         return f"schatten:{p:g}"
 
-    def of_singular_values(self, s: np.ndarray) -> float:
-        """Evaluate the gauge on a descending singular-value vector."""
+    def of_singular_values(self, s: np.ndarray):
+        """Evaluate the gauge on a descending singular-value vector.
+
+        A (T, n) array of such vectors gives the array of their T gauges, each
+        equal bit for bit to the gauge of its row alone.
+        """
+        if s.ndim == 2:
+            return self._of_rows(s)
         if self.kind == "kyfan":
             k = min(self.params[0], s.shape[-1])
             return float(np.sum(s[:k]))
@@ -70,6 +76,21 @@ class NormSpec:
         if p == 2.0:
             return float(math.sqrt(np.sum(s * s)))
         return float(np.sum(np.power(s, p)) ** (1.0 / p))
+
+    def _of_rows(self, s: np.ndarray) -> np.ndarray:
+        if self.kind == "kyfan":
+            return np.sum(s[:, : min(self.params[0], s.shape[1])], axis=1)
+        p = self.params[0]
+        if p == math.inf:
+            return s[:, 0]
+        if p == 1.0:
+            return np.sum(s, axis=1)
+        if p == 2.0:
+            return np.sqrt(np.sum(s * s, axis=1))
+        # the root is taken one value at a time: the array power of numpy can
+        # differ from the scalar one in the last bit
+        sums = np.sum(np.power(s, p), axis=1)
+        return np.array([x ** (1.0 / p) for x in sums.tolist()])
 
 
 def parse_norm(text: str) -> NormSpec:

@@ -103,27 +103,26 @@ def integrate_scalar(g: Callable[[np.ndarray], np.ndarray], a: float, b: float, 
 
 
 def integrate_matrix(
-    g: Callable[[float], np.ndarray], a: float, b: float, n: int = 64
+    g: Callable[[np.ndarray], np.ndarray], a: float, b: float, n: int = 64
 ) -> np.ndarray:
     """Entrywise integral of a matrix-valued ``g`` over [a, b].
 
-    ``g`` is called once per node and must return a constant shape.
+    ``g`` takes the node array and returns the (T, m, m) stack of its samples.
+    The weighted samples are added one node at a time, in node order, and a
+    non-finite sample is an error that names its node.
     """
     if a == b:
-        probe = np.asarray(g(a), dtype=float)
-        return np.zeros_like(probe)
+        probe = np.asarray(g(np.asarray([a])), dtype=float)
+        return np.zeros(probe.shape[1:])
     xs, ws = _mapped_nodes(a, b, n)
-    total = None
-    shape = None
-    for t, w in zip(xs, ws):
-        sample = np.asarray(g(float(t)), dtype=float)
-        if shape is None:
-            shape = sample.shape
-            total = np.zeros(shape)
-        elif sample.shape != shape:
-            raise DimMismatchError(
-                f"integrand shape changed from {shape} to {sample.shape} at t={t!r}"
-            )
+    samples = np.asarray(g(xs), dtype=float)
+    if samples.shape[0] != xs.shape[0]:
+        raise DimMismatchError(
+            f"stacked integrand returned leading axis {samples.shape[0]} "
+            f"for {xs.shape[0]} nodes"
+        )
+    total = np.zeros(samples.shape[1:])
+    for t, w, sample in zip(xs, ws, samples):
         if not np.isfinite(sample).all():
             raise NonFiniteSampleError(f"matrix integrand non-finite at node t={t!r}")
         total += w * sample
@@ -141,7 +140,7 @@ def integrate_scalar_checked(
 
 
 def integrate_matrix_checked(
-    g: Callable[[float], np.ndarray], a: float, b: float, n: int = 64
+    g: Callable[[np.ndarray], np.ndarray], a: float, b: float, n: int = 64
 ) -> tuple[np.ndarray, bool]:
     """Matrix integral plus a doubling-check flag (Frobenius comparison)."""
     v1 = integrate_matrix(g, a, b, n)

@@ -4,6 +4,7 @@ accounting, exit codes, serialization, and single-trial replay."""
 import json
 import math
 
+import numpy as np
 import pytest
 
 from hhverify import (
@@ -19,6 +20,7 @@ from hhverify import (
     select_theorems,
     serialize_report,
 )
+from hhverify import campaign
 from hhverify.campaign import (
     DROP_COMMUTATIVITY,
     DROP_CONVEXITY_GUARD,
@@ -30,9 +32,20 @@ from hhverify.campaign import (
     repro_command,
     resolve_params,
 )
-from hhverify.chains import InequalityReport
-from hhverify.functions import ConvexityVerdict
-from hhverify.sampler import derive_trial_seed
+from hhverify.chains import (
+    AG_MIDPOINT_TERM_NAMES,
+    GG_HH_TERM_NAMES,
+    HH_TERM_NAMES,
+    InequalityReport,
+    _chain_report,
+    _order_report_from_matrices,
+)
+from hhverify.errors import ConvergenceError, NonFiniteSampleError
+from hhverify.functions import ConvexityVerdict, _scan_fine_grid
+from hhverify.linalg import eigh, matrix_function, power_from_decomp
+from hhverify.norms import parse_norm
+from hhverify.quadrature import DOUBLING_TOL, MAX_NODES, _mapped_nodes, integrate_scalar_checked
+from hhverify.sampler import RandomStream, derive_trial_seed
 
 SMALL = dict(trials=10, dims=(2, 3), master_seed=7)
 
@@ -343,3 +356,227 @@ def test_repro_command_round_trip():
     assert "--fn inverse" in cmd2
     assert "--norm tracenorm" in cmd2
     assert "--ablation DROP_POSITIVITY" in cmd2
+
+
+# ---------------------------------------------------------------------------
+# DROP_COMMUTATIVITY: stacked runners against the per-node loop they replace
+
+
+def _ref_general_apply(m, fn):
+    w, v = np.linalg.eig(m)
+    wr = w.real
+    if not np.isfinite(wr).all() or (wr <= 0.0).any():
+        raise ConvergenceError("not positive")
+    if float(np.max(np.abs(w.imag))) > 1e-8 * (1.0 + float(np.max(np.abs(wr)))):
+        raise ConvergenceError("not real")
+    return np.real((v * fn(wr)) @ np.linalg.inv(v))
+
+
+def _ref_sym(m):
+    return 0.5 * (m + m.T)
+
+
+def _ref_integrate_matrix(g, n):
+    xs, ws = _mapped_nodes(0.0, 1.0, n)
+    total = None
+    for t, w in zip(xs, ws):
+        sample = np.asarray(g(float(t)), dtype=float)
+        if total is None:
+            total = np.zeros(sample.shape)
+        if not np.isfinite(sample).all():
+            raise NonFiniteSampleError(f"non-finite at t={t!r}")
+        total += w * sample
+    return total
+
+
+def _ref_integrate_matrix_checked(g, n):
+    v1 = _ref_integrate_matrix(g, n)
+    v2 = _ref_integrate_matrix(g, min(2 * n, MAX_NODES))
+    resid = float(np.linalg.norm(v1 - v2))
+    return v1, resid <= DOUBLING_TOL * (1.0 + float(np.linalg.norm(v1)))
+
+
+def _ref_phi(da, db, a, b, f, spec, t):
+    m = power_from_decomp(da, t, a) @ power_from_decomp(db, 1.0 - t, b)
+    s = np.linalg.svd(_ref_general_apply(m, f.eval_array), compute_uv=False)
+    return float(spec.of_singular_values(np.maximum(s, 0.0)))
+
+
+def _ref_op_gg_hh(stream, dim, p):
+    a, b = campaign._spd_pair(stream, dim)
+    da, db = eigh(a), eigh(b)
+    try:
+        t1 = _ref_sym(_ref_general_apply(a @ b, lambda w: np.log(p.f.eval_array(np.sqrt(w)))))
+
+        def node(t):
+            m = power_from_decomp(da, t, a) @ power_from_decomp(db, 1.0 - t, b)
+            return _ref_sym(_ref_general_apply(m, lambda w: np.log(p.f.eval_array(w))))
+
+        t2, ok = _ref_integrate_matrix_checked(node, p.quad_n)
+    except (np.linalg.LinAlgError, ConvergenceError):
+        return _unreliable("op_gg_hh")
+    t3 = 0.5 * (campaign._log_f_of_sym(da, p.f) + campaign._log_f_of_sym(db, p.f))
+    return _order_report_from_matrices(
+        "op_gg_hh", GG_HH_TERM_NAMES, (t1, t2, t3), p.rtol, quad_reliable=ok, hypothesis_ok=False
+    )
+
+
+def _ref_op_ag_midpoint(stream, dim, p):
+    a, b = campaign._spd_pair(stream, dim)
+    da, db = eigh(a), eigh(b)
+    fa, fb = matrix_function(da, p.f), matrix_function(db, p.f)
+    t1 = matrix_function(eigh(0.5 * (a + b)), p.f)
+    try:
+
+        def node(al):
+            fp = matrix_function(eigh(al * a + (1.0 - al) * b), p.f)
+            fq = matrix_function(eigh((1.0 - al) * a + al * b), p.f)
+            return _ref_sym(_ref_general_apply(fp @ fq, np.sqrt))
+
+        t2, ok = _ref_integrate_matrix_checked(node, p.quad_n)
+        t3 = _ref_sym(_ref_general_apply(fa @ fb, np.sqrt))
+    except (np.linalg.LinAlgError, ConvergenceError):
+        return _unreliable("op_ag_midpoint")
+    return _order_report_from_matrices(
+        "op_ag_midpoint", AG_MIDPOINT_TERM_NAMES, (t1, t2, t3), p.rtol,
+        quad_reliable=ok, hypothesis_ok=False,
+    )
+
+
+def _ref_norm_gg(theorem_id, stream, dim, p):
+    a, b = campaign._spd_pair(stream, dim)
+    da, db = eigh(a), eigh(b)
+    try:
+        anchors = [_ref_phi(da, db, a, b, p.f, p.norm, u) for u in (0.0, 0.25, 0.5, 0.75, 1.0)]
+        if min(anchors) <= 0.0:
+            return _unreliable(theorem_id)
+
+        def g(ts):
+            return np.array([math.log(_ref_phi(da, db, a, b, p.f, p.norm, float(t))) for t in ts])
+
+        integral, ok = integrate_scalar_checked(g, 0.0, 1.0, p.quad_n)
+    except (np.linalg.LinAlgError, ConvergenceError):
+        return _unreliable(theorem_id)
+    p0, p14, p12, p34, p1 = anchors
+    terms = (
+        p12,
+        math.sqrt(p14 * p34),
+        math.exp(integral),
+        math.sqrt(p12) * p0**0.25 * p1**0.25,
+        math.sqrt(p1 * p0),
+    )
+    return _chain_report(
+        theorem_id, HH_TERM_NAMES, terms, p.rtol, p.atol, quad_reliable=ok, hypothesis_ok=False
+    )
+
+
+def _ref_phi_operator(stream, dim, p):
+    a, b = campaign._spd_pair(stream, dim)
+    da, db = eigh(a), eigh(b)
+    m = p.grid_n * p.grid_n
+    ts = np.arange(m + 1) / m
+    try:
+        vals = np.array([_ref_phi(da, db, a, b, p.f, p.norm, float(t)) for t in ts])
+    except (np.linalg.LinAlgError, ConvergenceError):
+        return _unreliable("phi_operator")
+    if not (np.isfinite(vals).all() and (vals > 0.0).all()):
+        return _unreliable("phi_operator")
+    verdict = _scan_fine_grid(np.log(vals), ts, p.grid_n, p.conv_tol)
+    return WitnessOutcome(
+        theorem_id="phi_operator", verdict=verdict, passed=verdict.holds, hypothesis_ok=False
+    )
+
+
+_NC_CASES = (
+    ("op_gg_hh", campaign._run_op_gg_hh_nc, _ref_op_gg_hh, ("opnorm",)),
+    ("op_ag_midpoint", campaign._run_op_ag_midpoint_nc, _ref_op_ag_midpoint, ("opnorm",)),
+    (
+        "op_norm_gg",
+        lambda s, d, p: campaign._run_norm_gg_nc("op_norm_gg", s, d, p),
+        lambda s, d, p: _ref_norm_gg("op_norm_gg", s, d, p),
+        ("opnorm", "schatten:2", "kyfan:2", "schatten:3"),
+    ),
+    (
+        "exp_norm",
+        lambda s, d, p: campaign._run_norm_gg_nc("exp_norm", s, d, p),
+        lambda s, d, p: _ref_norm_gg("exp_norm", s, d, p),
+        ("opnorm", "kyfan:2"),
+    ),
+    (
+        "phi_operator",
+        campaign._run_phi_operator_nc,
+        _ref_phi_operator,
+        ("opnorm", "schatten:2", "kyfan:2"),
+    ),
+)
+
+
+@pytest.mark.parametrize("tid, stacked, reference, norms", _NC_CASES, ids=[c[0] for c in _NC_CASES])
+def test_stacked_nc_runners_match_per_node_loop(tid, stacked, reference, norms):
+    for norm_text in norms:
+        for fn, quad_n in ((None, 64), (FunctionSpec.power(3.0), 33)):
+            cfg = CampaignConfig(
+                norm=parse_norm(norm_text), function=fn, quad_n=quad_n,
+                ablation=frozenset({DROP_COMMUTATIVITY}),
+            )
+            params = resolve_params(tid, cfg)
+            assert params.drop_commutativity
+            for dim in (2, 3, 5, 8):
+                for trial in range(2):
+                    seed = derive_trial_seed(2015, dim, trial)
+                    want = outcome_to_dict(reference(RandomStream(seed), dim, params))
+                    got = outcome_to_dict(stacked(RandomStream(seed), dim, params))
+                    assert got == want, (tid, norm_text, fn, dim, seed)
+
+
+def test_general_apply_refuses_any_bad_matrix_in_a_stack():
+    good = np.array([[2.0, 0.5], [0.3, 1.0]])
+    stack = np.stack([good, good, good])
+    np.testing.assert_array_equal(
+        campaign._general_apply(stack, np.sqrt)[1], _ref_general_apply(good, np.sqrt)
+    )
+    negative = stack.copy()
+    negative[1] = -good  # one non-positive spectrum in the middle of the stack
+    with pytest.raises(ConvergenceError):
+        campaign._general_apply(negative, np.sqrt)
+    rotation = stack.copy()
+    rotation[2] = [[1.0, -2.0], [2.0, 1.0]]  # eigenvalues 1 +- 2i
+    with pytest.raises(ConvergenceError):
+        campaign._general_apply(rotation, np.sqrt)
+
+
+@pytest.mark.parametrize("tid", ["op_gg_hh", "phi_operator"])
+def test_one_bad_node_makes_the_nc_trial_unreliable(tid, monkeypatch):
+    real_products = campaign._weighted_products
+
+    def one_bad_node(da, db, a, b, ts):
+        out = real_products(da, db, a, b, ts)
+        out[min(3, ts.shape[0] - 1)] *= -1.0  # a negative spectrum at one node
+        return out
+
+    monkeypatch.setattr(campaign, "_weighted_products", one_bad_node)
+    params = resolve_params(tid, CampaignConfig(ablation=frozenset({DROP_COMMUTATIVITY})))
+    outcome = run_trial(tid, derive_trial_seed(3, 3, 0), 3, params)
+    assert not outcome.quad_reliable
+
+
+def test_drop_commutativity_campaign_shows_expected_violations():
+    flags = frozenset({DROP_COMMUTATIVITY})
+    cfg = CampaignConfig(
+        theorem_ids=select_theorems("all", flags), trials=4, dims=(3, 5), master_seed=0,
+        ablation=flags,
+    )
+    report = run_campaign(cfg)
+    stats = {st.theorem_id: st for st in report.stats}
+    assert set(stats) == {
+        "op_gg_hh", "op_ag_midpoint", "op_norm_gg", "exp_norm",
+        "trace_sqrt", "trace_squared", "phi_operator",
+    }
+    for tid in ("op_gg_hh", "op_ag_midpoint"):
+        assert stats[tid].fail_count >= 1, tid
+        assert stats[tid].expected_violation, tid
+    assert not any(st.genuine_violation for st in report.stats)
+    # README exit codes: ablation violations leave 0, more than 1% unreliable gives 3
+    total = sum(st.trials_run for st in report.stats)
+    unreliable = sum(st.unreliable_count for st in report.stats)
+    assert report.exit_code == (3 if unreliable / total > 0.01 else 0)

@@ -2,6 +2,10 @@
 demo replay, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -190,3 +194,38 @@ def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def _run_with_closed_stdout(argv):
+    """Run the CLI in a child process whose stdout pipe has no reader."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hhverify", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    return proc.returncode, proc.stderr.decode()
+
+
+def test_closed_stdout_keeps_the_exit_code_and_prints_no_traceback(tmp_path, capsys):
+    demo = ["demo", "--theorem", "kittaneh", "--seed", "1", "--dim", "2"]
+    want = main(demo)
+    capsys.readouterr()
+    code, err = _run_with_closed_stdout(demo)
+    assert code == want
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
+    out = tmp_path / "report.json"
+    verify = VERIFY_SMALL + ["--out", str(out)]
+    want = main(verify[:-2])
+    capsys.readouterr()
+    code, err = _run_with_closed_stdout(verify)
+    assert code == want
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+    assert json.loads(out.read_text())["theorems"]["scalar_ag"]["trials_run"] == 10

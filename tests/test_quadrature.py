@@ -1,6 +1,7 @@
 """Gauss-Legendre rule correctness and the doubling reliability check."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hhverify import (
     integrate_scalar_checked,
 )
 from hhverify.errors import DimMismatchError
-from hhverify.quadrature import MAX_NODES, integrate_stack_checked
+from hhverify.quadrature import MAX_NODES, _mapped_nodes, integrate_stack_checked
 
 
 def test_one_node_rule_is_midpoint():
@@ -85,8 +86,8 @@ def test_scalar_integral_reversed_interval_flips_sign():
 
 
 def test_matrix_integral_entrywise():
-    def g(t):
-        return np.array([[t, t**2], [math.exp(t), 1.0]])
+    def g(ts):
+        return np.stack([np.array([[t, t**2], [math.exp(t), 1.0]]) for t in ts])
 
     val = integrate_matrix(g, 0.0, 1.0, 24)
     want = np.array([[0.5, 1 / 3], [math.e - 1.0, 1.0]])
@@ -105,9 +106,22 @@ def test_checked_kinked_integrand_is_flagged():
     assert not ok
 
 
+def test_matrix_integral_adds_nodes_in_order_and_names_a_bad_node():
+    rng = np.random.default_rng(4)
+    samples = rng.standard_normal((40, 3, 3))
+    xs, ws = _mapped_nodes(0.0, 1.0, 40)
+    want = np.zeros((3, 3))
+    for w, sample in zip(ws, samples):
+        want += w * sample
+    np.testing.assert_array_equal(integrate_matrix(lambda ts: samples, 0.0, 1.0, 40), want)
+    samples[7, 1, 2] = np.nan
+    with pytest.raises(NonFiniteSampleError, match=re.escape(repr(xs[7]))):
+        integrate_matrix(lambda ts: samples, 0.0, 1.0, 40)
+
+
 def test_matrix_checked_flags_kink():
-    def g(t):
-        return np.array([[abs(t - 0.3), 0.0], [0.0, 1.0]])
+    def g(ts):
+        return np.stack([np.array([[abs(t - 0.3), 0.0], [0.0, 1.0]]) for t in ts])
 
     _, ok = integrate_matrix_checked(g, 0.0, 1.0, 32)
     assert not ok
