@@ -106,92 +106,3 @@ from .campaign import (
     serialize_report,
 )
 
-__all__ = [
-    "__version__",
-    "ABLATION_FLAGS",
-    "THEOREM_IDS",
-    "AsymmetricInputError",
-    "BadRangeError",
-    "CampaignConfig",
-    "CampaignReport",
-    "ChainReport",
-    "CommutingPair",
-    "Comparison",
-    "ConfigError",
-    "ConvergenceError",
-    "ConvexityVerdict",
-    "DegenerateIntervalError",
-    "DimMismatchError",
-    "DomainViolationError",
-    "FunctionSpec",
-    "InequalityReport",
-    "LoewnerOrdering",
-    "LoewnerVerdict",
-    "NodeCountError",
-    "NonFiniteInputError",
-    "NonFiniteSampleError",
-    "NonPositiveInputError",
-    "NormSpec",
-    "NotPositiveDefiniteError",
-    "NotPositiveSemidefiniteError",
-    "NotSquareError",
-    "OrderChainReport",
-    "PhiDiagonal",
-    "PhiOperator",
-    "PhiSandwich",
-    "RandomStream",
-    "SchattenOrderError",
-    "SingularPowerError",
-    "SpectralDecomp",
-    "TheoremStats",
-    "TraceVariant",
-    "UinVariant",
-    "UnknownTheoremError",
-    "VerificationError",
-    "WitnessOutcome",
-    "ag_convexity_witness",
-    "ag_gg_transport_check",
-    "am_gm_loewner_check",
-    "commuting_weighted_product",
-    "demo_trial",
-    "derive_trial_seed",
-    "det_ag_concavity_check",
-    "det_pd",
-    "dragomir_operator_chain",
-    "eigh",
-    "gl_rule",
-    "integrate_matrix",
-    "integrate_matrix_checked",
-    "integrate_scalar",
-    "integrate_scalar_checked",
-    "is_ag_convex",
-    "is_gg_convex",
-    "kittaneh_check",
-    "loewner_compare",
-    "matrix_function",
-    "norm",
-    "norm_power_check",
-    "operator_ag_midpoint_order_chain",
-    "operator_gg_hh_order_chain",
-    "operator_norm_gg_chain",
-    "parse_function",
-    "parse_norm",
-    "pd_power",
-    "random_commuting_pair",
-    "random_general",
-    "random_orthogonal",
-    "random_spd",
-    "run_campaign",
-    "run_trial",
-    "scalar_hh_chain",
-    "scalar_mean_chain",
-    "scalar_mean_chain_report",
-    "select_theorems",
-    "serialize_report",
-    "singular_values",
-    "splitmix64",
-    "trace",
-    "trace_chain",
-    "uin_chain",
-    "weighted_geometric_mean",
-]

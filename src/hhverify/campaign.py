@@ -1,7 +1,8 @@
 """Campaign driver: the theorem registry, seeded trial runners, pass/fail
 accounting, and deterministic report serialization.
 
-Each theorem id maps to one runner. A runner draws its inputs from a trial
+Each theorem id has one row in THEOREMS: its runner, the runners that replace
+it under an ablation flag, and its parameter rules. A runner draws its inputs from a trial
 RandomStream (seeded as splitmix64(master ^ ((dim << 32) + trial)), so any
 trial can be replayed in isolation), evaluates the chain, and returns a
 report carrying passed / quad_reliable / hypothesis_ok / min_margin.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -43,13 +45,19 @@ from .chains import (
     scalar_mean_chain_report,
     trace_chain,
     uin_chain,
+    HH_NODES,
     HH_TERM_NAMES,
     GG_HH_TERM_NAMES,
     AG_MIDPOINT_TERM_NAMES,
     TRACE_SQRT_TERM_NAMES,
     TRACE_SQUARED_TERM_NAMES,
+    _advisory_convexity,
     _chain_report,
+    _inequality_report,
+    _joint_range,
+    _operator_convex,
     _order_report_from_matrices,
+    hh_terms,
 )
 from .errors import ConfigError, ConvergenceError, DomainViolationError
 from .functions import (
@@ -59,7 +67,6 @@ from .functions import (
     FunctionSpec,
     _check_grid_n,
     _scan_fine_grid,
-    is_gg_convex,
 )
 from .linalg import (
     CommutingPair,
@@ -69,12 +76,7 @@ from .linalg import (
     power_from_decomp,
 )
 from .norms import NormSpec
-from .quadrature import (
-    MAX_NODES,
-    integrate_matrix_checked,
-    integrate_scalar_checked,
-    integrate_stack_checked,
-)
+from .quadrature import MAX_NODES, integrate_matrix_checked
 from .sampler import (
     RandomStream,
     _log_uniform,
@@ -93,116 +95,6 @@ DROP_CONVEXITY_GUARD = "DROP_CONVEXITY_GUARD"
 DROP_POSITIVITY = "DROP_POSITIVITY"
 ABLATION_FLAGS = (DROP_COMMUTATIVITY, DROP_CONVEXITY_GUARD, DROP_POSITIVITY)
 
-THEOREM_IDS = (
-    "scalar_ag",
-    "scalar_gg",
-    "scalar_means",
-    "dragomir",
-    "op_gg_hh",
-    "op_ag_midpoint",
-    "op_norm_gg",
-    "exp_norm",
-    "trace_sqrt",
-    "trace_squared",
-    "det_ag",
-    "am_gm_loewner",
-    "norm_power",
-    "kittaneh",
-    "phi_operator",
-    "phi_sandwich",
-    "phi_diagonal",
-    "uin_symmetric",
-    "uin_end_left",
-    "uin_end_right",
-    "uin_full",
-    "uin_diagonal",
-)
-
-# ids whose norm default is Schatten-2 (the singular-value chains); the
-# operator-norm ids are the Banach-algebra statements
-_SCHATTEN2_IDS = frozenset(
-    {
-        "kittaneh",
-        "phi_sandwich",
-        "phi_diagonal",
-        "uin_symmetric",
-        "uin_end_left",
-        "uin_end_right",
-        "uin_full",
-        "uin_diagonal",
-    }
-)
-
-_COMMUTING_ABLATABLE = frozenset(
-    {
-        "op_gg_hh",
-        "op_ag_midpoint",
-        "op_norm_gg",
-        "exp_norm",
-        "trace_sqrt",
-        "trace_squared",
-        "phi_operator",
-    }
-)
-_POSITIVITY_ABLATABLE = frozenset({"det_ag", "kittaneh"})
-_GUARD_ABLATABLE = frozenset(
-    {
-        "scalar_ag",
-        "scalar_gg",
-        "op_gg_hh",
-        "op_ag_midpoint",
-        "op_norm_gg",
-        "exp_norm",
-        "phi_operator",
-    }
-)
-
-_FLAG_IDS = {
-    DROP_COMMUTATIVITY: _COMMUTING_ABLATABLE,
-    DROP_POSITIVITY: _POSITIVITY_ABLATABLE,
-    DROP_CONVEXITY_GUARD: _GUARD_ABLATABLE,
-}
-
-
-@dataclass(frozen=True)
-class CampaignConfig:
-    theorem_ids: tuple[str, ...] = THEOREM_IDS
-    trials: int = 1000
-    dims: tuple[int, ...] = (2, 3, 5, 8)
-    master_seed: int = 0
-    rtol: float = 1e-8
-    atol: float = 1e-12
-    norm: NormSpec | None = None
-    nu: float = 0.3
-    quad_n: int = 64
-    function: FunctionSpec | None = None
-    ablation: frozenset[str] = frozenset()
-
-    def validate(self) -> None:
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if not self.dims:
-            raise ConfigError("at least one dimension is required")
-        for d in self.dims:
-            if not 1 <= d <= MAX_DIM:
-                raise ConfigError(f"dimensions must lie in [1, {MAX_DIM}], got {d}")
-        if not (self.rtol > 0.0 and math.isfinite(self.rtol)):
-            raise ConfigError(f"rtol must be positive, got {self.rtol}")
-        if not (self.atol > 0.0 and math.isfinite(self.atol)):
-            raise ConfigError(f"atol must be positive, got {self.atol}")
-        if not (0.0 <= self.nu <= 1.0):
-            raise ConfigError(f"nu must lie in [0, 1], got {self.nu}")
-        if not 1 <= self.quad_n <= MAX_NODES:
-            raise ConfigError(f"quad_n must lie in [1, {MAX_NODES}], got {self.quad_n}")
-        for flag in self.ablation:
-            if flag not in ABLATION_FLAGS:
-                raise ConfigError(
-                    f"unknown ablation flag {flag!r}; known: {', '.join(ABLATION_FLAGS)}"
-                )
-        for tid in self.theorem_ids:
-            if tid not in THEOREM_IDS:
-                raise ConfigError(f"unknown theorem id {tid!r}")
-
 
 @dataclass
 class TrialParams:
@@ -214,8 +106,6 @@ class TrialParams:
     quad_n: int
     rtol: float
     atol: float
-    grid_n: int = DEFAULT_GRID_N
-    conv_tol: float = DEFAULT_CONVEXITY_TOL
     check_hypothesis: bool = True
     drop_commutativity: bool = False
     drop_positivity: bool = False
@@ -238,14 +128,8 @@ class WitnessOutcome:
 
 def _unreliable(theorem_id: str) -> InequalityReport:
     # numeric breakdown inside an ablated eigenroutine: excluded from pass/fail
-    return InequalityReport(
-        theorem_id=theorem_id,
-        lhs=0.0,
-        rhs=0.0,
-        margin=0.0,
-        passed=True,
-        quad_reliable=False,
-        hypothesis_ok=False,
+    return _inequality_report(
+        theorem_id, 0.0, 0.0, 0.0, 0.0, quad_reliable=False, hypothesis_ok=False
     )
 
 
@@ -406,29 +290,19 @@ def _run_norm_gg_nc(theorem_id: str, stream: RandomStream, dim: int, p: TrialPar
     a, b = _spd_pair(stream, dim)
     da, db = eigh(a), eigh(b)
     try:
-        anchors = _nc_phi(
-            da, db, a, b, p.f, p.norm, np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-        ).tolist()
+        anchors = _nc_phi(da, db, a, b, p.f, p.norm, np.array(HH_NODES)).tolist()
         if min(anchors) <= 0.0:
             return _unreliable(theorem_id)
 
-        def g(ts: np.ndarray) -> np.ndarray:
+        def log_phi(ts: np.ndarray) -> np.ndarray:
             # math.log, not np.log: the two can differ in the last bit
             return np.array(
                 [math.log(v) for v in _nc_phi(da, db, a, b, p.f, p.norm, ts).tolist()]
             )
 
-        integral, ok = integrate_scalar_checked(g, 0.0, 1.0, p.quad_n)
+        terms, ok = hh_terms(anchors, log_phi, (0.0, 1.0), p.quad_n)
     except (np.linalg.LinAlgError, ConvergenceError):
         return _unreliable(theorem_id)
-    p0, p14, p12, p34, p1 = anchors
-    terms = (
-        p12,
-        math.sqrt(p14 * p34),
-        math.exp(integral),
-        math.sqrt(p12) * p0**0.25 * p1**0.25,
-        math.sqrt(p1 * p0),
-    )
     return _chain_report(
         theorem_id, HH_TERM_NAMES, terms, p.rtol, p.atol,
         quad_reliable=ok, hypothesis_ok=False,
@@ -450,34 +324,20 @@ def _run_trace_nc(variant: TraceVariant, stream: RandomStream, dim: int, p: Tria
         pb = np.power(lb[None, :], pw * (1.0 - ts)[:, None])
         return np.log(np.einsum("ti,ij,tj->t", pa, overlap, pb))
 
-    integral, ok = integrate_stack_checked(log_tau_rows, 0.0, 1.0, p.quad_n)
-    t_int = math.exp(float(integral))
-    if variant is TraceVariant.SQRT:
-        tr_ab = float(np.trace(a @ b))
-        w = np.linalg.eigvals(a @ b).real
-        if (w <= 0.0).any():
-            return _unreliable("trace_sqrt")
-        terms = (
-            math.sqrt(tr_ab),
-            float(np.sum(np.sqrt(w))),
-            math.sqrt(tau(0.25) * tau(0.75)),
-            t_int,
-            math.sqrt(tau(0.5)) * tau(0.0) ** 0.25 * tau(1.0) ** 0.25,
-            math.sqrt(tau(1.0) * tau(0.0)),
-        )
+    terms, ok = hh_terms(tuple(tau(u) for u in HH_NODES), log_tau_rows, (0.0, 1.0), p.quad_n)
+    if variant is TraceVariant.SQUARED:
+        terms = terms[:4] + (float(np.sum(la)) * float(np.sum(lb)),)
         return _chain_report(
-            "trace_sqrt", TRACE_SQRT_TERM_NAMES, terms, p.rtol, p.atol,
+            "trace_squared", TRACE_SQUARED_TERM_NAMES, terms, p.rtol, p.atol,
             quad_reliable=ok, hypothesis_ok=False,
         )
-    terms = (
-        tau(0.5),
-        math.sqrt(tau(0.25) * tau(0.75)),
-        t_int,
-        math.sqrt(tau(0.5)) * tau(0.0) ** 0.25 * tau(1.0) ** 0.25,
-        float(np.sum(la)) * float(np.sum(lb)),
-    )
+    # sqrt(tr AB) <= tr sqrt(AB), the latter as the sum of sqrt eig(AB)
+    w = np.linalg.eigvals(a @ b).real
+    if (w <= 0.0).any():
+        return _unreliable("trace_sqrt")
+    terms = (math.sqrt(float(np.trace(a @ b))), float(np.sum(np.sqrt(w)))) + terms[1:]
     return _chain_report(
-        "trace_squared", TRACE_SQUARED_TERM_NAMES, terms, p.rtol, p.atol,
+        "trace_sqrt", TRACE_SQRT_TERM_NAMES, terms, p.rtol, p.atol,
         quad_reliable=ok, hypothesis_ok=False,
     )
 
@@ -485,8 +345,8 @@ def _run_trace_nc(variant: TraceVariant, stream: RandomStream, dim: int, p: Tria
 def _run_phi_operator_nc(stream: RandomStream, dim: int, p: TrialParams):
     a, b = _spd_pair(stream, dim)
     da, db = eigh(a), eigh(b)
-    _check_grid_n(p.grid_n)
-    m = p.grid_n * p.grid_n
+    _check_grid_n(DEFAULT_GRID_N)
+    m = DEFAULT_GRID_N * DEFAULT_GRID_N
     ts = np.arange(m + 1) / m
     try:
         vals = _nc_phi(da, db, a, b, p.f, p.norm, ts)
@@ -494,7 +354,7 @@ def _run_phi_operator_nc(stream: RandomStream, dim: int, p: TrialParams):
         return _unreliable("phi_operator")
     if not (np.isfinite(vals).all() and (vals > 0.0).all()):
         return _unreliable("phi_operator")
-    verdict = _scan_fine_grid(np.log(vals), ts, p.grid_n, p.conv_tol)
+    verdict = _scan_fine_grid(np.log(vals), ts, DEFAULT_GRID_N, DEFAULT_CONVEXITY_TOL)
     return WitnessOutcome(
         theorem_id="phi_operator", verdict=verdict, passed=verdict.holds, hypothesis_ok=False
     )
@@ -506,16 +366,7 @@ def _run_det_ag_indefinite(stream: RandomStream, dim: int, p: TrialParams):
     la, lb = np.linalg.eigvalsh(a), np.linalg.eigvalsh(b)
     lhs = float(np.prod(np.abs(la))) ** p.nu * float(np.prod(np.abs(lb))) ** (1.0 - p.nu)
     rhs = float(np.prod(np.linalg.eigvalsh(p.nu * a + (1.0 - p.nu) * b)))
-    margin = rhs - lhs
-    scale = max(1.0, abs(lhs), abs(rhs))
-    return InequalityReport(
-        theorem_id="det_ag",
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        passed=margin >= -(p.rtol * scale + p.atol),
-        hypothesis_ok=False,
-    )
+    return _inequality_report("det_ag", lhs, rhs, p.rtol, p.atol, hypothesis_ok=False)
 
 
 def _run_kittaneh_general(stream: RandomStream, dim: int, p: TrialParams):
@@ -531,185 +382,235 @@ def _run_kittaneh_general(stream: RandomStream, dim: int, p: TrialParams):
     if not math.isfinite(lhs):
         return _unreliable("kittaneh")
     rhs = _sv_norm(a @ x, p.norm) ** p.nu * _sv_norm(x @ b, p.norm) ** (1.0 - p.nu)
-    margin = rhs - lhs
-    scale = max(1.0, abs(lhs), abs(rhs))
-    return InequalityReport(
-        theorem_id="kittaneh",
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        passed=margin >= -(p.rtol * scale + p.atol),
-        hypothesis_ok=False,
-    )
+    return _inequality_report("kittaneh", lhs, rhs, p.rtol, p.atol, hypothesis_ok=False)
 
 
 # ---------------------------------------------------------------------------
-# runners (one per theorem id)
+# the theorem table
+#
+# A row calls the chain functions through their module-level names, at call
+# time, so that whatever is bound to those names (a tracing wrapper, say) is
+# what runs.
 
 
-def _run_scalar_ag(stream, dim, p):
-    a, b = _scalar_interval(stream)
-    return scalar_hh_chain(
-        "ag", p.f, a, b, p.quad_n, p.rtol, p.atol, p.grid_n, p.conv_tol, p.check_hypothesis
+def _fn_or_exp(f: FunctionSpec | None) -> FunctionSpec:
+    return f if f is not None else FunctionSpec.exp(1.0)
+
+
+def _exp_only(f: FunctionSpec | None) -> FunctionSpec:
+    return FunctionSpec.exp(1.0)  # preset; the id names this exact instance
+
+
+def _operator_convex_fn(f: FunctionSpec | None) -> FunctionSpec:
+    f = f if f is not None else FunctionSpec.power(2.0)
+    if not _operator_convex(f):
+        raise ConfigError(f"dragomir requires fn power:2 or inverse, got {f.describe()}")
+    return f
+
+
+def _any_nu(theorem_id: str, nu: float) -> float:
+    return nu
+
+
+def _inner_nu(theorem_id: str, nu: float) -> float:
+    if not 0.0 < nu < 1.0:
+        raise ConfigError(f"{theorem_id} needs nu strictly inside (0, 1), got {nu}")
+    return nu
+
+
+def _symmetric_nu(theorem_id: str, nu: float) -> float:
+    if nu == 0.5 or not 0.0 < nu < 1.0:
+        raise ConfigError(f"{theorem_id} needs nu in (0, 1) with nu != 1/2, got {nu}")
+    return nu
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """Everything the campaign knows about one theorem id.
+
+    ``run(stream, dim, params)`` draws the trial inputs and returns the
+    report. ``drop_commutativity`` and ``drop_positivity`` are the runners
+    that replace it under those ablation flags (None: the flag does not
+    apply); ``convexity_guard`` says whether DROP_CONVEXITY_GUARD applies.
+    ``fn`` maps the configured function (None when unset) to the one the
+    theorem uses, ``schatten2`` makes Schatten-2 the default norm instead of
+    the operator norm, and ``nu(theorem_id, nu)`` returns the weight the
+    theorem uses; both rules raise ConfigError on a value the theorem cannot
+    take.
+    """
+
+    run: Callable
+    drop_commutativity: Callable | None = None
+    drop_positivity: Callable | None = None
+    convexity_guard: bool = False
+    fn: Callable[[FunctionSpec | None], FunctionSpec] = _fn_or_exp
+    schatten2: bool = False
+    nu: Callable[[str, float], float] = _any_nu
+
+
+def _scalar_hh(kind: str) -> Theorem:
+    return Theorem(
+        lambda s, d, p: scalar_hh_chain(
+            kind, p.f, *_scalar_interval(s), p.quad_n, p.rtol, p.atol, p.check_hypothesis
+        ),
+        convexity_guard=True,
     )
 
 
-def _run_scalar_gg(stream, dim, p):
-    a, b = _scalar_interval(stream)
-    return scalar_hh_chain(
-        "gg", p.f, a, b, p.quad_n, p.rtol, p.atol, p.grid_n, p.conv_tol, p.check_hypothesis
+def _norm_gg(theorem_id: str, fn) -> Theorem:
+    return Theorem(
+        lambda s, d, p: operator_norm_gg_chain(
+            p.f, _commuting(s, d), p.norm, p.quad_n, p.rtol, p.atol,
+            check_hypothesis=p.check_hypothesis, theorem_id=theorem_id,
+        ),
+        drop_commutativity=lambda s, d, p: _run_norm_gg_nc(theorem_id, s, d, p),
+        convexity_guard=True,
+        fn=fn,
     )
 
 
-def _run_scalar_means(stream, dim, p):
-    vals = _log_uniform(stream, 2, SPD_LO, SPD_HI)
-    return scalar_mean_chain_report(float(vals[0]), float(vals[1]), p.rtol, p.atol)
-
-
-def _run_dragomir(stream, dim, p):
-    a, b = _spd_pair(stream, dim)
-    return dragomir_operator_chain(p.f, a, b, p.quad_n, p.rtol, p.atol)
-
-
-def _run_op_gg_hh(stream, dim, p):
-    if p.drop_commutativity:
-        return _run_op_gg_hh_nc(stream, dim, p)
-    pair = _commuting(stream, dim)
-    return operator_gg_hh_order_chain(
-        p.f, pair, p.quad_n, p.rtol, p.grid_n, p.conv_tol, p.check_hypothesis
+def _trace(variant: TraceVariant) -> Theorem:
+    return Theorem(
+        lambda s, d, p: trace_chain(variant, _commuting(s, d), p.quad_n, p.rtol, p.atol),
+        drop_commutativity=lambda s, d, p: _run_trace_nc(variant, s, d, p),
     )
 
 
-def _run_op_ag_midpoint(stream, dim, p):
-    if p.drop_commutativity:
-        return _run_op_ag_midpoint_nc(stream, dim, p)
-    pair = _commuting(stream, dim)
-    return operator_ag_midpoint_order_chain(
-        p.f, pair, p.quad_n, p.rtol, p.grid_n, p.conv_tol, p.check_hypothesis
-    )
-
-
-def _run_op_norm_gg(stream, dim, p):
-    if p.drop_commutativity:
-        return _run_norm_gg_nc("op_norm_gg", stream, dim, p)
-    pair = _commuting(stream, dim)
-    return operator_norm_gg_chain(
-        p.f, pair, p.norm, p.quad_n, p.rtol, p.atol,
-        p.grid_n, p.conv_tol, p.check_hypothesis, theorem_id="op_norm_gg",
-    )
-
-
-def _run_exp_norm(stream, dim, p):
-    if p.drop_commutativity:
-        return _run_norm_gg_nc("exp_norm", stream, dim, p)
-    pair = _commuting(stream, dim)
-    return operator_norm_gg_chain(
-        p.f, pair, p.norm, p.quad_n, p.rtol, p.atol,
-        p.grid_n, p.conv_tol, p.check_hypothesis, theorem_id="exp_norm",
-    )
-
-
-def _run_trace_sqrt(stream, dim, p):
-    if p.drop_commutativity:
-        return _run_trace_nc(TraceVariant.SQRT, stream, dim, p)
-    pair = _commuting(stream, dim)
-    return trace_chain(TraceVariant.SQRT, pair, p.quad_n, p.rtol, p.atol)
-
-
-def _run_trace_squared(stream, dim, p):
-    if p.drop_commutativity:
-        return _run_trace_nc(TraceVariant.SQUARED, stream, dim, p)
-    pair = _commuting(stream, dim)
-    return trace_chain(TraceVariant.SQUARED, pair, p.quad_n, p.rtol, p.atol)
-
-
-def _run_det_ag(stream, dim, p):
-    if p.drop_positivity:
-        return _run_det_ag_indefinite(stream, dim, p)
-    a, b = _spd_pair(stream, dim)
-    return det_ag_concavity_check(a, b, p.nu, p.rtol, p.atol)
-
-
-def _run_am_gm(stream, dim, p):
-    a, b = _spd_pair(stream, dim)
-    return am_gm_loewner_check(a, b, p.nu, p.rtol)
-
-
-def _run_norm_power(stream, dim, p):
-    t = random_spd(stream, dim, SPD_LO, SPD_HI)
-    return norm_power_check(t, None, p.rtol, p.atol)
-
-
-def _run_kittaneh(stream, dim, p):
-    if p.drop_positivity:
-        return _run_kittaneh_general(stream, dim, p)
-    a, b, x = _spd_pair_with_x(stream, dim)
-    return kittaneh_check(a, b, x, p.nu, p.norm, p.rtol, p.atol)
-
-
-def _run_phi_operator(stream, dim, p):
-    if p.drop_commutativity:
-        return _run_phi_operator_nc(stream, dim, p)
-    pair = _commuting(stream, dim)
-    hypothesis_ok = True
-    if p.check_hypothesis:
-        lo = float(min(np.min(pair.a), np.min(pair.b)))
-        hi = float(max(np.max(pair.a), np.max(pair.b)))
-        if lo < hi:
-            hypothesis_ok = is_gg_convex(p.f, lo, hi, p.grid_n, p.conv_tol).holds
-    verdict = ag_convexity_witness(PhiOperator(f=p.f, pair=pair), p.norm, p.grid_n, p.conv_tol)
+def _witness(theorem_id: str, curve, p: TrialParams, hypothesis_ok: bool = True):
+    verdict = ag_convexity_witness(curve, p.norm)
     return WitnessOutcome(
-        theorem_id="phi_operator",
-        verdict=verdict,
-        passed=verdict.holds,
-        hypothesis_ok=hypothesis_ok,
+        theorem_id=theorem_id, verdict=verdict, passed=verdict.holds, hypothesis_ok=hypothesis_ok
     )
 
 
-def _run_phi_sandwich(stream, dim, p):
-    a, b, x = _spd_pair_with_x(stream, dim)
-    verdict = ag_convexity_witness(PhiSandwich(a=a, b=b, x=x), p.norm, p.grid_n, p.conv_tol)
-    return WitnessOutcome(theorem_id="phi_sandwich", verdict=verdict, passed=verdict.holds)
+def _run_phi_operator(stream: RandomStream, dim: int, p: TrialParams):
+    pair = _commuting(stream, dim)
+    hypothesis_ok = _advisory_convexity(p.f, *_joint_range(pair), True, p.check_hypothesis)
+    return _witness("phi_operator", PhiOperator(f=p.f, pair=pair), p, hypothesis_ok)
 
 
-def _run_phi_diagonal(stream, dim, p):
-    a, b, x = _spd_pair_with_x(stream, dim)
-    verdict = ag_convexity_witness(PhiDiagonal(a=a, b=b, x=x), p.norm, p.grid_n, p.conv_tol)
-    return WitnessOutcome(theorem_id="phi_diagonal", verdict=verdict, passed=verdict.holds)
+def _uin(variant: UinVariant, nu=_any_nu) -> Theorem:
+    return Theorem(
+        lambda s, d, p: uin_chain(
+            variant, *_spd_pair_with_x(s, d), p.norm, p.nu, p.quad_n, p.rtol, p.atol
+        ),
+        schatten2=True,
+        nu=nu,
+    )
 
 
-def _uin_runner(variant: UinVariant):
-    def run(stream, dim, p):
-        a, b, x = _spd_pair_with_x(stream, dim)
-        return uin_chain(variant, a, b, x, p.norm, p.nu, p.quad_n, p.rtol, p.atol)
-
-    return run
-
-
-_RUNNERS = {
-    "scalar_ag": _run_scalar_ag,
-    "scalar_gg": _run_scalar_gg,
-    "scalar_means": _run_scalar_means,
-    "dragomir": _run_dragomir,
-    "op_gg_hh": _run_op_gg_hh,
-    "op_ag_midpoint": _run_op_ag_midpoint,
-    "op_norm_gg": _run_op_norm_gg,
-    "exp_norm": _run_exp_norm,
-    "trace_sqrt": _run_trace_sqrt,
-    "trace_squared": _run_trace_squared,
-    "det_ag": _run_det_ag,
-    "am_gm_loewner": _run_am_gm,
-    "norm_power": _run_norm_power,
-    "kittaneh": _run_kittaneh,
-    "phi_operator": _run_phi_operator,
-    "phi_sandwich": _run_phi_sandwich,
-    "phi_diagonal": _run_phi_diagonal,
-    "uin_symmetric": _uin_runner(UinVariant.SYMMETRIC),
-    "uin_end_left": _uin_runner(UinVariant.END_LEFT),
-    "uin_end_right": _uin_runner(UinVariant.END_RIGHT),
-    "uin_full": _uin_runner(UinVariant.FULL),
-    "uin_diagonal": _uin_runner(UinVariant.DIAGONAL),
+THEOREMS = {
+    "scalar_ag": _scalar_hh("ag"),
+    "scalar_gg": _scalar_hh("gg"),
+    "scalar_means": Theorem(
+        lambda s, d, p: scalar_mean_chain_report(
+            *(float(v) for v in _log_uniform(s, 2, SPD_LO, SPD_HI)), p.rtol, p.atol
+        )
+    ),
+    "dragomir": Theorem(
+        lambda s, d, p: dragomir_operator_chain(p.f, *_spd_pair(s, d), p.quad_n, p.rtol, p.atol),
+        fn=_operator_convex_fn,
+    ),
+    "op_gg_hh": Theorem(
+        lambda s, d, p: operator_gg_hh_order_chain(
+            p.f, _commuting(s, d), p.quad_n, p.rtol, check_hypothesis=p.check_hypothesis
+        ),
+        drop_commutativity=_run_op_gg_hh_nc,
+        convexity_guard=True,
+    ),
+    "op_ag_midpoint": Theorem(
+        lambda s, d, p: operator_ag_midpoint_order_chain(
+            p.f, _commuting(s, d), p.quad_n, p.rtol, check_hypothesis=p.check_hypothesis
+        ),
+        drop_commutativity=_run_op_ag_midpoint_nc,
+        convexity_guard=True,
+    ),
+    "op_norm_gg": _norm_gg("op_norm_gg", _fn_or_exp),
+    "exp_norm": _norm_gg("exp_norm", _exp_only),
+    "trace_sqrt": _trace(TraceVariant.SQRT),
+    "trace_squared": _trace(TraceVariant.SQUARED),
+    "det_ag": Theorem(
+        lambda s, d, p: det_ag_concavity_check(*_spd_pair(s, d), p.nu, p.rtol, p.atol),
+        drop_positivity=_run_det_ag_indefinite,
+        nu=_inner_nu,
+    ),
+    "am_gm_loewner": Theorem(
+        lambda s, d, p: am_gm_loewner_check(*_spd_pair(s, d), p.nu, p.rtol)
+    ),
+    "norm_power": Theorem(
+        lambda s, d, p: norm_power_check(random_spd(s, d, SPD_LO, SPD_HI), None, p.rtol, p.atol)
+    ),
+    "kittaneh": Theorem(
+        lambda s, d, p: kittaneh_check(*_spd_pair_with_x(s, d), p.nu, p.norm, p.rtol, p.atol),
+        drop_positivity=_run_kittaneh_general,
+        schatten2=True,
+    ),
+    "phi_operator": Theorem(
+        _run_phi_operator, drop_commutativity=_run_phi_operator_nc, convexity_guard=True
+    ),
+    "phi_sandwich": Theorem(
+        lambda s, d, p: _witness("phi_sandwich", PhiSandwich(*_spd_pair_with_x(s, d)), p),
+        schatten2=True,
+    ),
+    "phi_diagonal": Theorem(
+        lambda s, d, p: _witness("phi_diagonal", PhiDiagonal(*_spd_pair_with_x(s, d)), p),
+        schatten2=True,
+    ),
+    "uin_symmetric": _uin(UinVariant.SYMMETRIC, _symmetric_nu),
+    "uin_end_left": _uin(UinVariant.END_LEFT, lambda t, nu: min(_inner_nu(t, nu), 1.0 - nu)),
+    "uin_end_right": _uin(UinVariant.END_RIGHT, lambda t, nu: max(_inner_nu(t, nu), 1.0 - nu)),
+    "uin_full": _uin(UinVariant.FULL),
+    "uin_diagonal": _uin(UinVariant.DIAGONAL),
 }
+
+THEOREM_IDS = tuple(THEOREMS)
+
+_FLAG_IDS = {
+    DROP_COMMUTATIVITY: frozenset(t for t, th in THEOREMS.items() if th.drop_commutativity),
+    DROP_POSITIVITY: frozenset(t for t, th in THEOREMS.items() if th.drop_positivity),
+    DROP_CONVEXITY_GUARD: frozenset(t for t, th in THEOREMS.items() if th.convexity_guard),
+}
+
+
+@dataclass(frozen=True)
+class CampaignConfig:
+    theorem_ids: tuple[str, ...] = THEOREM_IDS
+    trials: int = 1000
+    dims: tuple[int, ...] = (2, 3, 5, 8)
+    master_seed: int = 0
+    rtol: float = 1e-8
+    atol: float = 1e-12
+    norm: NormSpec | None = None
+    nu: float = 0.3
+    quad_n: int = 64
+    function: FunctionSpec | None = None
+    ablation: frozenset[str] = frozenset()
+
+    def validate(self) -> None:
+        if self.trials < 1:
+            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if not self.dims:
+            raise ConfigError("at least one dimension is required")
+        for d in self.dims:
+            if not 1 <= d <= MAX_DIM:
+                raise ConfigError(f"dimensions must lie in [1, {MAX_DIM}], got {d}")
+        if not (self.rtol > 0.0 and math.isfinite(self.rtol)):
+            raise ConfigError(f"rtol must be positive, got {self.rtol}")
+        if not (self.atol > 0.0 and math.isfinite(self.atol)):
+            raise ConfigError(f"atol must be positive, got {self.atol}")
+        if not (0.0 <= self.nu <= 1.0):
+            raise ConfigError(f"nu must lie in [0, 1], got {self.nu}")
+        if not 1 <= self.quad_n <= MAX_NODES:
+            raise ConfigError(f"quad_n must lie in [1, {MAX_NODES}], got {self.quad_n}")
+        for flag in self.ablation:
+            if flag not in ABLATION_FLAGS:
+                raise ConfigError(
+                    f"unknown ablation flag {flag!r}; known: {', '.join(ABLATION_FLAGS)}"
+                )
+        for tid in self.theorem_ids:
+            if tid not in THEOREM_IDS:
+                raise ConfigError(f"unknown theorem id {tid!r}")
+
 
 
 # ---------------------------------------------------------------------------
@@ -718,55 +619,24 @@ _RUNNERS = {
 
 def resolve_params(theorem_id: str, cfg: CampaignConfig) -> TrialParams:
     """Fill per-theorem defaults and validate per-theorem constraints."""
-    if theorem_id not in THEOREM_IDS:
+    th = THEOREMS.get(theorem_id)
+    if th is None:
         raise ConfigError(f"unknown theorem id {theorem_id!r}")
-
-    if theorem_id == "exp_norm":
-        f = FunctionSpec.exp(1.0)  # preset; the id names this exact instance
-    elif cfg.function is not None:
-        f = cfg.function
-    elif theorem_id == "dragomir":
-        f = FunctionSpec.power(2.0)
-    else:
-        f = FunctionSpec.exp(1.0)
-
-    if theorem_id == "dragomir":
-        ok = (f.kind == "power" and f.params == (2.0,)) or f.kind == "inverse"
-        if not ok:
-            raise ConfigError(
-                f"dragomir requires fn power:2 or inverse, got {f.describe()}"
-            )
-
+    f = th.fn(cfg.function)
     norm_spec = cfg.norm
     if norm_spec is None:
-        norm_spec = NormSpec.schatten(2.0) if theorem_id in _SCHATTEN2_IDS else NormSpec.opnorm()
-
-    nu = cfg.nu
-    if theorem_id == "det_ag" and not 0.0 < nu < 1.0:
-        raise ConfigError(f"det_ag needs nu strictly inside (0, 1), got {nu}")
-    if theorem_id == "uin_symmetric":
-        if nu == 0.5 or not 0.0 < nu < 1.0:
-            raise ConfigError(
-                f"uin_symmetric needs nu in (0, 1) with nu != 1/2, got {nu}"
-            )
-    if theorem_id in ("uin_end_left", "uin_end_right"):
-        if not 0.0 < nu < 1.0:
-            raise ConfigError(f"{theorem_id} needs nu strictly inside (0, 1), got {nu}")
-        nu = min(nu, 1.0 - nu) if theorem_id == "uin_end_left" else max(nu, 1.0 - nu)
-
+        norm_spec = NormSpec.schatten(2.0) if th.schatten2 else NormSpec.opnorm()
     flags = cfg.ablation
     return TrialParams(
         f=f,
         norm=norm_spec,
-        nu=nu,
+        nu=th.nu(theorem_id, cfg.nu),
         quad_n=cfg.quad_n,
         rtol=cfg.rtol,
         atol=cfg.atol,
-        check_hypothesis=not (
-            DROP_CONVEXITY_GUARD in flags and theorem_id in _GUARD_ABLATABLE
-        ),
-        drop_commutativity=DROP_COMMUTATIVITY in flags and theorem_id in _COMMUTING_ABLATABLE,
-        drop_positivity=DROP_POSITIVITY in flags and theorem_id in _POSITIVITY_ABLATABLE,
+        check_hypothesis=not (DROP_CONVEXITY_GUARD in flags and th.convexity_guard),
+        drop_commutativity=DROP_COMMUTATIVITY in flags and th.drop_commutativity is not None,
+        drop_positivity=DROP_POSITIVITY in flags and th.drop_positivity is not None,
     )
 
 
@@ -843,7 +713,12 @@ def run_trial(theorem_id: str, seed: int, dim: int, params: TrialParams):
     """One seeded trial; the stream is positioned at the derived seed so any
     campaign trial can be replayed by the demo command."""
     stream = RandomStream(seed & _MASK64)
-    return _RUNNERS[theorem_id](stream, dim, params)
+    th = THEOREMS[theorem_id]
+    if params.drop_commutativity:
+        return th.drop_commutativity(stream, dim, params)
+    if params.drop_positivity:
+        return th.drop_positivity(stream, dim, params)
+    return th.run(stream, dim, params)
 
 
 def run_campaign(cfg: CampaignConfig) -> CampaignReport:

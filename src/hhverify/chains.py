@@ -52,7 +52,7 @@ from .linalg import (
     weighted_geometric_mean,
 )
 from .norms import NormSpec, norm, norms_from_eig_rows, norms_of_stack
-from .quadrature import integrate_scalar_checked, integrate_stack_checked
+from .quadrature import integrate_stack_checked
 
 DEFAULT_RTOL = 1e-8
 DEFAULT_ATOL = 1e-12
@@ -66,6 +66,8 @@ HH_TERM_NAMES = (
     "midpoint_endpoint_mix",
     "endpoint_geomean",
 )
+# where the unit interval's curves are anchored: lo, q1, mid, q2, hi
+HH_NODES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 @dataclass(frozen=True)
@@ -153,6 +155,62 @@ def _chain_report(
     )
 
 
+def _inequality_report(
+    theorem_id: str,
+    lhs: float,
+    rhs: float,
+    rtol: float,
+    atol: float,
+    quad_reliable: bool = True,
+    hypothesis_ok: bool = True,
+) -> InequalityReport:
+    margin = rhs - lhs
+    scale = max(1.0, abs(lhs), abs(rhs))
+    return InequalityReport(
+        theorem_id=theorem_id,
+        lhs=lhs,
+        rhs=rhs,
+        margin=margin,
+        passed=margin >= -(rtol * scale + atol),
+        quad_reliable=quad_reliable,
+        hypothesis_ok=hypothesis_ok,
+    )
+
+
+def hh_terms(anchors, log_curve, edges, quad_n: int, span: float | None = None):
+    """The five Hermite-Hadamard terms of a log-convex curve v on [lo, hi].
+
+    ``anchors`` are v at lo, q1, mid, q2 and hi (q1, q2 the quarter points).
+    ``log_curve`` is the vectorized log v; it is integrated over each piece
+    of ``edges`` (lo, any interior kinks, hi), the pieces are summed and the
+    sum is divided by ``span`` (default hi - lo). Returns the terms in
+    HH_TERM_NAMES order,
+
+        v(mid) <= sqrt(v(q1) v(q2)) <= exp(mean of log v)
+               <= sqrt(v(mid)) v(lo)^(1/4) v(hi)^(1/4) <= sqrt(v(lo) v(hi)),
+
+    and whether every piece passed the quadrature doubling check.
+    """
+    v_lo, v_q1, v_mid, v_q2, v_hi = anchors
+    integral, reliable = 0.0, True
+    for k in range(len(edges) - 1):
+        piece, ok = integrate_stack_checked(
+            log_curve, float(edges[k]), float(edges[k + 1]), quad_n
+        )
+        integral += float(piece)
+        reliable = reliable and ok
+    if span is None:
+        span = edges[-1] - edges[0]
+    terms = (
+        v_mid,
+        math.sqrt(v_q1 * v_q2),
+        math.exp(integral / span),
+        math.sqrt(v_mid) * v_lo**0.25 * v_hi**0.25,
+        math.sqrt(v_lo * v_hi),
+    )
+    return terms, reliable
+
+
 def _order_report_from_rows(
     theorem_id: str,
     names: tuple[str, ...],
@@ -218,8 +276,6 @@ def scalar_hh_chain(
     quad_n: int = DEFAULT_QUAD_N,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-    grid_n: int = DEFAULT_GRID_N,
-    conv_tol: float = DEFAULT_CONVEXITY_TOL,
     check_hypothesis: bool = True,
 ) -> ChainReport:
     """Five-term Hermite-Hadamard chain for an AG- or GG-convex function.
@@ -243,39 +299,22 @@ def scalar_hh_chain(
         raise NonPositiveInputError(f"GG chain needs a > 0, got a={a}")
     if not f.contains_interval(a, b):
         raise DomainViolationError(f"[{a}, {b}] outside the domain of {f.describe()}")
-
-    hypothesis_ok = True
-    if check_hypothesis:
-        if mode == "ag":
-            hypothesis_ok = is_ag_convex(f, a, b, grid_n, conv_tol).holds
-        else:
-            hypothesis_ok = is_gg_convex(f, a, b, grid_n, conv_tol).holds
+    hypothesis_ok = _advisory_convexity(f, a, b, mode == "gg", check_hypothesis)
 
     if mode == "ag":
-        mid, q1, q2 = 0.5 * (a + b), 0.25 * (3 * a + b), 0.25 * (a + 3 * b)
-        integral, reliable = integrate_scalar_checked(
-            lambda ts: _positive_logs(f, ts), a, b, quad_n
-        )
-        t3 = math.exp(integral / (b - a))
+        q1, mid, q2 = 0.25 * (3 * a + b), 0.5 * (a + b), 0.25 * (a + 3 * b)
+        log_f, span = (lambda ts: _positive_logs(f, ts)), b - a
     else:
         la, lb = math.log(a), math.log(b)
-        mid = math.exp(0.5 * (la + lb))
         q1 = math.exp(0.25 * (3 * la + lb))
+        mid = math.exp(0.5 * (la + lb))
         q2 = math.exp(0.25 * (la + 3 * lb))
-        integral, reliable = integrate_scalar_checked(
-            lambda ts: _positive_logs(f, ts) / ts, a, b, quad_n
-        )
-        t3 = math.exp(integral / (lb - la))
-
-    fa, fb, fmid = f(a), f(b), f(mid)
-    t1 = fmid
-    t2 = math.sqrt(f(q1) * f(q2))
-    t4 = math.sqrt(fmid) * fa**0.25 * fb**0.25
-    t5 = math.sqrt(fa * fb)
+        log_f, span = (lambda ts: _positive_logs(f, ts) / ts), lb - la
+    terms, reliable = hh_terms((f(a), f(q1), f(mid), f(q2), f(b)), log_f, (a, b), quad_n, span)
     return _chain_report(
         "scalar_ag" if mode == "ag" else "scalar_gg",
         HH_TERM_NAMES,
-        (t1, t2, t3, t4, t5),
+        terms,
         rtol,
         atol,
         quad_reliable=reliable,
@@ -320,6 +359,11 @@ def _segment_stack(f: FunctionSpec, a: np.ndarray, b: np.ndarray, ts: np.ndarray
     return (q * vals[:, None, :]) @ np.swapaxes(q, 1, 2)
 
 
+def _operator_convex(f: FunctionSpec) -> bool:
+    """Whether f is one whose operator convexity is certified here."""
+    return (f.kind == "power" and f.params == (2.0,)) or f.kind == "inverse"
+
+
 def dragomir_operator_chain(
     f: FunctionSpec,
     a,
@@ -339,8 +383,7 @@ def dragomir_operator_chain(
     Supported f: power:2 on any symmetric pair, inverse on a positive
     definite pair. The pair need not commute.
     """
-    kind_ok = (f.kind == "power" and f.params == (2.0,)) or f.kind == "inverse"
-    if not kind_ok:
+    if not _operator_convex(f):
         raise ConfigError(
             f"operator convexity is certified here only for power:2 and inverse, got {f.describe()}"
         )
@@ -392,15 +435,7 @@ def det_ag_concavity_check(
         raise DimMismatchError(f"shape mismatch {ma.shape} vs {mb.shape}")
     lhs = det_pd(ma) ** alpha * det_pd(mb) ** (1.0 - alpha)
     rhs = det_pd(alpha * ma + (1.0 - alpha) * mb)
-    margin = rhs - lhs
-    scale = max(1.0, abs(lhs), abs(rhs))
-    return InequalityReport(
-        theorem_id="det_ag",
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        passed=margin >= -(rtol * scale + atol),
-    )
+    return _inequality_report("det_ag", lhs, rhs, rtol, atol)
 
 
 def am_gm_loewner_check(
@@ -439,15 +474,8 @@ def norm_power_check(
         rhs = base ** float(alpha)
         if rhs - lhs < worst[0]:
             worst = (rhs - lhs, lhs, rhs)
-    margin, lhs, rhs = worst
-    scale = max(1.0, abs(lhs), abs(rhs))
-    return InequalityReport(
-        theorem_id="norm_power",
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        passed=margin >= -(rtol * scale + atol),
-    )
+    _, lhs, rhs = worst
+    return _inequality_report("norm_power", lhs, rhs, rtol, atol)
 
 
 def kittaneh_check(
@@ -479,15 +507,7 @@ def kittaneh_check(
     )
     lhs = norm(left, norm_spec)
     rhs = norm(ma @ mx, norm_spec) ** nu * norm(mx @ mb, norm_spec) ** (1.0 - nu)
-    margin = rhs - lhs
-    scale = max(1.0, abs(lhs), abs(rhs))
-    return InequalityReport(
-        theorem_id="kittaneh",
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        passed=margin >= -(rtol * scale + atol),
-    )
+    return _inequality_report("kittaneh", lhs, rhs, rtol, atol)
 
 
 # ---------------------------------------------------------------------------
@@ -504,19 +524,26 @@ def _joint_range(pair: CommutingPair) -> tuple[float, float]:
 
 
 def _advisory_convexity(
-    f: FunctionSpec,
-    lo: float,
-    hi: float,
-    gg: bool,
-    grid_n: int,
-    conv_tol: float,
+    f: FunctionSpec, lo: float, hi: float, gg: bool, check_hypothesis: bool
 ) -> bool:
     # a single-point spectrum gives nothing to test
-    if not lo < hi:
+    if not (check_hypothesis and lo < hi):
         return True
-    if gg:
-        return is_gg_convex(f, lo, hi, grid_n, conv_tol).holds
-    return is_ag_convex(f, lo, hi, grid_n, conv_tol).holds
+    convex = is_gg_convex if gg else is_ag_convex
+    return convex(f, lo, hi, DEFAULT_GRID_N, DEFAULT_CONVEXITY_TOL).holds
+
+
+def _commuting_prelude(
+    f: FunctionSpec, pair: CommutingPair, gg: bool, check_hypothesis: bool
+) -> bool:
+    """Refuse a joint spectrum outside the domain of f, then return the
+    advisory convexity verdict of f on it."""
+    lo, hi = _joint_range(pair)
+    if not f.contains_interval(lo, hi):
+        raise DomainViolationError(
+            f"joint spectrum [{lo}, {hi}] outside the domain of {f.describe()}"
+        )
+    return _advisory_convexity(f, lo, hi, gg, check_hypothesis)
 
 
 def operator_gg_hh_order_chain(
@@ -524,23 +551,13 @@ def operator_gg_hh_order_chain(
     pair: CommutingPair,
     quad_n: int = DEFAULT_QUAD_N,
     rtol: float = DEFAULT_RTOL,
-    grid_n: int = DEFAULT_GRID_N,
-    conv_tol: float = DEFAULT_CONVEXITY_TOL,
     check_hypothesis: bool = True,
 ) -> OrderChainReport:
     """log f(sqrt(AB)) <= int_0^1 log f(A^t B^(1-t)) dt <= log sqrt(f(A) f(B))
     for a GG-convex f on a commuting positive pair, entrywise in the shared
     eigenbasis."""
     av, bv = pair.a, pair.b
-    lo, hi = _joint_range(pair)
-    if not f.contains_interval(lo, hi):
-        raise DomainViolationError(
-            f"joint spectrum [{lo}, {hi}] outside the domain of {f.describe()}"
-        )
-    hypothesis_ok = True
-    if check_hypothesis:
-        hypothesis_ok = _advisory_convexity(f, lo, hi, True, grid_n, conv_tol)
-
+    hypothesis_ok = _commuting_prelude(f, pair, True, check_hypothesis)
     v1 = _positive_logs(f, np.sqrt(av * bv))
 
     def rows(ts: np.ndarray) -> np.ndarray:
@@ -564,23 +581,13 @@ def operator_ag_midpoint_order_chain(
     pair: CommutingPair,
     quad_n: int = DEFAULT_QUAD_N,
     rtol: float = DEFAULT_RTOL,
-    grid_n: int = DEFAULT_GRID_N,
-    conv_tol: float = DEFAULT_CONVEXITY_TOL,
     check_hypothesis: bool = True,
 ) -> OrderChainReport:
     """f((A+B)/2) <= int_0^1 sqrt(f(aA+(1-a)B) f((1-a)A+aB)) da <= sqrt(f(A)f(B))
     for an AG-convex f on a commuting positive pair; the square-rooted product
     is the entrywise geometric mean in the shared eigenbasis."""
     av, bv = pair.a, pair.b
-    lo, hi = _joint_range(pair)
-    if not f.contains_interval(lo, hi):
-        raise DomainViolationError(
-            f"joint spectrum [{lo}, {hi}] outside the domain of {f.describe()}"
-        )
-    hypothesis_ok = True
-    if check_hypothesis:
-        hypothesis_ok = _advisory_convexity(f, lo, hi, False, grid_n, conv_tol)
-
+    hypothesis_ok = _commuting_prelude(f, pair, False, check_hypothesis)
     v1 = f.eval_array(0.5 * (av + bv))
 
     def rows(ts: np.ndarray) -> np.ndarray:
@@ -629,8 +636,6 @@ def operator_norm_gg_chain(
     quad_n: int = DEFAULT_QUAD_N,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-    grid_n: int = DEFAULT_GRID_N,
-    conv_tol: float = DEFAULT_CONVEXITY_TOL,
     check_hypothesis: bool = True,
     theorem_id: str = "op_norm_gg",
 ) -> ChainReport:
@@ -644,14 +649,7 @@ def operator_norm_gg_chain(
     is phi(1/2) itself.
     """
     av, bv = pair.a, pair.b
-    lo, hi = _joint_range(pair)
-    if not f.contains_interval(lo, hi):
-        raise DomainViolationError(
-            f"joint spectrum [{lo}, {hi}] outside the domain of {f.describe()}"
-        )
-    hypothesis_ok = True
-    if check_hypothesis:
-        hypothesis_ok = _advisory_convexity(f, lo, hi, True, grid_n, conv_tol)
+    hypothesis_ok = _commuting_prelude(f, pair, True, check_hypothesis)
 
     def phi(u: float) -> float:
         eigs = np.power(av, u) * np.power(bv, 1.0 - u) if 0.0 < u < 1.0 else (
@@ -666,8 +664,8 @@ def operator_norm_gg_chain(
             raise DomainViolationError(f"{theorem_id}: norm curve is not strictly positive")
         return np.log(vals)
 
-    p0, p14, p12, p34, p1 = (phi(u) for u in (0.0, 0.25, 0.5, 0.75, 1.0))
-    if min(p0, p14, p12, p34, p1) <= 0.0:
+    anchors = tuple(phi(u) for u in HH_NODES)
+    if min(anchors) <= 0.0:
         raise DomainViolationError(f"{theorem_id}: norm curve is not strictly positive")
     # max-type norms sort the branches, so kinks sit at branch crossings
     sorting_norm = norm_spec.kind == "kyfan" or (
@@ -677,20 +675,7 @@ def operator_norm_gg_chain(
         edges = np.concatenate(([0.0], _eig_crossings(av, bv), [1.0]))
     else:
         edges = np.asarray([0.0, 1.0])
-    integral, reliable = 0.0, True
-    for k in range(edges.size - 1):
-        seg, ok = integrate_stack_checked(
-            log_phi_rows, float(edges[k]), float(edges[k + 1]), quad_n
-        )
-        integral += float(seg)
-        reliable = reliable and ok
-    terms = (
-        p12,
-        math.sqrt(p14 * p34),
-        math.exp(float(integral)),
-        math.sqrt(p12) * p0**0.25 * p1**0.25,
-        math.sqrt(p1 * p0),
-    )
+    terms, reliable = hh_terms(anchors, log_phi_rows, edges, quad_n)
     return _chain_report(
         theorem_id,
         HH_TERM_NAMES,
@@ -753,32 +738,15 @@ def trace_chain(
         )
         return np.log(np.sum(grid, axis=1))
 
-    integral, reliable = integrate_stack_checked(log_tau_rows, 0.0, 1.0, quad_n)
-    t_int = math.exp(float(integral))
+    terms, reliable = hh_terms(tuple(tau(u) for u in HH_NODES), log_tau_rows, (0.0, 1.0), quad_n)
     if variant is TraceVariant.SQRT:
-        tr_ab = float(np.sum(av * bv))
-        terms = (
-            math.sqrt(tr_ab),
-            tau(0.5),
-            math.sqrt(tau(0.25) * tau(0.75)),
-            t_int,
-            math.sqrt(tau(0.5)) * tau(0.0) ** 0.25 * tau(1.0) ** 0.25,
-            math.sqrt(tau(1.0) * tau(0.0)),
+        terms = (math.sqrt(float(np.sum(av * bv))),) + terms
+        return _chain_report(
+            "trace_sqrt", TRACE_SQRT_TERM_NAMES, terms, rtol, atol, quad_reliable=reliable
         )
-        names = TRACE_SQRT_TERM_NAMES
-        theorem_id = "trace_sqrt"
-    else:
-        terms = (
-            tau(0.5),
-            math.sqrt(tau(0.25) * tau(0.75)),
-            t_int,
-            math.sqrt(tau(0.5)) * tau(0.0) ** 0.25 * tau(1.0) ** 0.25,
-            float(np.sum(av)) * float(np.sum(bv)),
-        )
-        names = TRACE_SQUARED_TERM_NAMES
-        theorem_id = "trace_squared"
+    terms = terms[:4] + (float(np.sum(av)) * float(np.sum(bv)),)
     return _chain_report(
-        theorem_id, names, terms, rtol, atol, quad_reliable=reliable
+        "trace_squared", TRACE_SQUARED_TERM_NAMES, terms, rtol, atol, quad_reliable=reliable
     )
 
 
@@ -867,11 +835,7 @@ def ag_convexity_witness(
     ts = np.arange(m + 1) / m
     if isinstance(curve, PhiOperator):
         av, bv = curve.pair.a, curve.pair.b
-        lo, hi = _joint_range(curve.pair)
-        if not curve.f.contains_interval(lo, hi):
-            raise DomainViolationError(
-                f"joint spectrum [{lo}, {hi}] outside the domain of {curve.f.describe()}"
-            )
+        _commuting_prelude(curve.f, curve.pair, True, check_hypothesis=False)
         vals = np.empty(m + 1)
         chunk = 16384
         for start in range(0, m + 1, chunk):
@@ -962,13 +926,9 @@ def uin_chain(
     def second(t: float) -> float:
         return t if diagonal else 1.0 - t
 
-    mid, q1, q2 = 0.5 * (lo + hi), 0.25 * (3.0 * lo + hi), 0.25 * (lo + 3.0 * hi)
-    p_lo = norm(tp.direct(lo, second(lo)), norm_spec)
-    p_q1 = norm(tp.direct(q1, second(q1)), norm_spec)
-    p_mid = norm(tp.direct(mid, second(mid)), norm_spec)
-    p_q2 = norm(tp.direct(q2, second(q2)), norm_spec)
-    p_hi = norm(tp.direct(hi, second(hi)), norm_spec)
-    if min(p_lo, p_q1, p_mid, p_q2, p_hi) <= 0.0:
+    points = (lo, 0.25 * (3.0 * lo + hi), 0.5 * (lo + hi), 0.25 * (lo + 3.0 * hi), hi)
+    anchors = tuple(norm(tp.direct(t, second(t)), norm_spec) for t in points)
+    if min(anchors) <= 0.0:
         raise DomainViolationError("norm curve vanishes; chain undefined (is X zero?)")
 
     def log_rows(ts: np.ndarray) -> np.ndarray:
@@ -977,14 +937,7 @@ def uin_chain(
             raise DomainViolationError("norm curve is not strictly positive")
         return np.log(vals)
 
-    integral, reliable = integrate_stack_checked(log_rows, lo, hi, quad_n)
-    terms = (
-        p_mid,
-        math.sqrt(p_q1 * p_q2),
-        math.exp(float(integral) / (hi - lo)),
-        math.sqrt(p_mid) * p_lo**0.25 * p_hi**0.25,
-        math.sqrt(p_lo * p_hi),
-    )
+    terms, reliable = hh_terms(anchors, log_rows, (lo, hi), quad_n)
     return _chain_report(
         _UIN_IDS[variant], HH_TERM_NAMES, terms, rtol, atol, quad_reliable=reliable
     )

@@ -187,19 +187,20 @@ def _verify_config(args) -> tuple[CampaignConfig, str | None]:
     def opt(key, convert):
         return _Option(key, convert, path, entries)
 
+    default = CampaignConfig()
     theorem = opt("theorem", lambda t, w: t).resolve(args.theorem, "all")
-    ablation = opt("ablation", _to_ablation).resolve(args.ablation, frozenset())
+    ablation = opt("ablation", _to_ablation).resolve(args.ablation, default.ablation)
     cfg = CampaignConfig(
         theorem_ids=select_theorems(theorem, ablation),
-        trials=opt("trials", _to_int).resolve(args.trials, 1000),
-        dims=opt("dim", _to_dims).resolve(args.dim, (2, 3, 5, 8)),
-        master_seed=opt("seed", _to_int).resolve(args.seed, 0),
-        rtol=opt("rtol", _to_float).resolve(args.rtol, 1e-8),
-        atol=opt("atol", _to_float).resolve(args.atol, 1e-12),
-        norm=opt("norm", _to_norm).resolve(args.norm, None),
-        nu=opt("nu", _to_float).resolve(args.nu, 0.3),
-        quad_n=opt("quad-n", _to_int).resolve(args.quad_n, 64),
-        function=opt("fn", _to_fn).resolve(args.fn, None),
+        trials=opt("trials", _to_int).resolve(args.trials, default.trials),
+        dims=opt("dim", _to_dims).resolve(args.dim, default.dims),
+        master_seed=opt("seed", _to_int).resolve(args.seed, default.master_seed),
+        rtol=opt("rtol", _to_float).resolve(args.rtol, default.rtol),
+        atol=opt("atol", _to_float).resolve(args.atol, default.atol),
+        norm=opt("norm", _to_norm).resolve(args.norm, default.norm),
+        nu=opt("nu", _to_float).resolve(args.nu, default.nu),
+        quad_n=opt("quad-n", _to_int).resolve(args.quad_n, default.quad_n),
+        function=opt("fn", _to_fn).resolve(args.fn, default.function),
         ablation=ablation,
     )
     cfg.validate()
@@ -261,8 +262,11 @@ def _cmd_verify(args) -> tuple[int, str]:
     cfg, out = _verify_config(args)
     report = run_campaign(cfg)
     if out is not None:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(serialize_report(report))
+        try:
+            with open(out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(serialize_report(report))
+        except OSError as exc:
+            raise ConfigError(f"cannot write report file {out}: {exc}") from exc
     return report.exit_code, _campaign_text(report)
 
 
@@ -275,16 +279,17 @@ def _cmd_demo(args) -> tuple[int, str]:
     ablation = _to_ablation(args.ablation, "--ablation") if args.ablation else frozenset()
     if ablation and not any(tid in _FLAG_IDS[f] for f in ablation):
         raise ConfigError(f"ablation flags {sorted(ablation)} do not apply to {tid!r}")
+    default = CampaignConfig()
     cfg = CampaignConfig(
         theorem_ids=(tid,),
         trials=1,
         dims=(dim,),
-        rtol=_to_float(args.rtol, "--rtol") if args.rtol is not None else 1e-8,
-        atol=_to_float(args.atol, "--atol") if args.atol is not None else 1e-12,
-        norm=_to_norm(args.norm, "--norm") if args.norm is not None else None,
-        nu=_to_float(args.nu, "--nu") if args.nu is not None else 0.3,
-        quad_n=_to_int(args.quad_n, "--quad-n") if args.quad_n is not None else 64,
-        function=_to_fn(args.fn, "--fn") if args.fn is not None else None,
+        rtol=_to_float(args.rtol, "--rtol") if args.rtol is not None else default.rtol,
+        atol=_to_float(args.atol, "--atol") if args.atol is not None else default.atol,
+        norm=_to_norm(args.norm, "--norm") if args.norm is not None else default.norm,
+        nu=_to_float(args.nu, "--nu") if args.nu is not None else default.nu,
+        quad_n=_to_int(args.quad_n, "--quad-n") if args.quad_n is not None else default.quad_n,
+        function=_to_fn(args.fn, "--fn") if args.fn is not None else default.function,
         ablation=ablation,
     )
     text, payload, outcome = demo_trial(tid, seed, dim, cfg)

@@ -86,16 +86,12 @@ class SpectralDecomp:
         return _sym((self.q * values) @ self.q.T)
 
 
-def eigh(s, tol: float = 1e-12) -> SpectralDecomp:
+def eigh(s) -> SpectralDecomp:
     """Spectral decomposition with ascending eigenvalues.
 
-    ``tol`` is validated for interface stability but the LAPACK backend does
-    not take a threshold; residuals are far below any tol this package uses.
     Column signs follow a fixed convention (the largest-magnitude entry of
     each eigenvector is nonnegative) so results are deterministic.
     """
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise DomainViolationError(f"tolerance must be positive and finite, got {tol}")
     a = check_symmetric(s)
     try:
         lam, q = np.linalg.eigh(a)

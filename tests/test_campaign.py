@@ -3,6 +3,7 @@ accounting, exit codes, serialization, and single-trial replay."""
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,7 +42,12 @@ from hhverify.chains import (
     _order_report_from_matrices,
 )
 from hhverify.errors import ConvergenceError, NonFiniteSampleError
-from hhverify.functions import ConvexityVerdict, _scan_fine_grid
+from hhverify.functions import (
+    DEFAULT_CONVEXITY_TOL,
+    DEFAULT_GRID_N,
+    ConvexityVerdict,
+    _scan_fine_grid,
+)
 from hhverify.linalg import eigh, matrix_function, power_from_decomp
 from hhverify.norms import parse_norm
 from hhverify.quadrature import DOUBLING_TOL, MAX_NODES, _mapped_nodes, integrate_scalar_checked
@@ -123,6 +129,26 @@ def test_resolve_ablation_flags_scoped_to_applicable_ids():
     cfg = CampaignConfig(ablation=frozenset({DROP_POSITIVITY}))
     assert resolve_params("det_ag", cfg).drop_positivity
     assert not resolve_params("trace_sqrt", cfg).drop_positivity
+
+
+def test_theorem_table_order_and_ablation_sets():
+    assert THEOREM_IDS == (
+        "scalar_ag", "scalar_gg", "scalar_means", "dragomir", "op_gg_hh", "op_ag_midpoint",
+        "op_norm_gg", "exp_norm", "trace_sqrt", "trace_squared", "det_ag", "am_gm_loewner",
+        "norm_power", "kittaneh", "phi_operator", "phi_sandwich", "phi_diagonal",
+        "uin_symmetric", "uin_end_left", "uin_end_right", "uin_full", "uin_diagonal",
+    )
+    assert campaign._FLAG_IDS == {
+        DROP_COMMUTATIVITY: frozenset({
+            "op_gg_hh", "op_ag_midpoint", "op_norm_gg", "exp_norm",
+            "trace_sqrt", "trace_squared", "phi_operator",
+        }),
+        DROP_POSITIVITY: frozenset({"det_ag", "kittaneh"}),
+        DROP_CONVEXITY_GUARD: frozenset({
+            "scalar_ag", "scalar_gg", "op_gg_hh", "op_ag_midpoint",
+            "op_norm_gg", "exp_norm", "phi_operator",
+        }),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +245,7 @@ def test_exit_code_one_on_genuine_violation(monkeypatch):
     def broken(stream, dim, p):
         return InequalityReport("scalar_ag", 1.0, 0.0, -1.0, passed=False)
 
-    monkeypatch.setitem(mod._RUNNERS, "scalar_ag", broken)
+    monkeypatch.setitem(mod.THEOREMS, "scalar_ag", replace(mod.THEOREMS["scalar_ag"], run=broken))
     cfg = CampaignConfig(theorem_ids=("scalar_ag",), **SMALL)
     report = run_campaign(cfg)
     assert report.exit_code == 1
@@ -230,7 +256,11 @@ def test_exit_code_one_on_genuine_violation(monkeypatch):
 def test_exit_code_three_on_unreliable_fraction(monkeypatch):
     from hhverify import campaign as mod
 
-    monkeypatch.setitem(mod._RUNNERS, "scalar_ag", lambda s, d, p: _unreliable("scalar_ag"))
+    monkeypatch.setitem(
+        mod.THEOREMS,
+        "scalar_ag",
+        replace(mod.THEOREMS["scalar_ag"], run=lambda s, d, p: _unreliable("scalar_ag")),
+    )
     cfg = CampaignConfig(theorem_ids=("scalar_ag",), **SMALL)
     report = run_campaign(cfg)
     assert report.exit_code == 3
@@ -244,12 +274,17 @@ def test_genuine_violation_outranks_unreliable(monkeypatch):
     from hhverify import campaign as mod
 
     monkeypatch.setitem(
-        mod._RUNNERS, "scalar_ag", lambda s, d, p: _unreliable("scalar_ag")
+        mod.THEOREMS,
+        "scalar_ag",
+        replace(mod.THEOREMS["scalar_ag"], run=lambda s, d, p: _unreliable("scalar_ag")),
     )
     monkeypatch.setitem(
-        mod._RUNNERS,
+        mod.THEOREMS,
         "scalar_gg",
-        lambda s, d, p: InequalityReport("scalar_gg", 1.0, 0.0, -1.0, passed=False),
+        replace(
+            mod.THEOREMS["scalar_gg"],
+            run=lambda s, d, p: InequalityReport("scalar_gg", 1.0, 0.0, -1.0, passed=False),
+        ),
     )
     cfg = CampaignConfig(theorem_ids=("scalar_ag", "scalar_gg"), **SMALL)
     assert run_campaign(cfg).exit_code == 1
@@ -473,7 +508,7 @@ def _ref_norm_gg(theorem_id, stream, dim, p):
 def _ref_phi_operator(stream, dim, p):
     a, b = campaign._spd_pair(stream, dim)
     da, db = eigh(a), eigh(b)
-    m = p.grid_n * p.grid_n
+    m = DEFAULT_GRID_N * DEFAULT_GRID_N
     ts = np.arange(m + 1) / m
     try:
         vals = np.array([_ref_phi(da, db, a, b, p.f, p.norm, float(t)) for t in ts])
@@ -481,7 +516,7 @@ def _ref_phi_operator(stream, dim, p):
         return _unreliable("phi_operator")
     if not (np.isfinite(vals).all() and (vals > 0.0).all()):
         return _unreliable("phi_operator")
-    verdict = _scan_fine_grid(np.log(vals), ts, p.grid_n, p.conv_tol)
+    verdict = _scan_fine_grid(np.log(vals), ts, DEFAULT_GRID_N, DEFAULT_CONVEXITY_TOL)
     return WitnessOutcome(
         theorem_id="phi_operator", verdict=verdict, passed=verdict.holds, hypothesis_ok=False
     )

@@ -229,3 +229,13 @@ def test_closed_stdout_keeps_the_exit_code_and_prints_no_traceback(tmp_path, cap
     assert code == want
     assert "Traceback" not in err and "BrokenPipeError" not in err
     assert json.loads(out.read_text())["theorems"]["scalar_ag"]["trials_run"] == 10
+
+
+def test_unwritable_report_path_is_a_configuration_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    assert main(VERIFY_SMALL + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: cannot write report file ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert not out.exists()
