@@ -59,7 +59,7 @@ from .chains import (
     _order_report_from_matrices,
     hh_terms,
 )
-from .errors import ConfigError, ConvergenceError, DomainViolationError
+from .errors import ConfigError, ConvergenceError, DomainViolationError, NonFiniteSampleError
 from .functions import (
     DEFAULT_CONVEXITY_TOL,
     DEFAULT_GRID_N,
@@ -714,11 +714,18 @@ def run_trial(theorem_id: str, seed: int, dim: int, params: TrialParams):
     campaign trial can be replayed by the demo command."""
     stream = RandomStream(seed & _MASK64)
     th = THEOREMS[theorem_id]
+    runner = th.run
     if params.drop_commutativity:
-        return th.drop_commutativity(stream, dim, params)
-    if params.drop_positivity:
-        return th.drop_positivity(stream, dim, params)
-    return th.run(stream, dim, params)
+        runner = th.drop_commutativity
+    elif params.drop_positivity:
+        runner = th.drop_positivity
+    try:
+        return runner(stream, dim, params)
+    except (DomainViolationError, NonFiniteSampleError):
+        # the trial's inputs take the function out of its domain or out of
+        # the float range (f overflows on the convexity grid, a chain term is
+        # not finite): the trial cannot be judged
+        return _unreliable(theorem_id)
 
 
 def run_campaign(cfg: CampaignConfig) -> CampaignReport:

@@ -830,7 +830,7 @@ def ag_convexity_witness(
     to the scalar one: log of the curve on the fine grid against all coarse
     chords.
     """
-    _check_grid_n(grid_n)
+    grid_n = _check_grid_n(grid_n)
     m = grid_n * grid_n
     ts = np.arange(m + 1) / m
     if isinstance(curve, PhiOperator):

@@ -9,6 +9,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from hhverify import (
     CampaignConfig,
@@ -71,6 +72,7 @@ def _gaps_to_terms(first: float, report) -> list[float]:
 # criterion 1: zero violations across the full grid
 
 
+@pytest.mark.slow
 def test_criterion_1_chain_monotonicity_full_grid():
     cfg = CampaignConfig()  # all 22 ids, 1000 trials, dims 2/3/5/8, seed 0
     report = run_campaign(cfg)
@@ -454,6 +456,7 @@ def test_criterion_7_positivity_ablation_shows_violations():
 # criterion 8: byte-identical reports
 
 
+@pytest.mark.slow
 def test_criterion_8_deterministic_report_files(tmp_path, capsys):
     p1, p2 = tmp_path / "run1.json", tmp_path / "run2.json"
     argv = ["verify", "--theorem", "all", "--seed", "12345"]

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from hhverify import CampaignConfig, run_campaign
-from hhverify.campaign import DROP_POSITIVITY
+from hhverify.campaign import DROP_POSITIVITY, derive_trial_seed
 from hhverify.cli import main
 
 VERIFY_SMALL = ["verify", "--theorem", "scalar_ag", "--trials", "5", "--dim", "2,3", "--seed", "7"]
@@ -239,3 +239,29 @@ def test_unwritable_report_path_is_a_configuration_error(tmp_path, capsys):
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "theorem,fn",
+    [
+        ("scalar_ag", "exp:100"),
+        ("op_gg_hh,op_ag_midpoint,op_norm_gg,phi_operator", "exp:100"),
+        ("scalar_gg", "power:-400"),
+    ],
+)
+def test_extreme_function_trials_are_unreliable_not_a_crash(theorem, fn, capsys):
+    # exp:100 overflows on the convexity scan's fine grid, power:-400 in a
+    # chain term: those trials land as unreliable, and the campaign exits 3
+    argv = ["verify", "--theorem", theorem, "--fn", fn, "--trials", "5", "--dim", "2,3"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert "exit code 3" in captured.out
+
+
+def test_demo_replays_an_extreme_function_trial_as_unreliable(capsys):
+    # trial 4 at dim 2 of `verify --theorem scalar_ag --fn exp:100`
+    seed = derive_trial_seed(0, 2, 4)
+    argv = ["demo", "--theorem", "scalar_ag", "--fn", "exp:100", "--dim", "2", "--seed", str(seed)]
+    main(argv)
+    assert _demo_json(capsys.readouterr().out)["quad_reliable"] is False

@@ -16,7 +16,7 @@ from hhverify import (
     scalar_mean_chain,
 )
 from hhverify.errors import DegenerateIntervalError, NonPositiveInputError
-from hhverify.functions import MEAN_CHAIN_NAMES
+from hhverify.functions import MEAN_CHAIN_NAMES, ConvexityVerdict, _scan_fine_grid
 
 
 def test_eval_fixtures():
@@ -163,6 +163,65 @@ def test_degenerate_interval_rejected():
 def test_grid_n_validation():
     with pytest.raises(DomainViolationError):
         is_ag_convex(FunctionSpec.exp(1.0), 0.0, 1.0, grid_n=2)
+
+
+def test_grid_n_accepts_any_integral_type():
+    f = FunctionSpec.exp(1.0)
+    want = is_ag_convex(f, 0.0, 1.0, grid_n=33)
+    for g in (np.int64(33), np.int32(33), np.uint16(33)):
+        got = is_ag_convex(f, 0.0, 1.0, grid_n=g)
+        assert got == want
+        assert all(type(v) is float for v in got.worst_triple)
+    assert is_gg_convex(f, 1.0, 2.0, grid_n=np.int64(5)) == is_gg_convex(f, 1.0, 2.0, grid_n=5)
+    for bad in (True, np.True_, 33.0, np.float64(33.0), "33", None, np.int64(2), np.int64(513)):
+        with pytest.raises(DomainViolationError):
+            is_ag_convex(f, 0.0, 1.0, grid_n=bad)
+
+
+def _loop_scan(fine_logs, witness_points, g, tol):
+    """The scan as one pass per lambda = k/g over all (i, j): the reference
+    the blocked kernel must match bit for bit."""
+    coarse = fine_logs[::g]
+    idx = np.arange(g + 1)
+    ii, jj = np.meshgrid(idx, idx, indexing="ij")
+    best = math.inf
+    best_ijk = (0, 0, 0)
+    for k in range(g + 1):
+        comb = fine_logs[k * ii + (g - k) * jj]
+        bound = (k * coarse[ii] + (g - k) * coarse[jj]) / g
+        slack = bound - comb
+        pos = int(np.argmin(slack))
+        if slack.flat[pos] < best:
+            best = float(slack.flat[pos])
+            best_ijk = (pos // (g + 1), pos % (g + 1), k)
+    i, j, k = best_ijk
+    worst = (float(witness_points[i * g]), float(witness_points[j * g]), k / g)
+    return ConvexityVerdict(holds=best >= -tol, worst_triple=worst, slack=best)
+
+
+@pytest.mark.parametrize("g", [3, 4, 5, 17, 33, 34, 100])
+def test_scan_kernel_matches_per_lambda_loop(g):
+    # g = 100 spans several blocks; linear and rounded logs tie often, zeros
+    # tie everywhere, so the first-minimum rule is exercised as well
+    m = g * g
+    x = 0.5 + 2.5 * np.arange(m + 1) / m
+    rng = np.random.default_rng(g)
+    cases = {
+        "linear": 0.7 * x - 0.2,
+        "zeros": np.zeros(m + 1),
+        "random": rng.standard_normal(m + 1),
+        "rounded": np.round(rng.standard_normal(m + 1), 1),
+        "log_power": np.log(x**2.5),
+        "log_power_neg": np.log(x**-1.5),
+        "exp": np.exp(x),
+    }
+    for name, logs in cases.items():
+        want = _loop_scan(logs, x, g, 1e-10)
+        got = _scan_fine_grid(logs, x, g, 1e-10)
+        assert got.worst_triple == want.worst_triple, name
+        assert got.holds == want.holds, name
+        # same bits, sign of zero included
+        assert np.float64(got.slack).tobytes() == np.float64(want.slack).tobytes(), name
 
 
 def test_midpoint_only_matches_full_scan_on_smooth_cases():
