@@ -21,8 +21,10 @@ from .errors import (
     DegenerateIntervalError,
     DimMismatchError,
     DomainViolationError,
+    NonFiniteInputError,
     NonPositiveInputError,
     NotPositiveDefiniteError,
+    NotPositiveSemidefiniteError,
 )
 from .functions import (
     DEFAULT_CONVEXITY_TOL,
@@ -35,21 +37,21 @@ from .functions import (
     _scan_fine_grid,
     is_ag_convex,
     is_gg_convex,
-    scalar_mean_chain,
 )
 from .linalg import (
+    PSD_TOL,
+    _SCALAR_POWER_SHORTCUTS,
     CommutingPair,
     LoewnerOrdering,
     SpectralDecomp,
+    _sym,
     check_matrix,
     check_symmetric,
-    det_pd,
+    check_symmetric_stack,
     eigh,
     loewner_compare,
     matrix_function,
-    operator_norm_sym,
     power_from_decomp,
-    weighted_geometric_mean,
 )
 from .norms import NormSpec, norm, norms_from_eig_rows, norms_of_stack
 from .quadrature import integrate_stack_checked
@@ -326,7 +328,7 @@ def scalar_mean_chain_report(
     a: float, b: float, rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL
 ) -> ChainReport:
     """min <= geometric <= logarithmic <= arithmetic <= max as a ChainReport."""
-    return _chain_report("scalar_means", MEAN_CHAIN_NAMES, scalar_mean_chain(a, b), rtol, atol)
+    return _means_stack(np.array([a], dtype=float), np.array([b], dtype=float), rtol, atol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -433,20 +435,23 @@ def det_ag_concavity_check(
     ma, mb = check_symmetric(a), check_symmetric(b)
     if ma.shape != mb.shape:
         raise DimMismatchError(f"shape mismatch {ma.shape} vs {mb.shape}")
-    lhs = det_pd(ma) ** alpha * det_pd(mb) ** (1.0 - alpha)
-    rhs = det_pd(alpha * ma + (1.0 - alpha) * mb)
-    return _inequality_report("det_ag", lhs, rhs, rtol, atol)
+    return _det_ag_stack(ma[None], mb[None], alpha, rtol, atol)[0]
 
 
 def am_gm_loewner_check(
     a, b, nu: float, rtol: float = DEFAULT_RTOL
 ) -> OrderChainReport:
     """A #_nu B <= (1-nu) A + nu B in the Loewner order for PD A, B."""
-    gm = weighted_geometric_mean(a, b, nu)
-    am = (1.0 - nu) * check_symmetric(a) + nu * check_symmetric(b)
-    return _order_report_from_matrices(
-        "am_gm_loewner", ("weighted_geometric_mean", "weighted_arithmetic_mean"), (gm, am), rtol
-    )
+    if not (0.0 <= nu <= 1.0):
+        raise DomainViolationError(f"weight must lie in [0, 1], got {nu}")
+    ma, mb = check_symmetric(a), check_symmetric(b)
+    if ma.shape != mb.shape:
+        raise DimMismatchError(f"shape mismatch {ma.shape} vs {mb.shape}")
+    return _am_gm_stack(ma[None], mb[None], nu, rtol)[0]
+
+
+# the exponent grid of norm_power_check: 11 evenly spaced values in [0, 1]
+NORM_POWER_ALPHAS = np.linspace(0.0, 1.0, 11)
 
 
 def norm_power_check(
@@ -459,23 +464,17 @@ def norm_power_check(
 
     The left side is evaluated on the materialized power, the right on the
     original matrix, so the two routes stay independent. Reports the worst
-    alpha on the sampled grid (default: 11 evenly spaced values).
+    alpha on the sampled grid (default: NORM_POWER_ALPHAS).
+
+    For PSD T both sides are lambda_max^alpha, so the check is a sanity
+    identity: its margin is rounding only.
     """
     mt = check_symmetric(t)
-    if alphas is None:
-        alphas = np.linspace(0.0, 1.0, 11)
-    d = eigh(mt)
-    base = operator_norm_sym(mt)
-    worst = (math.inf, 0.0, 0.0)
-    for alpha in np.asarray(alphas, dtype=float):
+    alphas = NORM_POWER_ALPHAS if alphas is None else np.asarray(alphas, dtype=float)
+    for alpha in alphas:
         if not 0.0 <= alpha <= 1.0:
             raise DomainViolationError(f"exponent grid must lie in [0, 1], got {alpha}")
-        lhs = operator_norm_sym(power_from_decomp(d, float(alpha), original=mt))
-        rhs = base ** float(alpha)
-        if rhs - lhs < worst[0]:
-            worst = (rhs - lhs, lhs, rhs)
-    _, lhs, rhs = worst
-    return _inequality_report("norm_power", lhs, rhs, rtol, atol)
+    return _norm_power_stack(mt[None], alphas, rtol, atol)[0]
 
 
 def kittaneh_check(
@@ -501,13 +500,181 @@ def kittaneh_check(
         raise DimMismatchError(
             f"X of shape {mx.shape} does not bridge {ma.shape} and {mb.shape}"
         )
-    da, db = eigh(ma), eigh(mb)
-    left = power_from_decomp(da, nu, original=ma) @ mx @ power_from_decomp(
-        db, 1.0 - nu, original=mb
-    )
-    lhs = norm(left, norm_spec)
-    rhs = norm(ma @ mx, norm_spec) ** nu * norm(mx @ mb, norm_spec) ** (1.0 - nu)
-    return _inequality_report("kittaneh", lhs, rhs, rtol, atol)
+    return _kittaneh_stack(ma[None], mb[None], mx[None], nu, norm_spec, rtol, atol)[0]
+
+
+# ---------------------------------------------------------------------------
+# stacked kernels of the closed-form checks
+#
+# Each kernel takes the inputs of T trials stacked on a leading axis and
+# returns their T reports in order; the public check above is the kernel on a
+# stack of one. Every report is equal bit for bit to the one the trial's own
+# per-matrix evaluation gives: LAPACK and BLAS see each matrix of a stacked
+# eigh, eigvalsh, svd or matmul alone, elementwise steps do not depend on the
+# shape, and a step whose stacked form could round differently (math.log, the
+# ** of Python floats, the report's own arithmetic) runs once per trial on the
+# (T,) results. A kernel raises whenever one of its trials alone would; the
+# campaign then re-runs the block one trial at a time.
+
+
+def _require_finite(*stacks: np.ndarray) -> None:
+    """What check_matrix raises on the intermediates it would have been given."""
+    if not all(np.isfinite(m).all() for m in stacks):
+        raise NonFiniteInputError("matrix contains non-finite entries")
+
+
+def _apply_stack(q: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """SpectralDecomp.apply on stacks: sym(q diag(values) q^T). The column
+    signs of q cancel in the product, so eigh's sign convention is skipped."""
+    return _sym((q * values[..., None, :]) @ np.swapaxes(q, -1, -2))
+
+
+def _psd_clamp(lam: np.ndarray) -> np.ndarray:
+    """power_from_decomp's guard on (T, n) spectra: tiny negatives within the
+    PSD tolerance become zero, larger ones are refused."""
+    if (lam[:, 0] < -PSD_TOL * np.maximum(1.0, np.max(np.abs(lam), axis=1))).any():
+        raise NotPositiveSemidefiniteError("matrix has an eigenvalue < 0")
+    return np.where(lam < 0.0, 0.0, lam)
+
+
+def _means_stack(a: np.ndarray, b: np.ndarray, rtol: float, atol: float) -> list[ChainReport]:
+    """scalar_mean_chain_report on each pair (a[t], b[t])."""
+    ok = (a > 0.0) & (b > 0.0) & np.isfinite(a) & np.isfinite(b)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise NonPositiveInputError(f"means need positive finite inputs, got ({a[k]}, {b[k]})")
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    # math.log, not np.log: the two can differ in the last bit
+    log_span = np.array([math.log(h) - math.log(l) for l, h in zip(lo.tolist(), hi.tolist())])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_mean = (hi - lo) / log_span
+    rows = np.stack((lo, np.sqrt(a * b), log_mean, 0.5 * (a + b), hi), axis=1)
+    tie = a == b  # L(a, a) = a by continuity, and so are the other four
+    rows[tie] = a[tie, None]
+    return [
+        _chain_report("scalar_means", MEAN_CHAIN_NAMES, row, rtol, atol) for row in rows.tolist()
+    ]
+
+
+def _det_ag_stack(a, b, alpha: float, rtol: float, atol: float) -> list[InequalityReport]:
+    """det_ag_concavity_check on each pair of two (T, n, n) stacks."""
+    ma, mb = check_symmetric_stack(a), check_symmetric_stack(b)
+    trio = np.stack((ma, mb, alpha * ma + (1.0 - alpha) * mb), axis=1)
+    _require_finite(trio)
+    # the determinant is the product of eigh's eigenvalues, as det_pd takes it
+    lam = np.linalg.eigh(trio)[0]
+    if (lam[..., 0] <= 0.0).any():
+        raise NotPositiveDefiniteError(f"matrix has eigenvalue {float(lam[..., 0].min())!r} <= 0")
+    return [
+        _inequality_report("det_ag", da**alpha * db ** (1.0 - alpha), dm, rtol, atol)
+        for da, db, dm in np.prod(lam, axis=-1).tolist()
+    ]
+
+
+def _am_gm_stack(a, b, nu: float, rtol: float) -> list[OrderChainReport]:
+    """am_gm_loewner_check on each pair of two (T, n, n) stacks: the weighted
+    geometric mean A^(1/2) (A^(-1/2) B A^(-1/2))^nu A^(1/2), then the Loewner
+    comparison with (1-nu) A + nu B."""
+    ma, mb = check_symmetric_stack(a), check_symmetric_stack(b)
+    lam, q = np.linalg.eigh(ma)
+    if (lam[:, 0] <= 0.0).any():
+        raise NotPositiveDefiniteError("left factor is not positive definite")
+    if (np.linalg.eigvalsh(mb)[:, 0] <= 0.0).any():
+        raise NotPositiveDefiniteError("right factor is not positive definite")
+    root = np.sqrt(lam)
+    inv_root = _apply_stack(q, 1.0 / root)
+    inner = _sym(inv_root @ mb @ inv_root)
+    _require_finite(inner)
+    li, qi = np.linalg.eigh(inner)
+    root = _apply_stack(q, root)
+    gm = _sym(root @ _apply_stack(qi, np.power(li, nu)) @ root)
+    am = (1.0 - nu) * ma + nu * mb
+    _require_finite(gm, am)
+    # eigenvalues of am - gm (the gaps), of gm and of am (the scale)
+    eig = np.linalg.eigvalsh(np.stack((am - gm, gm, am), axis=1))
+    gaps = eig[:, 0, 0].tolist()
+    scales = np.max(np.abs(eig[:, 1:]), axis=(1, 2)).tolist()
+    names = ("weighted_geometric_mean", "weighted_arithmetic_mean")
+    return [
+        OrderChainReport(
+            theorem_id="am_gm_loewner",
+            comparisons=(Comparison(*names, gap),),
+            passed=gap >= -rtol * max(1.0, scale),
+        )
+        for gap, scale in zip(gaps, scales)
+    ]
+
+
+def _norm_power_stack(t, alphas: np.ndarray, rtol: float, atol: float) -> list[InequalityReport]:
+    """norm_power_check on each matrix of a (T, n, n) stack, all exponents at
+    once: one stacked eigh, the powers of every inner exponent as one
+    (T, m, n, n) stack, and one eigvalsh over T and its powers."""
+    mt = check_symmetric_stack(t)
+    inner = alphas[(alphas != 0.0) & (alphas != 1.0)]
+    if inner.size:
+        lam, q = np.linalg.eigh(mt)
+        lam = _psd_clamp(lam)
+        vals = np.power(lam[:, None, :], inner[None, :, None])
+        # a scalar power of -1, 0.5 or 2 is a reciprocal, sqrt or square in numpy
+        for k in np.flatnonzero(np.isin(inner, _SCALAR_POWER_SHORTCUTS)):
+            vals[:, k] = np.power(lam, float(inner[k]))
+        powers = _apply_stack(q[:, None], vals)
+        _require_finite(powers)
+    else:
+        powers = np.empty((mt.shape[0], 0) + mt.shape[1:])
+    eig = np.linalg.eigvalsh(np.concatenate((mt[:, None], powers), axis=1))
+    norms = np.max(np.abs(eig), axis=-1).tolist()
+    eye_norm = float(np.max(np.abs(np.linalg.eigvalsh(np.eye(mt.shape[1])))))
+    reports = []
+    for row in norms:
+        base, powered = row[0], iter(row[1:])
+        worst = (math.inf, 0.0, 0.0)
+        for alpha in alphas.tolist():
+            lhs = eye_norm if alpha == 0.0 else base if alpha == 1.0 else next(powered)
+            rhs = base**alpha
+            if rhs - lhs < worst[0]:
+                worst = (rhs - lhs, lhs, rhs)
+        reports.append(_inequality_report("norm_power", worst[1], worst[2], rtol, atol))
+    return reports
+
+
+def _norms_stack(m: np.ndarray, spec: NormSpec) -> list[float]:
+    """norm() of each matrix of a (..., m, n) stack, flattened in order."""
+    flat = m.reshape(-1, m.shape[-2] * m.shape[-1])
+    if spec.kind == "schatten" and spec.params[0] == 2.0:
+        # the Frobenius norm as np.linalg.norm takes it: a dot product of the
+        # flattened matrix with itself (BLAS ddot), then the root
+        return np.sqrt((flat[:, None, :] @ flat[:, :, None])[:, 0, 0]).tolist()
+    s = np.linalg.svd(m.reshape(-1, m.shape[-2], m.shape[-1]), compute_uv=False)
+    return spec.of_singular_values(np.maximum(s, 0.0)).tolist()
+
+
+def _kittaneh_stack(
+    a, b, x, nu: float, norm_spec: NormSpec, rtol: float, atol: float
+) -> list[InequalityReport]:
+    """kittaneh_check on each triple of (T, m, m), (T, k, k) and (T, m, k)
+    stacks: the three norms of every trial come from one stacked call."""
+    ma, mb = check_symmetric_stack(a), check_symmetric_stack(b)
+    _require_finite(x)
+
+    def power(m: np.ndarray, t: float) -> np.ndarray:
+        # power_from_decomp(eigh(m), t, original=m) for each matrix
+        if t == 0.0:
+            return np.broadcast_to(np.eye(m.shape[-1]), m.shape)
+        if t == 1.0:
+            return m
+        lam, q = np.linalg.eigh(m)
+        return _apply_stack(q, np.power(_psd_clamp(lam), t))
+
+    trio = np.stack((power(ma, nu) @ x @ power(mb, 1.0 - nu), ma @ x, x @ mb), axis=1)
+    _require_finite(trio)
+    norms = _norms_stack(trio, norm_spec)
+    return [
+        _inequality_report(
+            "kittaneh", norms[i], norms[i + 1] ** nu * norms[i + 2] ** (1.0 - nu), rtol, atol
+        )
+        for i in range(0, len(norms), 3)
+    ]
 
 
 # ---------------------------------------------------------------------------

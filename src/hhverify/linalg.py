@@ -63,8 +63,31 @@ def check_symmetric(m) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
+def check_symmetric_stack(m) -> np.ndarray:
+    """check_symmetric for each matrix of a (T, n, n) stack.
+
+    Returns the stack of symmetrized matrices. When a matrix fails, raises
+    what check_symmetric raises on the first one that does.
+    """
+    a = np.asarray(m, dtype=float)
+    if a.ndim != 3 or a.shape[0] < 1:
+        raise DimMismatchError(f"expected a (T, n, n) stack, got shape {a.shape}")
+    if not 1 <= a.shape[1] == a.shape[2] <= MAX_DIM:
+        check_matrix(a[0], square=True)
+    finite = np.isfinite(a).all(axis=(1, 2))
+    if not finite.all():
+        check_matrix(a[int(np.argmin(finite))])
+    at = np.swapaxes(a, 1, 2)
+    bound = SYMMETRY_TOL * (1.0 + np.max(np.abs(a), axis=(1, 2)))
+    bad = np.max(np.abs(a - at), axis=(1, 2)) > bound
+    if bad.any():
+        check_symmetric(a[int(np.argmax(bad))])
+    return 0.5 * (a + at)
+
+
 def _sym(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
+    """Symmetric part of a matrix, or of each matrix of a stack."""
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
 @dataclass(frozen=True)

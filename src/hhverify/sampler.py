@@ -8,6 +8,14 @@ wiggle is the usual sub-ulp variation of libm transcendentals downstream.
 Draw order is part of the contract: each sampler documents exactly how many
 variates it consumes and in what order, so that a recorded trial seed replays
 the trial bit-for-bit.
+
+A stream may also carry a block of T seeds (a 1-d uint64 array). Every draw
+then gains a leading trial axis, and row t holds bit for bit what the stream
+of seed t alone would give: the state of output k is seed + k*gamma, so the T
+streams advance together as one (T, k) array (counter-based generation, as in
+Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011). The
+samplers below work along that axis, so one sampler serves a single trial and
+a block of trials.
 """
 
 from __future__ import annotations
@@ -51,25 +59,40 @@ class RandomStream:
     is the splitmix64 finalizer applied to that state. Blocks of outputs are
     produced vectorized in uint64, which matches the scalar integer recurrence
     exactly (verified in the test suite).
+
+    ``seed`` is one 64-bit seed, or a 1-d array of T seeds: then every draw
+    has a leading axis of length T, one row per seed, and ``state`` is the
+    array of the T states.
     """
 
-    def __init__(self, seed: int):
-        self.seed = int(seed) & _MASK
+    def __init__(self, seed):
+        if isinstance(seed, np.ndarray):
+            if seed.ndim != 1:
+                raise ValueError(f"a block of seeds must be 1-d, got shape {seed.shape}")
+            self.seed = seed.astype(np.uint64)
+        else:
+            self.seed = int(seed) & _MASK
         self._count = 0
 
     @property
-    def state(self) -> int:
+    def state(self):
         """Current 64-bit state (seed advanced by the number of outputs taken)."""
-        return (self.seed + self._count * _GAMMA) & _MASK
+        step = (self._count * _GAMMA) & _MASK
+        if isinstance(self.seed, np.ndarray):
+            return self.seed + np.uint64(step)
+        return (self.seed + step) & _MASK
 
     def u64(self, k: int) -> np.ndarray:
-        """Next ``k`` raw 64-bit outputs as a uint64 array."""
+        """Next ``k`` raw 64-bit outputs as a uint64 array, (k,) or (T, k)."""
         if k < 0:
             raise ValueError(f"block size must be nonnegative, got {k}")
         idx = np.arange(self._count + 1, self._count + k + 1, dtype=np.uint64)
         self._count += k
         with np.errstate(over="ignore"):
-            z = np.uint64(self.seed) + idx * np.uint64(_GAMMA)
+            if isinstance(self.seed, np.ndarray):
+                z = self.seed[:, None] + idx * np.uint64(_GAMMA)
+            else:
+                z = np.uint64(self.seed) + idx * np.uint64(_GAMMA)
             z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
             z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
             return z ^ (z >> np.uint64(31))
@@ -87,20 +110,20 @@ class RandomStream:
         """
         pairs = (k + 1) // 2
         u = self.uniform(2 * pairs)
-        r = np.sqrt(-2.0 * np.log(u[0::2]))
-        theta = 2.0 * np.pi * u[1::2]
-        z = np.empty(2 * pairs)
-        z[0::2] = r * np.cos(theta)
-        z[1::2] = r * np.sin(theta)
-        return z[:k]
+        r = np.sqrt(-2.0 * np.log(u[..., 0::2]))
+        theta = 2.0 * np.pi * u[..., 1::2]
+        z = np.empty(u.shape)
+        z[..., 0::2] = r * np.cos(theta)
+        z[..., 1::2] = r * np.sin(theta)
+        return z[..., :k]
 
 
 def random_general(stream: RandomStream, rows: int, cols: int, scale: float = 1.0) -> np.ndarray:
     """Dense matrix of iid N(0, scale^2) entries, drawn row-major."""
     if rows < 1 or cols < 1:
         raise DimMismatchError(f"matrix shape must be positive, got {rows}x{cols}")
-    g = stream.gaussian(rows * cols).reshape(rows, cols)
-    return scale * g
+    g = stream.gaussian(rows * cols)
+    return scale * g.reshape(g.shape[:-1] + (rows, cols))
 
 
 def random_orthogonal(stream: RandomStream, n: int) -> np.ndarray:
@@ -109,11 +132,11 @@ def random_orthogonal(stream: RandomStream, n: int) -> np.ndarray:
     Consumes n*n gaussians. The sign fix makes the factorization unique, so the
     result is a deterministic function of the stream position.
     """
-    g = stream.gaussian(n * n).reshape(n, n)
-    q, r = np.linalg.qr(g)
-    signs = np.sign(np.diag(r))
+    g = stream.gaussian(n * n)
+    q, r = np.linalg.qr(g.reshape(g.shape[:-1] + (n, n)))
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0.0] = 1.0
-    return q * signs
+    return q * signs[..., None, :]
 
 
 def _log_uniform(stream: RandomStream, k: int, lo: float, hi: float) -> np.ndarray:
@@ -130,7 +153,7 @@ def random_spd(stream: RandomStream, n: int, lo: float = 0.1, hi: float = 10.0) 
     """
     q = random_orthogonal(stream, n)
     lam = _log_uniform(stream, n, lo, hi)
-    return (q * lam) @ q.T
+    return (q * lam[..., None, :]) @ np.swapaxes(q, -1, -2)
 
 
 def random_commuting_pair(stream: RandomStream, n: int, lo: float = 0.1, hi: float = 10.0):

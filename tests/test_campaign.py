@@ -39,19 +39,35 @@ from hhverify.chains import (
     HH_TERM_NAMES,
     InequalityReport,
     _chain_report,
+    _inequality_report,
     _order_report_from_matrices,
 )
-from hhverify.errors import ConvergenceError, NonFiniteSampleError
+from hhverify.errors import (
+    ConvergenceError,
+    DomainViolationError,
+    NonFiniteSampleError,
+    NotPositiveDefiniteError,
+)
 from hhverify.functions import (
     DEFAULT_CONVEXITY_TOL,
     DEFAULT_GRID_N,
+    MEAN_CHAIN_NAMES,
     ConvexityVerdict,
     _scan_fine_grid,
+    scalar_mean_chain,
 )
-from hhverify.linalg import eigh, matrix_function, power_from_decomp
-from hhverify.norms import parse_norm
+from hhverify.linalg import (
+    check_symmetric,
+    det_pd,
+    eigh,
+    matrix_function,
+    operator_norm_sym,
+    power_from_decomp,
+    weighted_geometric_mean,
+)
+from hhverify.norms import norm, parse_norm
 from hhverify.quadrature import DOUBLING_TOL, MAX_NODES, _mapped_nodes, integrate_scalar_checked
-from hhverify.sampler import RandomStream, derive_trial_seed
+from hhverify.sampler import RandomStream, _log_uniform, derive_trial_seed, random_general
 
 SMALL = dict(trials=10, dims=(2, 3), master_seed=7)
 
@@ -68,6 +84,7 @@ def test_config_validation():
         dict(dims=()),
         dict(dims=(0,)),
         dict(dims=(65,)),
+        dict(dims=(2, 2)),
         dict(rtol=0.0),
         dict(rtol=math.inf),
         dict(atol=-1.0),
@@ -615,3 +632,112 @@ def test_drop_commutativity_campaign_shows_expected_violations():
     total = sum(st.trials_run for st in report.stats)
     unreliable = sum(st.unreliable_count for st in report.stats)
     assert report.exit_code == (3 if unreliable / total > 0.01 else 0)
+
+
+# ---------------------------------------------------------------------------
+# trial-batched closed-form rows against the per-trial code they replace
+
+
+def _ref_scalar_means(stream, dim, p):
+    a, b = (float(v) for v in _log_uniform(stream, 2, campaign.SPD_LO, campaign.SPD_HI))
+    return _chain_report("scalar_means", MEAN_CHAIN_NAMES, scalar_mean_chain(a, b), p.rtol, p.atol)
+
+
+def _ref_det_ag(stream, dim, p):
+    ma, mb = (check_symmetric(m) for m in campaign._spd_pair(stream, dim))
+    lhs = det_pd(ma) ** p.nu * det_pd(mb) ** (1.0 - p.nu)
+    rhs = det_pd(p.nu * ma + (1.0 - p.nu) * mb)
+    return _inequality_report("det_ag", lhs, rhs, p.rtol, p.atol)
+
+
+def _ref_am_gm_loewner(stream, dim, p):
+    a, b = campaign._spd_pair(stream, dim)
+    gm = weighted_geometric_mean(a, b, p.nu)
+    am = (1.0 - p.nu) * check_symmetric(a) + p.nu * check_symmetric(b)
+    names = ("weighted_geometric_mean", "weighted_arithmetic_mean")
+    return _order_report_from_matrices("am_gm_loewner", names, (gm, am), p.rtol)
+
+
+def _ref_norm_power(stream, dim, p):
+    mt = check_symmetric(campaign.random_spd(stream, dim, campaign.SPD_LO, campaign.SPD_HI))
+    d = eigh(mt)
+    base = operator_norm_sym(mt)
+    worst = (math.inf, 0.0, 0.0)
+    for alpha in np.linspace(0.0, 1.0, 11):
+        lhs = operator_norm_sym(power_from_decomp(d, float(alpha), original=mt))
+        rhs = base ** float(alpha)
+        if rhs - lhs < worst[0]:
+            worst = (rhs - lhs, lhs, rhs)
+    return _inequality_report("norm_power", worst[1], worst[2], p.rtol, p.atol)
+
+
+def _ref_kittaneh(stream, dim, p):
+    a, b = campaign._spd_pair(stream, dim)
+    x = random_general(stream, dim, dim)
+    ma, mb = check_symmetric(a), check_symmetric(b)
+    da, db = eigh(ma), eigh(mb)
+    left = power_from_decomp(da, p.nu, original=ma) @ x @ power_from_decomp(
+        db, 1.0 - p.nu, original=mb
+    )
+    lhs = norm(left, p.norm)
+    rhs = norm(ma @ x, p.norm) ** p.nu * norm(x @ mb, p.norm) ** (1.0 - p.nu)
+    return _inequality_report("kittaneh", lhs, rhs, p.rtol, p.atol)
+
+
+_NUS = (0.3, 0.5, 0.7)
+_BATCH_CASES = (
+    ("scalar_means", _ref_scalar_means, [{}]),
+    ("det_ag", _ref_det_ag, [dict(nu=nu) for nu in _NUS]),
+    ("am_gm_loewner", _ref_am_gm_loewner, [dict(nu=nu) for nu in _NUS + (0.0, 1.0)]),
+    ("norm_power", _ref_norm_power, [{}]),
+    (
+        "kittaneh",
+        _ref_kittaneh,
+        [dict(nu=nu) for nu in _NUS + (0.0, 1.0)]
+        + [dict(norm=parse_norm(t)) for t in ("opnorm", "tracenorm", "schatten:3", "kyfan:2")],
+    ),
+)
+
+
+@pytest.mark.parametrize("tid, reference, variants", _BATCH_CASES, ids=[c[0] for c in _BATCH_CASES])
+def test_batched_rows_match_the_per_trial_code(tid, reference, variants):
+    batched = {t for t, th in campaign.THEOREMS.items() if th.batch is not None}
+    assert batched == {c[0] for c in _BATCH_CASES}
+    for kwargs in variants:
+        params = resolve_params(tid, CampaignConfig(**kwargs))
+        for dim in (1, 2, 3, 5, 8, 17):
+            seeds = [derive_trial_seed(2015, dim, t) for t in range(100)]
+            want = [outcome_to_dict(reference(RandomStream(s), dim, params)) for s in seeds]
+            # the campaign's blocks, and one trial alone as demo replays it
+            got = [outcome_to_dict(o) for o in campaign._outcomes(tid, seeds, dim, params)]
+            assert got == want, (tid, kwargs, dim)
+            for k in (0, 37, 99):
+                assert outcome_to_dict(run_trial(tid, seeds[k], dim, params)) == want[k]
+
+
+def test_a_raising_block_is_rerun_one_trial_at_a_time(monkeypatch):
+    params = resolve_params("det_ag", CampaignConfig())
+    seeds = [derive_trial_seed(3, 3, t) for t in range(20)]
+    want = [outcome_to_dict(run_trial("det_ag", s, 3, params)) for s in seeds]
+    planted = campaign.random_spd(RandomStream(seeds[7]), 3, campaign.SPD_LO, campaign.SPD_HI)
+    real_kernel = campaign._det_ag_stack
+
+    def kernel(error):
+        def run(a, b, alpha, rtol, atol):
+            if any(np.array_equal(m, planted) for m in a):
+                raise error("planted in trial 7")
+            return real_kernel(a, b, alpha, rtol, atol)
+
+        return run
+
+    monkeypatch.setattr(campaign, "_det_ag_stack", kernel(DomainViolationError))
+    got = list(campaign._outcomes("det_ag", seeds, 3, params))
+    assert [o.quad_reliable for o in got] == [t != 7 for t in range(20)]
+    assert [outcome_to_dict(o) for k, o in enumerate(got) if k != 7] == want[:7] + want[8:]
+    cfg = CampaignConfig(theorem_ids=("det_ag",), trials=20, dims=(3,), master_seed=3)
+    st = run_campaign(cfg).stats[0]
+    assert (st.pass_count, st.unreliable_count) == (19, 1)
+    # an error the trial alone does not catch still ends the campaign
+    monkeypatch.setattr(campaign, "_det_ag_stack", kernel(NotPositiveDefiniteError))
+    with pytest.raises(NotPositiveDefiniteError):
+        list(campaign._outcomes("det_ag", seeds, 3, params))

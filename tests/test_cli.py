@@ -263,5 +263,35 @@ def test_demo_replays_an_extreme_function_trial_as_unreliable(capsys):
     # trial 4 at dim 2 of `verify --theorem scalar_ag --fn exp:100`
     seed = derive_trial_seed(0, 2, 4)
     argv = ["demo", "--theorem", "scalar_ag", "--fn", "exp:100", "--dim", "2", "--seed", str(seed)]
-    main(argv)
-    assert _demo_json(capsys.readouterr().out)["quad_reliable"] is False
+    # a trial that cannot be judged is not a pass
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert "status: passed=no quad_reliable=no" in out
+    payload = _demo_json(out)
+    assert payload["quad_reliable"] is False and payload["passed"] is False
+
+
+def test_extreme_function_campaign_prints_no_runtime_warnings():
+    argv = [
+        "verify", "--theorem", "op_gg_hh,phi_operator", "--fn", "exp:100",
+        "--trials", "5", "--dim", "2,3",
+    ]
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "hhverify", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert "exit code 3" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_repeated_dimension_is_a_configuration_error(capsys):
+    argv = ["verify", "--theorem", "scalar_means", "--trials", "3", "--dim", "2,2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: dimensions must not repeat")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""

@@ -152,3 +152,57 @@ def test_commuting_fixture_frozen():
     np.testing.assert_array_equal(q, again[0])
     np.testing.assert_array_equal(a, again[1])
     np.testing.assert_array_equal(b, again[2])
+
+
+# ---------------------------------------------------------------------------
+# a stream over a block of seeds: row t is the stream of seed t alone
+
+_BLOCK = [derive_trial_seed(2015, 3, t) for t in range(200)]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("k", [0, 1, 6, 7])
+def test_block_stream_draws_the_bits_of_each_seed(k):
+    draws = ("u64", "uniform", "gaussian")
+    block = RandomStream(np.array(_BLOCK, dtype=np.uint64))
+    got = {name: getattr(block, name)(k) for name in draws}
+    for t, seed in enumerate(_BLOCK):
+        alone = RandomStream(seed)
+        for name in draws:
+            want = getattr(alone, name)(k)
+            assert got[name].shape == (len(_BLOCK), k)
+            if name == "u64":
+                np.testing.assert_array_equal(got[name][t], want)
+            else:
+                np.testing.assert_array_equal(_bits(got[name][t]), _bits(want))
+        assert int(block.state[t]) == alone.state
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 64])
+def test_block_samplers_draw_the_matrices_of_each_seed(n):
+    from hhverify.sampler import _log_uniform
+
+    def draw(stream):
+        return (
+            random_spd(stream, n),
+            random_general(stream, n, n),
+            *random_commuting_pair(stream, n),
+            _log_uniform(stream, 3, 0.1, 10.0),
+        )
+
+    block = RandomStream(np.array(_BLOCK, dtype=np.uint64))
+    got = draw(block)
+    for t, seed in enumerate(_BLOCK):
+        alone = RandomStream(seed)
+        for g, want in zip(got, draw(alone)):
+            assert g.shape == (len(_BLOCK),) + want.shape
+            np.testing.assert_array_equal(_bits(g[t]), _bits(want))
+        assert int(block.state[t]) == alone.state
+
+
+def test_block_stream_rejects_a_block_that_is_not_1d():
+    with pytest.raises(ValueError):
+        RandomStream(np.zeros((2, 2), dtype=np.uint64))
