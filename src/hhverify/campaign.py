@@ -2,13 +2,15 @@
 accounting, and deterministic report serialization.
 
 Each theorem id has one row in THEOREMS: its runner, the runners that replace
-it under an ablation flag, and its parameter rules. A runner draws its inputs from a trial
-RandomStream (seeded as splitmix64(master ^ ((dim << 32) + trial)), so any
-trial can be replayed in isolation), evaluates the chain, and returns a
-report carrying passed / quad_reliable / hypothesis_ok / min_margin.
+it under an ablation flag, and its parameter rules. A runner draws its inputs
+from a trial RandomStream (seeded as splitmix64(master ^ ((dim << 32) + trial)),
+so any trial can be replayed in isolation) and hands them to a chain of
+``chains``, the ablated chains included, which returns a report carrying
+passed / quad_reliable / hypothesis_ok / min_margin.
 
-Accounting: unreliable trials (quadrature doubling failed, or an ablated
-eigenroutine broke down) are excluded from pass/fail and counted separately.
+Accounting: a trial that cannot be judged (quadrature doubling failed, or
+run_trial caught one of the errors that mean it) is unreliable: excluded from
+pass/fail and counted separately.
 Failing trials flip the campaign exit code to 1 only when the hypotheses were
 intact and no ablation applies to the theorem; ablation failures are expected
 violations and leave the exit code at 0.
@@ -24,61 +26,44 @@ import numpy as np
 
 from . import __version__
 from .chains import (
+    NORM_POWER_ALPHAS,
     ChainReport,
     InequalityReport,
     OrderChainReport,
     PhiDiagonal,
     PhiOperator,
+    PhiProduct,
     PhiSandwich,
     TraceVariant,
     UinVariant,
-    ag_convexity_witness,
-    dragomir_operator_chain,
-    operator_ag_midpoint_order_chain,
-    operator_gg_hh_order_chain,
-    operator_norm_gg_chain,
-    scalar_hh_chain,
-    trace_chain,
-    uin_chain,
-    HH_NODES,
-    HH_TERM_NAMES,
-    NORM_POWER_ALPHAS,
-    GG_HH_TERM_NAMES,
-    AG_MIDPOINT_TERM_NAMES,
-    TRACE_SQRT_TERM_NAMES,
-    TRACE_SQUARED_TERM_NAMES,
     _advisory_convexity,
     _am_gm_stack,
-    _chain_report,
     _det_ag_stack,
-    _inequality_report,
     _joint_range,
     _kittaneh_stack,
     _means_stack,
     _norm_power_stack,
     _operator_convex,
-    _order_report_from_matrices,
-    hh_terms,
+    ag_convexity_witness,
+    det_ag_indefinite,
+    dragomir_operator_chain,
+    kittaneh_general,
+    norm_gg_general,
+    op_ag_midpoint_general,
+    op_gg_hh_general,
+    operator_ag_midpoint_order_chain,
+    operator_gg_hh_order_chain,
+    operator_norm_gg_chain,
+    scalar_hh_chain,
+    trace_chain,
+    trace_chain_general,
+    uin_chain,
 )
 from .errors import ConfigError, ConvergenceError, DomainViolationError, NonFiniteSampleError
-from .functions import (
-    DEFAULT_CONVEXITY_TOL,
-    DEFAULT_GRID_N,
-    ConvexityVerdict,
-    FunctionSpec,
-    _check_grid_n,
-    _scan_fine_grid,
-)
-from .linalg import (
-    CommutingPair,
-    MAX_DIM,
-    _sym,
-    eigh,
-    matrix_function,
-    power_from_decomp,
-)
+from .functions import ConvexityVerdict, FunctionSpec, exact_g
+from .linalg import MAX_DIM, CommutingPair
 from .norms import NormSpec
-from .quadrature import MAX_NODES, integrate_matrix_checked
+from .quadrature import MAX_NODES
 from .sampler import (
     RandomStream,
     _log_uniform,
@@ -159,227 +144,6 @@ def _spd_pair(stream: RandomStream, dim: int) -> tuple[np.ndarray, np.ndarray]:
 def _spd_pair_with_x(stream: RandomStream, dim: int):
     a, b = _spd_pair(stream, dim)
     return a, b, random_general(stream, dim, dim)
-
-
-# ---------------------------------------------------------------------------
-# non-commuting and non-positive ablation machinery
-
-
-# nodes evaluated per stacked call: the doubling pass at the default quad_n is
-# one block, and longer node arrays (the phi grid) are cut into blocks so the
-# eig, inv and svd work arrays stay small
-_NODE_BLOCK = 128
-
-
-def _in_blocks(fn, ts: np.ndarray) -> np.ndarray:
-    """fn over the node array ts, called on blocks of at most _NODE_BLOCK nodes."""
-    return np.concatenate(
-        [fn(ts[i : i + _NODE_BLOCK]) for i in range(0, ts.shape[0], _NODE_BLOCK)]
-    )
-
-
-def _general_apply(m: np.ndarray, fn) -> np.ndarray:
-    """fn on the (real, positive) spectrum of a product of positives, for one
-    matrix or for each matrix of a (T, n, n) stack.
-
-    The eigenbasis is no longer orthogonal, so this goes through a general
-    eigendecomposition; a non-real or non-positive spectrum of any matrix
-    aborts the trial as unreliable rather than producing garbage.
-    """
-    w, v = np.linalg.eig(m)
-    wr = w.real
-    if not np.isfinite(wr).all() or (wr <= 0.0).any():
-        raise ConvergenceError("spectrum of the non-commuting product is not positive")
-    imag = np.max(np.abs(w.imag), axis=-1)
-    if (imag > 1e-8 * (1.0 + np.max(np.abs(wr), axis=-1))).any():
-        raise ConvergenceError("spectrum of the non-commuting product is not real")
-    return np.real((v * fn(wr)[..., None, :]) @ np.linalg.inv(v))
-
-
-def _principal_power(m: np.ndarray, t: float) -> np.ndarray:
-    """Principal branch m^t of a general square matrix (complex result)."""
-    w, v = np.linalg.eig(m)
-    return (v * np.power(w.astype(np.complex128), t)) @ np.linalg.inv(v)
-
-
-def _sv_norm(m: np.ndarray, spec: NormSpec):
-    """Norm of one matrix, or the array of norms of a (T, n, n) stack."""
-    s = np.linalg.svd(m, compute_uv=False)
-    return spec.of_singular_values(np.maximum(s, 0.0))
-
-
-def _log_f_of_sym(d, f: FunctionSpec) -> np.ndarray:
-    return d.apply(np.log(f.eval_array(d.eigenvalues)))
-
-
-def _weighted_products(da, db, a, b, ts: np.ndarray) -> np.ndarray:
-    """The (T, n, n) stack of A^t B^(1-t) over the nodes ts."""
-    return power_from_decomp(da, ts, a) @ power_from_decomp(db, 1.0 - ts, b)
-
-
-def _run_op_gg_hh_nc(stream: RandomStream, dim: int, p: TrialParams):
-    a, b = _spd_pair(stream, dim)
-    da, db = eigh(a), eigh(b)
-    try:
-        t1 = _sym(_general_apply(a @ b, lambda w: np.log(p.f.eval_array(np.sqrt(w)))))
-
-        def nodes(ts: np.ndarray) -> np.ndarray:
-            m = _weighted_products(da, db, a, b, ts)
-            return _sym(_general_apply(m, lambda w: np.log(p.f.eval_array(w))))
-
-        t2, ok = integrate_matrix_checked(lambda ts: _in_blocks(nodes, ts), 0.0, 1.0, p.quad_n)
-    except (np.linalg.LinAlgError, ConvergenceError):
-        return _unreliable("op_gg_hh")
-    t3 = 0.5 * (_log_f_of_sym(da, p.f) + _log_f_of_sym(db, p.f))
-    return _order_report_from_matrices(
-        "op_gg_hh", GG_HH_TERM_NAMES, (t1, t2, t3), p.rtol,
-        quad_reliable=ok, hypothesis_ok=False,
-    )
-
-
-def _segment_functions(f: FunctionSpec, a: np.ndarray, b: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """f(t A + (1-t) B) for every t in ts via one stacked eigh, each equal bit
-    for bit to matrix_function(eigh(t A + (1-t) B), f).
-
-    Unlike chains._segment_stack, it symmetrizes before and after, as eigh
-    and matrix_function do; the sampled A and B are not exactly symmetric.
-    """
-    lam, q = np.linalg.eigh(_sym(ts[:, None, None] * a + (1.0 - ts)[:, None, None] * b))
-    ok = f.defined_at(lam)
-    if not ok.all():
-        raise DomainViolationError(f"{f.describe()} undefined at eigenvalue {lam[~ok][0]!r}")
-    return _sym((q * f.eval_array(lam)[:, None, :]) @ np.swapaxes(q, 1, 2))
-
-
-def _run_op_ag_midpoint_nc(stream: RandomStream, dim: int, p: TrialParams):
-    a, b = _spd_pair(stream, dim)
-    da, db = eigh(a), eigh(b)
-    fa, fb = matrix_function(da, p.f), matrix_function(db, p.f)
-    t1 = matrix_function(eigh(0.5 * (a + b)), p.f)
-    try:
-
-        def nodes(als: np.ndarray) -> np.ndarray:
-            # (1 - al) A + al B is al B + (1 - al) A: the sum is the same bits
-            fp = _segment_functions(p.f, a, b, als)
-            fq = _segment_functions(p.f, b, a, als)
-            return _sym(_general_apply(fp @ fq, np.sqrt))
-
-        t2, ok = integrate_matrix_checked(lambda ts: _in_blocks(nodes, ts), 0.0, 1.0, p.quad_n)
-        t3 = _sym(_general_apply(fa @ fb, np.sqrt))
-    except (np.linalg.LinAlgError, ConvergenceError):
-        return _unreliable("op_ag_midpoint")
-    return _order_report_from_matrices(
-        "op_ag_midpoint", AG_MIDPOINT_TERM_NAMES, (t1, t2, t3), p.rtol,
-        quad_reliable=ok, hypothesis_ok=False,
-    )
-
-
-def _nc_phi(da, db, a, b, f: FunctionSpec, spec: NormSpec, ts: np.ndarray) -> np.ndarray:
-    """phi(t) = ||f(A^t B^(1-t))|| at every node of ts."""
-
-    def block(t: np.ndarray) -> np.ndarray:
-        return _sv_norm(_general_apply(_weighted_products(da, db, a, b, t), f.eval_array), spec)
-
-    return _in_blocks(block, ts)
-
-
-def _run_norm_gg_nc(theorem_id: str, stream: RandomStream, dim: int, p: TrialParams):
-    a, b = _spd_pair(stream, dim)
-    da, db = eigh(a), eigh(b)
-    try:
-        anchors = _nc_phi(da, db, a, b, p.f, p.norm, np.array(HH_NODES)).tolist()
-        if min(anchors) <= 0.0:
-            return _unreliable(theorem_id)
-
-        def log_phi(ts: np.ndarray) -> np.ndarray:
-            # math.log, not np.log: the two can differ in the last bit
-            return np.array(
-                [math.log(v) for v in _nc_phi(da, db, a, b, p.f, p.norm, ts).tolist()]
-            )
-
-        terms, ok = hh_terms(anchors, log_phi, (0.0, 1.0), p.quad_n)
-    except (np.linalg.LinAlgError, ConvergenceError):
-        return _unreliable(theorem_id)
-    return _chain_report(
-        theorem_id, HH_TERM_NAMES, terms, p.rtol, p.atol,
-        quad_reliable=ok, hypothesis_ok=False,
-    )
-
-
-def _run_trace_nc(variant: TraceVariant, stream: RandomStream, dim: int, p: TrialParams):
-    a, b = _spd_pair(stream, dim)
-    da, db = eigh(a), eigh(b)
-    la, lb = da.eigenvalues, db.eigenvalues
-    overlap = (da.q.T @ db.q) ** 2
-    pw = 2.0 if variant is TraceVariant.SQUARED else 1.0
-
-    def tau(u: float) -> float:
-        return float(np.power(la, pw * u) @ overlap @ np.power(lb, pw * (1.0 - u)))
-
-    def log_tau_rows(ts: np.ndarray) -> np.ndarray:
-        pa = np.power(la[None, :], pw * ts[:, None])
-        pb = np.power(lb[None, :], pw * (1.0 - ts)[:, None])
-        return np.log(np.einsum("ti,ij,tj->t", pa, overlap, pb))
-
-    terms, ok = hh_terms(tuple(tau(u) for u in HH_NODES), log_tau_rows, (0.0, 1.0), p.quad_n)
-    if variant is TraceVariant.SQUARED:
-        terms = terms[:4] + (float(np.sum(la)) * float(np.sum(lb)),)
-        return _chain_report(
-            "trace_squared", TRACE_SQUARED_TERM_NAMES, terms, p.rtol, p.atol,
-            quad_reliable=ok, hypothesis_ok=False,
-        )
-    # sqrt(tr AB) <= tr sqrt(AB), the latter as the sum of sqrt eig(AB)
-    w = np.linalg.eigvals(a @ b).real
-    if (w <= 0.0).any():
-        return _unreliable("trace_sqrt")
-    terms = (math.sqrt(float(np.trace(a @ b))), float(np.sum(np.sqrt(w)))) + terms[1:]
-    return _chain_report(
-        "trace_sqrt", TRACE_SQRT_TERM_NAMES, terms, p.rtol, p.atol,
-        quad_reliable=ok, hypothesis_ok=False,
-    )
-
-
-def _run_phi_operator_nc(stream: RandomStream, dim: int, p: TrialParams):
-    a, b = _spd_pair(stream, dim)
-    da, db = eigh(a), eigh(b)
-    _check_grid_n(DEFAULT_GRID_N)
-    m = DEFAULT_GRID_N * DEFAULT_GRID_N
-    ts = np.arange(m + 1) / m
-    try:
-        vals = _nc_phi(da, db, a, b, p.f, p.norm, ts)
-    except (np.linalg.LinAlgError, ConvergenceError):
-        return _unreliable("phi_operator")
-    if not (np.isfinite(vals).all() and (vals > 0.0).all()):
-        return _unreliable("phi_operator")
-    verdict = _scan_fine_grid(np.log(vals), ts, DEFAULT_GRID_N, DEFAULT_CONVEXITY_TOL)
-    return WitnessOutcome(
-        theorem_id="phi_operator", verdict=verdict, passed=verdict.holds, hypothesis_ok=False
-    )
-
-
-def _run_det_ag_indefinite(stream: RandomStream, dim: int, p: TrialParams):
-    a = _sym(random_general(stream, dim, dim))
-    b = _sym(random_general(stream, dim, dim))
-    la, lb = np.linalg.eigvalsh(a), np.linalg.eigvalsh(b)
-    lhs = float(np.prod(np.abs(la))) ** p.nu * float(np.prod(np.abs(lb))) ** (1.0 - p.nu)
-    rhs = float(np.prod(np.linalg.eigvalsh(p.nu * a + (1.0 - p.nu) * b)))
-    return _inequality_report("det_ag", lhs, rhs, p.rtol, p.atol, hypothesis_ok=False)
-
-
-def _run_kittaneh_general(stream: RandomStream, dim: int, p: TrialParams):
-    a = random_general(stream, dim, dim)
-    b = random_general(stream, dim, dim)
-    x = random_general(stream, dim, dim)
-    try:
-        an = _principal_power(a, p.nu)
-        bn = _principal_power(b, 1.0 - p.nu)
-        lhs = _sv_norm(an @ x @ bn, p.norm)
-    except np.linalg.LinAlgError:
-        return _unreliable("kittaneh")
-    if not math.isfinite(lhs):
-        return _unreliable("kittaneh")
-    rhs = _sv_norm(a @ x, p.norm) ** p.nu * _sv_norm(x @ b, p.norm) ** (1.0 - p.nu)
-    return _inequality_report("kittaneh", lhs, rhs, p.rtol, p.atol, hypothesis_ok=False)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +237,9 @@ def _norm_gg(theorem_id: str, fn) -> Theorem:
             p.f, _commuting(s, d), p.norm, p.quad_n, p.rtol, p.atol,
             check_hypothesis=p.check_hypothesis, theorem_id=theorem_id,
         ),
-        drop_commutativity=lambda s, d, p: _run_norm_gg_nc(theorem_id, s, d, p),
+        drop_commutativity=lambda s, d, p: norm_gg_general(
+            theorem_id, p.f, *_spd_pair(s, d), p.norm, p.quad_n, p.rtol, p.atol
+        ),
         convexity_guard=True,
         fn=fn,
     )
@@ -482,7 +248,9 @@ def _norm_gg(theorem_id: str, fn) -> Theorem:
 def _trace(variant: TraceVariant) -> Theorem:
     return Theorem(
         lambda s, d, p: trace_chain(variant, _commuting(s, d), p.quad_n, p.rtol, p.atol),
-        drop_commutativity=lambda s, d, p: _run_trace_nc(variant, s, d, p),
+        drop_commutativity=lambda s, d, p: trace_chain_general(
+            variant, *_spd_pair(s, d), p.quad_n, p.rtol, p.atol
+        ),
     )
 
 
@@ -525,14 +293,18 @@ THEOREMS = {
         lambda s, d, p: operator_gg_hh_order_chain(
             p.f, _commuting(s, d), p.quad_n, p.rtol, check_hypothesis=p.check_hypothesis
         ),
-        drop_commutativity=_run_op_gg_hh_nc,
+        drop_commutativity=lambda s, d, p: op_gg_hh_general(
+            p.f, *_spd_pair(s, d), p.quad_n, p.rtol
+        ),
         convexity_guard=True,
     ),
     "op_ag_midpoint": Theorem(
         lambda s, d, p: operator_ag_midpoint_order_chain(
             p.f, _commuting(s, d), p.quad_n, p.rtol, check_hypothesis=p.check_hypothesis
         ),
-        drop_commutativity=_run_op_ag_midpoint_nc,
+        drop_commutativity=lambda s, d, p: op_ag_midpoint_general(
+            p.f, *_spd_pair(s, d), p.quad_n, p.rtol
+        ),
         convexity_guard=True,
     ),
     "op_norm_gg": _norm_gg("op_norm_gg", _fn_or_exp),
@@ -543,7 +315,9 @@ THEOREMS = {
         lambda seeds, d, p: _det_ag_stack(
             *_spd_pair(RandomStream(seeds), d), p.nu, p.rtol, p.atol
         ),
-        drop_positivity=_run_det_ag_indefinite,
+        drop_positivity=lambda s, d, p: det_ag_indefinite(
+            random_general(s, d, d), random_general(s, d, d), p.nu, p.rtol, p.atol
+        ),
         nu=_inner_nu,
     ),
     "am_gm_loewner": _batched(
@@ -558,11 +332,17 @@ THEOREMS = {
         lambda seeds, d, p: _kittaneh_stack(
             *_spd_pair_with_x(RandomStream(seeds), d), p.nu, p.norm, p.rtol, p.atol
         ),
-        drop_positivity=_run_kittaneh_general,
+        drop_positivity=lambda s, d, p: kittaneh_general(
+            *(random_general(s, d, d) for _ in range(3)), p.nu, p.norm, p.rtol, p.atol
+        ),
         schatten2=True,
     ),
     "phi_operator": Theorem(
-        _run_phi_operator, drop_commutativity=_run_phi_operator_nc, convexity_guard=True
+        _run_phi_operator,
+        drop_commutativity=lambda s, d, p: _witness(
+            "phi_operator", PhiProduct(p.f, *_spd_pair(s, d)), p, hypothesis_ok=False
+        ),
+        convexity_guard=True,
     ),
     "phi_sandwich": Theorem(
         lambda s, d, p: _witness("phi_sandwich", PhiSandwich(*_spd_pair_with_x(s, d)), p),
@@ -618,8 +398,9 @@ class CampaignConfig:
             raise ConfigError(f"atol must be positive, got {self.atol}")
         if not (0.0 <= self.nu <= 1.0):
             raise ConfigError(f"nu must lie in [0, 1], got {self.nu}")
-        if not 1 <= self.quad_n <= MAX_NODES:
-            raise ConfigError(f"quad_n must lie in [1, {MAX_NODES}], got {self.quad_n}")
+        # the doubling check integrates again with 2 * quad_n nodes
+        if not 1 <= self.quad_n <= MAX_NODES // 2:
+            raise ConfigError(f"quad_n must lie in [1, {MAX_NODES // 2}], got {self.quad_n}")
         for flag in self.ablation:
             if flag not in ABLATION_FLAGS:
                 raise ConfigError(
@@ -739,10 +520,11 @@ def run_trial(theorem_id: str, seed: int, dim: int, params: TrialParams):
         runner = th.drop_positivity
     try:
         return runner(stream, dim, params)
-    except (DomainViolationError, NonFiniteSampleError):
+    except (DomainViolationError, NonFiniteSampleError, ConvergenceError, np.linalg.LinAlgError):
         # the trial's inputs take the function out of its domain or out of
         # the float range (f overflows on the convexity grid, a chain term is
-        # not finite): the trial cannot be judged
+        # not finite), or out of what an eigen- or singular-value routine can
+        # take (an ablated product's spectrum is not real): it cannot be judged
         return _unreliable(theorem_id)
 
 
@@ -1024,8 +806,11 @@ def repro_command(theorem_id: str, st: TheoremStats, cfg: CampaignConfig) -> str
         parts.append(f"--fn {cfg.function.describe()}")
     if cfg.norm is not None:
         parts.append(f"--norm {cfg.norm.describe()}")
-    parts.append(f"--nu {cfg.nu:g}")
+    parts.append(f"--nu {exact_g(cfg.nu)}")
     parts.append(f"--quad-n {cfg.quad_n}")
+    for name in ("rtol", "atol"):
+        if getattr(cfg, name) != getattr(CampaignConfig, name):
+            parts.append(f"--{name} {exact_g(getattr(cfg, name))}")
     if cfg.ablation:
         parts.append(f"--ablation {','.join(sorted(cfg.ablation))}")
     return " ".join(parts)

@@ -18,13 +18,13 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    ConvergenceError,
     DegenerateIntervalError,
     DimMismatchError,
     DomainViolationError,
     NonFiniteInputError,
     NonPositiveInputError,
     NotPositiveDefiniteError,
-    NotPositiveSemidefiniteError,
 )
 from .functions import (
     DEFAULT_CONVEXITY_TOL,
@@ -39,11 +39,10 @@ from .functions import (
     is_gg_convex,
 )
 from .linalg import (
-    PSD_TOL,
     _SCALAR_POWER_SHORTCUTS,
     CommutingPair,
     LoewnerOrdering,
-    SpectralDecomp,
+    _psd_spectrum,
     _sym,
     check_matrix,
     check_symmetric,
@@ -54,7 +53,7 @@ from .linalg import (
     power_from_decomp,
 )
 from .norms import NormSpec, norm, norms_from_eig_rows, norms_of_stack
-from .quadrature import integrate_stack_checked
+from .quadrature import integrate_matrix_checked, integrate_stack_checked
 
 DEFAULT_RTOL = 1e-8
 DEFAULT_ATOL = 1e-12
@@ -529,14 +528,6 @@ def _apply_stack(q: np.ndarray, values: np.ndarray) -> np.ndarray:
     return _sym((q * values[..., None, :]) @ np.swapaxes(q, -1, -2))
 
 
-def _psd_clamp(lam: np.ndarray) -> np.ndarray:
-    """power_from_decomp's guard on (T, n) spectra: tiny negatives within the
-    PSD tolerance become zero, larger ones are refused."""
-    if (lam[:, 0] < -PSD_TOL * np.maximum(1.0, np.max(np.abs(lam), axis=1))).any():
-        raise NotPositiveSemidefiniteError("matrix has an eigenvalue < 0")
-    return np.where(lam < 0.0, 0.0, lam)
-
-
 def _means_stack(a: np.ndarray, b: np.ndarray, rtol: float, atol: float) -> list[ChainReport]:
     """scalar_mean_chain_report on each pair (a[t], b[t])."""
     ok = (a > 0.0) & (b > 0.0) & np.isfinite(a) & np.isfinite(b)
@@ -613,7 +604,7 @@ def _norm_power_stack(t, alphas: np.ndarray, rtol: float, atol: float) -> list[I
     inner = alphas[(alphas != 0.0) & (alphas != 1.0)]
     if inner.size:
         lam, q = np.linalg.eigh(mt)
-        lam = _psd_clamp(lam)
+        lam = _psd_spectrum(lam, float(inner[0]))
         vals = np.power(lam[:, None, :], inner[None, :, None])
         # a scalar power of -1, 0.5 or 2 is a reciprocal, sqrt or square in numpy
         for k in np.flatnonzero(np.isin(inner, _SCALAR_POWER_SHORTCUTS)):
@@ -664,7 +655,7 @@ def _kittaneh_stack(
         if t == 1.0:
             return m
         lam, q = np.linalg.eigh(m)
-        return _apply_stack(q, np.power(_psd_clamp(lam), t))
+        return _apply_stack(q, np.power(_psd_spectrum(lam, t), t))
 
     trio = np.stack((power(ma, nu) @ x @ power(mb, 1.0 - nu), ma @ x, x @ mb), axis=1)
     _require_finite(trio)
@@ -831,9 +822,6 @@ def operator_norm_gg_chain(
             raise DomainViolationError(f"{theorem_id}: norm curve is not strictly positive")
         return np.log(vals)
 
-    anchors = tuple(phi(u) for u in HH_NODES)
-    if min(anchors) <= 0.0:
-        raise DomainViolationError(f"{theorem_id}: norm curve is not strictly positive")
     # max-type norms sort the branches, so kinks sit at branch crossings
     sorting_norm = norm_spec.kind == "kyfan" or (
         norm_spec.kind == "schatten" and math.isinf(norm_spec.params[0])
@@ -842,15 +830,24 @@ def operator_norm_gg_chain(
         edges = np.concatenate(([0.0], _eig_crossings(av, bv), [1.0]))
     else:
         edges = np.asarray([0.0, 1.0])
-    terms, reliable = hh_terms(anchors, log_phi_rows, edges, quad_n)
+    return _norm_curve_chain(
+        theorem_id, tuple(phi(u) for u in HH_NODES), log_phi_rows, edges, quad_n, rtol, atol,
+        hypothesis_ok,
+    )
+
+
+def _norm_curve_chain(
+    theorem_id: str, anchors, log_curve, edges, quad_n: int, rtol: float, atol: float,
+    hypothesis_ok: bool = True,
+) -> ChainReport:
+    """The five-term chain of a norm curve from its anchors (hh_terms), which
+    must be positive."""
+    if min(anchors) <= 0.0:
+        raise DomainViolationError(f"{theorem_id}: norm curve is not strictly positive")
+    terms, reliable = hh_terms(anchors, log_curve, edges, quad_n)
     return _chain_report(
-        theorem_id,
-        HH_TERM_NAMES,
-        terms,
-        rtol,
-        atol,
-        quad_reliable=reliable,
-        hypothesis_ok=hypothesis_ok,
+        theorem_id, HH_TERM_NAMES, terms, rtol, atol,
+        quad_reliable=reliable, hypothesis_ok=hypothesis_ok,
     )
 
 
@@ -905,16 +902,214 @@ def trace_chain(
         )
         return np.log(np.sum(grid, axis=1))
 
-    terms, reliable = hh_terms(tuple(tau(u) for u in HH_NODES), log_tau_rows, (0.0, 1.0), quad_n)
     if variant is TraceVariant.SQRT:
-        terms = (math.sqrt(float(np.sum(av * bv))),) + terms
-        return _chain_report(
-            "trace_sqrt", TRACE_SQRT_TERM_NAMES, terms, rtol, atol, quad_reliable=reliable
-        )
-    terms = terms[:4] + (float(np.sum(av)) * float(np.sum(bv)),)
+        ends = (math.sqrt(float(np.sum(av * bv))), tau(0.5))  # tr sqrt(AB) is tau(1/2)
+    else:
+        ends = float(np.sum(av)) * float(np.sum(bv))
+    return _trace_report(variant, tau, log_tau_rows, ends, quad_n, rtol, atol)
+
+
+def _trace_report(
+    variant: TraceVariant, tau, log_tau_rows, ends, quad_n: int, rtol: float, atol: float,
+    hypothesis_ok: bool = True,
+) -> ChainReport:
+    """The trace chain of the curve tau: its hh_terms on [0, 1], with ``ends``
+    in place of the midpoint term (SQRT: the pair sqrt tr AB, tr sqrt AB) or
+    of the endpoint term (SQUARED: tr A tr B)."""
+    terms, reliable = hh_terms(tuple(tau(u) for u in HH_NODES), log_tau_rows, (0.0, 1.0), quad_n)
+    sqrt = variant is TraceVariant.SQRT
     return _chain_report(
-        "trace_squared", TRACE_SQUARED_TERM_NAMES, terms, rtol, atol, quad_reliable=reliable
+        "trace_sqrt" if sqrt else "trace_squared",
+        TRACE_SQRT_TERM_NAMES if sqrt else TRACE_SQUARED_TERM_NAMES,
+        ends + terms[1:] if sqrt else terms[:4] + (ends,),
+        rtol, atol, quad_reliable=reliable, hypothesis_ok=hypothesis_ok,
     )
+
+
+# ---------------------------------------------------------------------------
+# the ablations: the chains above on positive pairs that need not commute, and
+# on matrices that need not be positive, through general eigendecompositions
+# (a product spectrum that is not real and positive raises ConvergenceError)
+
+# nodes evaluated per stacked call: the doubling pass at the default quad_n is
+# one block, and longer node arrays (the phi grid) are cut into blocks so the
+# eig, inv and svd work arrays stay small
+_NODE_BLOCK = 128
+# curve points per block of the commuting and two-sided norm curves
+_CURVE_BLOCK = 16384
+
+
+def _in_blocks(fn, ts: np.ndarray, size: int) -> np.ndarray:
+    """fn over the node array ts, called on blocks of at most size nodes."""
+    return np.concatenate([fn(ts[i : i + size]) for i in range(0, ts.shape[0], size)])
+
+
+def _general_apply(m: np.ndarray, fn) -> np.ndarray:
+    """fn on the (real, positive) spectrum of a product of positives, for one
+    matrix or for each matrix of a (T, n, n) stack."""
+    w, v = np.linalg.eig(m)
+    wr = w.real
+    if not np.isfinite(wr).all() or (wr <= 0.0).any():
+        raise ConvergenceError("spectrum of the non-commuting product is not positive")
+    imag = np.max(np.abs(w.imag), axis=-1)
+    if (imag > 1e-8 * (1.0 + np.max(np.abs(wr), axis=-1))).any():
+        raise ConvergenceError("spectrum of the non-commuting product is not real")
+    return np.real((v * fn(wr)[..., None, :]) @ np.linalg.inv(v))
+
+
+def _principal_power(m: np.ndarray, t: float) -> np.ndarray:
+    """Principal branch m^t of a general square matrix (complex result)."""
+    w, v = np.linalg.eig(m)
+    return (v * np.power(w.astype(np.complex128), t)) @ np.linalg.inv(v)
+
+
+def _sv_norm(m: np.ndarray, spec: NormSpec):
+    """Norm of one matrix, or the array of norms of a (T, n, n) stack."""
+    s = np.linalg.svd(m, compute_uv=False)
+    return spec.of_singular_values(np.maximum(s, 0.0))
+
+
+def _log_f_of_sym(d, f: FunctionSpec) -> np.ndarray:
+    return d.apply(np.log(f.eval_array(d.eigenvalues)))
+
+
+def _weighted_products(da, db, a, b, ts: np.ndarray) -> np.ndarray:
+    """The (T, n, n) stack of A^t B^(1-t) over the nodes ts."""
+    return power_from_decomp(da, ts, a) @ power_from_decomp(db, 1.0 - ts, b)
+
+
+def _nc_phi(da, db, a, b, f: FunctionSpec, spec: NormSpec, ts: np.ndarray) -> np.ndarray:
+    """phi(t) = ||f(A^t B^(1-t))|| at every node of ts."""
+
+    def block(t: np.ndarray) -> np.ndarray:
+        return _sv_norm(_general_apply(_weighted_products(da, db, a, b, t), f.eval_array), spec)
+
+    return _in_blocks(block, ts, _NODE_BLOCK)
+
+
+def _segment_functions(f: FunctionSpec, a: np.ndarray, b: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """f(t A + (1-t) B) for every t in ts via one stacked eigh, each equal bit
+    for bit to matrix_function(eigh(t A + (1-t) B), f).
+
+    Unlike _segment_stack, it symmetrizes before and after, as eigh and
+    matrix_function do; the sampled A and B are not exactly symmetric.
+    """
+    lam, q = np.linalg.eigh(_sym(ts[:, None, None] * a + (1.0 - ts)[:, None, None] * b))
+    ok = f.defined_at(lam)
+    if not ok.all():
+        raise DomainViolationError(f"{f.describe()} undefined at eigenvalue {lam[~ok][0]!r}")
+    return _sym((q * f.eval_array(lam)[:, None, :]) @ np.swapaxes(q, 1, 2))
+
+
+def op_gg_hh_general(f: FunctionSpec, a, b, quad_n: int, rtol: float) -> OrderChainReport:
+    """The op_gg_hh chain on a positive pair that need not commute:
+    log f(sqrt(AB)) <= int_0^1 log f(A^t B^(1-t)) dt <= (log f(A) + log f(B))/2."""
+    da, db = eigh(a), eigh(b)
+    t1 = _sym(_general_apply(a @ b, lambda w: np.log(f.eval_array(np.sqrt(w)))))
+
+    def nodes(ts: np.ndarray) -> np.ndarray:
+        m = _weighted_products(da, db, a, b, ts)
+        return _sym(_general_apply(m, lambda w: np.log(f.eval_array(w))))
+
+    t3 = 0.5 * (_log_f_of_sym(da, f) + _log_f_of_sym(db, f))
+    return _general_order_chain("op_gg_hh", GG_HH_TERM_NAMES, t1, nodes, t3, quad_n, rtol)
+
+
+def op_ag_midpoint_general(f: FunctionSpec, a, b, quad_n: int, rtol: float) -> OrderChainReport:
+    """The op_ag_midpoint chain on a positive pair that need not commute, the
+    geometric mean of f(P) and f(Q) taken as sqrt(f(P) f(Q))."""
+    da, db = eigh(a), eigh(b)
+    fa, fb = matrix_function(da, f), matrix_function(db, f)
+    t1 = matrix_function(eigh(0.5 * (a + b)), f)
+
+    def nodes(als: np.ndarray) -> np.ndarray:
+        # (1 - al) A + al B is al B + (1 - al) A: the sum is the same bits
+        fp = _segment_functions(f, a, b, als)
+        fq = _segment_functions(f, b, a, als)
+        return _sym(_general_apply(fp @ fq, np.sqrt))
+
+    t3 = _sym(_general_apply(fa @ fb, np.sqrt))
+    return _general_order_chain(
+        "op_ag_midpoint", AG_MIDPOINT_TERM_NAMES, t1, nodes, t3, quad_n, rtol
+    )
+
+
+def _general_order_chain(theorem_id: str, names, t1, nodes, t3, quad_n: int, rtol: float):
+    """The Loewner chain t1 <= int_0^1 nodes(t) dt <= t3, in _NODE_BLOCK blocks."""
+    t2, ok = integrate_matrix_checked(
+        lambda ts: _in_blocks(nodes, ts, _NODE_BLOCK), 0.0, 1.0, quad_n
+    )
+    return _order_report_from_matrices(
+        theorem_id, names, (t1, t2, t3), rtol, quad_reliable=ok, hypothesis_ok=False
+    )
+
+
+def norm_gg_general(
+    theorem_id: str, f: FunctionSpec, a, b, norm_spec: NormSpec, quad_n: int, rtol: float,
+    atol: float,
+) -> ChainReport:
+    """The op_norm_gg chain of phi(u) = ||f(A^u B^(1-u))|| on a positive
+    pair that need not commute."""
+    da, db = eigh(a), eigh(b)
+
+    def log_phi(ts: np.ndarray) -> np.ndarray:
+        # math.log, not np.log: the two can differ in the last bit
+        return np.array([math.log(v) for v in _nc_phi(da, db, a, b, f, norm_spec, ts).tolist()])
+
+    anchors = _nc_phi(da, db, a, b, f, norm_spec, np.array(HH_NODES)).tolist()
+    return _norm_curve_chain(
+        theorem_id, anchors, log_phi, (0.0, 1.0), quad_n, rtol, atol, hypothesis_ok=False
+    )
+
+
+def trace_chain_general(
+    variant: TraceVariant, a, b, quad_n: int, rtol: float, atol: float
+) -> ChainReport:
+    """The trace chains on a positive pair that need not commute, with
+    tau(u) = tr(A^u B^(1-u)) = sum_ij la_i^u (qa_i . qb_j)^2 lb_j^(1-u)."""
+    da, db = eigh(a), eigh(b)
+    la, lb = da.eigenvalues, db.eigenvalues
+    overlap = (da.q.T @ db.q) ** 2
+    pw = 2.0 if variant is TraceVariant.SQUARED else 1.0
+
+    def tau(u: float) -> float:
+        return float(np.power(la, pw * u) @ overlap @ np.power(lb, pw * (1.0 - u)))
+
+    def log_tau_rows(ts: np.ndarray) -> np.ndarray:
+        pa = np.power(la[None, :], pw * ts[:, None])
+        pb = np.power(lb[None, :], pw * (1.0 - ts)[:, None])
+        return np.log(np.einsum("ti,ij,tj->t", pa, overlap, pb))
+
+    if variant is TraceVariant.SQUARED:
+        ends = float(np.sum(la)) * float(np.sum(lb))
+    else:
+        # tr sqrt(AB) as the sum of the roots of the eigenvalues of AB
+        w = np.linalg.eigvals(a @ b).real
+        if (w <= 0.0).any():
+            raise DomainViolationError("trace_sqrt: the spectrum of AB is not positive")
+        ends = (math.sqrt(float(np.trace(a @ b))), float(np.sum(np.sqrt(w))))
+    return _trace_report(variant, tau, log_tau_rows, ends, quad_n, rtol, atol, hypothesis_ok=False)
+
+
+def det_ag_indefinite(a, b, nu: float, rtol: float, atol: float) -> InequalityReport:
+    """det_ag on the symmetric parts of A, B, which need not be positive, with
+    |det| on the left: |det A|^nu |det B|^(1-nu) <= det(nu A + (1-nu) B)."""
+    a, b = _sym(a), _sym(b)
+    la, lb = np.linalg.eigvalsh(a), np.linalg.eigvalsh(b)
+    lhs = float(np.prod(np.abs(la))) ** nu * float(np.prod(np.abs(lb))) ** (1.0 - nu)
+    rhs = float(np.prod(np.linalg.eigvalsh(nu * a + (1.0 - nu) * b)))
+    return _inequality_report("det_ag", lhs, rhs, rtol, atol, hypothesis_ok=False)
+
+
+def kittaneh_general(
+    a, b, x, nu: float, norm_spec: NormSpec, rtol: float, atol: float
+) -> InequalityReport:
+    """kittaneh on general A, B, with the principal powers A^nu, B^(1-nu)."""
+    lhs = _sv_norm(_principal_power(a, nu) @ x @ _principal_power(b, 1.0 - nu), norm_spec)
+    if not math.isfinite(lhs):
+        raise DomainViolationError("kittaneh: the left side is not finite")
+    rhs = _sv_norm(a @ x, norm_spec) ** nu * _sv_norm(x @ b, norm_spec) ** (1.0 - nu)
+    return _inequality_report("kittaneh", lhs, rhs, rtol, atol, hypothesis_ok=False)
 
 
 # ---------------------------------------------------------------------------
@@ -927,6 +1122,15 @@ class PhiOperator:
 
     f: FunctionSpec
     pair: CommutingPair
+
+
+@dataclass(frozen=True)
+class PhiProduct:
+    """t -> ||f(A^t B^(1-t))|| on a positive pair that need not commute."""
+
+    f: FunctionSpec
+    a: np.ndarray
+    b: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -965,18 +1169,16 @@ class _TwoSidedPowers:
         self.ma, self.mb, self.mx = ma, mb, mx
         self.core = self.da.q.T @ mx @ self.db.q
 
-    def norms(self, sa: np.ndarray, sb: np.ndarray, spec: NormSpec) -> np.ndarray:
-        """Norm at each (sa[k], sb[k]) exponent pair, chunked for memory."""
+    def norms(self, ts: np.ndarray, second, spec: NormSpec) -> np.ndarray:
+        """Norm at each exponent pair (t, second(t)) of the array ts."""
         la, lb = self.da.eigenvalues, self.db.eigenvalues
-        out = np.empty(sa.shape[0])
-        chunk = 16384
-        for start in range(0, sa.shape[0], chunk):
-            ta, tb = sa[start : start + chunk], sb[start : start + chunk]
-            left = np.power(la[None, :], ta[:, None])
-            right = np.power(lb[None, :], tb[:, None])
-            stack = left[:, :, None] * self.core[None, :, :] * right[:, None, :]
-            out[start : start + chunk] = norms_of_stack(stack, spec)
-        return out
+
+        def block(t: np.ndarray) -> np.ndarray:
+            left = np.power(la[None, :], t[:, None])
+            right = np.power(lb[None, :], second(t)[:, None])
+            return norms_of_stack(left[:, :, None] * self.core * right[:, None, :], spec)
+
+        return _in_blocks(block, ts, _CURVE_BLOCK)
 
     def direct(self, sa: float, sb: float) -> np.ndarray:
         """Materialized A^sa X B^sb; exponents 0 and 1 incur no
@@ -993,9 +1195,9 @@ def ag_convexity_witness(
 ) -> ConvexityVerdict:
     """Grid test that a norm curve is AG-convex (log-convex) on [0, 1].
 
-    Accepts PhiOperator, PhiSandwich, or PhiDiagonal. The scan is identical
-    to the scalar one: log of the curve on the fine grid against all coarse
-    chords.
+    Accepts PhiOperator, PhiProduct, PhiSandwich, or PhiDiagonal. The scan
+    is identical to the scalar one: log of the curve on the fine grid against
+    all coarse chords.
     """
     grid_n = _check_grid_n(grid_n)
     m = grid_n * grid_n
@@ -1003,20 +1205,19 @@ def ag_convexity_witness(
     if isinstance(curve, PhiOperator):
         av, bv = curve.pair.a, curve.pair.b
         _commuting_prelude(curve.f, curve.pair, True, check_hypothesis=False)
-        vals = np.empty(m + 1)
-        chunk = 16384
-        for start in range(0, m + 1, chunk):
-            sub = ts[start : start + chunk]
-            grid = np.power(av[None, :], sub[:, None]) * np.power(
-                bv[None, :], (1.0 - sub)[:, None]
-            )
-            vals[start : start + chunk] = norms_from_eig_rows(
-                curve.f.eval_array(grid), norm_spec
-            )
+
+        def block(t: np.ndarray) -> np.ndarray:
+            grid = np.power(av[None, :], t[:, None]) * np.power(bv[None, :], (1.0 - t)[:, None])
+            return norms_from_eig_rows(curve.f.eval_array(grid), norm_spec)
+
+        vals = _in_blocks(block, ts, _CURVE_BLOCK)
+    elif isinstance(curve, PhiProduct):
+        da, db = eigh(curve.a), eigh(curve.b)
+        vals = _nc_phi(da, db, curve.a, curve.b, curve.f, norm_spec, ts)
     elif isinstance(curve, PhiSandwich):
-        vals = _TwoSidedPowers(curve.a, curve.b, curve.x).norms(ts, 1.0 - ts, norm_spec)
+        vals = _TwoSidedPowers(curve.a, curve.b, curve.x).norms(ts, lambda t: 1.0 - t, norm_spec)
     elif isinstance(curve, PhiDiagonal):
-        vals = _TwoSidedPowers(curve.a, curve.b, curve.x).norms(ts, ts, norm_spec)
+        vals = _TwoSidedPowers(curve.a, curve.b, curve.x).norms(ts, lambda t: t, norm_spec)
     else:
         raise ConfigError(f"unknown curve {curve!r}")
     if not (np.isfinite(vals).all() and (vals > 0.0).all()):
@@ -1095,16 +1296,11 @@ def uin_chain(
 
     points = (lo, 0.25 * (3.0 * lo + hi), 0.5 * (lo + hi), 0.25 * (lo + 3.0 * hi), hi)
     anchors = tuple(norm(tp.direct(t, second(t)), norm_spec) for t in points)
-    if min(anchors) <= 0.0:
-        raise DomainViolationError("norm curve vanishes; chain undefined (is X zero?)")
 
     def log_rows(ts: np.ndarray) -> np.ndarray:
-        vals = tp.norms(ts, ts if diagonal else 1.0 - ts, norm_spec)
+        vals = tp.norms(ts, second, norm_spec)
         if not (np.isfinite(vals).all() and (vals > 0.0).all()):
             raise DomainViolationError("norm curve is not strictly positive")
         return np.log(vals)
 
-    terms, reliable = hh_terms(anchors, log_rows, (lo, hi), quad_n)
-    return _chain_report(
-        _UIN_IDS[variant], HH_TERM_NAMES, terms, rtol, atol, quad_reliable=reliable
-    )
+    return _norm_curve_chain(_UIN_IDS[variant], anchors, log_rows, (lo, hi), quad_n, rtol, atol)

@@ -146,13 +146,18 @@ class FunctionSpec:
         return lo_ok and b < self.hi
 
     def describe(self) -> str:
-        if self.kind == "exp":
-            return f"exp:{self.params[0]:g}"
-        if self.kind == "power":
-            return f"power:{self.params[0]:g}"
+        if self.kind in ("exp", "power"):
+            return f"{self.kind}:{exact_g(self.params[0])}"
         if self.kind == "poly":
-            return "poly:" + ",".join(f"{c:g}" for c in self.params)
+            return "poly:" + ",".join(exact_g(c) for c in self.params)
         return self.kind
+
+
+def exact_g(x: float) -> str:
+    """x in the ``g`` format when that reads back as x, else as the shortest
+    text that does."""
+    short = format(x, "g")
+    return short if float(short) == x else repr(float(x))
 
 
 def parse_function(text: str) -> FunctionSpec:
@@ -297,7 +302,6 @@ def is_ag_convex(
     b: float,
     grid_n: int = DEFAULT_GRID_N,
     tol: float = DEFAULT_CONVEXITY_TOL,
-    midpoint_only: bool = False,
 ) -> ConvexityVerdict:
     """Grid test of AG-convexity (log-convexity) of f on [a, b]."""
     grid_n = _check_grid_n(grid_n)
@@ -306,12 +310,6 @@ def is_ag_convex(
     if not f.contains_interval(a, b):
         raise DomainViolationError(
             f"[{a}, {b}] outside the positivity domain of {f.describe()}"
-        )
-    if midpoint_only:
-        xs = a + (b - a) * np.arange(grid_n + 1) / grid_n
-        mids = 0.5 * (xs[:, None] + xs[None, :])
-        return _scan_midpoint_only(
-            _positive_logs(f, xs), _positive_logs(f, mids.ravel()).reshape(mids.shape), xs, tol
         )
     m = grid_n * grid_n
     fine = a + (b - a) * np.arange(m + 1) / m
@@ -324,7 +322,6 @@ def is_gg_convex(
     b: float,
     grid_n: int = DEFAULT_GRID_N,
     tol: float = DEFAULT_CONVEXITY_TOL,
-    midpoint_only: bool = False,
 ) -> ConvexityVerdict:
     """Grid test of GG-convexity of f on [a, b], 0 < a < b.
 
@@ -341,12 +338,6 @@ def is_gg_convex(
             f"[{a}, {b}] outside the positivity domain of {f.describe()}"
         )
     la, lb = math.log(a), math.log(b)
-    if midpoint_only:
-        xs = np.exp(la + (lb - la) * np.arange(grid_n + 1) / grid_n)
-        mids = np.sqrt(xs[:, None] * xs[None, :])
-        return _scan_midpoint_only(
-            _positive_logs(f, xs), _positive_logs(f, mids.ravel()).reshape(mids.shape), xs, tol
-        )
     m = grid_n * grid_n
     fine = np.exp(la + (lb - la) * np.arange(m + 1) / m)
     return _scan_fine_grid(_positive_logs(f, fine), fine, grid_n, tol)

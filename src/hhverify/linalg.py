@@ -223,16 +223,16 @@ def pd_power(a, t: float) -> np.ndarray:
     return power_from_decomp(eigh(m), t)
 
 
-def _psd_spectrum(d: SpectralDecomp, t: float) -> np.ndarray:
-    """The eigenvalues of d ready for the power t: tiny negatives within the
-    PSD tolerance clamped to zero, larger ones and negative powers of a
-    singular matrix refused."""
-    lam = d.eigenvalues.copy()
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    if lam[0] < -PSD_TOL * scale:
-        raise NotPositiveSemidefiniteError(f"matrix has eigenvalue {lam[0]!r} < 0")
-    lam[lam < 0.0] = 0.0
-    if t < 0.0 and lam[0] == 0.0:
+def _psd_spectrum(lam: np.ndarray, t: float) -> np.ndarray:
+    """Ascending eigenvalues, of one matrix or of each row of a (T, n) stack,
+    ready for the power t: tiny negatives within the PSD tolerance clamped to
+    zero, larger ones and negative powers of a singular matrix refused."""
+    if (lam[..., 0] < 0.0).any():
+        scale = np.maximum(1.0, np.max(np.abs(lam), axis=-1))
+        if (lam[..., 0] < -PSD_TOL * scale).any():
+            raise NotPositiveSemidefiniteError(f"matrix has eigenvalue {np.min(lam)!r} < 0")
+        lam = np.where(lam < 0.0, 0.0, lam)
+    if t < 0.0 and (lam[..., 0] == 0.0).any():
         raise SingularPowerError(f"negative power {t} of a singular matrix")
     return lam
 
@@ -252,7 +252,7 @@ def power_from_decomp(d: SpectralDecomp, t, original: np.ndarray | None = None) 
         return np.eye(d.dim)
     if t == 1.0 and original is not None:
         return original
-    return d.apply(np.power(_psd_spectrum(d, t), t))
+    return d.apply(np.power(_psd_spectrum(d.eigenvalues, t), t))
 
 
 # numpy evaluates a power with one of these scalar exponents as reciprocal,
@@ -271,7 +271,7 @@ def _power_stack(d: SpectralDecomp, ts: np.ndarray, original: np.ndarray | None)
     if rest.any():
         tr = ts[rest]
         # the guard names the first negative exponent, as a loop over ts would
-        lam = _psd_spectrum(d, float(tr[np.argmax(tr < 0.0)]))
+        lam = _psd_spectrum(d.eigenvalues, float(tr[np.argmax(tr < 0.0)]))
         vals = np.power(lam[None, :], tr[:, None])
         for k in np.flatnonzero(np.isin(tr, _SCALAR_POWER_SHORTCUTS)):
             vals[k] = np.power(lam, float(tr[k]))

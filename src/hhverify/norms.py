@@ -19,6 +19,7 @@ from .errors import (
     NotSquareError,
     SchattenOrderError,
 )
+from .functions import exact_g
 from .linalg import check_matrix
 
 
@@ -55,7 +56,7 @@ class NormSpec:
             return "opnorm"
         if p == 1.0:
             return "tracenorm"
-        return f"schatten:{p:g}"
+        return f"schatten:{exact_g(p)}"
 
     def of_singular_values(self, s: np.ndarray):
         """Evaluate the gauge on a descending singular-value vector.
@@ -155,16 +156,7 @@ def norms_of_stack(stack: np.ndarray, spec: NormSpec) -> np.ndarray:
         s = np.linalg.svd(stack, compute_uv=False)
     except np.linalg.LinAlgError as e:  # pragma: no cover
         raise ConvergenceError(f"singular value computation failed: {e}") from e
-    s = np.maximum(s, 0.0)
-    if spec.kind == "kyfan":
-        k = min(spec.params[0], s.shape[1])
-        return np.sum(s[:, :k], axis=1)
-    p = spec.params[0]
-    if p == math.inf:
-        return s[:, 0]
-    if p == 1.0:
-        return np.sum(s, axis=1)
-    return np.power(np.sum(np.power(s, p), axis=1), 1.0 / p)
+    return _gauge_rows(np.maximum(s, 0.0), spec)
 
 
 def norm_from_eigs(eigs: np.ndarray, spec: NormSpec) -> float:
@@ -176,10 +168,14 @@ def norm_from_eigs(eigs: np.ndarray, spec: NormSpec) -> float:
 
 def norms_from_eig_rows(rows: np.ndarray, spec: NormSpec) -> np.ndarray:
     """Row-wise ``norm_from_eigs`` for a (T, n) eigenvalue array."""
-    s = np.sort(np.abs(rows), axis=1)[:, ::-1]
+    return _gauge_rows(np.sort(np.abs(rows), axis=1)[:, ::-1], spec)
+
+
+def _gauge_rows(s: np.ndarray, spec: NormSpec) -> np.ndarray:
+    """The gauge of each row of a (T, n) array of descending singular values;
+    unlike NormSpec._of_rows, it takes the root as one array power."""
     if spec.kind == "kyfan":
-        k = min(spec.params[0], s.shape[1])
-        return np.sum(s[:, :k], axis=1)
+        return np.sum(s[:, : min(spec.params[0], s.shape[1])], axis=1)
     p = spec.params[0]
     if p == math.inf:
         return s[:, 0]

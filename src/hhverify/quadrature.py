@@ -82,6 +82,32 @@ def _mapped_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return mid + half * rule.nodes, half * rule.weights
 
 
+def _samples(g: Callable[[np.ndarray], np.ndarray], a: float, b: float, n: int):
+    """Weights and samples of ``g`` on the n-node rule of [a, b]: ``g`` takes
+    the node array and returns its samples stacked on a leading axis. A
+    non-finite sample is an error that names its first node."""
+    xs, ws = _mapped_nodes(a, b, n)
+    samples = np.asarray(g(xs), dtype=float)
+    if samples.shape[:1] != xs.shape:
+        raise DimMismatchError(
+            f"integrand returned shape {samples.shape} for {xs.shape[0]} nodes"
+        )
+    if not np.isfinite(samples).all():
+        bad = np.argmin(np.isfinite(samples.reshape(xs.shape[0], -1)).all(axis=1))
+        raise NonFiniteSampleError(f"integrand non-finite at node t={xs[bad]!r}")
+    return ws, samples
+
+
+def _checked(integrate, g, a: float, b: float, n: int):
+    """``integrate`` at n nodes, and whether it agrees with 2n nodes (n at most
+    MAX_NODES // 2): the Frobenius norm of the raveled difference is at most
+    DOUBLING_TOL times 1 + the norm of the n-node result."""
+    v1 = integrate(g, a, b, n)
+    v2 = integrate(g, a, b, 2 * n)
+    resid = float(np.linalg.norm(np.ravel(v1 - v2)))
+    return v1, resid <= DOUBLING_TOL * (1.0 + float(np.linalg.norm(np.ravel(v1))))
+
+
 def integrate_scalar(g: Callable[[np.ndarray], np.ndarray], a: float, b: float, n: int = 64) -> float:
     """Integral of ``g`` over [a, b]; ``g`` must accept a node array.
 
@@ -90,15 +116,9 @@ def integrate_scalar(g: Callable[[np.ndarray], np.ndarray], a: float, b: float, 
     """
     if a == b:
         return 0.0
-    xs, ws = _mapped_nodes(a, b, n)
-    vals = np.asarray(g(xs), dtype=float)
-    if vals.shape != xs.shape:
-        raise DimMismatchError(
-            f"integrand returned shape {vals.shape} for {xs.shape[0]} nodes"
-        )
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        raise NonFiniteSampleError(f"integrand non-finite at node t={xs[bad][0]!r}")
+    ws, vals = _samples(g, a, b, n)
+    if vals.ndim != 1:
+        raise DimMismatchError(f"scalar integrand returned shape {vals.shape}")
     return float(ws @ vals)
 
 
@@ -112,19 +132,10 @@ def integrate_matrix(
     non-finite sample is an error that names its node.
     """
     if a == b:
-        probe = np.asarray(g(np.asarray([a])), dtype=float)
-        return np.zeros(probe.shape[1:])
-    xs, ws = _mapped_nodes(a, b, n)
-    samples = np.asarray(g(xs), dtype=float)
-    if samples.shape[0] != xs.shape[0]:
-        raise DimMismatchError(
-            f"stacked integrand returned leading axis {samples.shape[0]} "
-            f"for {xs.shape[0]} nodes"
-        )
+        return np.zeros(np.asarray(g(np.asarray([a])), dtype=float).shape[1:])
+    ws, samples = _samples(g, a, b, n)
     total = np.zeros(samples.shape[1:])
-    for t, w, sample in zip(xs, ws, samples):
-        if not np.isfinite(sample).all():
-            raise NonFiniteSampleError(f"matrix integrand non-finite at node t={t!r}")
+    for w, sample in zip(ws, samples):
         total += w * sample
     return total
 
@@ -133,36 +144,20 @@ def integrate_scalar_checked(
     g: Callable[[np.ndarray], np.ndarray], a: float, b: float, n: int = 64
 ) -> tuple[float, bool]:
     """Integral plus a doubling-check reliability flag."""
-    v1 = integrate_scalar(g, a, b, n)
-    v2 = integrate_scalar(g, a, b, min(2 * n, MAX_NODES))
-    reliable = abs(v1 - v2) <= DOUBLING_TOL * (1.0 + abs(v1))
-    return v1, reliable
+    return _checked(integrate_scalar, g, a, b, n)
 
 
 def integrate_matrix_checked(
     g: Callable[[np.ndarray], np.ndarray], a: float, b: float, n: int = 64
 ) -> tuple[np.ndarray, bool]:
     """Matrix integral plus a doubling-check flag (Frobenius comparison)."""
-    v1 = integrate_matrix(g, a, b, n)
-    v2 = integrate_matrix(g, a, b, min(2 * n, MAX_NODES))
-    resid = float(np.linalg.norm(v1 - v2))
-    reliable = resid <= DOUBLING_TOL * (1.0 + float(np.linalg.norm(v1)))
-    return v1, reliable
+    return _checked(integrate_matrix, g, a, b, n)
 
 
 def _integrate_stack(
     g: Callable[[np.ndarray], np.ndarray], a: float, b: float, n: int
 ) -> np.ndarray:
-    xs, ws = _mapped_nodes(a, b, n)
-    samples = np.asarray(g(xs), dtype=float)
-    if samples.shape[0] != xs.shape[0]:
-        raise DimMismatchError(
-            f"stacked integrand returned leading axis {samples.shape[0]} "
-            f"for {xs.shape[0]} nodes"
-        )
-    if not np.isfinite(samples).all():
-        bad = np.where(~np.isfinite(samples.reshape(xs.shape[0], -1)).all(axis=1))[0][0]
-        raise NonFiniteSampleError(f"stacked integrand non-finite at node t={xs[bad]!r}")
+    ws, samples = _samples(g, a, b, n)
     return np.tensordot(ws, samples, axes=(0, 0))
 
 
@@ -177,10 +172,5 @@ def integrate_stack_checked(
     Degenerate intervals integrate to a zero block probed from ``g``.
     """
     if a == b:
-        probe = np.asarray(g(np.asarray([a])), dtype=float)
-        return np.zeros(probe.shape[1:]), True
-    v1 = _integrate_stack(g, a, b, n)
-    v2 = _integrate_stack(g, a, b, min(2 * n, MAX_NODES))
-    resid = float(np.linalg.norm(np.ravel(v1 - v2)))
-    reliable = resid <= DOUBLING_TOL * (1.0 + float(np.linalg.norm(np.ravel(v1))))
-    return v1, reliable
+        return np.zeros(np.asarray(g(np.asarray([a])), dtype=float).shape[1:]), True
+    return _checked(_integrate_stack, g, a, b, n)

@@ -21,7 +21,7 @@ from hhverify import (
     select_theorems,
     serialize_report,
 )
-from hhverify import campaign
+from hhverify import campaign, chains
 from hhverify.campaign import (
     DROP_COMMUTATIVITY,
     DROP_CONVEXITY_GUARD,
@@ -90,6 +90,7 @@ def test_config_validation():
         dict(atol=-1.0),
         dict(nu=1.5),
         dict(quad_n=0),
+        dict(quad_n=257),
         dict(quad_n=513),
         dict(ablation=frozenset({"DROP_EVERYTHING"})),
         dict(theorem_ids=("nope",)),
@@ -287,6 +288,21 @@ def test_exit_code_three_on_unreliable_fraction(monkeypatch):
     assert report.stats[0].min_margin is None
 
 
+@pytest.mark.parametrize("error", [ConvergenceError, np.linalg.LinAlgError])
+def test_convergence_and_lapack_errors_make_the_trial_unreliable(error, monkeypatch):
+    def broken(stream, dim, p):
+        raise error("planted")
+
+    monkeypatch.setitem(
+        campaign.THEOREMS, "scalar_ag", replace(campaign.THEOREMS["scalar_ag"], run=broken)
+    )
+    report = run_campaign(CampaignConfig(theorem_ids=("scalar_ag",), **SMALL))
+    assert report.stats[0].unreliable_count == report.stats[0].trials_run == 20
+    assert report.exit_code == 3
+    _, payload, outcome = demo_trial("scalar_ag", 7, 2)
+    assert not outcome.quad_reliable and not payload["passed"]
+
+
 def test_genuine_violation_outranks_unreliable(monkeypatch):
     from hhverify import campaign as mod
 
@@ -467,7 +483,7 @@ def _ref_op_gg_hh(stream, dim, p):
         t2, ok = _ref_integrate_matrix_checked(node, p.quad_n)
     except (np.linalg.LinAlgError, ConvergenceError):
         return _unreliable("op_gg_hh")
-    t3 = 0.5 * (campaign._log_f_of_sym(da, p.f) + campaign._log_f_of_sym(db, p.f))
+    t3 = 0.5 * (chains._log_f_of_sym(da, p.f) + chains._log_f_of_sym(db, p.f))
     return _order_report_from_matrices(
         "op_gg_hh", GG_HH_TERM_NAMES, (t1, t2, t3), p.rtol, quad_reliable=ok, hypothesis_ok=False
     )
@@ -540,31 +556,24 @@ def _ref_phi_operator(stream, dim, p):
 
 
 _NC_CASES = (
-    ("op_gg_hh", campaign._run_op_gg_hh_nc, _ref_op_gg_hh, ("opnorm",)),
-    ("op_ag_midpoint", campaign._run_op_ag_midpoint_nc, _ref_op_ag_midpoint, ("opnorm",)),
+    ("op_gg_hh", _ref_op_gg_hh, ("opnorm",)),
+    ("op_ag_midpoint", _ref_op_ag_midpoint, ("opnorm",)),
     (
         "op_norm_gg",
-        lambda s, d, p: campaign._run_norm_gg_nc("op_norm_gg", s, d, p),
         lambda s, d, p: _ref_norm_gg("op_norm_gg", s, d, p),
         ("opnorm", "schatten:2", "kyfan:2", "schatten:3"),
     ),
     (
         "exp_norm",
-        lambda s, d, p: campaign._run_norm_gg_nc("exp_norm", s, d, p),
         lambda s, d, p: _ref_norm_gg("exp_norm", s, d, p),
         ("opnorm", "kyfan:2"),
     ),
-    (
-        "phi_operator",
-        campaign._run_phi_operator_nc,
-        _ref_phi_operator,
-        ("opnorm", "schatten:2", "kyfan:2"),
-    ),
+    ("phi_operator", _ref_phi_operator, ("opnorm", "schatten:2", "kyfan:2")),
 )
 
 
-@pytest.mark.parametrize("tid, stacked, reference, norms", _NC_CASES, ids=[c[0] for c in _NC_CASES])
-def test_stacked_nc_runners_match_per_node_loop(tid, stacked, reference, norms):
+@pytest.mark.parametrize("tid, reference, norms", _NC_CASES, ids=[c[0] for c in _NC_CASES])
+def test_stacked_nc_runners_match_per_node_loop(tid, reference, norms):
     for norm_text in norms:
         for fn, quad_n in ((None, 64), (FunctionSpec.power(3.0), 33)):
             cfg = CampaignConfig(
@@ -577,7 +586,7 @@ def test_stacked_nc_runners_match_per_node_loop(tid, stacked, reference, norms):
                 for trial in range(2):
                     seed = derive_trial_seed(2015, dim, trial)
                     want = outcome_to_dict(reference(RandomStream(seed), dim, params))
-                    got = outcome_to_dict(stacked(RandomStream(seed), dim, params))
+                    got = outcome_to_dict(run_trial(tid, seed, dim, params))
                     assert got == want, (tid, norm_text, fn, dim, seed)
 
 
@@ -585,28 +594,28 @@ def test_general_apply_refuses_any_bad_matrix_in_a_stack():
     good = np.array([[2.0, 0.5], [0.3, 1.0]])
     stack = np.stack([good, good, good])
     np.testing.assert_array_equal(
-        campaign._general_apply(stack, np.sqrt)[1], _ref_general_apply(good, np.sqrt)
+        chains._general_apply(stack, np.sqrt)[1], _ref_general_apply(good, np.sqrt)
     )
     negative = stack.copy()
     negative[1] = -good  # one non-positive spectrum in the middle of the stack
     with pytest.raises(ConvergenceError):
-        campaign._general_apply(negative, np.sqrt)
+        chains._general_apply(negative, np.sqrt)
     rotation = stack.copy()
     rotation[2] = [[1.0, -2.0], [2.0, 1.0]]  # eigenvalues 1 +- 2i
     with pytest.raises(ConvergenceError):
-        campaign._general_apply(rotation, np.sqrt)
+        chains._general_apply(rotation, np.sqrt)
 
 
 @pytest.mark.parametrize("tid", ["op_gg_hh", "phi_operator"])
 def test_one_bad_node_makes_the_nc_trial_unreliable(tid, monkeypatch):
-    real_products = campaign._weighted_products
+    real_products = chains._weighted_products
 
     def one_bad_node(da, db, a, b, ts):
         out = real_products(da, db, a, b, ts)
         out[min(3, ts.shape[0] - 1)] *= -1.0  # a negative spectrum at one node
         return out
 
-    monkeypatch.setattr(campaign, "_weighted_products", one_bad_node)
+    monkeypatch.setattr(chains, "_weighted_products", one_bad_node)
     params = resolve_params(tid, CampaignConfig(ablation=frozenset({DROP_COMMUTATIVITY})))
     outcome = run_trial(tid, derive_trial_seed(3, 3, 0), 3, params)
     assert not outcome.quad_reliable

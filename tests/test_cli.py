@@ -183,6 +183,25 @@ def test_verify_ablated_campaign_prints_repro_lines(capsys):
     assert "--ablation DROP_POSITIVITY" in out
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        "--theorem norm_power --rtol 1e-17 --atol 1e-300 --trials 200 --dim 2,3",
+        "--theorem kittaneh --ablation DROP_POSITIVITY --nu 0.123456789 --trials 20 --dim 2",
+    ],
+)
+def test_printed_repro_line_replays_the_worst_trial(args, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    main(["verify", *args.split(), "--out", str(report)])
+    out = capsys.readouterr().out
+    (worst,) = json.loads(report.read_text())["theorems"].values()
+    repro = out.split("): hhverify ", 1)[1].splitlines()[0]
+    code = main(repro.split())
+    payload = _demo_json(capsys.readouterr().out)
+    assert payload["margin"] == worst["min_margin"]
+    assert (code, payload["passed"]) == (1, False)
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -16,7 +16,13 @@ from hhverify import (
     scalar_mean_chain,
 )
 from hhverify.errors import DegenerateIntervalError, NonPositiveInputError
-from hhverify.functions import MEAN_CHAIN_NAMES, ConvexityVerdict, _scan_fine_grid
+from hhverify.functions import (
+    DEFAULT_GRID_N,
+    MEAN_CHAIN_NAMES,
+    ConvexityVerdict,
+    _scan_fine_grid,
+    _scan_midpoint_only,
+)
 
 
 def test_eval_fixtures():
@@ -66,7 +72,9 @@ def test_constructor_validation():
 
 
 def test_parse_function_round_trip():
-    for text in ("exp:1", "exp:2.5", "power:2", "power:-1.5", "poly:1,0,3", "inverse", "identity"):
+    texts = ("exp:1", "exp:2.5", "power:2", "power:-1.5", "poly:1,0,3", "inverse", "identity")
+    # a parameter that 6 significant digits cannot hold is described in 17
+    for text in texts + ("power:1.23456789", "poly:0.1234567891,2"):
         f = parse_function(text)
         assert parse_function(f.describe()).params == f.params
     assert parse_function("exp").params == (1.0,)
@@ -231,7 +239,9 @@ def test_midpoint_only_matches_full_scan_on_smooth_cases():
         (FunctionSpec.inverse(), 0.5, 4.0),
     ]:
         full = is_ag_convex(f, a, b)
-        mid = is_ag_convex(f, a, b, midpoint_only=True)
+        xs = a + (b - a) * np.arange(DEFAULT_GRID_N + 1) / DEFAULT_GRID_N
+        mids = 0.5 * (xs[:, None] + xs[None, :])
+        mid = _scan_midpoint_only(np.log(f.eval_array(xs)), np.log(f.eval_array(mids)), xs, 1e-10)
         assert full.holds == mid.holds
 
 

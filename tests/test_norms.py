@@ -95,6 +95,7 @@ def test_parse_norm():
     assert parse_norm("opnorm").describe() == "opnorm"
     assert parse_norm("tracenorm").describe() == "tracenorm"
     assert parse_norm("schatten:3").describe() == "schatten:3"
+    assert parse_norm("schatten:3.14159265").describe() == "schatten:3.14159265"
     assert parse_norm("schatten:inf").describe() == "opnorm"
     assert parse_norm("kyfan:2").describe() == "kyfan:2"
     for bad in ("", "schatten:0.2", "kyfan:x", "nuclear"):

@@ -106,6 +106,18 @@ def test_checked_kinked_integrand_is_flagged():
     assert not ok
 
 
+def test_doubling_check_compares_n_with_exactly_2n_nodes():
+    # the kink at 1/3 defeats every rule up to 256 nodes; a 2n capped at
+    # MAX_NODES would compare the 512-node rule with itself and pass it
+    def g(t):
+        return np.exp(np.abs(t - 1.0 / 3.0))
+
+    for n in (64, 255, MAX_NODES // 2):
+        assert not integrate_stack_checked(g, 0.0, 1.0, n)[1], n
+    with pytest.raises(NodeCountError):
+        integrate_stack_checked(g, 0.0, 1.0, MAX_NODES // 2 + 1)
+
+
 def test_matrix_integral_adds_nodes_in_order_and_names_a_bad_node():
     rng = np.random.default_rng(4)
     samples = rng.standard_normal((40, 3, 3))
