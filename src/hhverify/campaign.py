@@ -30,20 +30,22 @@ from .chains import (
     ChainReport,
     InequalityReport,
     OrderChainReport,
-    PhiDiagonal,
-    PhiOperator,
     PhiProduct,
-    PhiSandwich,
     TraceVariant,
     UinVariant,
     _advisory_convexity,
     _am_gm_stack,
+    _commuting_order_stack,
     _det_ag_stack,
-    _joint_range,
+    _joint_ranges,
     _kittaneh_stack,
     _means_stack,
     _norm_power_stack,
     _operator_convex,
+    _phi_operator_verdicts,
+    _scalar_hh_stack,
+    _two_sided_verdicts,
+    _TwoSidedPowers,
     ag_convexity_witness,
     det_ag_indefinite,
     dragomir_operator_chain,
@@ -51,17 +53,14 @@ from .chains import (
     norm_gg_general,
     op_ag_midpoint_general,
     op_gg_hh_general,
-    operator_ag_midpoint_order_chain,
-    operator_gg_hh_order_chain,
     operator_norm_gg_chain,
-    scalar_hh_chain,
     trace_chain,
     trace_chain_general,
     uin_chain,
 )
 from .errors import ConfigError, ConvergenceError, DomainViolationError, NonFiniteSampleError
 from .functions import ConvexityVerdict, FunctionSpec, exact_g
-from .linalg import MAX_DIM, CommutingPair
+from .linalg import MAX_DIM, CommutingPair, check_commuting_stack
 from .norms import NormSpec
 from .quadrature import MAX_NODES
 from .sampler import (
@@ -124,17 +123,26 @@ def _unreliable(theorem_id: str) -> InequalityReport:
 # trial input sampling
 
 
-def _scalar_interval(stream: RandomStream) -> tuple[float, float]:
+def _scalar_interval(stream: RandomStream) -> tuple[np.ndarray, np.ndarray]:
     vals = _log_uniform(stream, 2, SPD_LO, SPD_HI)
-    a, b = float(min(vals)), float(max(vals))
-    if a == b:  # measure-zero tie
-        b = float(np.nextafter(b, np.inf))
+    a, b = vals.min(axis=-1), vals.max(axis=-1)
+    tie = a == b  # measure zero: b moves up by one ulp
+    if tie.any():
+        b = np.where(tie, np.nextafter(b, np.inf), b)
     return a, b
 
 
 def _commuting(stream: RandomStream, dim: int) -> CommutingPair:
     q, a, b = random_commuting_pair(stream, dim, SPD_LO, SPD_HI)
     return CommutingPair(q=q, a=a, b=b)
+
+
+def _commuting_spectra(stream: RandomStream, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The spectra of a block's commuting pairs, checked as CommutingPair
+    checks each pair."""
+    q, a, b = random_commuting_pair(stream, dim, SPD_LO, SPD_HI)
+    check_commuting_stack(q, a, b)
+    return a, b
 
 
 def _spd_pair(stream: RandomStream, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -185,6 +193,17 @@ def _symmetric_nu(theorem_id: str, nu: float) -> float:
     return nu
 
 
+class _StackOfOne:
+    """The run of a row whose trials run as stacks: its batch on a stack of
+    one, so a replay and the campaign share one kernel."""
+
+    def __init__(self, batch: Callable):
+        self.batch = batch
+
+    def __call__(self, stream: RandomStream, dim: int, params: "TrialParams"):
+        return self.batch(np.array([stream.seed], dtype=np.uint64), dim, params)[0]
+
+
 @dataclass(frozen=True)
 class Theorem:
     """Everything the campaign knows about one theorem id.
@@ -192,7 +211,8 @@ class Theorem:
     ``run(stream, dim, params)`` draws the trial inputs and returns the
     report. ``batch(seeds, dim, params)``, where a row has one, runs the
     trials of a 1-d uint64 array of seeds as one stack and returns their
-    reports in order; such a row's ``run`` is its batch on a stack of one.
+    reports in order; it is the batch of a ``run`` made by ``_batched``, so
+    a row whose run is replaced runs one trial at a time.
     ``drop_commutativity`` and ``drop_positivity`` are the runners
     that replace it under those ablation flags (None: the flag does not
     apply); ``convexity_guard`` says whether DROP_CONVEXITY_GUARD applies.
@@ -204,7 +224,6 @@ class Theorem:
     """
 
     run: Callable
-    batch: Callable | None = None
     drop_commutativity: Callable | None = None
     drop_positivity: Callable | None = None
     convexity_guard: bool = False
@@ -212,21 +231,33 @@ class Theorem:
     schatten2: bool = False
     nu: Callable[[str, float], float] = _any_nu
 
+    @property
+    def batch(self) -> Callable | None:
+        return self.run.batch if isinstance(self.run, _StackOfOne) else None
+
 
 def _batched(batch: Callable, **kwargs) -> Theorem:
     """A row whose trials run as stacks; one trial is a stack of one."""
-    return Theorem(
-        lambda s, d, p: batch(np.array([s.seed], dtype=np.uint64), d, p)[0],
-        batch=batch,
-        **kwargs,
-    )
+    return Theorem(_StackOfOne(batch), **kwargs)
 
 
 def _scalar_hh(kind: str) -> Theorem:
-    return Theorem(
-        lambda s, d, p: scalar_hh_chain(
-            kind, p.f, *_scalar_interval(s), p.quad_n, p.rtol, p.atol, p.check_hypothesis
+    return _batched(
+        lambda seeds, d, p: _scalar_hh_stack(
+            kind, p.f, *_scalar_interval(RandomStream(seeds)), p.quad_n, p.rtol, p.atol,
+            p.check_hypothesis,
         ),
+        convexity_guard=True,
+    )
+
+
+def _commuting_order(theorem_id: str, general) -> Theorem:
+    return _batched(
+        lambda seeds, d, p: _commuting_order_stack(
+            theorem_id, p.f, *_commuting_spectra(RandomStream(seeds), d), p.quad_n, p.rtol,
+            p.check_hypothesis,
+        ),
+        drop_commutativity=lambda s, d, p: general(p.f, *_spd_pair(s, d), p.quad_n, p.rtol),
         convexity_guard=True,
     )
 
@@ -254,17 +285,33 @@ def _trace(variant: TraceVariant) -> Theorem:
     )
 
 
-def _witness(theorem_id: str, curve, p: TrialParams, hypothesis_ok: bool = True):
-    verdict = ag_convexity_witness(curve, p.norm)
+def _witness(theorem_id: str, verdict: ConvexityVerdict, hypothesis_ok: bool = True):
     return WitnessOutcome(
         theorem_id=theorem_id, verdict=verdict, passed=verdict.holds, hypothesis_ok=hypothesis_ok
     )
 
 
-def _run_phi_operator(stream: RandomStream, dim: int, p: TrialParams):
-    pair = _commuting(stream, dim)
-    hypothesis_ok = _advisory_convexity(p.f, *_joint_range(pair), True, p.check_hypothesis)
-    return _witness("phi_operator", PhiOperator(f=p.f, pair=pair), p, hypothesis_ok)
+def _phi_operator_batch(seeds: np.ndarray, dim: int, p: TrialParams):
+    a, b = _commuting_spectra(RandomStream(seeds), dim)
+    # the witness refuses a joint spectrum outside the domain of f, which the
+    # hypothesis scan then may assume
+    verdicts = _phi_operator_verdicts(p.f, a, b, p.norm)
+    holds = _advisory_convexity(p.f, *_joint_ranges(a, b), True, p.check_hypothesis)
+    return [_witness("phi_operator", v, ok) for v, ok in zip(verdicts, holds)]
+
+
+def _two_sided_witness(theorem_id: str, diagonal: bool) -> Theorem:
+    return _batched(
+        lambda seeds, d, p: [
+            _witness(theorem_id, v)
+            for v in _two_sided_verdicts(
+                _TwoSidedPowers.of_stacks(*_spd_pair_with_x(RandomStream(seeds), d)),
+                diagonal,
+                p.norm,
+            )
+        ],
+        schatten2=True,
+    )
 
 
 def _uin(variant: UinVariant, nu=_any_nu) -> Theorem:
@@ -289,23 +336,9 @@ THEOREMS = {
         lambda s, d, p: dragomir_operator_chain(p.f, *_spd_pair(s, d), p.quad_n, p.rtol, p.atol),
         fn=_operator_convex_fn,
     ),
-    "op_gg_hh": Theorem(
-        lambda s, d, p: operator_gg_hh_order_chain(
-            p.f, _commuting(s, d), p.quad_n, p.rtol, check_hypothesis=p.check_hypothesis
-        ),
-        drop_commutativity=lambda s, d, p: op_gg_hh_general(
-            p.f, *_spd_pair(s, d), p.quad_n, p.rtol
-        ),
-        convexity_guard=True,
-    ),
-    "op_ag_midpoint": Theorem(
-        lambda s, d, p: operator_ag_midpoint_order_chain(
-            p.f, _commuting(s, d), p.quad_n, p.rtol, check_hypothesis=p.check_hypothesis
-        ),
-        drop_commutativity=lambda s, d, p: op_ag_midpoint_general(
-            p.f, *_spd_pair(s, d), p.quad_n, p.rtol
-        ),
-        convexity_guard=True,
+    "op_gg_hh": _commuting_order("op_gg_hh", lambda *args: op_gg_hh_general(*args)),
+    "op_ag_midpoint": _commuting_order(
+        "op_ag_midpoint", lambda *args: op_ag_midpoint_general(*args)
     ),
     "op_norm_gg": _norm_gg("op_norm_gg", _fn_or_exp),
     "exp_norm": _norm_gg("exp_norm", _exp_only),
@@ -337,21 +370,17 @@ THEOREMS = {
         ),
         schatten2=True,
     ),
-    "phi_operator": Theorem(
-        _run_phi_operator,
+    "phi_operator": _batched(
+        _phi_operator_batch,
         drop_commutativity=lambda s, d, p: _witness(
-            "phi_operator", PhiProduct(p.f, *_spd_pair(s, d)), p, hypothesis_ok=False
+            "phi_operator",
+            ag_convexity_witness(PhiProduct(p.f, *_spd_pair(s, d)), p.norm),
+            hypothesis_ok=False,
         ),
         convexity_guard=True,
     ),
-    "phi_sandwich": Theorem(
-        lambda s, d, p: _witness("phi_sandwich", PhiSandwich(*_spd_pair_with_x(s, d)), p),
-        schatten2=True,
-    ),
-    "phi_diagonal": Theorem(
-        lambda s, d, p: _witness("phi_diagonal", PhiDiagonal(*_spd_pair_with_x(s, d)), p),
-        schatten2=True,
-    ),
+    "phi_sandwich": _two_sided_witness("phi_sandwich", diagonal=False),
+    "phi_diagonal": _two_sided_witness("phi_diagonal", diagonal=True),
     "uin_symmetric": _uin(UinVariant.SYMMETRIC, _symmetric_nu),
     "uin_end_left": _uin(UinVariant.END_LEFT, lambda t, nu: min(_inner_nu(t, nu), 1.0 - nu)),
     "uin_end_right": _uin(UinVariant.END_RIGHT, lambda t, nu: max(_inner_nu(t, nu), 1.0 - nu)),

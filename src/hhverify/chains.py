@@ -30,19 +30,22 @@ from .functions import (
     DEFAULT_CONVEXITY_TOL,
     DEFAULT_GRID_N,
     MEAN_CHAIN_NAMES,
+    STACK_ENTRIES,
     ConvexityVerdict,
     FunctionSpec,
+    _blocks,
     _check_grid_n,
     _positive_logs,
     _scan_fine_grid,
-    is_ag_convex,
-    is_gg_convex,
+    convexity_verdicts,
 )
 from .linalg import (
     _SCALAR_POWER_SHORTCUTS,
     CommutingPair,
     LoewnerOrdering,
+    SpectralDecomp,
     _psd_spectrum,
+    _signed_eigh,
     _sym,
     check_matrix,
     check_symmetric,
@@ -53,7 +56,11 @@ from .linalg import (
     power_from_decomp,
 )
 from .norms import NormSpec, norm, norms_from_eig_rows, norms_of_stack
-from .quadrature import integrate_matrix_checked, integrate_stack_checked
+from .quadrature import (
+    integrate_matrix_checked,
+    integrate_stack_checked,
+    integrate_trials_checked,
+)
 
 DEFAULT_RTOL = 1e-8
 DEFAULT_ATOL = 1e-12
@@ -192,7 +199,6 @@ def hh_terms(anchors, log_curve, edges, quad_n: int, span: float | None = None):
 
     and whether every piece passed the quadrature doubling check.
     """
-    v_lo, v_q1, v_mid, v_q2, v_hi = anchors
     integral, reliable = 0.0, True
     for k in range(len(edges) - 1):
         piece, ok = integrate_stack_checked(
@@ -202,14 +208,19 @@ def hh_terms(anchors, log_curve, edges, quad_n: int, span: float | None = None):
         reliable = reliable and ok
     if span is None:
         span = edges[-1] - edges[0]
-    terms = (
+    return _hh_ending(anchors, integral, span), reliable
+
+
+def _hh_ending(anchors, integral: float, span: float) -> tuple[float, ...]:
+    """The five hh_terms of the anchors and the integral of log v over span."""
+    v_lo, v_q1, v_mid, v_q2, v_hi = anchors
+    return (
         v_mid,
         math.sqrt(v_q1 * v_q2),
         math.exp(integral / span),
         math.sqrt(v_mid) * v_lo**0.25 * v_hi**0.25,
         math.sqrt(v_lo * v_hi),
     )
-    return terms, reliable
 
 
 def _order_report_from_rows(
@@ -222,21 +233,33 @@ def _order_report_from_rows(
 ) -> OrderChainReport:
     """Loewner chain for terms sharing one eigenbasis: the eigenvalues of each
     difference are exactly the entrywise differences of the rows."""
-    comps = []
-    passed = True
-    for k in range(len(rows) - 1):
-        lo_row, hi_row = np.asarray(rows[k]), np.asarray(rows[k + 1])
-        gap = float(np.min(hi_row - lo_row))
-        scale = max(1.0, float(np.max(np.abs(lo_row))), float(np.max(np.abs(hi_row))))
-        comps.append(Comparison(names[k], names[k + 1], gap))
-        passed = passed and gap >= -rtol * scale
-    return OrderChainReport(
-        theorem_id=theorem_id,
-        comparisons=tuple(comps),
-        passed=passed,
-        quad_reliable=quad_reliable,
-        hypothesis_ok=hypothesis_ok,
-    )
+    stacks = [np.asarray(r, dtype=float)[None] for r in rows]
+    return _order_reports(theorem_id, names, stacks, rtol, [quad_reliable], [hypothesis_ok])[0]
+
+
+def _order_reports(
+    theorem_id: str, names: tuple[str, ...], rows, rtol: float, quad_reliable, hypothesis_ok
+) -> list[OrderChainReport]:
+    """_order_report_from_rows of each trial of the (T, n) stacks in rows,
+    with the T flags of quad_reliable and hypothesis_ok. Minima, maxima and
+    absolute values are exact, so taking them along rows leaves the bits."""
+    terms = np.array(rows)  # (terms, T, n)
+    gaps = (terms[1:] - terms[:-1]).min(axis=2)
+    peaks = np.abs(terms).max(axis=2)
+    passed = gaps >= -rtol * np.maximum(1.0, np.maximum(peaks[:-1], peaks[1:]))
+    links = tuple(zip(names[:-1], names[1:]))
+    return [
+        OrderChainReport(
+            theorem_id=theorem_id,
+            comparisons=tuple(Comparison(lo, hi, gap) for (lo, hi), gap in zip(links, trial_gaps)),
+            passed=all(trial_passed),
+            quad_reliable=r,
+            hypothesis_ok=h,
+        )
+        for trial_gaps, trial_passed, r, h in zip(
+            gaps.T.tolist(), passed.T.tolist(), quad_reliable, hypothesis_ok
+        )
+    ]
 
 
 def _order_report_from_matrices(
@@ -289,38 +312,76 @@ def scalar_hh_chain(
     log b - log a). The convexity grid test is advisory; its failure flags
     the report instead of aborting.
     """
+    return _scalar_hh_stack(
+        kind, f, np.array([a], dtype=float), np.array([b], dtype=float), quad_n, rtol, atol,
+        check_hypothesis,
+    )[0]
+
+
+def _scalar_hh_stack(
+    kind: str, f: FunctionSpec, a: np.ndarray, b: np.ndarray, quad_n: int, rtol: float,
+    atol: float, check_hypothesis: bool,
+) -> list[ChainReport]:
+    """scalar_hh_chain on each interval [a[t], b[t]] of two (T,) arrays, in
+    blocks of whole trials (see the stacked kernels below)."""
     mode = kind.lower()
     if mode not in ("ag", "gg"):
         raise ConfigError(f"chain kind must be 'ag' or 'gg', got {kind!r}")
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainViolationError(f"endpoints must be finite, got [{a}, {b}]")
-    if not a < b:
-        raise DegenerateIntervalError(f"need a < b, got [{a}, {b}]")
-    if mode == "gg" and a <= 0.0:
-        raise NonPositiveInputError(f"GG chain needs a > 0, got a={a}")
-    if not f.contains_interval(a, b):
-        raise DomainViolationError(f"[{a}, {b}] outside the domain of {f.describe()}")
-    hypothesis_ok = _advisory_convexity(f, a, b, mode == "gg", check_hypothesis)
+    for lo, hi in zip(a.tolist(), b.tolist()):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise DomainViolationError(f"endpoints must be finite, got [{lo}, {hi}]")
+        if not lo < hi:
+            raise DegenerateIntervalError(f"need a < b, got [{lo}, {hi}]")
+        if mode == "gg" and lo <= 0.0:
+            raise NonPositiveInputError(f"GG chain needs a > 0, got a={lo}")
+        if not f.contains_interval(lo, hi):
+            raise DomainViolationError(f"[{lo}, {hi}] outside the domain of {f.describe()}")
+    width = max(DEFAULT_GRID_N * DEFAULT_GRID_N + 1, 2 * quad_n)
+    return [
+        report
+        for sl in _blocks(a.shape[0], width)
+        for report in _scalar_hh_block(mode, f, a[sl], b[sl], quad_n, rtol, atol, check_hypothesis)
+    ]
 
-    if mode == "ag":
-        q1, mid, q2 = 0.25 * (3 * a + b), 0.5 * (a + b), 0.25 * (a + 3 * b)
-        log_f, span = (lambda ts: _positive_logs(f, ts)), b - a
+
+def _scalar_hh_block(mode, f, a, b, quad_n, rtol, atol, check_hypothesis) -> list[ChainReport]:
+    gg = mode == "gg"
+    holds = _advisory_convexity(f, a, b, gg, check_hypothesis)
+    if gg:
+        # math.log and math.exp, as np.log and np.exp can differ in the last bit
+        la = [math.log(x) for x in a.tolist()]
+        lb = [math.log(x) for x in b.tolist()]
+        inner = np.array([
+            (math.exp(0.25 * (3 * x + y)), math.exp(0.5 * (x + y)), math.exp(0.25 * (x + 3 * y)))
+            for x, y in zip(la, lb)
+        ]).reshape(-1, 3)
+        q1, mid, q2 = inner.T
+        spans = [y - x for x, y in zip(la, lb)]
+
+        def log_f(ts: np.ndarray) -> np.ndarray:
+            return _positive_logs(f, ts) / ts
+
     else:
-        la, lb = math.log(a), math.log(b)
-        q1 = math.exp(0.25 * (3 * la + lb))
-        mid = math.exp(0.5 * (la + lb))
-        q2 = math.exp(0.25 * (la + 3 * lb))
-        log_f, span = (lambda ts: _positive_logs(f, ts) / ts), lb - la
-    terms, reliable = hh_terms((f(a), f(q1), f(mid), f(q2), f(b)), log_f, (a, b), quad_n, span)
-    return _chain_report(
-        "scalar_ag" if mode == "ag" else "scalar_gg",
-        HH_TERM_NAMES,
-        terms,
-        rtol,
-        atol,
-        quad_reliable=reliable,
-        hypothesis_ok=hypothesis_ok,
-    )
+        q1, mid, q2 = 0.25 * (3 * a + b), 0.5 * (a + b), 0.25 * (a + 3 * b)
+        spans = (b - a).tolist()
+
+        def log_f(ts: np.ndarray) -> np.ndarray:
+            return _positive_logs(f, ts)
+
+    anchors = f.eval_array(np.array((a, q1, mid, q2, b))).T.tolist()
+    integrals, reliable = integrate_trials_checked(log_f, a, b, quad_n)
+    return [
+        _chain_report(
+            "scalar_gg" if gg else "scalar_ag",
+            HH_TERM_NAMES,
+            _hh_ending(anchors[t], float(integrals[t]), spans[t]),
+            rtol,
+            atol,
+            quad_reliable=reliable[t],
+            hypothesis_ok=holds[t],
+        )
+        for t in range(a.shape[0])
+    ]
 
 
 def scalar_mean_chain_report(
@@ -495,10 +556,7 @@ def kittaneh_check(
         raise DomainViolationError(f"weight must lie in [0, 1], got {nu}")
     ma, mb = check_symmetric(a), check_symmetric(b)
     mx = check_matrix(x)
-    if mx.shape != (ma.shape[0], mb.shape[0]):
-        raise DimMismatchError(
-            f"X of shape {mx.shape} does not bridge {ma.shape} and {mb.shape}"
-        )
+    _check_bridge(mx.shape, ma.shape, mb.shape)
     return _kittaneh_stack(ma[None], mb[None], mx[None], nu, norm_spec, rtol, atol)[0]
 
 
@@ -514,6 +572,17 @@ def kittaneh_check(
 # ** of Python floats, the report's own arithmetic) runs once per trial on the
 # (T,) results. A kernel raises whenever one of its trials alone would; the
 # campaign then re-runs the block one trial at a time.
+#
+# The kernels of the scalar and commuting chains and of the witness curves
+# (_scalar_hh_stack, _commuting_order_stack, _phi_operator_verdicts,
+# _two_sided_verdicts) follow the same rules, and keep two more steps per
+# trial: the convexity scan of each trial's row, and the contraction of each
+# trial's quadrature samples (integrate_trials_checked).
+
+
+def _check_bridge(x_shape, a_shape, b_shape) -> None:
+    if x_shape != (a_shape[0], b_shape[0]):
+        raise DimMismatchError(f"X of shape {x_shape} does not bridge {a_shape} and {b_shape}")
 
 
 def _require_finite(*stacks: np.ndarray) -> None:
@@ -675,33 +744,52 @@ GG_HH_TERM_NAMES = ("log_f_of_geomean", "integral_of_log_f", "log_endpoint_geome
 AG_MIDPOINT_TERM_NAMES = ("f_of_midpoint", "integral_of_geomean", "endpoint_geomean")
 
 
-def _joint_range(pair: CommutingPair) -> tuple[float, float]:
-    lo = float(min(np.min(pair.a), np.min(pair.b)))
-    hi = float(max(np.max(pair.a), np.max(pair.b)))
-    return lo, hi
+def _joint_ranges(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The smallest and largest eigenvalue of each pair of spectra of two
+    (T, n) stacks."""
+    both = np.concatenate((a, b), axis=1)
+    return both.min(axis=1), both.max(axis=1)
+
+
+def _require_in_domain(f: FunctionSpec, lo: np.ndarray, hi: np.ndarray) -> None:
+    for x, y in zip(lo.tolist(), hi.tolist()):
+        if not f.contains_interval(x, y):
+            raise DomainViolationError(
+                f"joint spectrum [{x}, {y}] outside the domain of {f.describe()}"
+            )
 
 
 def _advisory_convexity(
-    f: FunctionSpec, lo: float, hi: float, gg: bool, check_hypothesis: bool
-) -> bool:
-    # a single-point spectrum gives nothing to test
-    if not (check_hypothesis and lo < hi):
-        return True
-    convex = is_gg_convex if gg else is_ag_convex
-    return convex(f, lo, hi, DEFAULT_GRID_N, DEFAULT_CONVEXITY_TOL).holds
+    f: FunctionSpec, lo: np.ndarray, hi: np.ndarray, gg: bool, check_hypothesis: bool
+) -> list[bool]:
+    """Whether f passes is_gg_convex (gg) or is_ag_convex on each interval
+    [lo[t], hi[t]] of two (T,) arrays, inside the domain of f and positive
+    for gg; a single point gives nothing to test and passes."""
+    holds = [True] * lo.shape[0]
+    if check_hypothesis:
+        test = np.flatnonzero(lo < hi)
+        verdicts = convexity_verdicts(
+            f, lo[test], hi[test], gg, DEFAULT_GRID_N, DEFAULT_CONVEXITY_TOL
+        )
+        for k, verdict in zip(test.tolist(), verdicts):
+            holds[k] = verdict.holds
+    return holds
 
 
 def _commuting_prelude(
-    f: FunctionSpec, pair: CommutingPair, gg: bool, check_hypothesis: bool
-) -> bool:
+    f: FunctionSpec, a: np.ndarray, b: np.ndarray, gg: bool, check_hypothesis: bool
+) -> list[bool]:
     """Refuse a joint spectrum outside the domain of f, then return the
-    advisory convexity verdict of f on it."""
-    lo, hi = _joint_range(pair)
-    if not f.contains_interval(lo, hi):
-        raise DomainViolationError(
-            f"joint spectrum [{lo}, {hi}] outside the domain of {f.describe()}"
-        )
+    advisory convexity verdict of f on it, for each pair of spectra of two
+    (T, n) stacks."""
+    lo, hi = _joint_ranges(a, b)
+    _require_in_domain(f, lo, hi)
     return _advisory_convexity(f, lo, hi, gg, check_hypothesis)
+
+
+def _spectra(pair: CommutingPair) -> tuple[np.ndarray, np.ndarray]:
+    """The pair's spectra as a stack of one."""
+    return np.asarray(pair.a, dtype=float)[None], np.asarray(pair.b, dtype=float)[None]
 
 
 def operator_gg_hh_order_chain(
@@ -714,24 +802,9 @@ def operator_gg_hh_order_chain(
     """log f(sqrt(AB)) <= int_0^1 log f(A^t B^(1-t)) dt <= log sqrt(f(A) f(B))
     for a GG-convex f on a commuting positive pair, entrywise in the shared
     eigenbasis."""
-    av, bv = pair.a, pair.b
-    hypothesis_ok = _commuting_prelude(f, pair, True, check_hypothesis)
-    v1 = _positive_logs(f, np.sqrt(av * bv))
-
-    def rows(ts: np.ndarray) -> np.ndarray:
-        grid = np.power(av[None, :], ts[:, None]) * np.power(bv[None, :], (1.0 - ts)[:, None])
-        return _positive_logs(f, grid)
-
-    v2, reliable = integrate_stack_checked(rows, 0.0, 1.0, quad_n)
-    v3 = 0.5 * (_positive_logs(f, av) + _positive_logs(f, bv))
-    return _order_report_from_rows(
-        "op_gg_hh",
-        GG_HH_TERM_NAMES,
-        (v1, v2, v3),
-        rtol,
-        quad_reliable=reliable,
-        hypothesis_ok=hypothesis_ok,
-    )
+    return _commuting_order_stack(
+        "op_gg_hh", f, *_spectra(pair), quad_n, rtol, check_hypothesis
+    )[0]
 
 
 def operator_ag_midpoint_order_chain(
@@ -744,25 +817,55 @@ def operator_ag_midpoint_order_chain(
     """f((A+B)/2) <= int_0^1 sqrt(f(aA+(1-a)B) f((1-a)A+aB)) da <= sqrt(f(A)f(B))
     for an AG-convex f on a commuting positive pair; the square-rooted product
     is the entrywise geometric mean in the shared eigenbasis."""
-    av, bv = pair.a, pair.b
-    hypothesis_ok = _commuting_prelude(f, pair, False, check_hypothesis)
-    v1 = f.eval_array(0.5 * (av + bv))
+    return _commuting_order_stack(
+        "op_ag_midpoint", f, *_spectra(pair), quad_n, rtol, check_hypothesis
+    )[0]
 
-    def rows(ts: np.ndarray) -> np.ndarray:
-        fwd = f.eval_array(ts[:, None] * av[None, :] + (1.0 - ts)[:, None] * bv[None, :])
-        rev = f.eval_array((1.0 - ts)[:, None] * av[None, :] + ts[:, None] * bv[None, :])
-        return np.sqrt(fwd * rev)
 
-    v2, reliable = integrate_stack_checked(rows, 0.0, 1.0, quad_n)
-    v3 = np.sqrt(f.eval_array(av) * f.eval_array(bv))
-    return _order_report_from_rows(
-        "op_ag_midpoint",
-        AG_MIDPOINT_TERM_NAMES,
-        (v1, v2, v3),
-        rtol,
-        quad_reliable=reliable,
-        hypothesis_ok=hypothesis_ok,
-    )
+def _commuting_order_stack(
+    theorem_id: str, f: FunctionSpec, a: np.ndarray, b: np.ndarray, quad_n: int, rtol: float,
+    check_hypothesis: bool,
+) -> list[OrderChainReport]:
+    """The op_gg_hh or op_ag_midpoint chain of each commuting pair, given by
+    its spectra a[t], b[t] of two (T, n) stacks, in blocks of whole trials."""
+    width = max(DEFAULT_GRID_N * DEFAULT_GRID_N + 1, 2 * quad_n * a.shape[1])
+    return [
+        report
+        for sl in _blocks(a.shape[0], width)
+        for report in _commuting_order_block(
+            theorem_id, f, a[sl], b[sl], quad_n, rtol, check_hypothesis
+        )
+    ]
+
+
+def _commuting_order_block(theorem_id, f, a, b, quad_n, rtol, check_hypothesis):
+    gg = theorem_id == "op_gg_hh"
+    holds = _commuting_prelude(f, a, b, gg, check_hypothesis)
+    # nodes ts of shape (T, N) against spectra of shape (T, n): (T, N, n)
+    a3, b3 = a[:, None, :], b[:, None, :]
+    if gg:
+        v1 = _positive_logs(f, np.sqrt(a * b))
+
+        def rows(ts: np.ndarray) -> np.ndarray:
+            t = ts[:, :, None]
+            return _positive_logs(f, np.power(a3, t) * np.power(b3, 1.0 - t))
+
+    else:
+        v1 = f.eval_array(0.5 * (a + b))
+
+        def rows(ts: np.ndarray) -> np.ndarray:
+            t = ts[:, :, None]
+            fwd = f.eval_array(t * a3 + (1.0 - t) * b3)
+            rev = f.eval_array((1.0 - t) * a3 + t * b3)
+            return np.sqrt(fwd * rev)
+
+    v2, reliable = integrate_trials_checked(rows, np.zeros(len(a)), np.ones(len(a)), quad_n)
+    if gg:
+        v3 = 0.5 * (_positive_logs(f, a) + _positive_logs(f, b))
+    else:
+        v3 = np.sqrt(f.eval_array(a) * f.eval_array(b))
+    names = GG_HH_TERM_NAMES if gg else AG_MIDPOINT_TERM_NAMES
+    return _order_reports(theorem_id, names, (v1, v2, v3), rtol, reliable, holds)
 
 
 def _eig_crossings(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
@@ -807,7 +910,7 @@ def operator_norm_gg_chain(
     is phi(1/2) itself.
     """
     av, bv = pair.a, pair.b
-    hypothesis_ok = _commuting_prelude(f, pair, True, check_hypothesis)
+    hypothesis_ok = _commuting_prelude(f, *_spectra(pair), True, check_hypothesis)[0]
 
     def phi(u: float) -> float:
         eigs = np.power(av, u) * np.power(bv, 1.0 - u) if 0.0 < u < 1.0 else (
@@ -935,8 +1038,6 @@ def _trace_report(
 # one block, and longer node arrays (the phi grid) are cut into blocks so the
 # eig, inv and svd work arrays stay small
 _NODE_BLOCK = 128
-# curve points per block of the commuting and two-sided norm curves
-_CURVE_BLOCK = 16384
 
 
 def _in_blocks(fn, ts: np.ndarray, size: int) -> np.ndarray:
@@ -1154,37 +1255,111 @@ class PhiDiagonal:
 class _TwoSidedPowers:
     """Evaluates |||A^s X B^t||| for exponent arrays through the orthogonal
     reduction A^s X B^t = Qa (diag(la^s) (Qa' X Qb) diag(lb^t)) Qb', which the
-    norm family cannot see."""
+    norm family cannot see, for each trial of checked (T, m, m), (T, k, k)
+    and (T, m, k) stacks (see of_one and of_stacks)."""
 
-    def __init__(self, a, b, x):
-        ma, mb = check_symmetric(a), check_symmetric(b)
-        mx = check_matrix(x)
-        if mx.shape != (ma.shape[0], mb.shape[0]):
-            raise DimMismatchError(
-                f"X of shape {mx.shape} does not bridge {ma.shape} and {mb.shape}"
-            )
-        self.da, self.db = eigh(ma), eigh(mb)
-        if self.da.eigenvalues[0] <= 0.0 or self.db.eigenvalues[0] <= 0.0:
+    def __init__(self, ma: np.ndarray, mb: np.ndarray, mx: np.ndarray):
+        (self.la, self.qa), (self.lb, self.qb) = _signed_eigh(ma), _signed_eigh(mb)
+        if (self.la[:, 0] <= 0.0).any() or (self.lb[:, 0] <= 0.0).any():
             raise NotPositiveDefiniteError("fractional power base must be positive definite")
         self.ma, self.mb, self.mx = ma, mb, mx
-        self.core = self.da.q.T @ mx @ self.db.q
+        self.core = np.swapaxes(self.qa, 1, 2) @ mx @ self.qb
+
+    @classmethod
+    def of_one(cls, a, b, x) -> "_TwoSidedPowers":
+        """A stack of one, from matrices checked one by one."""
+        ma, mb = check_symmetric(a), check_symmetric(b)
+        mx = check_matrix(x)
+        _check_bridge(mx.shape, ma.shape, mb.shape)
+        return cls(ma[None], mb[None], mx[None])
+
+    @classmethod
+    def of_stacks(cls, a, b, x) -> "_TwoSidedPowers":
+        """The trials of stacks of A, B and X, checked as of_one checks each."""
+        ma, mb = check_symmetric_stack(a), check_symmetric_stack(b)
+        _require_finite(x)
+        _check_bridge(x.shape[1:], ma.shape[1:], mb.shape[1:])
+        return cls(ma, mb, x)
 
     def norms(self, ts: np.ndarray, second, spec: NormSpec) -> np.ndarray:
-        """Norm at each exponent pair (t, second(t)) of the array ts."""
-        la, lb = self.da.eigenvalues, self.db.eigenvalues
+        """Norm at each exponent pair (t, second(t)) of the array ts, for each
+        trial: shape (T, len(ts))."""
+        m, k = self.core.shape[1:]
 
-        def block(t: np.ndarray) -> np.ndarray:
-            left = np.power(la[None, :], t[:, None])
-            right = np.power(lb[None, :], second(t)[:, None])
-            return norms_of_stack(left[:, :, None] * self.core * right[:, None, :], spec)
+        def block(sl: slice, t: np.ndarray) -> np.ndarray:
+            left = np.power(self.la[sl, None, :], t[:, None])
+            right = np.power(self.lb[sl, None, :], second(t)[:, None])
+            prods = left[..., None] * self.core[sl, None] * right[..., None, :]
+            return norms_of_stack(prods.reshape(-1, m, k), spec).reshape(prods.shape[:2])
 
-        return _in_blocks(block, ts, _CURVE_BLOCK)
+        return _curve_stack(block, self.core.shape[0], ts, m * k)
 
     def direct(self, sa: float, sb: float) -> np.ndarray:
-        """Materialized A^sa X B^sb; exponents 0 and 1 incur no
-        reconstruction noise."""
-        m = self.mx if sa == 0.0 else power_from_decomp(self.da, sa, original=self.ma) @ self.mx
-        return m if sb == 0.0 else m @ power_from_decomp(self.db, sb, original=self.mb)
+        """Materialized A^sa X B^sb of a stack of one; exponents 0 and 1 incur
+        no reconstruction noise."""
+        mx = self.mx[0]
+        if sa != 0.0:
+            da = SpectralDecomp(q=self.qa[0], eigenvalues=self.la[0])
+            mx = power_from_decomp(da, sa, original=self.ma[0]) @ mx
+        if sb == 0.0:
+            return mx
+        db = SpectralDecomp(q=self.qb[0], eigenvalues=self.lb[0])
+        return mx @ power_from_decomp(db, sb, original=self.mb[0])
+
+
+def _curve_stack(block, trials: int, ts: np.ndarray, point_entries: int) -> np.ndarray:
+    """The (trials, len(ts)) values of a curve of each trial, from
+    ``block(sl, t)``, the values of the trials sl at the points t. Blocks
+    hold whole trials, or whole points of one trial when a trial alone is
+    larger, and at most STACK_ENTRIES entries at point_entries per point.
+    Each point's value is computed alone, so the blocking leaves its bits."""
+    per_trial = ts.shape[0] * point_entries
+    if per_trial <= STACK_ENTRIES:
+        return np.concatenate([block(sl, ts) for sl in _blocks(trials, per_trial)])
+    points = _blocks(ts.shape[0], point_entries)
+    return np.stack([
+        np.concatenate([block(slice(k, k + 1), ts[p])[0] for p in points]) for k in range(trials)
+    ])
+
+
+def _witness_scans(vals: np.ndarray, ts: np.ndarray, grid_n: int, tol: float):
+    """The convexity scan of the log of each row of a (T, len(ts)) array of
+    curve values on the fine grid ts."""
+    if not (np.isfinite(vals).all() and (vals > 0.0).all()):
+        raise DomainViolationError("norm curve is not strictly positive on [0, 1]")
+    return [_scan_fine_grid(row, ts, grid_n, tol) for row in np.log(vals)]
+
+
+def _witness_grid(grid_n: int) -> np.ndarray:
+    m = grid_n * grid_n
+    return np.arange(m + 1) / m
+
+
+def _phi_operator_verdicts(
+    f: FunctionSpec, a: np.ndarray, b: np.ndarray, norm_spec: NormSpec,
+    grid_n: int = DEFAULT_GRID_N, tol: float = DEFAULT_CONVEXITY_TOL,
+) -> list[ConvexityVerdict]:
+    """The PhiOperator witness of each commuting pair, given by its spectra
+    a[t], b[t] of two (T, n) stacks."""
+    _require_in_domain(f, *_joint_ranges(a, b))
+    ts = _witness_grid(grid_n)
+
+    def block(sl: slice, t: np.ndarray) -> np.ndarray:
+        grid = np.power(a[sl, None, :], t[:, None]) * np.power(b[sl, None, :], (1.0 - t)[:, None])
+        rows = f.eval_array(grid).reshape(-1, a.shape[1])
+        return norms_from_eig_rows(rows, norm_spec).reshape(grid.shape[:2])
+
+    return _witness_scans(_curve_stack(block, a.shape[0], ts, a.shape[1]), ts, grid_n, tol)
+
+
+def _two_sided_verdicts(
+    tp: _TwoSidedPowers, diagonal: bool, norm_spec: NormSpec,
+    grid_n: int = DEFAULT_GRID_N, tol: float = DEFAULT_CONVEXITY_TOL,
+) -> list[ConvexityVerdict]:
+    """The PhiDiagonal (diagonal) or PhiSandwich witness of each trial of tp."""
+    ts = _witness_grid(grid_n)
+    second = (lambda t: t) if diagonal else (lambda t: 1.0 - t)
+    return _witness_scans(tp.norms(ts, second, norm_spec), ts, grid_n, tol)
 
 
 def ag_convexity_witness(
@@ -1200,29 +1375,19 @@ def ag_convexity_witness(
     all coarse chords.
     """
     grid_n = _check_grid_n(grid_n)
-    m = grid_n * grid_n
-    ts = np.arange(m + 1) / m
     if isinstance(curve, PhiOperator):
-        av, bv = curve.pair.a, curve.pair.b
-        _commuting_prelude(curve.f, curve.pair, True, check_hypothesis=False)
-
-        def block(t: np.ndarray) -> np.ndarray:
-            grid = np.power(av[None, :], t[:, None]) * np.power(bv[None, :], (1.0 - t)[:, None])
-            return norms_from_eig_rows(curve.f.eval_array(grid), norm_spec)
-
-        vals = _in_blocks(block, ts, _CURVE_BLOCK)
+        verdicts = _phi_operator_verdicts(curve.f, *_spectra(curve.pair), norm_spec, grid_n, tol)
     elif isinstance(curve, PhiProduct):
+        ts = _witness_grid(grid_n)
         da, db = eigh(curve.a), eigh(curve.b)
         vals = _nc_phi(da, db, curve.a, curve.b, curve.f, norm_spec, ts)
-    elif isinstance(curve, PhiSandwich):
-        vals = _TwoSidedPowers(curve.a, curve.b, curve.x).norms(ts, lambda t: 1.0 - t, norm_spec)
-    elif isinstance(curve, PhiDiagonal):
-        vals = _TwoSidedPowers(curve.a, curve.b, curve.x).norms(ts, lambda t: t, norm_spec)
+        verdicts = _witness_scans(vals[None], ts, grid_n, tol)
+    elif isinstance(curve, (PhiSandwich, PhiDiagonal)):
+        tp = _TwoSidedPowers.of_one(curve.a, curve.b, curve.x)
+        verdicts = _two_sided_verdicts(tp, isinstance(curve, PhiDiagonal), norm_spec, grid_n, tol)
     else:
         raise ConfigError(f"unknown curve {curve!r}")
-    if not (np.isfinite(vals).all() and (vals > 0.0).all()):
-        raise DomainViolationError("norm curve is not strictly positive on [0, 1]")
-    return _scan_fine_grid(np.log(vals), ts, grid_n, tol)
+    return verdicts[0]
 
 
 class UinVariant(enum.Enum):
@@ -1287,7 +1452,7 @@ def uin_chain(
     midpoint-endpoint mix, and the endpoint geometric mean. Anchor terms use
     materialized powers; only the integral goes through the scaled reduction.
     """
-    tp = _TwoSidedPowers(a, b, x)
+    tp = _TwoSidedPowers.of_one(a, b, x)
     lo, hi = _uin_interval(variant, nu)
     diagonal = variant is UinVariant.DIAGONAL
 
@@ -1298,7 +1463,7 @@ def uin_chain(
     anchors = tuple(norm(tp.direct(t, second(t)), norm_spec) for t in points)
 
     def log_rows(ts: np.ndarray) -> np.ndarray:
-        vals = tp.norms(ts, second, norm_spec)
+        vals = tp.norms(ts, second, norm_spec)[0]
         if not (np.isfinite(vals).all() and (vals > 0.0).all()):
             raise DomainViolationError("norm curve is not strictly positive")
         return np.log(vals)

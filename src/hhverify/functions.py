@@ -190,6 +190,21 @@ class ConvexityVerdict:
     slack: float
 
 
+# float64 entries per block of a stacked intermediate: fine grids, quadrature
+# samples and norm curves of several trials are built in blocks of whole
+# trials (or of whole points, when one trial alone holds more) of at most
+# this many entries, which keeps each block's temporaries small
+STACK_ENTRIES = 1 << 14
+
+
+def _blocks(count: int, entries_each: int) -> list[slice]:
+    """Consecutive slices covering range(count), each of whole items of
+    entries_each entries and at most STACK_ENTRIES entries in all (one item
+    when an item alone holds more)."""
+    size = max(1, STACK_ENTRIES // max(1, entries_each))
+    return [slice(i, i + size) for i in range(0, count, size)]
+
+
 # Triples per block of the fine-grid scan: whole lambda slices of (g+1)**2
 # triples each, at least one slice per block.
 _SCAN_BLOCK = 1 << 16
@@ -311,9 +326,8 @@ def is_ag_convex(
         raise DomainViolationError(
             f"[{a}, {b}] outside the positivity domain of {f.describe()}"
         )
-    m = grid_n * grid_n
-    fine = a + (b - a) * np.arange(m + 1) / m
-    return _scan_fine_grid(_positive_logs(f, fine), fine, grid_n, tol)
+    ends = np.array([a], dtype=float), np.array([b], dtype=float)
+    return convexity_verdicts(f, *ends, False, grid_n, tol)[0]
 
 
 def is_gg_convex(
@@ -337,10 +351,37 @@ def is_gg_convex(
         raise DomainViolationError(
             f"[{a}, {b}] outside the positivity domain of {f.describe()}"
         )
-    la, lb = math.log(a), math.log(b)
+    ends = np.array([a], dtype=float), np.array([b], dtype=float)
+    return convexity_verdicts(f, *ends, True, grid_n, tol)[0]
+
+
+def convexity_verdicts(
+    f: FunctionSpec, lo: np.ndarray, hi: np.ndarray, gg: bool, grid_n: int, tol: float
+) -> list[ConvexityVerdict]:
+    """is_ag_convex (gg: is_gg_convex) of f on each interval [lo[t], hi[t]]
+    of two (T,) arrays, whose checks the caller has made.
+
+    The fine grids are built for a block of intervals at once, in blocks of
+    whole grids of at most STACK_ENTRIES entries, with the arithmetic of the
+    one-interval grid (math.log for the geometric endpoints, as np.log can
+    differ in the last bit); the scan runs once per interval, on its row.
+    """
     m = grid_n * grid_n
-    fine = np.exp(la + (lb - la) * np.arange(m + 1) / m)
-    return _scan_fine_grid(_positive_logs(f, fine), fine, grid_n, tol)
+    steps = np.arange(m + 1, dtype=float)  # the integer steps, exactly
+    verdicts = []
+    for sl in _blocks(lo.shape[0], m + 1):
+        if gg:
+            pairs = zip(lo[sl].tolist(), hi[sl].tolist())
+            ends = np.array([[math.log(x), math.log(y)] for x, y in pairs])
+            a, b = ends[:, :1], ends[:, 1:]
+        else:
+            a, b = lo[sl, None], hi[sl, None]
+        fine = a + (b - a) * steps / m
+        if gg:
+            fine = np.exp(fine)
+        logs = _positive_logs(f, fine)
+        verdicts.extend(_scan_fine_grid(row, pts, grid_n, tol) for row, pts in zip(logs, fine))
+    return verdicts
 
 
 def ag_gg_transport_check(

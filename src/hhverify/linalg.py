@@ -115,20 +115,24 @@ def eigh(s) -> SpectralDecomp:
     Column signs follow a fixed convention (the largest-magnitude entry of
     each eigenvector is nonnegative) so results are deterministic.
     """
-    a = check_symmetric(s)
+    lam, q = _signed_eigh(check_symmetric(s)[None])
+    lam, q = lam[0], q[0]
+    q.flags.writeable = False
+    lam.flags.writeable = False
+    return SpectralDecomp(q=q, eigenvalues=lam)
+
+
+def _signed_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of each symmetric matrix of a (T, n, n)
+    stack, under eigh's column-sign convention."""
     try:
         lam, q = np.linalg.eigh(a)
     except np.linalg.LinAlgError as e:  # pragma: no cover - LAPACK rarely fails
         raise ConvergenceError(f"eigensolver did not converge: {e}") from e
-    n = a.shape[0]
-    anchor = np.argmax(np.abs(q), axis=0)
-    signs = np.sign(q[anchor, np.arange(n)])
+    anchor = np.argmax(np.abs(q), axis=1)[:, None, :]
+    signs = np.sign(np.take_along_axis(q, anchor, axis=1))
     signs[signs == 0.0] = 1.0
-    q = q * signs
-    lam = lam.copy()
-    q.flags.writeable = False
-    lam.flags.writeable = False
-    return SpectralDecomp(q=q, eigenvalues=lam)
+    return lam, q * signs
 
 
 def matrix_function(d: SpectralDecomp, f: FunctionSpec) -> np.ndarray:
@@ -336,6 +340,29 @@ class CommutingPair:
     def materialize(self, values: np.ndarray) -> np.ndarray:
         """q diag(values) q^T for entrywise-computed spectra."""
         return _sym((self.q * values) @ self.q.T)
+
+
+def check_commuting_stack(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """CommutingPair's checks on each pair (q[t], a[t], b[t]) of a (T, n, n)
+    stack of bases and two (T, n) stacks of spectra; raises what
+    CommutingPair raises on the first pair that fails.
+
+    A stack whose bases are all orthogonal to 0.5e-10 in every entry of
+    q^T q - I, which keeps the Frobenius residual well under 1e-10 n, and
+    whose spectra are all positive and finite passes at once; any other
+    stack is checked one pair at a time.
+    """
+    n = q.shape[-1]
+    if q.ndim == 3 and 1 <= n == q.shape[1] <= MAX_DIM and a.shape == b.shape == q.shape[:2]:
+        spectra = np.concatenate((a, b), axis=1)
+        # comparisons with NaN are false, so a NaN fails each bound
+        if (
+            np.abs(np.swapaxes(q, 1, 2) @ q - np.eye(n)).max() <= 0.5e-10
+            and ((spectra > 0.0) & (spectra < np.inf)).all()
+        ):
+            return
+    for k in range(q.shape[0]):
+        CommutingPair(q[k], a[k], b[k])
 
 
 def commuting_weighted_product(pair: CommutingPair, t: float) -> np.ndarray:

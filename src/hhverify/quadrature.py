@@ -82,30 +82,38 @@ def _mapped_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return mid + half * rule.nodes, half * rule.weights
 
 
-def _samples(g: Callable[[np.ndarray], np.ndarray], a: float, b: float, n: int):
+def _samples(g: Callable[[np.ndarray], np.ndarray], a, b, n: int):
     """Weights and samples of ``g`` on the n-node rule of [a, b]: ``g`` takes
-    the node array and returns its samples stacked on a leading axis. A
-    non-finite sample is an error that names its first node."""
+    the node array and returns its samples stacked on the leading axes of
+    the nodes. For (T, 1) columns of endpoints a and b the nodes and weights
+    are (T, n), one row per interval. A non-finite sample is an error that
+    names its first node."""
     xs, ws = _mapped_nodes(a, b, n)
     samples = np.asarray(g(xs), dtype=float)
-    if samples.shape[:1] != xs.shape:
+    if samples.shape[: xs.ndim] != xs.shape:
         raise DimMismatchError(
-            f"integrand returned shape {samples.shape} for {xs.shape[0]} nodes"
+            f"integrand returned shape {samples.shape} for {xs.shape[-1]} nodes"
         )
     if not np.isfinite(samples).all():
-        bad = np.argmin(np.isfinite(samples.reshape(xs.shape[0], -1)).all(axis=1))
-        raise NonFiniteSampleError(f"integrand non-finite at node t={xs[bad]!r}")
+        bad = np.argmin(np.isfinite(samples.reshape(xs.size, -1)).all(axis=1))
+        raise NonFiniteSampleError(f"integrand non-finite at node t={xs.flat[bad]!r}")
     return ws, samples
+
+
+def _agrees(v1, v2) -> bool:
+    """The doubling check: the Frobenius norm of the raveled difference of
+    the n- and 2n-node results is at most DOUBLING_TOL times 1 + the norm of
+    the n-node result."""
+    resid = float(np.linalg.norm(np.ravel(v1 - v2)))
+    return resid <= DOUBLING_TOL * (1.0 + float(np.linalg.norm(np.ravel(v1))))
 
 
 def _checked(integrate, g, a: float, b: float, n: int):
     """``integrate`` at n nodes, and whether it agrees with 2n nodes (n at most
-    MAX_NODES // 2): the Frobenius norm of the raveled difference is at most
-    DOUBLING_TOL times 1 + the norm of the n-node result."""
+    MAX_NODES // 2)."""
     v1 = integrate(g, a, b, n)
     v2 = integrate(g, a, b, 2 * n)
-    resid = float(np.linalg.norm(np.ravel(v1 - v2)))
-    return v1, resid <= DOUBLING_TOL * (1.0 + float(np.linalg.norm(np.ravel(v1))))
+    return v1, _agrees(v1, v2)
 
 
 def integrate_scalar(g: Callable[[np.ndarray], np.ndarray], a: float, b: float, n: int = 64) -> float:
@@ -174,3 +182,27 @@ def integrate_stack_checked(
     if a == b:
         return np.zeros(np.asarray(g(np.asarray([a])), dtype=float).shape[1:]), True
     return _checked(_integrate_stack, g, a, b, n)
+
+
+def _integrate_trials(g, a: np.ndarray, b: np.ndarray, n: int) -> list[np.ndarray]:
+    ws, samples = _samples(g, a, b, n)
+    # one contraction per trial, on its contiguous (n, ...) slice: a single
+    # tensordot over the stack, or a strided slice, can round differently
+    return [np.tensordot(w, s, axes=(0, 0)) for w, s in zip(ws, samples)]
+
+
+def integrate_trials_checked(
+    g: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray, n: int = 64
+) -> tuple[list[np.ndarray], list[bool]]:
+    """integrate_stack_checked for T integrands at once, on the intervals
+    [a[t], b[t]] of two (T,) arrays with a < b.
+
+    ``g`` takes the (T, n) array of every trial's nodes and returns the
+    (T, n, ...) stack of their samples. Returns the T integrals and the T
+    doubling flags, each equal bit for bit to integrate_stack_checked on the
+    trial alone.
+    """
+    a, b = a[:, None], b[:, None]
+    v1 = _integrate_trials(g, a, b, n)
+    v2 = _integrate_trials(g, a, b, 2 * n)
+    return v1, list(map(_agrees, v1, v2))

@@ -52,11 +52,14 @@ from hhverify.functions import (
     DEFAULT_CONVEXITY_TOL,
     DEFAULT_GRID_N,
     MEAN_CHAIN_NAMES,
+    STACK_ENTRIES,
     ConvexityVerdict,
     _scan_fine_grid,
+    parse_function,
     scalar_mean_chain,
 )
 from hhverify.linalg import (
+    CommutingPair,
     check_symmetric,
     det_pd,
     eigh,
@@ -65,9 +68,21 @@ from hhverify.linalg import (
     power_from_decomp,
     weighted_geometric_mean,
 )
-from hhverify.norms import norm, parse_norm
-from hhverify.quadrature import DOUBLING_TOL, MAX_NODES, _mapped_nodes, integrate_scalar_checked
-from hhverify.sampler import RandomStream, _log_uniform, derive_trial_seed, random_general
+from hhverify.norms import norm, norms_from_eig_rows, norms_of_stack, parse_norm
+from hhverify.quadrature import (
+    DOUBLING_TOL,
+    MAX_NODES,
+    _mapped_nodes,
+    integrate_scalar_checked,
+    integrate_stack_checked,
+)
+from hhverify.sampler import (
+    RandomStream,
+    _log_uniform,
+    derive_trial_seed,
+    random_commuting_pair,
+    random_general,
+)
 
 SMALL = dict(trials=10, dims=(2, 3), master_seed=7)
 
@@ -705,6 +720,22 @@ _BATCH_CASES = (
         [dict(nu=nu) for nu in _NUS + (0.0, 1.0)]
         + [dict(norm=parse_norm(t)) for t in ("opnorm", "tracenorm", "schatten:3", "kyfan:2")],
     ),
+    # the convexity-scan rows: their references follow
+    ("scalar_ag", lambda s, d, p: _ref_trial("scalar_ag", _ref_scalar_hh, s, d, p), [{}]),
+    ("scalar_gg", lambda s, d, p: _ref_trial("scalar_gg", _ref_scalar_hh, s, d, p), [{}]),
+    ("op_gg_hh", lambda s, d, p: _ref_trial("op_gg_hh", _ref_commuting_order, s, d, p), [{}]),
+    (
+        "op_ag_midpoint",
+        lambda s, d, p: _ref_trial("op_ag_midpoint", _ref_commuting_order, s, d, p),
+        [{}],
+    ),
+    (
+        "phi_operator",
+        lambda s, d, p: _ref_trial("phi_operator", _ref_phi_operator_commuting, s, d, p),
+        [{}],
+    ),
+    ("phi_sandwich", lambda s, d, p: _ref_trial("phi_sandwich", _ref_two_sided, s, d, p), [{}]),
+    ("phi_diagonal", lambda s, d, p: _ref_trial("phi_diagonal", _ref_two_sided, s, d, p), [{}]),
 )
 
 
@@ -750,3 +781,287 @@ def test_a_raising_block_is_rerun_one_trial_at_a_time(monkeypatch):
     monkeypatch.setattr(campaign, "_det_ag_stack", kernel(NotPositiveDefiniteError))
     with pytest.raises(NotPositiveDefiniteError):
         list(campaign._outcomes("det_ag", seeds, 3, params))
+
+
+# ---------------------------------------------------------------------------
+# trial-batched convexity-scan rows: the per-trial code they replace
+
+
+def _ref_trial(tid, reference, stream, dim, p):
+    """What run_trial made of the per-trial reference."""
+    try:
+        return reference(tid, stream, dim, p)
+    except (DomainViolationError, NonFiniteSampleError, ConvergenceError, np.linalg.LinAlgError):
+        return _unreliable(tid)
+
+
+def _ref_positive_logs(f, xs):
+    vals = f.eval_array(xs)
+    if not (np.isfinite(vals) & (vals > 0.0)).all():
+        raise DomainViolationError("not strictly positive")
+    return np.log(vals)
+
+
+def _ref_verdict(f, a, b, gg):
+    """is_gg_convex (gg) or is_ag_convex at the default grid, checks made."""
+    m = DEFAULT_GRID_N * DEFAULT_GRID_N
+    if gg:
+        la, lb = math.log(a), math.log(b)
+        fine = np.exp(la + (lb - la) * np.arange(m + 1) / m)
+    else:
+        fine = a + (b - a) * np.arange(m + 1) / m
+    logs = _ref_positive_logs(f, fine)
+    return _scan_fine_grid(logs, fine, DEFAULT_GRID_N, DEFAULT_CONVEXITY_TOL)
+
+
+def _ref_scalar_hh(tid, stream, dim, p):
+    vals = campaign._log_uniform(stream, 2, campaign.SPD_LO, campaign.SPD_HI)
+    a, b = float(min(vals)), float(max(vals))
+    if a == b:
+        b = float(np.nextafter(b, np.inf))
+    if not p.f.contains_interval(a, b):
+        raise DomainViolationError("outside the domain")
+    gg = tid == "scalar_gg"
+    hypothesis_ok = _ref_verdict(p.f, a, b, gg).holds if p.check_hypothesis else True
+    if gg:
+        la, lb = math.log(a), math.log(b)
+        q1 = math.exp(0.25 * (3 * la + lb))
+        mid = math.exp(0.5 * (la + lb))
+        q2 = math.exp(0.25 * (la + 3 * lb))
+        log_f, span = (lambda ts: _ref_positive_logs(p.f, ts) / ts), lb - la
+    else:
+        q1, mid, q2 = 0.25 * (3 * a + b), 0.5 * (a + b), 0.25 * (a + 3 * b)
+        log_f, span = (lambda ts: _ref_positive_logs(p.f, ts)), b - a
+    v_lo, v_q1, v_mid, v_q2, v_hi = (p.f(x) for x in (a, q1, mid, q2, b))
+    piece, reliable = integrate_stack_checked(log_f, a, b, p.quad_n)
+    terms = (
+        v_mid,
+        math.sqrt(v_q1 * v_q2),
+        math.exp((0.0 + float(piece)) / span),
+        math.sqrt(v_mid) * v_lo**0.25 * v_hi**0.25,
+        math.sqrt(v_lo * v_hi),
+    )
+    return _chain_report(
+        tid, HH_TERM_NAMES, terms, p.rtol, p.atol, quad_reliable=reliable,
+        hypothesis_ok=hypothesis_ok,
+    )
+
+
+def _ref_pair(stream, dim, p):
+    q, av, bv = random_commuting_pair(stream, dim, campaign.SPD_LO, campaign.SPD_HI)
+    CommutingPair(q=q, a=av, b=bv)
+    lo = float(min(np.min(av), np.min(bv)))
+    hi = float(max(np.max(av), np.max(bv)))
+    if not p.f.contains_interval(lo, hi):
+        raise DomainViolationError("joint spectrum outside the domain")
+    return av, bv, lo, hi
+
+
+def _ref_commuting_order(tid, stream, dim, p):
+    av, bv, lo, hi = _ref_pair(stream, dim, p)
+    gg, f = tid == "op_gg_hh", p.f
+    hypothesis_ok = True
+    if p.check_hypothesis and lo < hi:
+        hypothesis_ok = _ref_verdict(f, lo, hi, gg).holds
+    if gg:
+        v1 = _ref_positive_logs(f, np.sqrt(av * bv))
+
+        def rows(ts):
+            grid = np.power(av[None, :], ts[:, None]) * np.power(bv[None, :], (1.0 - ts)[:, None])
+            return _ref_positive_logs(f, grid)
+
+    else:
+        v1 = f.eval_array(0.5 * (av + bv))
+
+        def rows(ts):
+            fwd = f.eval_array(ts[:, None] * av[None, :] + (1.0 - ts)[:, None] * bv[None, :])
+            rev = f.eval_array((1.0 - ts)[:, None] * av[None, :] + ts[:, None] * bv[None, :])
+            return np.sqrt(fwd * rev)
+
+    v2, reliable = integrate_stack_checked(rows, 0.0, 1.0, p.quad_n)
+    if gg:
+        v3 = 0.5 * (_ref_positive_logs(f, av) + _ref_positive_logs(f, bv))
+    else:
+        v3 = np.sqrt(f.eval_array(av) * f.eval_array(bv))
+    names = GG_HH_TERM_NAMES if gg else AG_MIDPOINT_TERM_NAMES
+    rows, comps, passed = (v1, v2, v3), [], True
+    for k in range(2):
+        lo_row, hi_row = rows[k], rows[k + 1]
+        gap = float(np.min(hi_row - lo_row))
+        scale = max(1.0, float(np.max(np.abs(lo_row))), float(np.max(np.abs(hi_row))))
+        comps.append(chains.Comparison(names[k], names[k + 1], gap))
+        passed = passed and gap >= -p.rtol * scale
+    return chains.OrderChainReport(
+        tid, tuple(comps), passed, quad_reliable=reliable, hypothesis_ok=hypothesis_ok
+    )
+
+
+def _ref_witness(tid, vals, ts, hypothesis_ok=True):
+    if not (np.isfinite(vals).all() and (vals > 0.0).all()):
+        raise DomainViolationError("norm curve is not strictly positive")
+    verdict = _scan_fine_grid(np.log(vals), ts, DEFAULT_GRID_N, DEFAULT_CONVEXITY_TOL)
+    return WitnessOutcome(tid, verdict, passed=verdict.holds, hypothesis_ok=hypothesis_ok)
+
+
+_REF_TS = np.arange(DEFAULT_GRID_N**2 + 1) / DEFAULT_GRID_N**2
+
+
+def _ref_phi_operator_commuting(tid, stream, dim, p):
+    av, bv, lo, hi = _ref_pair(stream, dim, p)
+    hypothesis_ok = True
+    if p.check_hypothesis and lo < hi:
+        hypothesis_ok = _ref_verdict(p.f, lo, hi, True).holds
+    ts = _REF_TS
+    grid = np.power(av[None, :], ts[:, None]) * np.power(bv[None, :], (1.0 - ts)[:, None])
+    vals = norms_from_eig_rows(p.f.eval_array(grid), p.norm)
+    return _ref_witness(tid, vals, ts, hypothesis_ok)
+
+
+def _ref_signed_eigh(m):
+    lam, q = np.linalg.eigh(check_symmetric(m))
+    signs = np.sign(q[np.argmax(np.abs(q), axis=0), np.arange(q.shape[0])])
+    signs[signs == 0.0] = 1.0
+    return lam, q * signs
+
+
+def _ref_two_sided(tid, stream, dim, p):
+    a, b = campaign._spd_pair(stream, dim)
+    x = random_general(stream, dim, dim)
+    (la, qa), (lb, qb) = _ref_signed_eigh(check_symmetric(a)), _ref_signed_eigh(check_symmetric(b))
+    core = qa.T @ x @ qb
+    ts = _REF_TS
+    second = ts if tid == "phi_diagonal" else 1.0 - ts
+    left, right = np.power(la[None, :], ts[:, None]), np.power(lb[None, :], second[:, None])
+    vals = norms_of_stack(left[:, :, None] * core * right[:, None, :], p.norm)
+    return _ref_witness(tid, vals, ts)
+
+
+_SCAN_IDS = (
+    "scalar_ag", "scalar_gg", "op_gg_hh", "op_ag_midpoint",
+    "phi_operator", "phi_sandwich", "phi_diagonal",
+)
+_SCAN_REFS = dict((c[0], c[1]) for c in _BATCH_CASES if c[0] in _SCAN_IDS)
+_WITNESS_NORMS = ("opnorm", "kyfan:2", "schatten:3", "tracenorm")
+_SCAN_FNS = ("power:3", "inverse", "power:-0.5", "exp:100")
+
+
+def _scan_variants(tid):
+    th = campaign.THEOREMS[tid]
+    out = []
+    if tid.startswith("phi_"):
+        out += [dict(norm=parse_norm(t)) for t in _WITNESS_NORMS]
+    if not tid.startswith("phi_") or tid == "phi_operator":
+        out += [dict(function=parse_function(t)) for t in _SCAN_FNS]
+    if th.convexity_guard:
+        guard = frozenset({DROP_CONVEXITY_GUARD})
+        out += [dict(ablation=guard), dict(ablation=guard, function=parse_function("power:3"))]
+    return out
+
+
+@pytest.mark.parametrize("tid", _SCAN_IDS)
+def test_scan_rows_match_the_per_trial_code_under_every_variant(tid):
+    """The norms the witnesses take, the functions the scan ids take, and
+    DROP_CONVEXITY_GUARD, on blocks and on single trials."""
+    for kwargs in _scan_variants(tid):
+        params = resolve_params(tid, CampaignConfig(**kwargs))
+        for dim in (1, 2, 3, 5, 8):
+            seeds = [derive_trial_seed(2016, dim, t) for t in range(16)]
+            want = [outcome_to_dict(_SCAN_REFS[tid](RandomStream(s), dim, params)) for s in seeds]
+            got = [outcome_to_dict(o) for o in campaign._outcomes(tid, seeds, dim, params)]
+            assert got == want, (tid, kwargs, dim)
+            assert outcome_to_dict(run_trial(tid, seeds[5], dim, params)) == want[5]
+
+
+@pytest.mark.parametrize("tid", _SCAN_IDS)
+def test_a_trial_that_raises_in_a_scan_block_ends_unreliable(tid, monkeypatch):
+    draw = {
+        "scalar_ag": "_scalar_interval", "scalar_gg": "_scalar_interval",
+        "op_gg_hh": "_commuting_spectra", "op_ag_midpoint": "_commuting_spectra",
+        "phi_operator": "_commuting_spectra",
+        "phi_sandwich": "_spd_pair_with_x", "phi_diagonal": "_spd_pair_with_x",
+    }[tid]
+    params = resolve_params(tid, CampaignConfig())
+    seeds = [derive_trial_seed(4, 3, t) for t in range(12)]
+    want = [outcome_to_dict(o) for o in campaign._outcomes(tid, seeds, 3, params)]
+    real_draw = getattr(campaign, draw)
+
+    def planted(stream, *args):
+        if seeds[7] in np.atleast_1d(stream.seed).tolist():
+            raise DomainViolationError("planted in trial 7")
+        return real_draw(stream, *args)
+
+    monkeypatch.setattr(campaign, draw, planted)
+    got = list(campaign._outcomes(tid, seeds, 3, params))
+    assert [o.quad_reliable for o in got] == [t != 7 for t in range(12)]
+    assert [outcome_to_dict(o) for k, o in enumerate(got) if k != 7] == want[:7] + want[8:]
+    assert outcome_to_dict(got[7]) == outcome_to_dict(_unreliable(tid))
+
+
+@pytest.mark.parametrize("tid", ["scalar_ag", "scalar_gg"])
+def test_an_endpoint_tie_moves_the_upper_end_by_one_ulp(tid, monkeypatch):
+    real = campaign._log_uniform
+
+    def tied(stream, k, lo, hi):
+        vals = real(stream, k, lo, hi)
+        vals[..., 1] = vals[..., 0]
+        return vals
+
+    def outcome_or_error(run, *args):
+        # a tie can leave log b - log a at zero, and the gg chain then
+        # divides by it: that error is part of the per-trial behaviour
+        try:
+            return outcome_to_dict(run(*args))
+        except ZeroDivisionError:
+            return "ZeroDivisionError"
+
+    monkeypatch.setattr(campaign, "_log_uniform", tied)
+    params = resolve_params(tid, CampaignConfig())
+    seeds = [derive_trial_seed(5, 2, t) for t in range(20)]
+    want = [outcome_or_error(_SCAN_REFS[tid], RandomStream(s), 2, params) for s in seeds]
+    got = [outcome_or_error(run_trial, tid, s, 2, params) for s in seeds]
+    assert got == want
+    if "ZeroDivisionError" in want:
+        with pytest.raises(ZeroDivisionError):
+            list(campaign._outcomes(tid, seeds, 2, params))
+        assert tid == "scalar_gg"
+    else:
+        assert [outcome_to_dict(o) for o in campaign._outcomes(tid, seeds, 2, params)] == want
+
+
+@pytest.mark.parametrize("tid", [t for t in _SCAN_IDS if campaign.THEOREMS[t].convexity_guard])
+def test_drop_convexity_guard_skips_the_hypothesis_scan(tid, monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("the hypothesis scan ran")
+
+    monkeypatch.setattr(chains, "convexity_verdicts", no_scan)
+    cfg = CampaignConfig(ablation=frozenset({DROP_CONVEXITY_GUARD}))
+    params = resolve_params(tid, cfg)
+    seeds = [derive_trial_seed(6, 3, t) for t in range(10)]
+    outcomes = list(campaign._outcomes(tid, seeds, 3, params))
+    assert all(o.hypothesis_ok and o.quad_reliable for o in outcomes)
+
+
+def test_no_curve_block_exceeds_the_entry_budget(monkeypatch):
+    sizes = []
+    real_stack, real_rows = chains.norms_of_stack, chains.norms_from_eig_rows
+
+    def stack(m, spec):
+        sizes.append(m.size)
+        return real_stack(m, spec)
+
+    def rows(r, spec):
+        sizes.append(r.size)
+        return real_rows(r, spec)
+
+    monkeypatch.setattr(chains, "norms_of_stack", stack)
+    monkeypatch.setattr(chains, "norms_from_eig_rows", rows)
+    for tid in ("phi_operator", "phi_sandwich", "phi_diagonal"):
+        for dim in (2, 8, 40):
+            params = resolve_params(tid, CampaignConfig())
+            seeds = [derive_trial_seed(8, dim, t) for t in range(6)]
+            list(campaign._outcomes(tid, seeds, dim, params))
+    params = resolve_params("uin_full", CampaignConfig())
+    run_trial("uin_full", derive_trial_seed(8, 40, 0), 40, params)
+    assert sizes and max(sizes) <= STACK_ENTRIES
+    # a block holds more than one trial where they fit
+    assert max(sizes) > (DEFAULT_GRID_N**2 + 1) * 2 * 2

@@ -16,12 +16,14 @@ from hhverify import (
     operator_norm_gg_chain,
     trace_chain,
 )
+from hhverify import chains
 from hhverify.chains import (
     AG_MIDPOINT_TERM_NAMES,
     GG_HH_TERM_NAMES,
     HH_TERM_NAMES,
     TRACE_SQRT_TERM_NAMES,
     TRACE_SQUARED_TERM_NAMES,
+    Comparison,
     _eig_crossings,
 )
 from hhverify.sampler import RandomStream, random_commuting_pair
@@ -240,3 +242,35 @@ def test_domain_violation_outside_function_domain():
         operator_ag_midpoint_order_chain(f, pair)
     with pytest.raises(DomainViolationError):
         operator_norm_gg_chain(f, pair, NormSpec.opnorm())
+
+
+def _per_trial_order_report(names, rows, rtol):
+    """The report the per-trial commuting chains built from their rows."""
+    comps, passed = [], True
+    for k in range(len(rows) - 1):
+        lo_row, hi_row = np.asarray(rows[k]), np.asarray(rows[k + 1])
+        gap = float(np.min(hi_row - lo_row))
+        scale = max(1.0, float(np.max(np.abs(lo_row))), float(np.max(np.abs(hi_row))))
+        comps.append(Comparison(names[k], names[k + 1], gap))
+        passed = passed and gap >= -rtol * scale
+    return comps, passed
+
+
+def test_stacked_order_reports_match_the_per_trial_rule():
+    rng = np.random.default_rng(7)
+    names = ("t1", "t2", "t3")
+    rows = [rng.normal(size=(40, 5)) * 10.0 ** rng.integers(-3, 4, size=(40, 1)) for _ in range(3)]
+    rows[1] = rows[0] + np.abs(rows[1]) * 1e-9  # some gaps near the tolerance
+    # the scale of the first comparison comes from |lo| = 1000 > |hi| = 999:
+    # a gap of -9.995e-6 passes at 1e-8 * 1000 and fails at 1e-8 * 999
+    rows[0][0], rows[1][0] = [-1000.0, 0, 0, 0, 0], [-999.0, -9.995e-6, 0, 0, 0]
+    rows[2][0] = rows[1][0] + 1.0
+    flags = [bool(t % 2) for t in range(40)]
+    got = chains._order_reports("op_gg_hh", names, rows, 1e-8, flags, flags[::-1])
+    for t, report in enumerate(got):
+        comps, passed = _per_trial_order_report(names, [r[t] for r in rows], 1e-8)
+        assert report.comparisons == tuple(comps) and report.passed == passed, t
+        assert (report.quad_reliable, report.hypothesis_ok) == (flags[t], flags[::-1][t])
+        one = chains._order_report_from_rows("op_gg_hh", names, [r[t] for r in rows], 1e-8)
+        assert one.comparisons == report.comparisons and one.passed == report.passed
+    assert got[0].passed and not all(r.passed for r in got)

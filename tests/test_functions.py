@@ -17,11 +17,14 @@ from hhverify import (
 )
 from hhverify.errors import DegenerateIntervalError, NonPositiveInputError
 from hhverify.functions import (
+    DEFAULT_CONVEXITY_TOL,
     DEFAULT_GRID_N,
     MEAN_CHAIN_NAMES,
+    STACK_ENTRIES,
     ConvexityVerdict,
     _scan_fine_grid,
     _scan_midpoint_only,
+    convexity_verdicts,
 )
 
 
@@ -292,3 +295,38 @@ def test_mean_chain_degenerate_and_invalid():
     assert scalar_mean_chain(2.0, 2.0) == (2.0,) * 5
     with pytest.raises(NonPositiveInputError):
         scalar_mean_chain(-1.0, 2.0)
+
+
+def _one_interval_verdict(f, a, b, gg, g):
+    """The fine grid and scan of one interval, as is_ag_convex and
+    is_gg_convex built them one interval at a time."""
+    m = g * g
+    if gg:
+        la, lb = math.log(a), math.log(b)
+        fine = np.exp(la + (lb - la) * np.arange(m + 1) / m)
+    else:
+        fine = a + (b - a) * np.arange(m + 1) / m
+    return _scan_fine_grid(np.log(f.eval_array(fine)), fine, g, DEFAULT_CONVEXITY_TOL)
+
+
+def _verdict_bits(v):
+    return (v.holds, np.float64(v.slack).tobytes(), tuple(np.float64(x).tobytes() for x in v.worst_triple))
+
+
+@pytest.mark.parametrize("gg", [False, True])
+@pytest.mark.parametrize("g", [3, 17, 33, 64])
+def test_stacked_grids_match_one_interval_at_a_time(gg, g):
+    rng = np.random.default_rng(g + 100 * gg)
+    # enough intervals for several blocks of STACK_ENTRIES entries
+    count = 3 * STACK_ENTRIES // (g * g + 1) + 2
+    lo = np.exp(rng.uniform(-3.0, 2.0, count))
+    hi = lo * np.exp(rng.uniform(1e-6, 3.0, count))
+    for f in (FunctionSpec.power(-1.5), FunctionSpec.power(2.5), FunctionSpec.exp(0.7),
+              FunctionSpec.poly([0.5, 0.0, 2.0])):
+        got = convexity_verdicts(f, lo, hi, gg, g, DEFAULT_CONVEXITY_TOL)
+        assert len(got) == count
+        for t in range(count):
+            want = _one_interval_verdict(f, float(lo[t]), float(hi[t]), gg, g)
+            assert _verdict_bits(got[t]) == _verdict_bits(want), (f, t)
+        one = (is_gg_convex if gg else is_ag_convex)(f, float(lo[5]), float(hi[5]), g)
+        assert _verdict_bits(one) == _verdict_bits(got[5])

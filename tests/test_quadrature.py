@@ -16,7 +16,12 @@ from hhverify import (
     integrate_scalar_checked,
 )
 from hhverify.errors import DimMismatchError
-from hhverify.quadrature import MAX_NODES, _mapped_nodes, integrate_stack_checked
+from hhverify.quadrature import (
+    MAX_NODES,
+    _mapped_nodes,
+    integrate_stack_checked,
+    integrate_trials_checked,
+)
 
 
 def test_one_node_rule_is_midpoint():
@@ -170,3 +175,60 @@ def test_stack_integrator_degenerate_interval():
 def test_stack_integrator_rejects_wrong_leading_axis():
     with pytest.raises(DimMismatchError):
         integrate_stack_checked(lambda ts: np.ones(3), 0.0, 1.0, 16)
+
+
+# one integrand per trial: elementwise in the nodes, with a trial parameter c,
+# so the stacked form and the trial's own form compute the same values
+_TRIAL_INTEGRANDS = {
+    "scalar": (lambda ts, c: np.exp(c * ts) * np.sin(3.0 * ts + c)),
+    "vector": (lambda ts, c: np.cos(np.arange(1.0, 6.0) * ts[..., None] + c[..., None])),
+    "matrix": (
+        lambda ts, c: np.exp(-ts[..., None, None] * np.arange(1.0, 10.0).reshape(3, 3))
+        * (c[..., None, None] + ts[..., None, None] ** 2)
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(_TRIAL_INTEGRANDS))
+@pytest.mark.parametrize("trials", [1, 2, 7, 33])
+@pytest.mark.parametrize("n", [8, 64])
+def test_trial_integrator_matches_one_trial_at_a_time(kind, trials, n):
+    g = _TRIAL_INTEGRANDS[kind]
+    rng = np.random.default_rng(trials * 1000 + n)
+    a = rng.uniform(-2.0, 1.0, trials)
+    b = a + rng.uniform(0.01, 3.0, trials)
+    c = rng.uniform(-1.0, 1.0, trials)
+    mid = 0.5 * (a + b)
+
+    def kinked(ts, c, m):  # a kink inside each interval fails the doubling check
+        v, k = g(ts, c), np.abs(ts - m - 0.1 * c)
+        return v + k.reshape(k.shape + (1,) * (v.ndim - k.ndim))
+
+    for integrand in (lambda ts, c, m: g(ts, c), kinked):
+        values, flags = integrate_trials_checked(
+            lambda ts: integrand(ts, c[:, None], mid[:, None]), a, b, n
+        )
+        assert len(values) == len(flags) == trials
+        for t in range(trials):
+            want, ok = integrate_stack_checked(
+                lambda ts: integrand(ts, np.full(ts.shape, c[t]), np.full(ts.shape, mid[t])),
+                a[t], b[t], n,
+            )
+            assert values[t].shape == want.shape
+            assert values[t].tobytes() == want.tobytes(), (kind, trials, n, t)
+            assert flags[t] == ok
+    assert not all(flags)
+
+
+def test_trial_integrator_refuses_a_non_finite_sample_and_a_wrong_shape():
+    a, b = np.zeros(3), np.ones(3)
+
+    def one_bad_trial(ts):
+        out = np.exp(ts)
+        out[1, 5] = np.inf
+        return out
+
+    with pytest.raises(NonFiniteSampleError, match="t="):
+        integrate_trials_checked(one_bad_trial, a, b, 16)
+    with pytest.raises(DimMismatchError):
+        integrate_trials_checked(lambda ts: np.ones(ts.shape[1]), a, b, 16)
