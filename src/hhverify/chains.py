@@ -6,6 +6,10 @@ comparisons). Hypothesis grid tests are advisory: when one fails the chain is
 still evaluated and the report carries hypothesis_ok=False, so deliberate
 ablation runs remain expressible. Quadrature doubling failures likewise mark
 the report unreliable instead of failing it.
+
+One rule (_order_verdicts) decides every Loewner link, from the smallest
+eigenvalue of the difference and the spectral radii of the two terms; one
+cutter (_over_nodes) splits node arrays under functions.STACK_ENTRIES.
 """
 
 from __future__ import annotations
@@ -40,18 +44,16 @@ from .functions import (
     convexity_verdicts,
 )
 from .linalg import (
-    _SCALAR_POWER_SHORTCUTS,
     CommutingPair,
-    LoewnerOrdering,
     SpectralDecomp,
-    _psd_spectrum,
+    _apply_stack,
+    _power_stack,
     _signed_eigh,
     _sym,
     check_matrix,
     check_symmetric,
     check_symmetric_stack,
     eigh,
-    loewner_compare,
     matrix_function,
     power_from_decomp,
 )
@@ -185,14 +187,13 @@ def _inequality_report(
     )
 
 
-def hh_terms(anchors, log_curve, edges, quad_n: int, span: float | None = None):
+def hh_terms(anchors, log_curve, edges, quad_n: int):
     """The five Hermite-Hadamard terms of a log-convex curve v on [lo, hi].
 
     ``anchors`` are v at lo, q1, mid, q2 and hi (q1, q2 the quarter points).
     ``log_curve`` is the vectorized log v; it is integrated over each piece
     of ``edges`` (lo, any interior kinks, hi), the pieces are summed and the
-    sum is divided by ``span`` (default hi - lo). Returns the terms in
-    HH_TERM_NAMES order,
+    sum is divided by hi - lo. Returns the terms in HH_TERM_NAMES order,
 
         v(mid) <= sqrt(v(q1) v(q2)) <= exp(mean of log v)
                <= sqrt(v(mid)) v(lo)^(1/4) v(hi)^(1/4) <= sqrt(v(lo) v(hi)),
@@ -206,13 +207,14 @@ def hh_terms(anchors, log_curve, edges, quad_n: int, span: float | None = None):
         )
         integral += float(piece)
         reliable = reliable and ok
-    if span is None:
-        span = edges[-1] - edges[0]
-    return _hh_ending(anchors, integral, span), reliable
+    return _hh_ending(anchors, integral, edges[-1] - edges[0]), reliable
 
 
 def _hh_ending(anchors, integral: float, span: float) -> tuple[float, ...]:
     """The five hh_terms of the anchors and the integral of log v over span."""
+    if span == 0.0:
+        # log b - log a of the gg chain rounds to 0 on an interval one ulp wide
+        raise DomainViolationError("the interval's span rounds to zero")
     v_lo, v_q1, v_mid, v_q2, v_hi = anchors
     return (
         v_mid,
@@ -244,9 +246,52 @@ def _order_reports(
     with the T flags of quad_reliable and hypothesis_ok. Minima, maxima and
     absolute values are exact, so taking them along rows leaves the bits."""
     terms = np.array(rows)  # (terms, T, n)
-    gaps = (terms[1:] - terms[:-1]).min(axis=2)
-    peaks = np.abs(terms).max(axis=2)
-    passed = gaps >= -rtol * np.maximum(1.0, np.maximum(peaks[:-1], peaks[1:]))
+    return _order_verdicts(
+        theorem_id, names, (terms[1:] - terms[:-1]).min(axis=2), np.abs(terms).max(axis=2),
+        rtol, quad_reliable, hypothesis_ok,
+    )
+
+
+def _order_report_from_matrices(
+    theorem_id: str,
+    names: tuple[str, ...],
+    mats,
+    rtol: float,
+    quad_reliable: bool = True,
+    hypothesis_ok: bool = True,
+) -> OrderChainReport:
+    """Loewner chain of a sequence of symmetric matrices, each link decided
+    as loewner_compare decides it."""
+    stack = np.array(mats)[:, None]  # (terms, 1, n, n)
+    return _matrix_order_reports(
+        theorem_id, names, stack, rtol, [quad_reliable], [hypothesis_ok]
+    )[0]
+
+
+def _matrix_order_reports(
+    theorem_id: str, names: tuple[str, ...], mats, rtol: float, quad_reliable, hypothesis_ok
+) -> list[OrderChainReport]:
+    """_order_report_from_matrices of each trial of a (terms, T, n, n) stack:
+    the terms checked and symmetrized by one check_symmetric_stack, and the
+    spectra of every difference and every term from one stacked eigvalsh."""
+    k = mats.shape[0]
+    terms = check_symmetric_stack(mats.reshape((-1,) + mats.shape[2:])).reshape(mats.shape)
+    eig = np.linalg.eigvalsh(np.concatenate((terms[1:] - terms[:-1], terms)))
+    return _order_verdicts(
+        theorem_id, names, eig[: k - 1, :, 0], np.abs(eig[k - 1 :]).max(axis=2),
+        rtol, quad_reliable, hypothesis_ok,
+    )
+
+
+def _order_verdicts(
+    theorem_id: str, names: tuple[str, ...], gaps, radii, rtol: float, quad_reliable,
+    hypothesis_ok,
+) -> list[OrderChainReport]:
+    """The Loewner chain reports of T trials from the (links, T) smallest
+    eigenvalue of each difference of consecutive terms and the (terms, T)
+    spectral radius of each term. A link holds when its gap is at least
+    -rtol * max(1, the radii of its two terms), as in loewner_compare."""
+    passed = gaps >= -rtol * np.maximum(1.0, np.maximum(radii[:-1], radii[1:]))
     links = tuple(zip(names[:-1], names[1:]))
     return [
         OrderChainReport(
@@ -260,32 +305,6 @@ def _order_reports(
             gaps.T.tolist(), passed.T.tolist(), quad_reliable, hypothesis_ok
         )
     ]
-
-
-def _order_report_from_matrices(
-    theorem_id: str,
-    names: tuple[str, ...],
-    mats,
-    rtol: float,
-    quad_reliable: bool = True,
-    hypothesis_ok: bool = True,
-) -> OrderChainReport:
-    comps = []
-    passed = True
-    for k in range(len(mats) - 1):
-        verdict = loewner_compare(mats[k], mats[k + 1], tol=rtol)
-        comps.append(Comparison(names[k], names[k + 1], verdict.min_gap))
-        passed = passed and verdict.ordering in (
-            LoewnerOrdering.LESS_EQUAL,
-            LoewnerOrdering.EQUAL,
-        )
-    return OrderChainReport(
-        theorem_id=theorem_id,
-        comparisons=tuple(comps),
-        passed=passed,
-        quad_reliable=quad_reliable,
-        hypothesis_ok=hypothesis_ok,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -591,12 +610,6 @@ def _require_finite(*stacks: np.ndarray) -> None:
         raise NonFiniteInputError("matrix contains non-finite entries")
 
 
-def _apply_stack(q: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """SpectralDecomp.apply on stacks: sym(q diag(values) q^T). The column
-    signs of q cancel in the product, so eigh's sign convention is skipped."""
-    return _sym((q * values[..., None, :]) @ np.swapaxes(q, -1, -2))
-
-
 def _means_stack(a: np.ndarray, b: np.ndarray, rtol: float, atol: float) -> list[ChainReport]:
     """scalar_mean_chain_report on each pair (a[t], b[t])."""
     ok = (a > 0.0) & (b > 0.0) & np.isfinite(a) & np.isfinite(b)
@@ -649,48 +662,24 @@ def _am_gm_stack(a, b, nu: float, rtol: float) -> list[OrderChainReport]:
     root = _apply_stack(q, root)
     gm = _sym(root @ _apply_stack(qi, np.power(li, nu)) @ root)
     am = (1.0 - nu) * ma + nu * mb
-    _require_finite(gm, am)
-    # eigenvalues of am - gm (the gaps), of gm and of am (the scale)
-    eig = np.linalg.eigvalsh(np.stack((am - gm, gm, am), axis=1))
-    gaps = eig[:, 0, 0].tolist()
-    scales = np.max(np.abs(eig[:, 1:]), axis=(1, 2)).tolist()
     names = ("weighted_geometric_mean", "weighted_arithmetic_mean")
-    return [
-        OrderChainReport(
-            theorem_id="am_gm_loewner",
-            comparisons=(Comparison(*names, gap),),
-            passed=gap >= -rtol * max(1.0, scale),
-        )
-        for gap, scale in zip(gaps, scales)
-    ]
+    flags = [True] * ma.shape[0]
+    return _matrix_order_reports("am_gm_loewner", names, np.stack((gm, am)), rtol, flags, flags)
 
 
 def _norm_power_stack(t, alphas: np.ndarray, rtol: float, atol: float) -> list[InequalityReport]:
     """norm_power_check on each matrix of a (T, n, n) stack, all exponents at
-    once: one stacked eigh, the powers of every inner exponent as one
-    (T, m, n, n) stack, and one eigvalsh over T and its powers."""
+    once: one stacked eigh, the powers of every exponent as one (T, m, n, n)
+    stack, and one eigvalsh over T and its powers."""
     mt = check_symmetric_stack(t)
-    inner = alphas[(alphas != 0.0) & (alphas != 1.0)]
-    if inner.size:
-        lam, q = np.linalg.eigh(mt)
-        lam = _psd_spectrum(lam, float(inner[0]))
-        vals = np.power(lam[:, None, :], inner[None, :, None])
-        # a scalar power of -1, 0.5 or 2 is a reciprocal, sqrt or square in numpy
-        for k in np.flatnonzero(np.isin(inner, _SCALAR_POWER_SHORTCUTS)):
-            vals[:, k] = np.power(lam, float(inner[k]))
-        powers = _apply_stack(q[:, None], vals)
-        _require_finite(powers)
-    else:
-        powers = np.empty((mt.shape[0], 0) + mt.shape[1:])
+    powers = _power_stack(*np.linalg.eigh(mt), alphas, mt)
+    _require_finite(powers)
     eig = np.linalg.eigvalsh(np.concatenate((mt[:, None], powers), axis=1))
     norms = np.max(np.abs(eig), axis=-1).tolist()
-    eye_norm = float(np.max(np.abs(np.linalg.eigvalsh(np.eye(mt.shape[1])))))
     reports = []
-    for row in norms:
-        base, powered = row[0], iter(row[1:])
+    for base, *powered in norms:
         worst = (math.inf, 0.0, 0.0)
-        for alpha in alphas.tolist():
-            lhs = eye_norm if alpha == 0.0 else base if alpha == 1.0 else next(powered)
+        for alpha, lhs in zip(alphas.tolist(), powered):
             rhs = base**alpha
             if rhs - lhs < worst[0]:
                 worst = (rhs - lhs, lhs, rhs)
@@ -705,8 +694,7 @@ def _norms_stack(m: np.ndarray, spec: NormSpec) -> list[float]:
         # the Frobenius norm as np.linalg.norm takes it: a dot product of the
         # flattened matrix with itself (BLAS ddot), then the root
         return np.sqrt((flat[:, None, :] @ flat[:, :, None])[:, 0, 0]).tolist()
-    s = np.linalg.svd(m.reshape(-1, m.shape[-2], m.shape[-1]), compute_uv=False)
-    return spec.of_singular_values(np.maximum(s, 0.0)).tolist()
+    return _sv_norm(m.reshape(-1, m.shape[-2], m.shape[-1]), spec).tolist()
 
 
 def _kittaneh_stack(
@@ -719,12 +707,7 @@ def _kittaneh_stack(
 
     def power(m: np.ndarray, t: float) -> np.ndarray:
         # power_from_decomp(eigh(m), t, original=m) for each matrix
-        if t == 0.0:
-            return np.broadcast_to(np.eye(m.shape[-1]), m.shape)
-        if t == 1.0:
-            return m
-        lam, q = np.linalg.eigh(m)
-        return _apply_stack(q, np.power(_psd_spectrum(lam, t), t))
+        return _power_stack(*np.linalg.eigh(m), np.array([t]), m)[:, 0]
 
     trio = np.stack((power(ma, nu) @ x @ power(mb, 1.0 - nu), ma @ x, x @ mb), axis=1)
     _require_finite(trio)
@@ -1034,16 +1017,6 @@ def _trace_report(
 # on matrices that need not be positive, through general eigendecompositions
 # (a product spectrum that is not real and positive raises ConvergenceError)
 
-# nodes evaluated per stacked call: the doubling pass at the default quad_n is
-# one block, and longer node arrays (the phi grid) are cut into blocks so the
-# eig, inv and svd work arrays stay small
-_NODE_BLOCK = 128
-
-
-def _in_blocks(fn, ts: np.ndarray, size: int) -> np.ndarray:
-    """fn over the node array ts, called on blocks of at most size nodes."""
-    return np.concatenate([fn(ts[i : i + size]) for i in range(0, ts.shape[0], size)])
-
 
 def _general_apply(m: np.ndarray, fn) -> np.ndarray:
     """fn on the (real, positive) spectrum of a product of positives, for one
@@ -1085,7 +1058,7 @@ def _nc_phi(da, db, a, b, f: FunctionSpec, spec: NormSpec, ts: np.ndarray) -> np
     def block(t: np.ndarray) -> np.ndarray:
         return _sv_norm(_general_apply(_weighted_products(da, db, a, b, t), f.eval_array), spec)
 
-    return _in_blocks(block, ts, _NODE_BLOCK)
+    return _over_nodes(block, ts, a.size)
 
 
 def _segment_functions(f: FunctionSpec, a: np.ndarray, b: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -1099,7 +1072,7 @@ def _segment_functions(f: FunctionSpec, a: np.ndarray, b: np.ndarray, ts: np.nda
     ok = f.defined_at(lam)
     if not ok.all():
         raise DomainViolationError(f"{f.describe()} undefined at eigenvalue {lam[~ok][0]!r}")
-    return _sym((q * f.eval_array(lam)[:, None, :]) @ np.swapaxes(q, 1, 2))
+    return _apply_stack(q, f.eval_array(lam))
 
 
 def op_gg_hh_general(f: FunctionSpec, a, b, quad_n: int, rtol: float) -> OrderChainReport:
@@ -1136,9 +1109,10 @@ def op_ag_midpoint_general(f: FunctionSpec, a, b, quad_n: int, rtol: float) -> O
 
 
 def _general_order_chain(theorem_id: str, names, t1, nodes, t3, quad_n: int, rtol: float):
-    """The Loewner chain t1 <= int_0^1 nodes(t) dt <= t3, in _NODE_BLOCK blocks."""
+    """The Loewner chain t1 <= int_0^1 nodes(t) dt <= t3, the nodes evaluated
+    in blocks (_over_nodes)."""
     t2, ok = integrate_matrix_checked(
-        lambda ts: _in_blocks(nodes, ts, _NODE_BLOCK), 0.0, 1.0, quad_n
+        lambda ts: _over_nodes(nodes, ts, t1.size), 0.0, 1.0, quad_n
     )
     return _order_report_from_matrices(
         theorem_id, names, (t1, t2, t3), rtol, quad_reliable=ok, hypothesis_ok=False
@@ -1307,18 +1281,25 @@ class _TwoSidedPowers:
         return mx @ power_from_decomp(db, sb, original=self.mb[0])
 
 
+def _over_nodes(fn, ts: np.ndarray, node_entries: int) -> np.ndarray:
+    """fn over the node array ts, called on blocks of whole nodes of
+    node_entries entries each, at most STACK_ENTRIES entries in all. Each
+    node's value is computed alone, so the blocking leaves its bits."""
+    return np.concatenate([fn(ts[sl]) for sl in _blocks(ts.shape[0], node_entries)])
+
+
 def _curve_stack(block, trials: int, ts: np.ndarray, point_entries: int) -> np.ndarray:
     """The (trials, len(ts)) values of a curve of each trial, from
     ``block(sl, t)``, the values of the trials sl at the points t. Blocks
-    hold whole trials, or whole points of one trial when a trial alone is
-    larger, and at most STACK_ENTRIES entries at point_entries per point.
-    Each point's value is computed alone, so the blocking leaves its bits."""
+    hold whole trials, or whole points of one trial (_over_nodes) when a
+    trial alone is larger, and at most STACK_ENTRIES entries at
+    point_entries per point."""
     per_trial = ts.shape[0] * point_entries
     if per_trial <= STACK_ENTRIES:
         return np.concatenate([block(sl, ts) for sl in _blocks(trials, per_trial)])
-    points = _blocks(ts.shape[0], point_entries)
     return np.stack([
-        np.concatenate([block(slice(k, k + 1), ts[p])[0] for p in points]) for k in range(trials)
+        _over_nodes(lambda t: block(slice(k, k + 1), t)[0], ts, point_entries)
+        for k in range(trials)
     ])
 
 

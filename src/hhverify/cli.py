@@ -19,7 +19,6 @@ from .campaign import (
     CampaignReport,
     THEOREM_IDS,
     TheoremStats,
-    _FLAG_IDS,
     demo_trial,
     outcome_to_dict,
     repro_command,
@@ -274,22 +273,24 @@ def _cmd_demo(args) -> tuple[int, str]:
     tid = args.theorem.strip()
     if tid not in THEOREM_IDS:
         raise UnknownTheoremError(f"unknown theorem id {tid!r}")
-    seed = _to_int(args.seed, "--seed")
-    dim = _to_int(args.dim, "--dim")
-    ablation = _to_ablation(args.ablation, "--ablation") if args.ablation else frozenset()
-    if ablation and not any(tid in _FLAG_IDS[f] for f in ablation):
-        raise ConfigError(f"ablation flags {sorted(ablation)} do not apply to {tid!r}")
+
+    def opt(key, convert):
+        return _Option(key, convert, None, {})
+
     default = CampaignConfig()
+    seed = opt("seed", _to_int).resolve(args.seed, None)
+    dim = opt("dim", _to_int).resolve(args.dim, None)
+    ablation = opt("ablation", _to_ablation).resolve(args.ablation, default.ablation)
     cfg = CampaignConfig(
-        theorem_ids=(tid,),
+        theorem_ids=select_theorems(tid, ablation),
         trials=1,
         dims=(dim,),
-        rtol=_to_float(args.rtol, "--rtol") if args.rtol is not None else default.rtol,
-        atol=_to_float(args.atol, "--atol") if args.atol is not None else default.atol,
-        norm=_to_norm(args.norm, "--norm") if args.norm is not None else default.norm,
-        nu=_to_float(args.nu, "--nu") if args.nu is not None else default.nu,
-        quad_n=_to_int(args.quad_n, "--quad-n") if args.quad_n is not None else default.quad_n,
-        function=_to_fn(args.fn, "--fn") if args.fn is not None else default.function,
+        rtol=opt("rtol", _to_float).resolve(args.rtol, default.rtol),
+        atol=opt("atol", _to_float).resolve(args.atol, default.atol),
+        norm=opt("norm", _to_norm).resolve(args.norm, default.norm),
+        nu=opt("nu", _to_float).resolve(args.nu, default.nu),
+        quad_n=opt("quad-n", _to_int).resolve(args.quad_n, default.quad_n),
+        function=opt("fn", _to_fn).resolve(args.fn, default.function),
         ablation=ablation,
     )
     text, payload, outcome = demo_trial(tid, seed, dim, cfg)

@@ -319,15 +319,7 @@ def is_ag_convex(
     tol: float = DEFAULT_CONVEXITY_TOL,
 ) -> ConvexityVerdict:
     """Grid test of AG-convexity (log-convexity) of f on [a, b]."""
-    grid_n = _check_grid_n(grid_n)
-    if not a < b:
-        raise DegenerateIntervalError(f"need a < b, got [{a}, {b}]")
-    if not f.contains_interval(a, b):
-        raise DomainViolationError(
-            f"[{a}, {b}] outside the positivity domain of {f.describe()}"
-        )
-    ends = np.array([a], dtype=float), np.array([b], dtype=float)
-    return convexity_verdicts(f, *ends, False, grid_n, tol)[0]
+    return _checked_verdict(f, a, b, False, grid_n, tol)
 
 
 def is_gg_convex(
@@ -342,8 +334,16 @@ def is_gg_convex(
     Runs the same scan as the AG test but on a geometric grid: convexity of
     u -> log f(exp(u)) on [log a, log b].
     """
+    return _checked_verdict(f, a, b, True, grid_n, tol)
+
+
+def _checked_verdict(
+    f: FunctionSpec, a: float, b: float, gg: bool, grid_n: int, tol: float
+) -> ConvexityVerdict:
+    """is_gg_convex (gg) or is_ag_convex: the grid, the interval and the
+    domain checked in that order, then the one-interval scan."""
     grid_n = _check_grid_n(grid_n)
-    if not (a > 0.0 and b > 0.0):
+    if gg and not (a > 0.0 and b > 0.0):
         raise NonPositiveInputError(f"GG-convexity needs positive endpoints, got [{a}, {b}]")
     if not a < b:
         raise DegenerateIntervalError(f"need a < b, got [{a}, {b}]")
@@ -352,7 +352,7 @@ def is_gg_convex(
             f"[{a}, {b}] outside the positivity domain of {f.describe()}"
         )
     ends = np.array([a], dtype=float), np.array([b], dtype=float)
-    return convexity_verdicts(f, *ends, True, grid_n, tol)[0]
+    return convexity_verdicts(f, *ends, gg, grid_n, tol)[0]
 
 
 def convexity_verdicts(

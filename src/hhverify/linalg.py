@@ -6,6 +6,10 @@ The eigensolver is LAPACK's (via ``numpy.linalg.eigh``) with a deterministic
 column-sign convention layered on top; its contract (ascending eigenvalues,
 orthogonality and reconstruction residuals, error surface) is pinned by the
 test suite against hand oracles.
+
+Every q diag(v) q^T is made by ``_apply_stack`` and every stacked PSD power
+by ``_power_stack``, for one matrix or a stack of them; the chains use them
+on stacks of trials.
 """
 
 from __future__ import annotations
@@ -102,11 +106,18 @@ class SpectralDecomp:
         return self.q.shape[0]
 
     def reconstruct(self) -> np.ndarray:
-        return _sym((self.q * self.eigenvalues) @ self.q.T)
+        return _apply_stack(self.q, self.eigenvalues)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """q diag(values) q^T for an eigenvalue-indexed value vector."""
-        return _sym((self.q * values) @ self.q.T)
+        return _apply_stack(self.q, values)
+
+
+def _apply_stack(q: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """sym(q diag(values) q^T) for one basis or a stack of them, with values
+    indexed by eigenvalue on the last axis. The column signs of q cancel in
+    the product, so eigh's sign convention is not needed."""
+    return _sym((q * np.asarray(values)[..., None, :]) @ np.swapaxes(q, -1, -2))
 
 
 def eigh(s) -> SpectralDecomp:
@@ -215,16 +226,12 @@ def det_pd(a) -> float:
 def pd_power(a, t: float) -> np.ndarray:
     """Real power of a positive (semi)definite matrix.
 
-    t = 0 gives the identity and t = 1 returns the input unchanged; 0**t = 0
+    t = 0 gives the identity and t = 1 the symmetrized input; 0**t = 0
     for t > 0; negative powers require strict definiteness. Tiny negative
     eigenvalues within the PSD tolerance are clamped to zero.
     """
     m = check_symmetric(a)
-    if t == 1.0:
-        return m
-    if t == 0.0:
-        return np.eye(m.shape[0])
-    return power_from_decomp(eigh(m), t)
+    return power_from_decomp(eigh(m), t, original=m)
 
 
 def _psd_spectrum(lam: np.ndarray, t: float) -> np.ndarray:
@@ -247,11 +254,10 @@ def power_from_decomp(d: SpectralDecomp, t, original: np.ndarray | None = None) 
     reconstruction noise.
 
     ``t`` may also be a 1-d array of T exponents. The result is then the
-    (T, n, n) stack of the powers, made with one stacked matmul, and each
-    power is equal bit for bit to the call with its exponent alone.
+    (T, n, n) stack of the powers (see _power_stack).
     """
     if isinstance(t, np.ndarray):
-        return _power_stack(d, t, original)
+        return _power_stack(d.eigenvalues, d.q, t, original)
     if t == 0.0:
         return np.eye(d.dim)
     if t == 1.0 and original is not None:
@@ -265,22 +271,29 @@ def power_from_decomp(d: SpectralDecomp, t, original: np.ndarray | None = None) 
 _SCALAR_POWER_SHORTCUTS = (-1.0, 0.5, 2.0)
 
 
-def _power_stack(d: SpectralDecomp, ts: np.ndarray, original: np.ndarray | None) -> np.ndarray:
-    out = np.empty((ts.shape[0], d.dim, d.dim))
+def _power_stack(
+    lam: np.ndarray, q: np.ndarray, ts: np.ndarray, original: np.ndarray | None = None
+) -> np.ndarray:
+    """The powers of the matrices q diag(lam) q^T, given by (..., n) spectra
+    and (..., n, n) bases, at each exponent of the 1-d array ts: shape
+    (..., len(ts), n, n), each equal bit for bit to power_from_decomp with
+    its exponent alone (t = 0 the identity, t = 1 the original if given)."""
+    n = lam.shape[-1]
+    out = np.empty(lam.shape[:-1] + (ts.shape[0], n, n))
     eye = ts == 0.0
-    same = ts == 1.0 if original is not None else np.zeros(ts.shape, dtype=bool)
+    same = (ts == 1.0) & (original is not None)
     rest = ~(eye | same)
-    out[eye] = np.eye(d.dim)
-    out[same] = original
+    out[..., eye, :, :] = np.eye(n)
+    if same.any():
+        out[..., same, :, :] = original[..., None, :, :]
     if rest.any():
         tr = ts[rest]
         # the guard names the first negative exponent, as a loop over ts would
-        lam = _psd_spectrum(d.eigenvalues, float(tr[np.argmax(tr < 0.0)]))
-        vals = np.power(lam[None, :], tr[:, None])
+        lam = _psd_spectrum(lam, float(tr[np.argmax(tr < 0.0)]))
+        vals = np.power(lam[..., None, :], tr[:, None])
         for k in np.flatnonzero(np.isin(tr, _SCALAR_POWER_SHORTCUTS)):
-            vals[k] = np.power(lam, float(tr[k]))
-        m = (d.q * vals[:, None, :]) @ d.q.T
-        out[rest] = 0.5 * (m + np.swapaxes(m, 1, 2))
+            vals[..., k, :] = np.power(lam, float(tr[k]))
+        out[..., rest, :, :] = _apply_stack(q[..., None, :, :], vals)
     return out
 
 
@@ -332,14 +345,14 @@ class CommutingPair:
         return self.q.shape[0]
 
     def matrix_a(self) -> np.ndarray:
-        return _sym((self.q * self.a) @ self.q.T)
+        return _apply_stack(self.q, self.a)
 
     def matrix_b(self) -> np.ndarray:
-        return _sym((self.q * self.b) @ self.q.T)
+        return _apply_stack(self.q, self.b)
 
     def materialize(self, values: np.ndarray) -> np.ndarray:
         """q diag(values) q^T for entrywise-computed spectra."""
-        return _sym((self.q * values) @ self.q.T)
+        return _apply_stack(self.q, values)
 
 
 def check_commuting_stack(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:

@@ -40,7 +40,6 @@ from hhverify.chains import (
     InequalityReport,
     _chain_report,
     _inequality_report,
-    _order_report_from_matrices,
 )
 from hhverify.errors import (
     ConvergenceError,
@@ -60,9 +59,11 @@ from hhverify.functions import (
 )
 from hhverify.linalg import (
     CommutingPair,
+    LoewnerOrdering,
     check_symmetric,
     det_pd,
     eigh,
+    loewner_compare,
     matrix_function,
     operator_norm_sym,
     power_from_decomp,
@@ -459,6 +460,28 @@ def _ref_sym(m):
     return 0.5 * (m + m.T)
 
 
+def _ref_order_report_from_matrices(
+    theorem_id, names, mats, rtol, quad_reliable=True, hypothesis_ok=True
+):
+    """The Loewner chain of the per-trial code: loewner_compare on each link."""
+    comps = []
+    passed = True
+    for k in range(len(mats) - 1):
+        verdict = loewner_compare(mats[k], mats[k + 1], tol=rtol)
+        comps.append(chains.Comparison(names[k], names[k + 1], verdict.min_gap))
+        passed = passed and verdict.ordering in (
+            LoewnerOrdering.LESS_EQUAL,
+            LoewnerOrdering.EQUAL,
+        )
+    return chains.OrderChainReport(
+        theorem_id=theorem_id,
+        comparisons=tuple(comps),
+        passed=passed,
+        quad_reliable=quad_reliable,
+        hypothesis_ok=hypothesis_ok,
+    )
+
+
 def _ref_integrate_matrix(g, n):
     xs, ws = _mapped_nodes(0.0, 1.0, n)
     total = None
@@ -499,7 +522,7 @@ def _ref_op_gg_hh(stream, dim, p):
     except (np.linalg.LinAlgError, ConvergenceError):
         return _unreliable("op_gg_hh")
     t3 = 0.5 * (chains._log_f_of_sym(da, p.f) + chains._log_f_of_sym(db, p.f))
-    return _order_report_from_matrices(
+    return _ref_order_report_from_matrices(
         "op_gg_hh", GG_HH_TERM_NAMES, (t1, t2, t3), p.rtol, quad_reliable=ok, hypothesis_ok=False
     )
 
@@ -520,7 +543,7 @@ def _ref_op_ag_midpoint(stream, dim, p):
         t3 = _ref_sym(_ref_general_apply(fa @ fb, np.sqrt))
     except (np.linalg.LinAlgError, ConvergenceError):
         return _unreliable("op_ag_midpoint")
-    return _order_report_from_matrices(
+    return _ref_order_report_from_matrices(
         "op_ag_midpoint", AG_MIDPOINT_TERM_NAMES, (t1, t2, t3), p.rtol,
         quad_reliable=ok, hypothesis_ok=False,
     )
@@ -679,7 +702,7 @@ def _ref_am_gm_loewner(stream, dim, p):
     gm = weighted_geometric_mean(a, b, p.nu)
     am = (1.0 - p.nu) * check_symmetric(a) + p.nu * check_symmetric(b)
     names = ("weighted_geometric_mean", "weighted_arithmetic_mean")
-    return _order_report_from_matrices("am_gm_loewner", names, (gm, am), p.rtol)
+    return _ref_order_report_from_matrices("am_gm_loewner", names, (gm, am), p.rtol)
 
 
 def _ref_norm_power(stream, dim, p):
@@ -1006,26 +1029,24 @@ def test_an_endpoint_tie_moves_the_upper_end_by_one_ulp(tid, monkeypatch):
         vals[..., 1] = vals[..., 0]
         return vals
 
-    def outcome_or_error(run, *args):
-        # a tie can leave log b - log a at zero, and the gg chain then
-        # divides by it: that error is part of the per-trial behaviour
-        try:
-            return outcome_to_dict(run(*args))
-        except ZeroDivisionError:
-            return "ZeroDivisionError"
-
     monkeypatch.setattr(campaign, "_log_uniform", tied)
     params = resolve_params(tid, CampaignConfig())
     seeds = [derive_trial_seed(5, 2, t) for t in range(20)]
-    want = [outcome_or_error(_SCAN_REFS[tid], RandomStream(s), 2, params) for s in seeds]
-    got = [outcome_or_error(run_trial, tid, s, 2, params) for s in seeds]
-    assert got == want
-    if "ZeroDivisionError" in want:
-        with pytest.raises(ZeroDivisionError):
-            list(campaign._outcomes(tid, seeds, 2, params))
-        assert tid == "scalar_gg"
-    else:
-        assert [outcome_to_dict(o) for o in campaign._outcomes(tid, seeds, 2, params)] == want
+
+    def reference(seed):
+        # a tie can leave log b - log a at zero, where the gg chain's mean of
+        # log f is not defined: the trial cannot be judged
+        try:
+            return outcome_to_dict(_SCAN_REFS[tid](RandomStream(seed), 2, params))
+        except ZeroDivisionError:
+            return outcome_to_dict(_unreliable(tid))
+
+    want = [reference(s) for s in seeds]
+    assert [outcome_to_dict(run_trial(tid, s, 2, params)) for s in seeds] == want
+    assert [outcome_to_dict(o) for o in campaign._outcomes(tid, seeds, 2, params)] == want
+    assert (outcome_to_dict(_unreliable(tid)) in want) == (tid == "scalar_gg")
+    with pytest.raises(DomainViolationError):
+        chains.scalar_hh_chain("gg", FunctionSpec.exp(1.0), 9.9, math.nextafter(9.9, math.inf))
 
 
 @pytest.mark.parametrize("tid", [t for t in _SCAN_IDS if campaign.THEOREMS[t].convexity_guard])

@@ -9,6 +9,7 @@ import pytest
 from hhverify import (
     CommutingPair,
     FunctionSpec,
+    LoewnerOrdering,
     NormSpec,
     TraceVariant,
     operator_ag_midpoint_order_chain,
@@ -26,7 +27,8 @@ from hhverify.chains import (
     Comparison,
     _eig_crossings,
 )
-from hhverify.sampler import RandomStream, random_commuting_pair
+from hhverify.linalg import loewner_compare
+from hhverify.sampler import RandomStream, random_commuting_pair, random_orthogonal
 
 
 def _diag_pair(a, b) -> CommutingPair:
@@ -265,6 +267,9 @@ def test_stacked_order_reports_match_the_per_trial_rule():
     # a gap of -9.995e-6 passes at 1e-8 * 1000 and fails at 1e-8 * 999
     rows[0][0], rows[1][0] = [-1000.0, 0, 0, 0, 0], [-999.0, -9.995e-6, 0, 0, 0]
     rows[2][0] = rows[1][0] + 1.0
+    # and in trial 1 from |hi| = 1000 > |lo| = 0
+    rows[0][1], rows[1][1] = [0.0] * 5, [1000.0, -9.995e-6, 0, 0, 0]
+    rows[2][1] = rows[1][1] + 1.0
     flags = [bool(t % 2) for t in range(40)]
     got = chains._order_reports("op_gg_hh", names, rows, 1e-8, flags, flags[::-1])
     for t, report in enumerate(got):
@@ -273,4 +278,20 @@ def test_stacked_order_reports_match_the_per_trial_rule():
         assert (report.quad_reliable, report.hypothesis_ok) == (flags[t], flags[::-1][t])
         one = chains._order_report_from_rows("op_gg_hh", names, [r[t] for r in rows], 1e-8)
         assert one.comparisons == report.comparisons and one.passed == report.passed
-    assert got[0].passed and not all(r.passed for r in got)
+    assert got[0].passed and got[1].passed and not all(r.passed for r in got)
+
+    # the matrix chains: the rows as spectra, turned by a random basis after
+    # the first two trials, against loewner_compare on each link
+    stream = RandomStream(11)
+    bases = [np.eye(5)] * 2 + [random_orthogonal(stream, 5) for _ in range(38)]
+    mats = np.array([[(q * r[t]) @ q.T for t, q in enumerate(bases)] for r in rows])
+    got = chains._matrix_order_reports("dragomir", names, mats, 1e-8, flags, flags[::-1])
+    for t, report in enumerate(got):
+        verdicts = [loewner_compare(mats[k, t], mats[k + 1, t], tol=1e-8) for k in range(2)]
+        assert [c.min_gap for c in report.comparisons] == [v.min_gap for v in verdicts], t
+        le = (LoewnerOrdering.LESS_EQUAL, LoewnerOrdering.EQUAL)
+        assert report.passed == all(v.ordering in le for v in verdicts), t
+        assert (report.quad_reliable, report.hypothesis_ok) == (flags[t], flags[::-1][t])
+        one = chains._order_report_from_matrices("dragomir", names, list(mats[:, t]), 1e-8)
+        assert one.comparisons == report.comparisons and one.passed == report.passed
+    assert got[0].passed and got[1].passed and not all(r.passed for r in got)

@@ -28,7 +28,13 @@ from hhverify import (
     weighted_geometric_mean,
 )
 from hhverify.errors import DimMismatchError, NotSquareError
-from hhverify.linalg import MAX_DIM, check_matrix, check_symmetric, power_from_decomp
+from hhverify.linalg import (
+    MAX_DIM,
+    _power_stack,
+    check_matrix,
+    check_symmetric,
+    power_from_decomp,
+)
 
 
 def _rand_sym(rng, n, scale=1.0):
@@ -189,6 +195,29 @@ def test_power_from_decomp_endpoint_exactness():
     d = eigh(a)
     np.testing.assert_array_equal(power_from_decomp(d, 0.0), np.eye(4))
     np.testing.assert_array_equal(power_from_decomp(d, 1.0, a), a)
+    # the stacked kernel against the scalar path, bit for bit, on a stack of
+    # positive definite matrices and on one holding a tiny negative eigenvalue
+    # that is clamped to zero (no negative power of it exists)
+    stream = RandomStream(13)
+    q = np.linalg.qr(np.random.default_rng(5).normal(size=(4, 4)))[0]
+    clamped = check_symmetric((q * [-1e-14, 1.0, 2.0, 3.0]) @ q.T)
+    ts = np.array([-1.0, 0.0, 0.25, 0.5, 1.0, 2.0])
+    for mats, exps in (
+        ([random_spd(stream, 4) for _ in range(3)], ts),
+        ([clamped, random_spd(stream, 4)], ts[1:]),
+    ):
+        mats = np.array([check_symmetric(m) for m in mats])
+        lam, vecs = np.linalg.eigh(mats)
+        for original in (mats, None):
+            got = _power_stack(lam, vecs, exps, original)
+            for k, m in enumerate(mats):
+                dk = SpectralDecomp(q=vecs[k], eigenvalues=lam[k])
+                o = None if original is None else m
+                for j, t in enumerate(exps.tolist()):
+                    np.testing.assert_array_equal(got[k, j], power_from_decomp(dk, t, o))
+    assert lam[0, 0] < 0.0
+    with pytest.raises(SingularPowerError):
+        _power_stack(lam, vecs, ts, mats)
 
 
 def test_weighted_geometric_mean_fixtures():
