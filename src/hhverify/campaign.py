@@ -40,12 +40,15 @@ from .chains import (
     _joint_ranges,
     _kittaneh_stack,
     _means_stack,
+    _norm_gg_stack,
     _norm_power_stack,
     _operator_convex,
     _phi_operator_verdicts,
     _scalar_hh_stack,
+    _trace_stack,
     _two_sided_verdicts,
     _TwoSidedPowers,
+    _uin_stack,
     ag_convexity_witness,
     det_ag_indefinite,
     dragomir_operator_chain,
@@ -53,14 +56,11 @@ from .chains import (
     norm_gg_general,
     op_ag_midpoint_general,
     op_gg_hh_general,
-    operator_norm_gg_chain,
-    trace_chain,
     trace_chain_general,
-    uin_chain,
 )
 from .errors import ConfigError, ConvergenceError, DomainViolationError, NonFiniteSampleError
 from .functions import ConvexityVerdict, FunctionSpec, exact_g
-from .linalg import MAX_DIM, CommutingPair, check_commuting_stack
+from .linalg import MAX_DIM, check_commuting_stack
 from .norms import NormSpec
 from .quadrature import MAX_NODES
 from .sampler import (
@@ -130,11 +130,6 @@ def _scalar_interval(stream: RandomStream) -> tuple[np.ndarray, np.ndarray]:
     if tie.any():
         b = np.where(tie, np.nextafter(b, np.inf), b)
     return a, b
-
-
-def _commuting(stream: RandomStream, dim: int) -> CommutingPair:
-    q, a, b = random_commuting_pair(stream, dim, SPD_LO, SPD_HI)
-    return CommutingPair(q=q, a=a, b=b)
 
 
 def _commuting_spectra(stream: RandomStream, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -263,10 +258,10 @@ def _commuting_order(theorem_id: str, general) -> Theorem:
 
 
 def _norm_gg(theorem_id: str, fn) -> Theorem:
-    return Theorem(
-        lambda s, d, p: operator_norm_gg_chain(
-            p.f, _commuting(s, d), p.norm, p.quad_n, p.rtol, p.atol,
-            check_hypothesis=p.check_hypothesis, theorem_id=theorem_id,
+    return _batched(
+        lambda seeds, d, p: _norm_gg_stack(
+            theorem_id, p.f, *_commuting_spectra(RandomStream(seeds), d), p.norm, p.quad_n,
+            p.rtol, p.atol, p.check_hypothesis,
         ),
         drop_commutativity=lambda s, d, p: norm_gg_general(
             theorem_id, p.f, *_spd_pair(s, d), p.norm, p.quad_n, p.rtol, p.atol
@@ -277,8 +272,10 @@ def _norm_gg(theorem_id: str, fn) -> Theorem:
 
 
 def _trace(variant: TraceVariant) -> Theorem:
-    return Theorem(
-        lambda s, d, p: trace_chain(variant, _commuting(s, d), p.quad_n, p.rtol, p.atol),
+    return _batched(
+        lambda seeds, d, p: _trace_stack(
+            variant, *_commuting_spectra(RandomStream(seeds), d), p.quad_n, p.rtol, p.atol
+        ),
         drop_commutativity=lambda s, d, p: trace_chain_general(
             variant, *_spd_pair(s, d), p.quad_n, p.rtol, p.atol
         ),
@@ -315,9 +312,10 @@ def _two_sided_witness(theorem_id: str, diagonal: bool) -> Theorem:
 
 
 def _uin(variant: UinVariant, nu=_any_nu) -> Theorem:
-    return Theorem(
-        lambda s, d, p: uin_chain(
-            variant, *_spd_pair_with_x(s, d), p.norm, p.nu, p.quad_n, p.rtol, p.atol
+    return _batched(
+        lambda seeds, d, p: _uin_stack(
+            variant, _TwoSidedPowers.of_stacks(*_spd_pair_with_x(RandomStream(seeds), d)),
+            p.norm, p.nu, p.quad_n, p.rtol, p.atol,
         ),
         schatten2=True,
         nu=nu,
@@ -775,9 +773,11 @@ def _fmt(v: float) -> str:
 
 
 def outcome_to_text(outcome, seed: int, dim: int) -> str:
+    # a trial that cannot be judged has no verdict, whatever its terms say
+    verdict = "n/a" if not outcome.quad_reliable else "yes" if outcome.passed else "no"
     lines = [
         f"theorem: {outcome.theorem_id}  (dim={dim}, seed={seed})",
-        f"status: passed={'yes' if outcome.passed else 'no'} "
+        f"status: passed={verdict} "
         f"quad_reliable={'yes' if outcome.quad_reliable else 'no'} "
         f"hypothesis_ok={'yes' if outcome.hypothesis_ok else 'no'}",
     ]

@@ -45,7 +45,6 @@ from .functions import (
 )
 from .linalg import (
     CommutingPair,
-    SpectralDecomp,
     _apply_stack,
     _power_stack,
     _signed_eigh,
@@ -57,7 +56,7 @@ from .linalg import (
     matrix_function,
     power_from_decomp,
 )
-from .norms import NormSpec, norm, norms_from_eig_rows, norms_of_stack
+from .norms import NormSpec, norms_from_eig_rows, norms_of_stack
 from .quadrature import (
     integrate_matrix_checked,
     integrate_stack_checked,
@@ -198,16 +197,40 @@ def hh_terms(anchors, log_curve, edges, quad_n: int):
         v(mid) <= sqrt(v(q1) v(q2)) <= exp(mean of log v)
                <= sqrt(v(mid)) v(lo)^(1/4) v(hi)^(1/4) <= sqrt(v(lo) v(hi)),
 
-    and whether every piece passed the quadrature doubling check.
+    and whether every piece passed the quadrature doubling check. It is
+    _hh_integrals on a stack of one trial, log_curve called on each piece's
+    nodes alone.
     """
-    integral, reliable = 0.0, True
-    for k in range(len(edges) - 1):
-        piece, ok = integrate_stack_checked(
-            log_curve, float(edges[k]), float(edges[k + 1]), quad_n
-        )
-        integral += float(piece)
-        reliable = reliable and ok
+    edges = np.asarray(edges, dtype=float)
+    pieces = edges.shape[0] - 1
+    (integral,), (reliable,) = _hh_integrals(
+        lambda sl, xs: np.stack([log_curve(x) for x in xs]),
+        edges[:-1], edges[1:], np.zeros(pieces, dtype=np.intp), 1, quad_n, 1,
+    )
     return _hh_ending(anchors, integral, edges[-1] - edges[0]), reliable
+
+
+def _hh_integrals(curve, lo, hi, owner, trials: int, quad_n: int, node_entries: int):
+    """The integral of the log-curve of each of ``trials`` trials over its
+    pieces, and whether every piece passed the doubling check.
+
+    Piece k is [lo[k], hi[k]] of trial owner[k]; owner is ascending, and a
+    trial's pieces come in order. ``curve(sl, xs)`` is the integrand of the
+    pieces sl: it maps their (R, N) nodes xs to their samples. The pieces
+    are integrated by integrate_trials_checked in blocks of whole pieces of
+    at most STACK_ENTRIES entries, at node_entries entries per node, and each
+    trial's pieces are summed left to right.
+    """
+    pieces, flags = [], []
+    for sl in _blocks(lo.shape[0], 2 * quad_n * node_entries):
+        values, ok = integrate_trials_checked(lambda xs: curve(sl, xs), lo[sl], hi[sl], quad_n)
+        pieces += values
+        flags += ok
+    integrals, reliable = [0.0] * trials, [True] * trials
+    for t, piece, ok in zip(owner.tolist(), pieces, flags):
+        integrals[t] += float(piece)
+        reliable[t] = reliable[t] and ok
+    return integrals, reliable
 
 
 def _hh_ending(anchors, integral: float, span: float) -> tuple[float, ...]:
@@ -861,16 +884,11 @@ def _eig_crossings(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
     """
     la, lb = np.log(av), np.log(bv)
     slopes = la - lb
-    cuts = []
-    for i in range(la.size):
-        for j in range(i + 1, la.size):
-            ds = slopes[i] - slopes[j]
-            if ds == 0.0:
-                continue
-            u = (lb[j] - lb[i]) / ds
-            if 1e-12 < u < 1.0 - 1e-12:
-                cuts.append(u)
-    return np.unique(np.asarray(cuts, dtype=float))
+    i, j = np.triu_indices(la.size, 1)  # every pair i < j
+    ds = slopes[i] - slopes[j]
+    apart = ds != 0.0  # parallel curves never cross
+    u = (lb[j][apart] - lb[i][apart]) / ds[apart]
+    return np.unique(u[(1e-12 < u) & (u < 1.0 - 1e-12)])
 
 
 def operator_norm_gg_chain(
@@ -892,45 +910,80 @@ def operator_norm_gg_chain(
     On the commuting pair f(sqrt(AB)) = f(A^(1/2)B^(1/2)), so the first term
     is phi(1/2) itself.
     """
-    av, bv = pair.a, pair.b
-    hypothesis_ok = _commuting_prelude(f, *_spectra(pair), True, check_hypothesis)[0]
+    return _norm_gg_stack(
+        theorem_id, f, *_spectra(pair), norm_spec, quad_n, rtol, atol, check_hypothesis
+    )[0]
 
-    def phi(u: float) -> float:
-        eigs = np.power(av, u) * np.power(bv, 1.0 - u) if 0.0 < u < 1.0 else (
-            av if u == 1.0 else bv
+
+def _norm_gg_stack(
+    theorem_id: str, f: FunctionSpec, a: np.ndarray, b: np.ndarray, norm_spec: NormSpec,
+    quad_n: int, rtol: float, atol: float, check_hypothesis: bool,
+) -> list[ChainReport]:
+    """operator_norm_gg_chain of each commuting pair, given by its spectra
+    a[t], b[t] of two (T, n) stacks: the anchors one point at a time over the
+    stack, and every piece between the kinks of every trial as one row of
+    _hh_integrals."""
+    holds = _commuting_prelude(f, a, b, True, check_hypothesis)
+
+    def phi(u: float) -> np.ndarray:
+        eigs = np.power(a, u) * np.power(b, 1.0 - u) if 0.0 < u < 1.0 else (
+            a if u == 1.0 else b
         )
-        return norms_from_eig_rows(f.eval_array(eigs)[None, :], norm_spec)[0]
+        return _anchor_gauges(f.eval_array(eigs), norm_spec)
 
-    def log_phi_rows(ts: np.ndarray) -> np.ndarray:
-        grid = np.power(av[None, :], ts[:, None]) * np.power(bv[None, :], (1.0 - ts)[:, None])
-        vals = norms_from_eig_rows(f.eval_array(grid), norm_spec)
-        if not (np.isfinite(vals).all() and (vals > 0.0).all()):
-            raise DomainViolationError(f"{theorem_id}: norm curve is not strictly positive")
-        return np.log(vals)
-
+    anchors = np.array([phi(u) for u in HH_NODES])  # (5, T)
+    _require_positive_curve(theorem_id, anchors)
     # max-type norms sort the branches, so kinks sit at branch crossings
     sorting_norm = norm_spec.kind == "kyfan" or (
         norm_spec.kind == "schatten" and math.isinf(norm_spec.params[0])
     )
-    if sorting_norm:
-        edges = np.concatenate(([0.0], _eig_crossings(av, bv), [1.0]))
-    else:
-        edges = np.asarray([0.0, 1.0])
-    return _norm_curve_chain(
-        theorem_id, tuple(phi(u) for u in HH_NODES), log_phi_rows, edges, quad_n, rtol, atol,
-        hypothesis_ok,
+    cuts = [_eig_crossings(av, bv) if sorting_norm else np.empty(0) for av, bv in zip(a, b)]
+    owner = np.repeat(np.arange(a.shape[0]), [c.size + 1 for c in cuts])
+    edges = [np.concatenate(([0.0], c, [1.0])) for c in cuts]
+    n = a.shape[1]
+
+    def log_phi(sl: slice, xs: np.ndarray) -> np.ndarray:
+        rows, t = owner[sl], xs[:, :, None]
+        grid = np.power(a[rows, None, :], t) * np.power(b[rows, None, :], 1.0 - t)
+        vals = norms_from_eig_rows(f.eval_array(grid).reshape(-1, n), norm_spec)
+        if not (np.isfinite(vals).all() and (vals > 0.0).all()):
+            raise DomainViolationError(f"{theorem_id}: norm curve is not strictly positive")
+        return np.log(vals.reshape(xs.shape))
+
+    integrals, reliable = _hh_integrals(
+        log_phi,
+        np.concatenate([e[:-1] for e in edges]),
+        np.concatenate([e[1:] for e in edges]),
+        owner, a.shape[0], quad_n, n,
     )
+    return [
+        _norm_curve_chain(
+            theorem_id, _hh_ending(tuple(anchors[:, t]), integrals[t], 1.0), reliable[t],
+            rtol, atol, holds[t],
+        )
+        for t in range(a.shape[0])
+    ]
+
+
+def _anchor_gauges(rows: np.ndarray, spec: NormSpec) -> np.ndarray:
+    """norms_from_eig_rows of each row of a (T, n) eigenvalue array, with the
+    bits it has as a stack of one: the power of a general Schatten p, taken
+    on reversed rows, can round differently in a taller stack, so those rows
+    are gauged one at a time."""
+    if spec.kind == "schatten" and spec.params[0] not in (1.0, 2.0, math.inf):
+        return np.concatenate([norms_from_eig_rows(row[None], spec) for row in rows])
+    return norms_from_eig_rows(rows, spec)
+
+
+def _require_positive_curve(theorem_id: str, anchors) -> None:
+    if (np.asarray(anchors) <= 0.0).any():
+        raise DomainViolationError(f"{theorem_id}: norm curve is not strictly positive")
 
 
 def _norm_curve_chain(
-    theorem_id: str, anchors, log_curve, edges, quad_n: int, rtol: float, atol: float,
-    hypothesis_ok: bool = True,
+    theorem_id: str, terms, reliable: bool, rtol: float, atol: float, hypothesis_ok: bool = True
 ) -> ChainReport:
-    """The five-term chain of a norm curve from its anchors (hh_terms), which
-    must be positive."""
-    if min(anchors) <= 0.0:
-        raise DomainViolationError(f"{theorem_id}: norm curve is not strictly positive")
-    terms, reliable = hh_terms(anchors, log_curve, edges, quad_n)
+    """The five-term chain report of a norm curve from its hh_terms."""
     return _chain_report(
         theorem_id, HH_TERM_NAMES, terms, rtol, atol,
         quad_reliable=reliable, hypothesis_ok=hypothesis_ok,
@@ -976,33 +1029,50 @@ def trace_chain(
              with tau2(u) = tr(A^(2u) B^(2-2u)). The final bound follows from
              tr(A^2) <= (tr A)^2, which is checked separately as a property.
     """
-    av, bv = pair.a, pair.b
-    power = 2.0 if variant is TraceVariant.SQUARED else 1.0
+    return _trace_stack(variant, *_spectra(pair), quad_n, rtol, atol)[0]
 
-    def tau(u: float) -> float:
-        return float(np.sum(np.power(av, power * u) * np.power(bv, power * (1.0 - u))))
 
-    def log_tau_rows(ts: np.ndarray) -> np.ndarray:
-        grid = np.power(av[None, :], power * ts[:, None]) * np.power(
-            bv[None, :], power * (1.0 - ts)[:, None]
-        )
-        return np.log(np.sum(grid, axis=1))
+def _trace_stack(
+    variant: TraceVariant, a: np.ndarray, b: np.ndarray, quad_n: int, rtol: float, atol: float
+) -> list[ChainReport]:
+    """trace_chain of each commuting pair, given by its spectra a[t], b[t] of
+    two (T, n) stacks: tau one point at a time over the stack, and the
+    integral of log tau of every trial as one row of _hh_integrals."""
+    pw = 2.0 if variant is TraceVariant.SQUARED else 1.0
 
+    def tau(u: float) -> list[float]:
+        return (np.power(a, pw * u) * np.power(b, pw * (1.0 - u))).sum(axis=1).tolist()
+
+    def log_tau(sl: slice, xs: np.ndarray) -> np.ndarray:
+        t = xs[:, :, None]
+        grid = np.power(a[sl, None, :], pw * t) * np.power(b[sl, None, :], pw * (1.0 - t))
+        return np.log(grid.sum(axis=2))
+
+    trials = a.shape[0]
+    anchors = list(zip(*(tau(u) for u in HH_NODES)))
+    integrals, reliable = _hh_integrals(
+        log_tau, np.zeros(trials), np.ones(trials), np.arange(trials), trials, quad_n, a.shape[1]
+    )
     if variant is TraceVariant.SQRT:
-        ends = (math.sqrt(float(np.sum(av * bv))), tau(0.5))  # tr sqrt(AB) is tau(1/2)
+        # tr sqrt(AB) is tau(1/2)
+        ends = [(math.sqrt(ab), v[2]) for ab, v in zip((a * b).sum(axis=1).tolist(), anchors)]
     else:
-        ends = float(np.sum(av)) * float(np.sum(bv))
-    return _trace_report(variant, tau, log_tau_rows, ends, quad_n, rtol, atol)
+        ends = [x * y for x, y in zip(a.sum(axis=1).tolist(), b.sum(axis=1).tolist())]
+    return [
+        _trace_report(
+            variant, _hh_ending(anchors[t], integrals[t], 1.0), reliable[t], ends[t], rtol, atol
+        )
+        for t in range(trials)
+    ]
 
 
 def _trace_report(
-    variant: TraceVariant, tau, log_tau_rows, ends, quad_n: int, rtol: float, atol: float,
+    variant: TraceVariant, terms, reliable: bool, ends, rtol: float, atol: float,
     hypothesis_ok: bool = True,
 ) -> ChainReport:
-    """The trace chain of the curve tau: its hh_terms on [0, 1], with ``ends``
-    in place of the midpoint term (SQRT: the pair sqrt tr AB, tr sqrt AB) or
-    of the endpoint term (SQUARED: tr A tr B)."""
-    terms, reliable = hh_terms(tuple(tau(u) for u in HH_NODES), log_tau_rows, (0.0, 1.0), quad_n)
+    """The trace chain of the curve tau from its hh_terms on [0, 1], with
+    ``ends`` in place of the midpoint term (SQRT: the pair sqrt tr AB,
+    tr sqrt AB) or of the endpoint term (SQUARED: tr A tr B)."""
     sqrt = variant is TraceVariant.SQRT
     return _chain_report(
         "trace_sqrt" if sqrt else "trace_squared",
@@ -1132,9 +1202,9 @@ def norm_gg_general(
         return np.array([math.log(v) for v in _nc_phi(da, db, a, b, f, norm_spec, ts).tolist()])
 
     anchors = _nc_phi(da, db, a, b, f, norm_spec, np.array(HH_NODES)).tolist()
-    return _norm_curve_chain(
-        theorem_id, anchors, log_phi, (0.0, 1.0), quad_n, rtol, atol, hypothesis_ok=False
-    )
+    _require_positive_curve(theorem_id, anchors)
+    terms, reliable = hh_terms(anchors, log_phi, (0.0, 1.0), quad_n)
+    return _norm_curve_chain(theorem_id, terms, reliable, rtol, atol, hypothesis_ok=False)
 
 
 def trace_chain_general(
@@ -1163,7 +1233,8 @@ def trace_chain_general(
         if (w <= 0.0).any():
             raise DomainViolationError("trace_sqrt: the spectrum of AB is not positive")
         ends = (math.sqrt(float(np.trace(a @ b))), float(np.sum(np.sqrt(w))))
-    return _trace_report(variant, tau, log_tau_rows, ends, quad_n, rtol, atol, hypothesis_ok=False)
+    terms, reliable = hh_terms(tuple(tau(u) for u in HH_NODES), log_tau_rows, (0.0, 1.0), quad_n)
+    return _trace_report(variant, terms, reliable, ends, rtol, atol, hypothesis_ok=False)
 
 
 def det_ag_indefinite(a, b, nu: float, rtol: float, atol: float) -> InequalityReport:
@@ -1255,30 +1326,35 @@ class _TwoSidedPowers:
         _check_bridge(x.shape[1:], ma.shape[1:], mb.shape[1:])
         return cls(ma, mb, x)
 
-    def norms(self, ts: np.ndarray, second, spec: NormSpec) -> np.ndarray:
+    def norms(
+        self, ts: np.ndarray, second, spec: NormSpec, trials: slice = slice(None)
+    ) -> np.ndarray:
         """Norm at each exponent pair (t, second(t)) of the array ts, for each
-        trial: shape (T, len(ts))."""
-        m, k = self.core.shape[1:]
+        trial of the slice trials: shape (trials, len(ts))."""
+        la, lb, core = self.la[trials], self.lb[trials], self.core[trials]
+        m, k = core.shape[1:]
 
         def block(sl: slice, t: np.ndarray) -> np.ndarray:
-            left = np.power(self.la[sl, None, :], t[:, None])
-            right = np.power(self.lb[sl, None, :], second(t)[:, None])
-            prods = left[..., None] * self.core[sl, None] * right[..., None, :]
+            left = np.power(la[sl, None, :], t[:, None])
+            right = np.power(lb[sl, None, :], second(t)[:, None])
+            prods = left[..., None] * core[sl, None] * right[..., None, :]
             return norms_of_stack(prods.reshape(-1, m, k), spec).reshape(prods.shape[:2])
 
-        return _curve_stack(block, self.core.shape[0], ts, m * k)
+        return _curve_stack(block, core.shape[0], ts, m * k)
 
-    def direct(self, sa: float, sb: float) -> np.ndarray:
-        """Materialized A^sa X B^sb of a stack of one; exponents 0 and 1 incur
-        no reconstruction noise."""
-        mx = self.mx[0]
-        if sa != 0.0:
-            da = SpectralDecomp(q=self.qa[0], eigenvalues=self.la[0])
-            mx = power_from_decomp(da, sa, original=self.ma[0]) @ mx
-        if sb == 0.0:
-            return mx
-        db = SpectralDecomp(q=self.qb[0], eigenvalues=self.lb[0])
-        return mx @ power_from_decomp(db, sb, original=self.mb[0])
+    def direct(self, pairs) -> np.ndarray:
+        """The materialized A^sa X B^sb of each trial at each exponent pair
+        (sa, sb) of pairs: shape (T, len(pairs), m, k). The powers come from
+        one _power_stack per side, so exponents 0 and 1 incur no
+        reconstruction noise, and a zero exponent skips its product."""
+        sa, sb = (np.array(side, dtype=float) for side in zip(*pairs))
+        left = _power_stack(self.la, self.qa, sa, self.ma)
+        right = _power_stack(self.lb, self.qb, sb, self.mb)
+        out = []
+        for k, (ta, tb) in enumerate(pairs):
+            mx = self.mx if ta == 0.0 else left[:, k] @ self.mx
+            out.append(mx if tb == 0.0 else mx @ right[:, k])
+        return np.stack(out, axis=1)
 
 
 def _over_nodes(fn, ts: np.ndarray, node_entries: int) -> np.ndarray:
@@ -1433,20 +1509,48 @@ def uin_chain(
     midpoint-endpoint mix, and the endpoint geometric mean. Anchor terms use
     materialized powers; only the integral goes through the scaled reduction.
     """
-    tp = _TwoSidedPowers.of_one(a, b, x)
+    return _uin_stack(
+        variant, _TwoSidedPowers.of_one(a, b, x), norm_spec, nu, quad_n, rtol, atol
+    )[0]
+
+
+def _uin_stack(
+    variant: UinVariant, tp: _TwoSidedPowers, norm_spec: NormSpec, nu: float, quad_n: int,
+    rtol: float, atol: float,
+) -> list[ChainReport]:
+    """uin_chain of each trial of tp: the anchors of every trial from one
+    materialized stack, and the integral of every trial as one row of
+    _hh_integrals. The trials share the interval, so their quadrature nodes
+    are the same bits, and the curve is taken at the nodes of the first."""
     lo, hi = _uin_interval(variant, nu)
     diagonal = variant is UinVariant.DIAGONAL
 
-    def second(t: float) -> float:
+    def second(t):
         return t if diagonal else 1.0 - t
 
     points = (lo, 0.25 * (3.0 * lo + hi), 0.5 * (lo + hi), 0.25 * (lo + 3.0 * hi), hi)
-    anchors = tuple(norm(tp.direct(t, second(t)), norm_spec) for t in points)
+    mats = tp.direct([(t, second(t)) for t in points])
+    _require_finite(mats)
+    norms = _norms_stack(mats, norm_spec)
+    anchors = [tuple(norms[i : i + 5]) for i in range(0, len(norms), 5)]
+    theorem_id = _UIN_IDS[variant]
+    _require_positive_curve(theorem_id, norms)
 
-    def log_rows(ts: np.ndarray) -> np.ndarray:
-        vals = tp.norms(ts, second, norm_spec)[0]
+    def log_curve(sl: slice, xs: np.ndarray) -> np.ndarray:
+        vals = tp.norms(xs[0], second, norm_spec, sl)
         if not (np.isfinite(vals).all() and (vals > 0.0).all()):
             raise DomainViolationError("norm curve is not strictly positive")
         return np.log(vals)
 
-    return _norm_curve_chain(_UIN_IDS[variant], anchors, log_rows, (lo, hi), quad_n, rtol, atol)
+    trials = len(anchors)
+    m, k = tp.core.shape[1:]
+    integrals, reliable = _hh_integrals(
+        log_curve, np.full(trials, lo), np.full(trials, hi), np.arange(trials), trials, quad_n,
+        m * k,
+    )
+    return [
+        _norm_curve_chain(
+            theorem_id, _hh_ending(anchors[t], integrals[t], hi - lo), reliable[t], rtol, atol
+        )
+        for t in range(trials)
+    ]

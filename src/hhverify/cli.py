@@ -294,7 +294,8 @@ def _cmd_demo(args) -> tuple[int, str]:
         ablation=ablation,
     )
     text, payload, outcome = demo_trial(tid, seed, dim, cfg)
-    return (0 if outcome.passed else 1), text + "\n" + _json_value(payload, 0)
+    judged_pass = outcome.passed and outcome.quad_reliable
+    return (0 if judged_pass else 1), text + "\n" + _json_value(payload, 0)
 
 
 def _write_stdout(text: str) -> None:

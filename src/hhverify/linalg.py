@@ -78,14 +78,15 @@ def check_symmetric_stack(m) -> np.ndarray:
         raise DimMismatchError(f"expected a (T, n, n) stack, got shape {a.shape}")
     if not 1 <= a.shape[1] == a.shape[2] <= MAX_DIM:
         check_matrix(a[0], square=True)
-    finite = np.isfinite(a).all(axis=(1, 2))
-    if not finite.all():
-        check_matrix(a[int(np.argmin(finite))])
+    if not np.isfinite(a).all():
+        check_matrix(a[int(np.argmin(np.isfinite(a).all(axis=(1, 2))))])
     at = np.swapaxes(a, 1, 2)
-    bound = SYMMETRY_TOL * (1.0 + np.max(np.abs(a), axis=(1, 2)))
-    bad = np.max(np.abs(a - at), axis=(1, 2)) > bound
-    if bad.any():
-        check_symmetric(a[int(np.argmax(bad))])
+    # every bound is at least SYMMETRY_TOL, so a stack within it passes at once
+    if np.abs(a - at).max() > SYMMETRY_TOL:
+        bound = SYMMETRY_TOL * (1.0 + np.max(np.abs(a), axis=(1, 2)))
+        bad = np.max(np.abs(a - at), axis=(1, 2)) > bound
+        if bad.any():
+            check_symmetric(a[int(np.argmax(bad))])
     return 0.5 * (a + at)
 
 
@@ -140,10 +141,11 @@ def _signed_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         lam, q = np.linalg.eigh(a)
     except np.linalg.LinAlgError as e:  # pragma: no cover - LAPACK rarely fails
         raise ConvergenceError(f"eigensolver did not converge: {e}") from e
-    anchor = np.argmax(np.abs(q), axis=1)[:, None, :]
-    signs = np.sign(np.take_along_axis(q, anchor, axis=1))
+    # the entry of each column at the row of its largest magnitude
+    rows = np.argmax(np.abs(q), axis=1)
+    signs = np.sign(q[np.arange(q.shape[0])[:, None], rows, np.arange(q.shape[2])])
     signs[signs == 0.0] = 1.0
-    return lam, q * signs
+    return lam, q * signs[:, None, :]
 
 
 def matrix_function(d: SpectralDecomp, f: FunctionSpec) -> np.ndarray:
@@ -277,23 +279,25 @@ def _power_stack(
     """The powers of the matrices q diag(lam) q^T, given by (..., n) spectra
     and (..., n, n) bases, at each exponent of the 1-d array ts: shape
     (..., len(ts), n, n), each equal bit for bit to power_from_decomp with
-    its exponent alone (t = 0 the identity, t = 1 the original if given)."""
-    n = lam.shape[-1]
-    out = np.empty(lam.shape[:-1] + (ts.shape[0], n, n))
-    eye = ts == 0.0
-    same = (ts == 1.0) & (original is not None)
-    rest = ~(eye | same)
-    out[..., eye, :, :] = np.eye(n)
-    if same.any():
-        out[..., same, :, :] = original[..., None, :, :]
-    if rest.any():
-        tr = ts[rest]
+    its exponent alone (t = 0 the identity, t = 1 the original if given).
+
+    Every exponent is taken through the spectrum, and the rows at t = 0 and
+    t = 1 are then overwritten; each matrix of a stacked product is computed
+    alone, so the extra rows leave the others' bits."""
+    tl = ts.tolist()
+    exact = [t == 0.0 or (t == 1.0 and original is not None) for t in tl]
+    general = [t for t, e in zip(tl, exact) if not e]
+    if general:
         # the guard names the first negative exponent, as a loop over ts would
-        lam = _psd_spectrum(lam, float(tr[np.argmax(tr < 0.0)]))
-        vals = np.power(lam[..., None, :], tr[:, None])
-        for k in np.flatnonzero(np.isin(tr, _SCALAR_POWER_SHORTCUTS)):
-            vals[..., k, :] = np.power(lam, float(tr[k]))
-        out[..., rest, :, :] = _apply_stack(q[..., None, :, :], vals)
+        lam = _psd_spectrum(lam, next((t for t in general if t < 0.0), general[0]))
+    vals = np.power(lam[..., None, :], ts[:, None])
+    for k, t in enumerate(tl):
+        if t in _SCALAR_POWER_SHORTCUTS:
+            vals[..., k, :] = np.power(lam, t)
+    out = _apply_stack(q[..., None, :, :], vals)
+    for k, t in enumerate(tl):
+        if exact[k]:
+            out[..., k, :, :] = np.eye(lam.shape[-1]) if t == 0.0 else original
     return out
 
 

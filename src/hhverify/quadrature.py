@@ -162,11 +162,17 @@ def integrate_matrix_checked(
     return _checked(integrate_matrix, g, a, b, n)
 
 
+def _contract(w: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The weights w of n nodes contracted with the (n, ...) samples s: the
+    (1, n) . (n, k) dot that np.tensordot(w, s, axes=(0, 0)) makes, without
+    its axis bookkeeping, so the same bits."""
+    return np.dot(w.reshape(1, -1), s.reshape(s.shape[0], -1)).reshape(s.shape[1:])
+
+
 def _integrate_stack(
     g: Callable[[np.ndarray], np.ndarray], a: float, b: float, n: int
 ) -> np.ndarray:
-    ws, samples = _samples(g, a, b, n)
-    return np.tensordot(ws, samples, axes=(0, 0))
+    return _contract(*_samples(g, a, b, n))
 
 
 def integrate_stack_checked(
@@ -187,8 +193,8 @@ def integrate_stack_checked(
 def _integrate_trials(g, a: np.ndarray, b: np.ndarray, n: int) -> list[np.ndarray]:
     ws, samples = _samples(g, a, b, n)
     # one contraction per trial, on its contiguous (n, ...) slice: a single
-    # tensordot over the stack, or a strided slice, can round differently
-    return [np.tensordot(w, s, axes=(0, 0)) for w, s in zip(ws, samples)]
+    # contraction over the stack, or a strided slice, can round differently
+    return list(map(_contract, ws, samples))
 
 
 def integrate_trials_checked(

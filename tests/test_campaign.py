@@ -36,8 +36,12 @@ from hhverify.campaign import (
 from hhverify.chains import (
     AG_MIDPOINT_TERM_NAMES,
     GG_HH_TERM_NAMES,
+    HH_NODES,
     HH_TERM_NAMES,
+    TRACE_SQRT_TERM_NAMES,
+    TRACE_SQUARED_TERM_NAMES,
     InequalityReport,
+    UinVariant,
     _chain_report,
     _inequality_report,
 )
@@ -60,6 +64,7 @@ from hhverify.functions import (
 from hhverify.linalg import (
     CommutingPair,
     LoewnerOrdering,
+    SpectralDecomp,
     check_symmetric,
     det_pd,
     eigh,
@@ -759,6 +764,16 @@ _BATCH_CASES = (
     ),
     ("phi_sandwich", lambda s, d, p: _ref_trial("phi_sandwich", _ref_two_sided, s, d, p), [{}]),
     ("phi_diagonal", lambda s, d, p: _ref_trial("phi_diagonal", _ref_two_sided, s, d, p), [{}]),
+    # the norm-curve and trace rows: their references follow the scan rows'
+    ("op_norm_gg", lambda s, d, p: _ref_trial("op_norm_gg", _ref_norm_gg_commuting, s, d, p), [{}]),
+    ("exp_norm", lambda s, d, p: _ref_trial("exp_norm", _ref_norm_gg_commuting, s, d, p), [{}]),
+    ("trace_sqrt", lambda s, d, p: _ref_trial("trace_sqrt", _ref_trace, s, d, p), [{}]),
+    ("trace_squared", lambda s, d, p: _ref_trial("trace_squared", _ref_trace, s, d, p), [{}]),
+    ("uin_symmetric", lambda s, d, p: _ref_trial("uin_symmetric", _ref_uin, s, d, p), [{}]),
+    ("uin_end_left", lambda s, d, p: _ref_trial("uin_end_left", _ref_uin, s, d, p), [{}]),
+    ("uin_end_right", lambda s, d, p: _ref_trial("uin_end_right", _ref_uin, s, d, p), [{}]),
+    ("uin_full", lambda s, d, p: _ref_trial("uin_full", _ref_uin, s, d, p), [{}]),
+    ("uin_diagonal", lambda s, d, p: _ref_trial("uin_diagonal", _ref_uin, s, d, p), [{}]),
 )
 
 
@@ -959,6 +974,127 @@ def _ref_two_sided(tid, stream, dim, p):
     return _ref_witness(tid, vals, ts)
 
 
+# ---------------------------------------------------------------------------
+# trial-batched norm-curve and trace rows: the per-trial code they replace
+
+
+def _ref_hh(anchors, pieces, span):
+    """The five hh_terms from the anchors and the checked integrals of the
+    pieces, summed left to right, and whether every piece was reliable."""
+    integral, reliable = 0.0, True
+    for piece, ok in pieces:
+        integral += float(piece)
+        reliable = reliable and ok
+    v_lo, v_q1, v_mid, v_q2, v_hi = anchors
+    terms = (
+        v_mid,
+        math.sqrt(v_q1 * v_q2),
+        math.exp(integral / span),
+        math.sqrt(v_mid) * v_lo**0.25 * v_hi**0.25,
+        math.sqrt(v_lo * v_hi),
+    )
+    return terms, reliable
+
+
+def _ref_norm_gg_commuting(tid, stream, dim, p):
+    av, bv, lo, hi = _ref_pair(stream, dim, p)
+    hypothesis_ok = True
+    if p.check_hypothesis and lo < hi:
+        hypothesis_ok = _ref_verdict(p.f, lo, hi, True).holds
+
+    def phi(u):
+        eigs = np.power(av, u) * np.power(bv, 1.0 - u) if 0.0 < u < 1.0 else (
+            av if u == 1.0 else bv
+        )
+        return norms_from_eig_rows(p.f.eval_array(eigs)[None, :], p.norm)[0]
+
+    def log_phi(ts):
+        grid = np.power(av[None, :], ts[:, None]) * np.power(bv[None, :], (1.0 - ts)[:, None])
+        vals = norms_from_eig_rows(p.f.eval_array(grid), p.norm)
+        if not (np.isfinite(vals).all() and (vals > 0.0).all()):
+            raise DomainViolationError("norm curve is not strictly positive")
+        return np.log(vals)
+
+    anchors = tuple(phi(u) for u in HH_NODES)
+    if min(anchors) <= 0.0:
+        raise DomainViolationError("norm curve is not strictly positive")
+    edges = [0.0, 1.0]
+    if p.norm.kind == "kyfan" or p.norm.params[0] == math.inf:
+        edges[1:1] = chains._eig_crossings(av, bv)
+    pieces = [
+        integrate_stack_checked(log_phi, float(x), float(y), p.quad_n)
+        for x, y in zip(edges[:-1], edges[1:])
+    ]
+    terms, reliable = _ref_hh(anchors, pieces, 1.0)
+    return _chain_report(
+        tid, HH_TERM_NAMES, terms, p.rtol, p.atol, quad_reliable=reliable,
+        hypothesis_ok=hypothesis_ok,
+    )
+
+
+def _ref_trace(tid, stream, dim, p):
+    q, av, bv = random_commuting_pair(stream, dim, campaign.SPD_LO, campaign.SPD_HI)
+    CommutingPair(q=q, a=av, b=bv)
+    pw = 2.0 if tid == "trace_squared" else 1.0
+
+    def tau(u):
+        return float(np.sum(np.power(av, pw * u) * np.power(bv, pw * (1.0 - u))))
+
+    def log_tau(ts):
+        grid = np.power(av[None, :], pw * ts[:, None]) * np.power(
+            bv[None, :], pw * (1.0 - ts)[:, None]
+        )
+        return np.log(np.sum(grid, axis=1))
+
+    pieces = [integrate_stack_checked(log_tau, 0.0, 1.0, p.quad_n)]
+    terms, reliable = _ref_hh(tuple(tau(u) for u in HH_NODES), pieces, 1.0)
+    if tid == "trace_sqrt":
+        names = TRACE_SQRT_TERM_NAMES
+        terms = (math.sqrt(float(np.sum(av * bv))), tau(0.5)) + terms[1:]
+    else:
+        names = TRACE_SQUARED_TERM_NAMES
+        terms = terms[:4] + (float(np.sum(av)) * float(np.sum(bv)),)
+    return _chain_report(tid, names, terms, p.rtol, p.atol, quad_reliable=reliable)
+
+
+def _ref_uin(tid, stream, dim, p):
+    a, b = campaign._spd_pair(stream, dim)
+    x = random_general(stream, dim, dim)
+    ma, mb = check_symmetric(a), check_symmetric(b)
+    (la, qa), (lb, qb) = _ref_signed_eigh(ma), _ref_signed_eigh(mb)
+    if la[0] <= 0.0 or lb[0] <= 0.0:
+        raise NotPositiveDefiniteError("fractional power base must be positive definite")
+    da, db = SpectralDecomp(q=qa, eigenvalues=la), SpectralDecomp(q=qb, eigenvalues=lb)
+    core = qa.T @ x @ qb
+    lo, hi = chains._uin_interval(UinVariant(tid[len("uin_"):]), p.nu)
+
+    def second(t):
+        return t if tid == "uin_diagonal" else 1.0 - t
+
+    def direct(sa, sb):
+        mx = x
+        if sa != 0.0:
+            mx = power_from_decomp(da, sa, original=ma) @ mx
+        if sb == 0.0:
+            return mx
+        return mx @ power_from_decomp(db, sb, original=mb)
+
+    def log_curve(ts):
+        left, right = np.power(la[None, :], ts[:, None]), np.power(lb[None, :], second(ts)[:, None])
+        vals = norms_of_stack(left[:, :, None] * core * right[:, None, :], p.norm)
+        if not (np.isfinite(vals).all() and (vals > 0.0).all()):
+            raise DomainViolationError("norm curve is not strictly positive")
+        return np.log(vals)
+
+    points = (lo, 0.25 * (3.0 * lo + hi), 0.5 * (lo + hi), 0.25 * (lo + 3.0 * hi), hi)
+    anchors = tuple(norm(direct(t, second(t)), p.norm) for t in points)
+    if min(anchors) <= 0.0:
+        raise DomainViolationError("norm curve is not strictly positive")
+    pieces = [integrate_stack_checked(log_curve, lo, hi, p.quad_n)]
+    terms, reliable = _ref_hh(anchors, pieces, hi - lo)
+    return _chain_report(tid, HH_TERM_NAMES, terms, p.rtol, p.atol, quad_reliable=reliable)
+
+
 _SCAN_IDS = (
     "scalar_ag", "scalar_gg", "op_gg_hh", "op_ag_midpoint",
     "phi_operator", "phi_sandwich", "phi_diagonal",
@@ -995,14 +1131,48 @@ def test_scan_rows_match_the_per_trial_code_under_every_variant(tid):
             assert outcome_to_dict(run_trial(tid, seeds[5], dim, params)) == want[5]
 
 
-@pytest.mark.parametrize("tid", _SCAN_IDS)
+_CURVE_IDS = (
+    "op_norm_gg", "exp_norm", "trace_sqrt", "trace_squared",
+    "uin_symmetric", "uin_end_left", "uin_end_right", "uin_full", "uin_diagonal",
+)
+_CURVE_REFS = dict((c[0], c[1]) for c in _BATCH_CASES if c[0] in _CURVE_IDS)
+
+
+def _curve_variants(tid):
+    out = [dict(quad_n=17)]
+    if not tid.startswith("trace_"):
+        out += [dict(norm=parse_norm(t)) for t in _WITNESS_NORMS]
+    if tid == "op_norm_gg":
+        out += [dict(function=parse_function("power:3"))]
+    if tid in ("uin_symmetric", "uin_end_right"):
+        out += [dict(nu=0.7)]
+    if campaign.THEOREMS[tid].convexity_guard:
+        out += [dict(ablation=frozenset({DROP_CONVEXITY_GUARD}))]
+    return out
+
+
+@pytest.mark.parametrize("tid", _CURVE_IDS)
+def test_curve_rows_match_the_per_trial_code_under_every_variant(tid):
+    """The norms, weights, function and node count the nine ids take, on
+    blocks and on single trials."""
+    for kwargs in _curve_variants(tid):
+        params = resolve_params(tid, CampaignConfig(**kwargs))
+        for dim in (1, 2, 3, 5, 8):
+            seeds = [derive_trial_seed(2018, dim, t) for t in range(16)]
+            want = [outcome_to_dict(_CURVE_REFS[tid](RandomStream(s), dim, params)) for s in seeds]
+            got = [outcome_to_dict(o) for o in campaign._outcomes(tid, seeds, dim, params)]
+            assert got == want, (tid, kwargs, dim)
+            assert outcome_to_dict(run_trial(tid, seeds[5], dim, params)) == want[5]
+
+
+@pytest.mark.parametrize("tid", _SCAN_IDS + _CURVE_IDS)
 def test_a_trial_that_raises_in_a_scan_block_ends_unreliable(tid, monkeypatch):
-    draw = {
-        "scalar_ag": "_scalar_interval", "scalar_gg": "_scalar_interval",
-        "op_gg_hh": "_commuting_spectra", "op_ag_midpoint": "_commuting_spectra",
-        "phi_operator": "_commuting_spectra",
-        "phi_sandwich": "_spd_pair_with_x", "phi_diagonal": "_spd_pair_with_x",
-    }[tid]
+    if tid in ("scalar_ag", "scalar_gg"):
+        draw = "_scalar_interval"
+    elif tid.startswith(("phi_s", "phi_d", "uin_")):
+        draw = "_spd_pair_with_x"
+    else:
+        draw = "_commuting_spectra"
     params = resolve_params(tid, CampaignConfig())
     seeds = [derive_trial_seed(4, 3, t) for t in range(12)]
     want = [outcome_to_dict(o) for o in campaign._outcomes(tid, seeds, 3, params)]
@@ -1049,7 +1219,9 @@ def test_an_endpoint_tie_moves_the_upper_end_by_one_ulp(tid, monkeypatch):
         chains.scalar_hh_chain("gg", FunctionSpec.exp(1.0), 9.9, math.nextafter(9.9, math.inf))
 
 
-@pytest.mark.parametrize("tid", [t for t in _SCAN_IDS if campaign.THEOREMS[t].convexity_guard])
+@pytest.mark.parametrize(
+    "tid", [t for t in _SCAN_IDS + _CURVE_IDS if campaign.THEOREMS[t].convexity_guard]
+)
 def test_drop_convexity_guard_skips_the_hypothesis_scan(tid, monkeypatch):
     def no_scan(*args):
         raise AssertionError("the hypothesis scan ran")
@@ -1083,6 +1255,17 @@ def test_no_curve_block_exceeds_the_entry_budget(monkeypatch):
             list(campaign._outcomes(tid, seeds, dim, params))
     params = resolve_params("uin_full", CampaignConfig())
     run_trial("uin_full", derive_trial_seed(8, 40, 0), 40, params)
+    seeds = [derive_trial_seed(8, 40, t) for t in range(3)]
+    list(campaign._outcomes("uin_full", seeds, 40, params))
     assert sizes and max(sizes) <= STACK_ENTRIES
     # a block holds more than one trial where they fit
     assert max(sizes) > (DEFAULT_GRID_N**2 + 1) * 2 * 2
+    # op_norm_gg under the operator norm: a block of kink pieces of many trials
+    sizes.clear()
+    params = resolve_params("op_norm_gg", CampaignConfig(norm=NormSpec.opnorm()))
+    for dim in (8, 40):
+        seeds = [derive_trial_seed(8, dim, t) for t in range(6)]
+        list(campaign._outcomes("op_norm_gg", seeds, dim, params))
+    assert sizes and max(sizes) <= STACK_ENTRIES
+    # a block holds more than one piece at 2 * quad_n nodes where they fit
+    assert max(sizes) > 2 * params.quad_n * 8

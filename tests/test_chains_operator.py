@@ -143,6 +143,35 @@ def test_norm_gg_crossing_detection():
     assert _eig_crossings(np.array([1.0, 2.0]), np.array([2.0, 4.0])).size == 0
 
 
+def _loop_crossings(av, bv):
+    """The pairwise loop _eig_crossings replaced."""
+    la, lb = np.log(av), np.log(bv)
+    slopes = la - lb
+    cuts = []
+    for i in range(la.size):
+        for j in range(i + 1, la.size):
+            ds = slopes[i] - slopes[j]
+            if ds == 0.0:
+                continue
+            u = (lb[j] - lb[i]) / ds
+            if 1e-12 < u < 1.0 - 1e-12:
+                cuts.append(u)
+    return np.unique(np.asarray(cuts, dtype=float))
+
+
+def test_crossings_match_the_pairwise_loop_bit_for_bit():
+    stream = RandomStream(41)
+    cases = [stream.uniform(2 * n).reshape(2, n) * 10.0 for n in range(1, 18) for _ in range(5)]
+    # equal slopes (identical curves) with one crossing repeated four times
+    cases.append(np.array([[1.0, 2.0, 1.0, 2.0], [2.0, 1.0, 2.0, 1.0]]))
+    cases.append(np.array([[1.0, 2.0], [2.0, 4.0]]))  # parallel
+    for av, bv in cases:
+        got, want = _eig_crossings(av, bv), _loop_crossings(av, bv)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+    np.testing.assert_array_equal(_eig_crossings(*cases[-2]), [0.5])
+
+
 def test_norm_gg_kinked_curve_stays_reliable():
     # the max-norm curve has a kink at the crossing; segmented quadrature
     # must still satisfy its own doubling check

@@ -285,9 +285,25 @@ def test_demo_replays_an_extreme_function_trial_as_unreliable(capsys):
     # a trial that cannot be judged is not a pass
     assert main(argv) == 1
     out = capsys.readouterr().out
-    assert "status: passed=no quad_reliable=no" in out
+    assert "status: passed=n/a quad_reliable=no" in out
     payload = _demo_json(out)
     assert payload["quad_reliable"] is False and payload["passed"] is False
+
+
+def test_demo_of_a_trial_whose_doubling_check_fails_has_no_verdict(capsys):
+    # trial 6 at dim 3 of `verify --theorem op_norm_gg --ablation
+    # DROP_COMMUTATIVITY`: its chain holds, but its quadrature is unreliable
+    seed = derive_trial_seed(0, 3, 6)
+    argv = [
+        "demo", "--theorem", "op_norm_gg", "--ablation", "DROP_COMMUTATIVITY",
+        "--dim", "3", "--seed", str(seed),
+    ]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert "status: passed=n/a quad_reliable=no hypothesis_ok=no" in out
+    payload = _demo_json(out)
+    # the JSON keeps the chain's own verdict
+    assert payload["quad_reliable"] is False and payload["passed"] is True
 
 
 def test_extreme_function_campaign_prints_no_runtime_warnings():

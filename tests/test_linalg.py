@@ -27,12 +27,18 @@ from hhverify import (
     random_spd,
     weighted_geometric_mean,
 )
-from hhverify.errors import DimMismatchError, NotSquareError
+from hhverify.errors import (
+    DimMismatchError,
+    NonFiniteInputError,
+    NotPositiveSemidefiniteError,
+    NotSquareError,
+)
 from hhverify.linalg import (
     MAX_DIM,
     _power_stack,
     check_matrix,
     check_symmetric,
+    check_symmetric_stack,
     power_from_decomp,
 )
 
@@ -95,6 +101,26 @@ def test_check_symmetric_tolerates_roundoff():
     s = np.array([[1.0, 1e-14], [0.0, 1.0]])
     out = check_symmetric(s)
     np.testing.assert_array_equal(out, out.T)
+
+
+def test_symmetric_stack_check_is_check_symmetric_on_each_matrix():
+    rng = np.random.default_rng(3)
+    stack = np.stack([_rand_sym(rng, 3) for _ in range(4)])
+    stack[1, 0, 2] += 1e-14  # round-off: under every bound
+    stack[2] *= 1e6
+    stack[2, 2, 0] += 1e-8  # above SYMMETRY_TOL, under this matrix's bound
+    want = np.stack([check_symmetric(m) for m in stack])
+    np.testing.assert_array_equal(check_symmetric_stack(stack), want)
+    bad = stack.copy()
+    bad[3, 0, 1] += 1e-3
+    with pytest.raises(AsymmetricInputError) as got:
+        check_symmetric_stack(bad)
+    with pytest.raises(AsymmetricInputError) as alone:
+        check_symmetric(bad[3])
+    assert str(got.value) == str(alone.value)
+    bad[3, 0, 1] = np.nan
+    with pytest.raises(NonFiniteInputError):
+        check_symmetric_stack(bad)
 
 
 def test_matrix_function_square_fixture():
@@ -218,6 +244,13 @@ def test_power_from_decomp_endpoint_exactness():
     assert lam[0, 0] < 0.0
     with pytest.raises(SingularPowerError):
         _power_stack(lam, vecs, ts, mats)
+    # t = 0 and t = 1 never look at the spectrum, as in the scalar path
+    indefinite = np.diag([-1.0, 2.0])[None]
+    lam, vecs = np.linalg.eigh(indefinite)
+    got = _power_stack(lam, vecs, np.array([1.0, 0.0]), indefinite)
+    np.testing.assert_array_equal(got[0], [indefinite[0], np.eye(2)])
+    with pytest.raises(NotPositiveSemidefiniteError):
+        _power_stack(lam, vecs, np.array([0.0, 0.5]), indefinite)
 
 
 def test_weighted_geometric_mean_fixtures():

@@ -18,6 +18,7 @@ from hhverify import (
 from hhverify.errors import DimMismatchError
 from hhverify.quadrature import (
     MAX_NODES,
+    _contract,
     _mapped_nodes,
     integrate_stack_checked,
     integrate_trials_checked,
@@ -232,3 +233,14 @@ def test_trial_integrator_refuses_a_non_finite_sample_and_a_wrong_shape():
         integrate_trials_checked(one_bad_trial, a, b, 16)
     with pytest.raises(DimMismatchError):
         integrate_trials_checked(lambda ts: np.ones(ts.shape[1]), a, b, 16)
+
+
+def test_contraction_is_tensordot_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for n in range(1, MAX_NODES + 1):
+        w = rng.standard_normal(n)
+        for shape in ((), (3,), (5, 5), (8, 8)):
+            s = rng.standard_normal((n,) + shape) * rng.uniform(0.0, 1e3)
+            got, want = _contract(w, s), np.tensordot(w, s, axes=(0, 0))
+            assert got.shape == want.shape == shape
+            assert np.array_equal(got, want), (n, shape)
