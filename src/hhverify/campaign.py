@@ -2,11 +2,13 @@
 accounting, and deterministic report serialization.
 
 Each theorem id has one row in THEOREMS: its runner, the runners that replace
-it under an ablation flag, and its parameter rules. A runner draws its inputs
-from a trial RandomStream (seeded as splitmix64(master ^ ((dim << 32) + trial)),
-so any trial can be replayed in isolation) and hands them to a chain of
-``chains``, the ablated chains included, which returns a report carrying
-passed / quad_reliable / hypothesis_ok / min_margin.
+it under an ablation flag, and its parameter rules. A runner takes a block of
+trial seeds (each splitmix64(master ^ ((dim << 32) + trial)), so any trial can
+be replayed in isolation as a block of one), draws the inputs of every trial
+of the block and hands them to a chain of ``chains``, the ablated chains
+included, which returns one report per trial carrying passed /
+quad_reliable / hypothesis_ok / min_margin. A row whose chain takes one
+trial at a time wraps it in ``_each``.
 
 Accounting: a trial that cannot be judged (quadrature doubling failed, or
 run_trial caught one of the errors that mean it) is unreliable: excluded from
@@ -188,29 +190,16 @@ def _symmetric_nu(theorem_id: str, nu: float) -> float:
     return nu
 
 
-class _StackOfOne:
-    """The run of a row whose trials run as stacks: its batch on a stack of
-    one, so a replay and the campaign share one kernel."""
-
-    def __init__(self, batch: Callable):
-        self.batch = batch
-
-    def __call__(self, stream: RandomStream, dim: int, params: "TrialParams"):
-        return self.batch(np.array([stream.seed], dtype=np.uint64), dim, params)[0]
-
-
 @dataclass(frozen=True)
 class Theorem:
     """Everything the campaign knows about one theorem id.
 
-    ``run(stream, dim, params)`` draws the trial inputs and returns the
-    report. ``batch(seeds, dim, params)``, where a row has one, runs the
-    trials of a 1-d uint64 array of seeds as one stack and returns their
-    reports in order; it is the batch of a ``run`` made by ``_batched``, so
-    a row whose run is replaced runs one trial at a time.
-    ``drop_commutativity`` and ``drop_positivity`` are the runners
-    that replace it under those ablation flags (None: the flag does not
-    apply); ``convexity_guard`` says whether DROP_CONVEXITY_GUARD applies.
+    ``run(seeds, dim, params)`` draws the inputs of the trials of a 1-d
+    uint64 array of seeds and returns their reports in order; a replay is
+    the same runner on a block of one seed. ``drop_commutativity`` and
+    ``drop_positivity`` are the runners, of the same form, that replace it
+    under those ablation flags (None: the flag does not apply);
+    ``convexity_guard`` says whether DROP_CONVEXITY_GUARD applies.
     ``fn`` maps the configured function (None when unset) to the one the
     theorem uses, ``schatten2`` makes Schatten-2 the default norm instead of
     the operator norm, and ``nu(theorem_id, nu)`` returns the weight the
@@ -226,18 +215,15 @@ class Theorem:
     schatten2: bool = False
     nu: Callable[[str, float], float] = _any_nu
 
-    @property
-    def batch(self) -> Callable | None:
-        return self.run.batch if isinstance(self.run, _StackOfOne) else None
 
-
-def _batched(batch: Callable, **kwargs) -> Theorem:
-    """A row whose trials run as stacks; one trial is a stack of one."""
-    return Theorem(_StackOfOne(batch), **kwargs)
+def _each(run: Callable) -> Callable:
+    """The runner of a row that evaluates one trial at a time: ``run(stream,
+    dim, params)`` on the RandomStream of each seed of the block."""
+    return lambda seeds, dim, p: [run(RandomStream(s), dim, p) for s in seeds.tolist()]
 
 
 def _scalar_hh(kind: str) -> Theorem:
-    return _batched(
+    return Theorem(
         lambda seeds, d, p: _scalar_hh_stack(
             kind, p.f, *_scalar_interval(RandomStream(seeds)), p.quad_n, p.rtol, p.atol,
             p.check_hypothesis,
@@ -247,24 +233,26 @@ def _scalar_hh(kind: str) -> Theorem:
 
 
 def _commuting_order(theorem_id: str, general) -> Theorem:
-    return _batched(
+    return Theorem(
         lambda seeds, d, p: _commuting_order_stack(
             theorem_id, p.f, *_commuting_spectra(RandomStream(seeds), d), p.quad_n, p.rtol,
             p.check_hypothesis,
         ),
-        drop_commutativity=lambda s, d, p: general(p.f, *_spd_pair(s, d), p.quad_n, p.rtol),
+        drop_commutativity=_each(lambda s, d, p: general(p.f, *_spd_pair(s, d), p.quad_n, p.rtol)),
         convexity_guard=True,
     )
 
 
 def _norm_gg(theorem_id: str, fn) -> Theorem:
-    return _batched(
+    return Theorem(
         lambda seeds, d, p: _norm_gg_stack(
             theorem_id, p.f, *_commuting_spectra(RandomStream(seeds), d), p.norm, p.quad_n,
             p.rtol, p.atol, p.check_hypothesis,
         ),
-        drop_commutativity=lambda s, d, p: norm_gg_general(
-            theorem_id, p.f, *_spd_pair(s, d), p.norm, p.quad_n, p.rtol, p.atol
+        drop_commutativity=_each(
+            lambda s, d, p: norm_gg_general(
+                theorem_id, p.f, *_spd_pair(s, d), p.norm, p.quad_n, p.rtol, p.atol
+            )
         ),
         convexity_guard=True,
         fn=fn,
@@ -272,12 +260,14 @@ def _norm_gg(theorem_id: str, fn) -> Theorem:
 
 
 def _trace(variant: TraceVariant) -> Theorem:
-    return _batched(
+    return Theorem(
         lambda seeds, d, p: _trace_stack(
             variant, *_commuting_spectra(RandomStream(seeds), d), p.quad_n, p.rtol, p.atol
         ),
-        drop_commutativity=lambda s, d, p: trace_chain_general(
-            variant, *_spd_pair(s, d), p.quad_n, p.rtol, p.atol
+        drop_commutativity=_each(
+            lambda s, d, p: trace_chain_general(
+                variant, *_spd_pair(s, d), p.quad_n, p.rtol, p.atol
+            )
         ),
     )
 
@@ -298,7 +288,7 @@ def _phi_operator_batch(seeds: np.ndarray, dim: int, p: TrialParams):
 
 
 def _two_sided_witness(theorem_id: str, diagonal: bool) -> Theorem:
-    return _batched(
+    return Theorem(
         lambda seeds, d, p: [
             _witness(theorem_id, v)
             for v in _two_sided_verdicts(
@@ -312,7 +302,7 @@ def _two_sided_witness(theorem_id: str, diagonal: bool) -> Theorem:
 
 
 def _uin(variant: UinVariant, nu=_any_nu) -> Theorem:
-    return _batched(
+    return Theorem(
         lambda seeds, d, p: _uin_stack(
             variant, _TwoSidedPowers.of_stacks(*_spd_pair_with_x(RandomStream(seeds), d)),
             p.norm, p.nu, p.quad_n, p.rtol, p.atol,
@@ -325,13 +315,17 @@ def _uin(variant: UinVariant, nu=_any_nu) -> Theorem:
 THEOREMS = {
     "scalar_ag": _scalar_hh("ag"),
     "scalar_gg": _scalar_hh("gg"),
-    "scalar_means": _batched(
+    "scalar_means": Theorem(
         lambda seeds, d, p: _means_stack(
             *_log_uniform(RandomStream(seeds), 2, SPD_LO, SPD_HI).T, p.rtol, p.atol
         )
     ),
     "dragomir": Theorem(
-        lambda s, d, p: dragomir_operator_chain(p.f, *_spd_pair(s, d), p.quad_n, p.rtol, p.atol),
+        _each(
+            lambda s, d, p: dragomir_operator_chain(
+                p.f, *_spd_pair(s, d), p.quad_n, p.rtol, p.atol
+            )
+        ),
         fn=_operator_convex_fn,
     ),
     "op_gg_hh": _commuting_order("op_gg_hh", lambda *args: op_gg_hh_general(*args)),
@@ -342,38 +336,44 @@ THEOREMS = {
     "exp_norm": _norm_gg("exp_norm", _exp_only),
     "trace_sqrt": _trace(TraceVariant.SQRT),
     "trace_squared": _trace(TraceVariant.SQUARED),
-    "det_ag": _batched(
+    "det_ag": Theorem(
         lambda seeds, d, p: _det_ag_stack(
             *_spd_pair(RandomStream(seeds), d), p.nu, p.rtol, p.atol
         ),
-        drop_positivity=lambda s, d, p: det_ag_indefinite(
-            random_general(s, d, d), random_general(s, d, d), p.nu, p.rtol, p.atol
+        drop_positivity=_each(
+            lambda s, d, p: det_ag_indefinite(
+                random_general(s, d, d), random_general(s, d, d), p.nu, p.rtol, p.atol
+            )
         ),
         nu=_inner_nu,
     ),
-    "am_gm_loewner": _batched(
+    "am_gm_loewner": Theorem(
         lambda seeds, d, p: _am_gm_stack(*_spd_pair(RandomStream(seeds), d), p.nu, p.rtol)
     ),
-    "norm_power": _batched(
+    "norm_power": Theorem(
         lambda seeds, d, p: _norm_power_stack(
             random_spd(RandomStream(seeds), d, SPD_LO, SPD_HI), NORM_POWER_ALPHAS, p.rtol, p.atol
         )
     ),
-    "kittaneh": _batched(
+    "kittaneh": Theorem(
         lambda seeds, d, p: _kittaneh_stack(
             *_spd_pair_with_x(RandomStream(seeds), d), p.nu, p.norm, p.rtol, p.atol
         ),
-        drop_positivity=lambda s, d, p: kittaneh_general(
-            *(random_general(s, d, d) for _ in range(3)), p.nu, p.norm, p.rtol, p.atol
+        drop_positivity=_each(
+            lambda s, d, p: kittaneh_general(
+                *(random_general(s, d, d) for _ in range(3)), p.nu, p.norm, p.rtol, p.atol
+            )
         ),
         schatten2=True,
     ),
-    "phi_operator": _batched(
+    "phi_operator": Theorem(
         _phi_operator_batch,
-        drop_commutativity=lambda s, d, p: _witness(
-            "phi_operator",
-            ag_convexity_witness(PhiProduct(p.f, *_spd_pair(s, d)), p.norm),
-            hypothesis_ok=False,
+        drop_commutativity=_each(
+            lambda s, d, p: _witness(
+                "phi_operator",
+                ag_convexity_witness(PhiProduct(p.f, *_spd_pair(s, d)), p.norm),
+                hypothesis_ok=False,
+            )
         ),
         convexity_guard=True,
     ),
@@ -535,18 +535,22 @@ class CampaignReport:
     exit_code: int
 
 
-def run_trial(theorem_id: str, seed: int, dim: int, params: TrialParams):
-    """One seeded trial; the stream is positioned at the derived seed so any
-    campaign trial can be replayed by the demo command."""
-    stream = RandomStream(seed & _MASK64)
+def _runner(theorem_id: str, params: TrialParams) -> Callable:
+    """The runner of theorem_id under the ablation flags of params."""
     th = THEOREMS[theorem_id]
-    runner = th.run
     if params.drop_commutativity:
-        runner = th.drop_commutativity
-    elif params.drop_positivity:
-        runner = th.drop_positivity
+        return th.drop_commutativity
+    if params.drop_positivity:
+        return th.drop_positivity
+    return th.run
+
+
+def run_trial(theorem_id: str, seed: int, dim: int, params: TrialParams):
+    """One seeded trial: the runner on a block of one seed, so any campaign
+    trial can be replayed by the demo command."""
+    run, seeds = _runner(theorem_id, params), np.array([seed & _MASK64], dtype=np.uint64)
     try:
-        return runner(stream, dim, params)
+        return run(seeds, dim, params)[0]
     except (DomainViolationError, NonFiniteSampleError, ConvergenceError, np.linalg.LinAlgError):
         # the trial's inputs take the function out of its domain or out of
         # the float range (f overflows on the convexity grid, a chain term is
@@ -555,7 +559,7 @@ def run_trial(theorem_id: str, seed: int, dim: int, params: TrialParams):
         return _unreliable(theorem_id)
 
 
-# matrix entries per input stack of a batched block: the block holds
+# matrix entries per input stack of a block: the block holds
 # _BLOCK_ENTRIES // dim^2 trials (8192 at dim 2, 512 at dim 8, 8 at dim 64)
 _BLOCK_ENTRIES = 1 << 15
 
@@ -563,20 +567,16 @@ _BLOCK_ENTRIES = 1 << 15
 def _outcomes(theorem_id: str, seeds: list[int], dim: int, params: TrialParams):
     """The outcomes of the trials of seeds, in order.
 
-    A row with a batch runs them in blocks of consecutive seeds; a block
-    that raises is run again one trial at a time through run_trial, so its
+    The runner takes them in blocks of consecutive seeds; a block that
+    raises is run again one trial at a time through run_trial, so its
     trials end (or raise) exactly as they do alone.
     """
-    batch = THEOREMS[theorem_id].batch
-    if batch is None or params.drop_commutativity or params.drop_positivity:
-        for seed in seeds:
-            yield run_trial(theorem_id, seed, dim, params)
-        return
+    run = _runner(theorem_id, params)
     size = max(1, _BLOCK_ENTRIES // (dim * dim))
     for start in range(0, len(seeds), size):
         block = seeds[start : start + size]
         try:
-            outcomes = batch(np.array(block, dtype=np.uint64), dim, params)
+            outcomes = run(np.array(block, dtype=np.uint64), dim, params)
         except Exception:
             outcomes = [run_trial(theorem_id, seed, dim, params) for seed in block]
         yield from outcomes

@@ -9,7 +9,8 @@ the report unreliable instead of failing it.
 
 One rule (_order_verdicts) decides every Loewner link, from the smallest
 eigenvalue of the difference and the spectral radii of the two terms; one
-cutter (_over_nodes) splits node arrays under functions.STACK_ENTRIES.
+cutter (_over_nodes) splits node arrays under functions.STACK_ENTRIES, and
+quadrature.integrate_trials_checked alone cuts stacks of integrand rows.
 """
 
 from __future__ import annotations
@@ -216,16 +217,11 @@ def _hh_integrals(curve, lo, hi, owner, trials: int, quad_n: int, node_entries: 
 
     Piece k is [lo[k], hi[k]] of trial owner[k]; owner is ascending, and a
     trial's pieces come in order. ``curve(sl, xs)`` is the integrand of the
-    pieces sl: it maps their (R, N) nodes xs to their samples. The pieces
-    are integrated by integrate_trials_checked in blocks of whole pieces of
-    at most STACK_ENTRIES entries, at node_entries entries per node, and each
-    trial's pieces are summed left to right.
+    pieces sl: it maps their (R, N) nodes xs to their samples, node_entries
+    entries per node. Each piece is one row of integrate_trials_checked, and
+    each trial's pieces are summed left to right.
     """
-    pieces, flags = [], []
-    for sl in _blocks(lo.shape[0], 2 * quad_n * node_entries):
-        values, ok = integrate_trials_checked(lambda xs: curve(sl, xs), lo[sl], hi[sl], quad_n)
-        pieces += values
-        flags += ok
+    pieces, flags = integrate_trials_checked(curve, lo, hi, quad_n, node_entries)
     integrals, reliable = [0.0] * trials, [True] * trials
     for t, piece, ok in zip(owner.tolist(), pieces, flags):
         integrals[t] += float(piece)
@@ -364,8 +360,7 @@ def _scalar_hh_stack(
     kind: str, f: FunctionSpec, a: np.ndarray, b: np.ndarray, quad_n: int, rtol: float,
     atol: float, check_hypothesis: bool,
 ) -> list[ChainReport]:
-    """scalar_hh_chain on each interval [a[t], b[t]] of two (T,) arrays, in
-    blocks of whole trials (see the stacked kernels below)."""
+    """scalar_hh_chain on each interval [a[t], b[t]] of two (T,) arrays."""
     mode = kind.lower()
     if mode not in ("ag", "gg"):
         raise ConfigError(f"chain kind must be 'ag' or 'gg', got {kind!r}")
@@ -378,15 +373,6 @@ def _scalar_hh_stack(
             raise NonPositiveInputError(f"GG chain needs a > 0, got a={lo}")
         if not f.contains_interval(lo, hi):
             raise DomainViolationError(f"[{lo}, {hi}] outside the domain of {f.describe()}")
-    width = max(DEFAULT_GRID_N * DEFAULT_GRID_N + 1, 2 * quad_n)
-    return [
-        report
-        for sl in _blocks(a.shape[0], width)
-        for report in _scalar_hh_block(mode, f, a[sl], b[sl], quad_n, rtol, atol, check_hypothesis)
-    ]
-
-
-def _scalar_hh_block(mode, f, a, b, quad_n, rtol, atol, check_hypothesis) -> list[ChainReport]:
     gg = mode == "gg"
     holds = _advisory_convexity(f, a, b, gg, check_hypothesis)
     if gg:
@@ -400,14 +386,14 @@ def _scalar_hh_block(mode, f, a, b, quad_n, rtol, atol, check_hypothesis) -> lis
         q1, mid, q2 = inner.T
         spans = [y - x for x, y in zip(la, lb)]
 
-        def log_f(ts: np.ndarray) -> np.ndarray:
+        def log_f(sl: slice, ts: np.ndarray) -> np.ndarray:
             return _positive_logs(f, ts) / ts
 
     else:
         q1, mid, q2 = 0.25 * (3 * a + b), 0.5 * (a + b), 0.25 * (a + 3 * b)
         spans = (b - a).tolist()
 
-        def log_f(ts: np.ndarray) -> np.ndarray:
+        def log_f(sl: slice, ts: np.ndarray) -> np.ndarray:
             return _positive_logs(f, ts)
 
     anchors = f.eval_array(np.array((a, q1, mid, q2, b))).T.tolist()
@@ -833,39 +819,29 @@ def _commuting_order_stack(
     check_hypothesis: bool,
 ) -> list[OrderChainReport]:
     """The op_gg_hh or op_ag_midpoint chain of each commuting pair, given by
-    its spectra a[t], b[t] of two (T, n) stacks, in blocks of whole trials."""
-    width = max(DEFAULT_GRID_N * DEFAULT_GRID_N + 1, 2 * quad_n * a.shape[1])
-    return [
-        report
-        for sl in _blocks(a.shape[0], width)
-        for report in _commuting_order_block(
-            theorem_id, f, a[sl], b[sl], quad_n, rtol, check_hypothesis
-        )
-    ]
-
-
-def _commuting_order_block(theorem_id, f, a, b, quad_n, rtol, check_hypothesis):
+    its spectra a[t], b[t] of two (T, n) stacks."""
     gg = theorem_id == "op_gg_hh"
     holds = _commuting_prelude(f, a, b, gg, check_hypothesis)
-    # nodes ts of shape (T, N) against spectra of shape (T, n): (T, N, n)
-    a3, b3 = a[:, None, :], b[:, None, :]
+    # nodes ts of shape (R, N) against spectra of shape (R, n): (R, N, n)
     if gg:
         v1 = _positive_logs(f, np.sqrt(a * b))
 
-        def rows(ts: np.ndarray) -> np.ndarray:
+        def rows(sl: slice, ts: np.ndarray) -> np.ndarray:
             t = ts[:, :, None]
-            return _positive_logs(f, np.power(a3, t) * np.power(b3, 1.0 - t))
+            return _positive_logs(f, np.power(a[sl, None], t) * np.power(b[sl, None], 1.0 - t))
 
     else:
         v1 = f.eval_array(0.5 * (a + b))
 
-        def rows(ts: np.ndarray) -> np.ndarray:
-            t = ts[:, :, None]
+        def rows(sl: slice, ts: np.ndarray) -> np.ndarray:
+            t, a3, b3 = ts[:, :, None], a[sl, None], b[sl, None]
             fwd = f.eval_array(t * a3 + (1.0 - t) * b3)
             rev = f.eval_array((1.0 - t) * a3 + t * b3)
             return np.sqrt(fwd * rev)
 
-    v2, reliable = integrate_trials_checked(rows, np.zeros(len(a)), np.ones(len(a)), quad_n)
+    v2, reliable = integrate_trials_checked(
+        rows, np.zeros(len(a)), np.ones(len(a)), quad_n, a.shape[1]
+    )
     if gg:
         v3 = 0.5 * (_positive_logs(f, a) + _positive_logs(f, b))
     else:

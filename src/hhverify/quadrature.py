@@ -8,6 +8,11 @@ Every integral that feeds a reported chain term goes through the ``*_checked``
 variants, which re-integrate at twice the node count and flag the result as
 unreliable when the two values disagree beyond ``DOUBLING_TOL``; unreliable
 chains are counted separately rather than failed.
+
+One integrator takes stacked integrands: integrate_trials_checked integrates
+T rows, cuts them itself into blocks under functions.STACK_ENTRIES and
+contracts each row alone; integrate_stack_checked is it on one row.
+integrate_matrix keeps its own node-order sum.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimMismatchError, NodeCountError, NonFiniteSampleError
+from .functions import _blocks
 
 MAX_NODES = 512
 
@@ -169,12 +175,6 @@ def _contract(w: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.dot(w.reshape(1, -1), s.reshape(s.shape[0], -1)).reshape(s.shape[1:])
 
 
-def _integrate_stack(
-    g: Callable[[np.ndarray], np.ndarray], a: float, b: float, n: int
-) -> np.ndarray:
-    return _contract(*_samples(g, a, b, n))
-
-
 def integrate_stack_checked(
     g: Callable[[np.ndarray], np.ndarray], a: float, b: float, n: int = 64
 ) -> tuple[np.ndarray, bool]:
@@ -183,11 +183,16 @@ def integrate_stack_checked(
     ``g`` takes the full node array and returns an array whose leading axis
     indexes nodes; the result is the weight-contracted sample (scalar shape
     () for scalar integrands, (k,) for vector ones, (m, m) for matrices).
-    Degenerate intervals integrate to a zero block probed from ``g``.
+    It is integrate_trials_checked on one row. Degenerate intervals
+    integrate to a zero block probed from ``g``.
     """
     if a == b:
         return np.zeros(np.asarray(g(np.asarray([a])), dtype=float).shape[1:]), True
-    return _checked(_integrate_stack, g, a, b, n)
+    (value,), (ok,) = integrate_trials_checked(
+        lambda sl, xs: np.asarray(g(xs[0]))[None],
+        np.array([a], dtype=float), np.array([b], dtype=float), n,
+    )
+    return value, ok
 
 
 def _integrate_trials(g, a: np.ndarray, b: np.ndarray, n: int) -> list[np.ndarray]:
@@ -198,17 +203,23 @@ def _integrate_trials(g, a: np.ndarray, b: np.ndarray, n: int) -> list[np.ndarra
 
 
 def integrate_trials_checked(
-    g: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray, n: int = 64
+    g: Callable[[slice, np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray, n: int = 64,
+    node_entries: int = 1,
 ) -> tuple[list[np.ndarray], list[bool]]:
-    """integrate_stack_checked for T integrands at once, on the intervals
-    [a[t], b[t]] of two (T,) arrays with a < b.
+    """The integrals of T integrands, on the intervals [a[t], b[t]] of two
+    (T,) arrays with a < b, and their doubling flags.
 
-    ``g`` takes the (T, n) array of every trial's nodes and returns the
-    (T, n, ...) stack of their samples. Returns the T integrals and the T
-    doubling flags, each equal bit for bit to integrate_stack_checked on the
-    trial alone.
+    ``g(sl, xs)`` maps the (R, n) nodes xs of the rows sl to the (R, n, ...)
+    stack of their samples, node_entries entries per node. The rows are
+    taken in blocks of whole rows of at most STACK_ENTRIES entries at 2n
+    nodes, and each row is contracted alone, so a row's integral and flag
+    have the same bits in any block, a block of one included.
     """
-    a, b = a[:, None], b[:, None]
-    v1 = _integrate_trials(g, a, b, n)
-    v2 = _integrate_trials(g, a, b, 2 * n)
-    return v1, list(map(_agrees, v1, v2))
+    values, flags = [], []
+    for sl in _blocks(a.shape[0], 2 * n * node_entries):
+        lo, hi = a[sl, None], b[sl, None]
+        v1 = _integrate_trials(lambda xs: g(sl, xs), lo, hi, n)
+        v2 = _integrate_trials(lambda xs: g(sl, xs), lo, hi, 2 * n)
+        values += v1
+        flags += map(_agrees, v1, v2)
+    return values, flags

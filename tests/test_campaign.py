@@ -21,7 +21,7 @@ from hhverify import (
     select_theorems,
     serialize_report,
 )
-from hhverify import campaign, chains
+from hhverify import campaign, chains, quadrature
 from hhverify.campaign import (
     DROP_COMMUTATIVITY,
     DROP_CONVEXITY_GUARD,
@@ -284,7 +284,9 @@ def test_exit_code_one_on_genuine_violation(monkeypatch):
     def broken(stream, dim, p):
         return InequalityReport("scalar_ag", 1.0, 0.0, -1.0, passed=False)
 
-    monkeypatch.setitem(mod.THEOREMS, "scalar_ag", replace(mod.THEOREMS["scalar_ag"], run=broken))
+    monkeypatch.setitem(
+        mod.THEOREMS, "scalar_ag", replace(mod.THEOREMS["scalar_ag"], run=mod._each(broken))
+    )
     cfg = CampaignConfig(theorem_ids=("scalar_ag",), **SMALL)
     report = run_campaign(cfg)
     assert report.exit_code == 1
@@ -298,7 +300,9 @@ def test_exit_code_three_on_unreliable_fraction(monkeypatch):
     monkeypatch.setitem(
         mod.THEOREMS,
         "scalar_ag",
-        replace(mod.THEOREMS["scalar_ag"], run=lambda s, d, p: _unreliable("scalar_ag")),
+        replace(
+            mod.THEOREMS["scalar_ag"], run=mod._each(lambda s, d, p: _unreliable("scalar_ag"))
+        ),
     )
     cfg = CampaignConfig(theorem_ids=("scalar_ag",), **SMALL)
     report = run_campaign(cfg)
@@ -315,7 +319,9 @@ def test_convergence_and_lapack_errors_make_the_trial_unreliable(error, monkeypa
         raise error("planted")
 
     monkeypatch.setitem(
-        campaign.THEOREMS, "scalar_ag", replace(campaign.THEOREMS["scalar_ag"], run=broken)
+        campaign.THEOREMS,
+        "scalar_ag",
+        replace(campaign.THEOREMS["scalar_ag"], run=campaign._each(broken)),
     )
     report = run_campaign(CampaignConfig(theorem_ids=("scalar_ag",), **SMALL))
     assert report.stats[0].unreliable_count == report.stats[0].trials_run == 20
@@ -330,14 +336,18 @@ def test_genuine_violation_outranks_unreliable(monkeypatch):
     monkeypatch.setitem(
         mod.THEOREMS,
         "scalar_ag",
-        replace(mod.THEOREMS["scalar_ag"], run=lambda s, d, p: _unreliable("scalar_ag")),
+        replace(
+            mod.THEOREMS["scalar_ag"], run=mod._each(lambda s, d, p: _unreliable("scalar_ag"))
+        ),
     )
     monkeypatch.setitem(
         mod.THEOREMS,
         "scalar_gg",
         replace(
             mod.THEOREMS["scalar_gg"],
-            run=lambda s, d, p: InequalityReport("scalar_gg", 1.0, 0.0, -1.0, passed=False),
+            run=mod._each(
+                lambda s, d, p: InequalityReport("scalar_gg", 1.0, 0.0, -1.0, passed=False)
+            ),
         ),
     )
     cfg = CampaignConfig(theorem_ids=("scalar_ag", "scalar_gg"), **SMALL)
@@ -779,8 +789,8 @@ _BATCH_CASES = (
 
 @pytest.mark.parametrize("tid, reference, variants", _BATCH_CASES, ids=[c[0] for c in _BATCH_CASES])
 def test_batched_rows_match_the_per_trial_code(tid, reference, variants):
-    batched = {t for t, th in campaign.THEOREMS.items() if th.batch is not None}
-    assert batched == {c[0] for c in _BATCH_CASES}
+    # every id but dragomir has a per-trial reference
+    assert {c[0] for c in _BATCH_CASES} == set(campaign.THEOREM_IDS) - {"dragomir"}
     for kwargs in variants:
         params = resolve_params(tid, CampaignConfig(**kwargs))
         for dim in (1, 2, 3, 5, 8, 17):
@@ -793,32 +803,63 @@ def test_batched_rows_match_the_per_trial_code(tid, reference, variants):
                 assert outcome_to_dict(run_trial(tid, seeds[k], dim, params)) == want[k]
 
 
-def test_a_raising_block_is_rerun_one_trial_at_a_time(monkeypatch):
-    params = resolve_params("det_ag", CampaignConfig())
+def _plant_in_det_ag(seed, error):
+    """The det_ag stack, raising error on the block that holds the trial of seed."""
+    planted = campaign.random_spd(RandomStream(seed), 3, campaign.SPD_LO, campaign.SPD_HI)
+    real = campaign._det_ag_stack
+
+    def run(a, b, *args):
+        if any(np.array_equal(m, planted) for m in a):
+            raise error("planted")
+        return real(a, b, *args)
+
+    return "_det_ag_stack", run
+
+
+def _plant_in_op_gg_hh_general(seed, error):
+    """The ablated op_gg_hh chain of one trial, raising error on the trial of seed."""
+    planted = campaign._spd_pair(RandomStream(seed), 3)[0]
+    real = campaign.op_gg_hh_general
+
+    def run(f, a, b, *args):
+        if np.array_equal(a, planted):
+            raise error("planted")
+        return real(f, a, b, *args)
+
+    return "op_gg_hh_general", run
+
+
+# a stacked row, and a row that runs one trial at a time through _each: the
+# config, the planter, the error planted in trial 7, and the pass, fail and
+# unreliable counts of a 20-trial campaign at master seed 3 and dim 3
+_RAISING_ROWS = {
+    "det_ag": (CampaignConfig(), _plant_in_det_ag, DomainViolationError, (19, 0, 1)),
+    "op_gg_hh": (
+        CampaignConfig(ablation=frozenset({DROP_COMMUTATIVITY})),
+        _plant_in_op_gg_hh_general,
+        ConvergenceError,
+        (7, 12, 1),
+    ),
+}
+
+
+@pytest.mark.parametrize("tid", list(_RAISING_ROWS))
+def test_a_raising_block_is_rerun_one_trial_at_a_time(tid, monkeypatch):
+    cfg, plant, error, counts = _RAISING_ROWS[tid]
+    params = resolve_params(tid, cfg)
     seeds = [derive_trial_seed(3, 3, t) for t in range(20)]
-    want = [outcome_to_dict(run_trial("det_ag", s, 3, params)) for s in seeds]
-    planted = campaign.random_spd(RandomStream(seeds[7]), 3, campaign.SPD_LO, campaign.SPD_HI)
-    real_kernel = campaign._det_ag_stack
-
-    def kernel(error):
-        def run(a, b, alpha, rtol, atol):
-            if any(np.array_equal(m, planted) for m in a):
-                raise error("planted in trial 7")
-            return real_kernel(a, b, alpha, rtol, atol)
-
-        return run
-
-    monkeypatch.setattr(campaign, "_det_ag_stack", kernel(DomainViolationError))
-    got = list(campaign._outcomes("det_ag", seeds, 3, params))
+    want = [outcome_to_dict(run_trial(tid, s, 3, params)) for s in seeds]
+    monkeypatch.setattr(campaign, *plant(seeds[7], error))
+    got = list(campaign._outcomes(tid, seeds, 3, params))
     assert [o.quad_reliable for o in got] == [t != 7 for t in range(20)]
     assert [outcome_to_dict(o) for k, o in enumerate(got) if k != 7] == want[:7] + want[8:]
-    cfg = CampaignConfig(theorem_ids=("det_ag",), trials=20, dims=(3,), master_seed=3)
+    cfg = replace(cfg, theorem_ids=(tid,), trials=20, dims=(3,), master_seed=3)
     st = run_campaign(cfg).stats[0]
-    assert (st.pass_count, st.unreliable_count) == (19, 1)
+    assert (st.pass_count, st.fail_count, st.unreliable_count) == counts
     # an error the trial alone does not catch still ends the campaign
-    monkeypatch.setattr(campaign, "_det_ag_stack", kernel(NotPositiveDefiniteError))
+    monkeypatch.setattr(campaign, *plant(seeds[7], NotPositiveDefiniteError))
     with pytest.raises(NotPositiveDefiniteError):
-        list(campaign._outcomes("det_ag", seeds, 3, params))
+        list(campaign._outcomes(tid, seeds, 3, params))
 
 
 # ---------------------------------------------------------------------------
@@ -1269,3 +1310,22 @@ def test_no_curve_block_exceeds_the_entry_budget(monkeypatch):
     assert sizes and max(sizes) <= STACK_ENTRIES
     # a block holds more than one piece at 2 * quad_n nodes where they fit
     assert max(sizes) > 2 * params.quad_n * 8
+    # the quadrature sample blocks, which integrate_trials_checked cuts
+    blocks = []
+    real_samples = quadrature._samples
+
+    def samples(g, a, b, n):
+        ws, out = real_samples(g, a, b, n)
+        blocks.append((out.shape[0], out.size))
+        return ws, out
+
+    monkeypatch.setattr(quadrature, "_samples", samples)
+    for tid in ("scalar_ag", "op_gg_hh", "op_norm_gg"):
+        params = resolve_params(tid, CampaignConfig())
+        for dim in (2, 8, 40):
+            blocks.clear()
+            seeds = [derive_trial_seed(8, dim, t) for t in range(6)]
+            list(campaign._outcomes(tid, seeds, dim, params))
+            assert blocks and max(size for _, size in blocks) <= STACK_ENTRIES, (tid, dim)
+            # a block holds more than one trial (or kink piece) where they fit
+            assert max(rows for rows, _ in blocks) > 1, (tid, dim)

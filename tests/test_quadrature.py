@@ -15,7 +15,9 @@ from hhverify import (
     integrate_scalar,
     integrate_scalar_checked,
 )
+from hhverify import quadrature
 from hhverify.errors import DimMismatchError
+from hhverify.functions import STACK_ENTRIES
 from hhverify.quadrature import (
     MAX_NODES,
     _contract,
@@ -190,11 +192,16 @@ _TRIAL_INTEGRANDS = {
 }
 
 
+# entries per node of each integrand's samples: what a caller passes as
+# node_entries, so the vector and matrix kinds cut their rows in smaller blocks
+_NODE_ENTRIES = {"scalar": 1, "vector": 5, "matrix": 9}
+
+
 @pytest.mark.parametrize("kind", list(_TRIAL_INTEGRANDS))
-@pytest.mark.parametrize("trials", [1, 2, 7, 33])
+@pytest.mark.parametrize("trials", [1, 2, 7, 33, 300])
 @pytest.mark.parametrize("n", [8, 64])
-def test_trial_integrator_matches_one_trial_at_a_time(kind, trials, n):
-    g = _TRIAL_INTEGRANDS[kind]
+def test_trial_integrator_matches_one_trial_at_a_time(kind, trials, n, monkeypatch):
+    g, node_entries = _TRIAL_INTEGRANDS[kind], _NODE_ENTRIES[kind]
     rng = np.random.default_rng(trials * 1000 + n)
     a = rng.uniform(-2.0, 1.0, trials)
     b = a + rng.uniform(0.01, 3.0, trials)
@@ -205,10 +212,23 @@ def test_trial_integrator_matches_one_trial_at_a_time(kind, trials, n):
         v, k = g(ts, c), np.abs(ts - m - 0.1 * c)
         return v + k.reshape(k.shape + (1,) * (v.ndim - k.ndim))
 
+    # the rows come in blocks of at most STACK_ENTRIES entries at 2n nodes
+    per_block = STACK_ENTRIES // (2 * n * node_entries)
+    blocks = [min(per_block, trials - k) for k in range(0, trials, per_block)]
+    rows = []
+    real_samples = quadrature._samples
+
+    def samples(g, a, b, n):
+        rows.append(a.shape[0])
+        return real_samples(g, a, b, n)
+
+    monkeypatch.setattr(quadrature, "_samples", samples)
     for integrand in (lambda ts, c, m: g(ts, c), kinked):
+        rows.clear()
         values, flags = integrate_trials_checked(
-            lambda ts: integrand(ts, c[:, None], mid[:, None]), a, b, n
+            lambda sl, ts: integrand(ts, c[sl, None], mid[sl, None]), a, b, n, node_entries
         )
+        assert rows == [r for r in blocks for _ in (n, 2 * n)]
         assert len(values) == len(flags) == trials
         for t in range(trials):
             want, ok = integrate_stack_checked(
@@ -224,7 +244,7 @@ def test_trial_integrator_matches_one_trial_at_a_time(kind, trials, n):
 def test_trial_integrator_refuses_a_non_finite_sample_and_a_wrong_shape():
     a, b = np.zeros(3), np.ones(3)
 
-    def one_bad_trial(ts):
+    def one_bad_trial(sl, ts):
         out = np.exp(ts)
         out[1, 5] = np.inf
         return out
@@ -232,7 +252,7 @@ def test_trial_integrator_refuses_a_non_finite_sample_and_a_wrong_shape():
     with pytest.raises(NonFiniteSampleError, match="t="):
         integrate_trials_checked(one_bad_trial, a, b, 16)
     with pytest.raises(DimMismatchError):
-        integrate_trials_checked(lambda ts: np.ones(ts.shape[1]), a, b, 16)
+        integrate_trials_checked(lambda sl, ts: np.ones(ts.shape[1]), a, b, 16)
 
 
 def test_contraction_is_tensordot_bit_for_bit():
