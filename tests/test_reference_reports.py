@@ -27,6 +27,10 @@ REFERENCE_RUNS = {
         "--theorem all --ablation DROP_COMMUTATIVITY --trials 3 --dim 2,3",
         0,
     ),
+    "dragomir_inverse": (
+        "--theorem dragomir --fn inverse --trials 6 --dim 1,2,3,5,8 --quad-n 17",
+        3,
+    ),
     "drop_positivity_guard_power_m05": (
         "--theorem all --ablation DROP_POSITIVITY,DROP_CONVEXITY_GUARD --trials 3 --dim 2,3"
         " --fn power:-0.5",
