@@ -39,6 +39,7 @@ from .chains import (
     _am_gm_stack,
     _commuting_order_stack,
     _det_ag_stack,
+    _dragomir_stack,
     _joint_ranges,
     _kittaneh_stack,
     _means_stack,
@@ -53,7 +54,6 @@ from .chains import (
     _uin_stack,
     ag_convexity_witness,
     det_ag_indefinite,
-    dragomir_operator_chain,
     kittaneh_general,
     norm_gg_general,
     op_ag_midpoint_general,
@@ -321,10 +321,8 @@ THEOREMS = {
         )
     ),
     "dragomir": Theorem(
-        _each(
-            lambda s, d, p: dragomir_operator_chain(
-                p.f, *_spd_pair(s, d), p.quad_n, p.rtol, p.atol
-            )
+        lambda seeds, d, p: _dragomir_stack(
+            p.f, *_spd_pair(RandomStream(seeds), d), p.quad_n, p.rtol
         ),
         fn=_operator_convex_fn,
     ),

@@ -47,6 +47,7 @@ from .functions import (
 from .linalg import (
     CommutingPair,
     _apply_stack,
+    _f_of_spectrum,
     _power_stack,
     _signed_eigh,
     _sym,
@@ -60,7 +61,6 @@ from .linalg import (
 from .norms import NormSpec, norms_from_eig_rows, norms_of_stack
 from .quadrature import (
     integrate_matrix_checked,
-    integrate_stack_checked,
     integrate_trials_checked,
 )
 
@@ -432,23 +432,6 @@ DRAGOMIR_TERM_NAMES = (
 )
 
 
-def _f_of_symmetric(m: np.ndarray, f: FunctionSpec) -> np.ndarray:
-    return matrix_function(eigh(m), f)
-
-
-def _segment_stack(f: FunctionSpec, a: np.ndarray, b: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """f(t A + (1-t) B) for every t in ``ts`` via one batched decomposition."""
-    combos = ts[:, None, None] * a + (1.0 - ts)[:, None, None] * b
-    lam, q = np.linalg.eigh(combos)
-    ok = f.defined_at(lam)
-    if not ok.all():
-        raise DomainViolationError(
-            f"{f.describe()} undefined at eigenvalue {lam[~ok][0]!r} on the segment"
-        )
-    vals = f.eval_array(lam)
-    return (q * vals[:, None, :]) @ np.swapaxes(q, 1, 2)
-
-
 def _operator_convex(f: FunctionSpec) -> bool:
     """Whether f is one whose operator convexity is certified here."""
     return (f.kind == "power" and f.params == (2.0,)) or f.kind == "inverse"
@@ -471,42 +454,56 @@ def dragomir_operator_chain(
                 <=  (f(A)+f(B))/2
 
     Supported f: power:2 on any symmetric pair, inverse on a positive
-    definite pair. The pair need not commute.
+    definite pair. The pair need not commute. It is _dragomir_stack on a
+    stack of one pair.
+    """
+    a, b = (np.asarray(m, dtype=float)[None] for m in (a, b))
+    return _dragomir_stack(f, a, b, quad_n, rtol)[0]
+
+
+def _dragomir_stack(
+    f: FunctionSpec, a: np.ndarray, b: np.ndarray, quad_n: int, rtol: float
+) -> list[OrderChainReport]:
+    """dragomir_operator_chain of each pair a[t], b[t] of two (T, n, n) stacks.
+
+    f of the five anchor matrices of every trial comes from one eigh, and
+    the two segment integrals of every trial from one integrator call:
+    row 2t is trial t's [1/4, 3/4], row 2t + 1 its [0, 1].
     """
     if not _operator_convex(f):
         raise ConfigError(
             f"operator convexity is certified here only for power:2 and inverse, got {f.describe()}"
         )
-    ma, mb = check_symmetric(a), check_symmetric(b)
+    ma, mb = check_symmetric_stack(a), check_symmetric_stack(b)
     if ma.shape != mb.shape:
-        raise DimMismatchError(f"shape mismatch {ma.shape} vs {mb.shape}")
+        raise DimMismatchError(f"shape mismatch {ma.shape[1:]} vs {mb.shape[1:]}")
+    trials, n = ma.shape[:2]
+    # A, B, (A+B)/2, (3A+B)/4, (A+3B)/4 of every trial
+    anchors = np.stack((ma, mb, 0.5 * (ma + mb), 0.25 * (3.0 * ma + mb), 0.25 * (ma + 3.0 * mb)))
+    lam, q = _signed_eigh(anchors.reshape(-1, n, n))
     if f.kind == "inverse":
-        for name, m in (("a", ma), ("b", mb)):
-            if float(np.linalg.eigvalsh(m)[0]) <= 0.0:
-                raise NotPositiveDefiniteError(f"inverse needs positive definite {name}")
+        bad = lam.reshape(5, trials, n)[:2, :, 0] <= 0.0  # A and B of each trial
+        if bad.any():
+            name = "a" if bad[0].any() else "b"
+            raise NotPositiveDefiniteError(f"inverse needs positive definite {name}")
+    fa, fb, f_mid, f_q1, f_q2 = _apply_stack(q, _f_of_spectrum(f, lam)).reshape(anchors.shape)
+    owner = np.repeat(np.arange(trials), 2)
 
-    fa = _f_of_symmetric(ma, f)
-    fb = _f_of_symmetric(mb, f)
-    f_mid = _f_of_symmetric(0.5 * (ma + mb), f)
-    d3 = 0.5 * (
-        _f_of_symmetric(0.25 * (3.0 * ma + mb), f)
-        + _f_of_symmetric(0.25 * (ma + 3.0 * mb), f)
-    )
+    def segment(sl: slice, xs: np.ndarray) -> np.ndarray:
+        # f(t A + (1-t) B) at the (R, N) nodes xs of the rows sl
+        t = xs[..., None, None]
+        combos = t * ma[owner[sl], None] + (1.0 - t) * mb[owner[sl], None]
+        lam, q = np.linalg.eigh(combos.reshape(-1, n, n))
+        vals = _f_of_spectrum(f, lam)
+        return ((q * vals[:, None, :]) @ np.swapaxes(q, 1, 2)).reshape(combos.shape)
 
-    def seg(ts: np.ndarray) -> np.ndarray:
-        return _segment_stack(f, ma, mb, ts)
-
-    central, ok2 = integrate_stack_checked(seg, 0.25, 0.75, quad_n)
-    full, ok4 = integrate_stack_checked(seg, 0.0, 1.0, quad_n)
-    d2 = 2.0 * central
-    d5 = 0.5 * f_mid + 0.25 * (fa + fb)
-    d6 = 0.5 * (fa + fb)
-    return _order_report_from_matrices(
-        "dragomir",
-        DRAGOMIR_TERM_NAMES,
-        (f_mid, d2, d3, full, d5, d6),
-        rtol,
-        quad_reliable=ok2 and ok4,
+    lo, hi = np.tile([0.25, 0.0], trials), np.tile([0.75, 1.0], trials)
+    integrals, flags = integrate_trials_checked(segment, lo, hi, quad_n, n * n)
+    d2, full, d6 = 2.0 * integrals[0::2], integrals[1::2], 0.5 * (fa + fb)
+    terms = np.stack((f_mid, d2, 0.5 * (f_q1 + f_q2), full, 0.5 * f_mid + 0.25 * (fa + fb), d6))
+    reliable = [ok2 and ok4 for ok2, ok4 in zip(flags[0::2], flags[1::2])]
+    return _matrix_order_reports(
+        "dragomir", DRAGOMIR_TERM_NAMES, terms, rtol, reliable, [True] * trials
     )
 
 
@@ -1111,14 +1108,11 @@ def _segment_functions(f: FunctionSpec, a: np.ndarray, b: np.ndarray, ts: np.nda
     """f(t A + (1-t) B) for every t in ts via one stacked eigh, each equal bit
     for bit to matrix_function(eigh(t A + (1-t) B), f).
 
-    Unlike _segment_stack, it symmetrizes before and after, as eigh and
-    matrix_function do; the sampled A and B are not exactly symmetric.
+    Unlike the segment of _dragomir_stack, it symmetrizes before and after, as
+    eigh and matrix_function do; the sampled A and B are not exactly symmetric.
     """
     lam, q = np.linalg.eigh(_sym(ts[:, None, None] * a + (1.0 - ts)[:, None, None] * b))
-    ok = f.defined_at(lam)
-    if not ok.all():
-        raise DomainViolationError(f"{f.describe()} undefined at eigenvalue {lam[~ok][0]!r}")
-    return _apply_stack(q, f.eval_array(lam))
+    return _apply_stack(q, _f_of_spectrum(f, lam))
 
 
 def op_gg_hh_general(f: FunctionSpec, a, b, quad_n: int, rtol: float) -> OrderChainReport:

@@ -148,19 +148,22 @@ def _signed_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, q * signs[:, None, :]
 
 
+def _f_of_spectrum(f: FunctionSpec, lam: np.ndarray) -> np.ndarray:
+    """f at every eigenvalue of lam, each of which must be in its domain; the
+    error names the first one that is not."""
+    ok = f.defined_at(lam)
+    if not ok.all():
+        raise DomainViolationError(f"{f.describe()} undefined at eigenvalue {lam[~ok][0]!r}")
+    return f.eval_array(lam)
+
+
 def matrix_function(d: SpectralDecomp, f: FunctionSpec) -> np.ndarray:
     """f applied through the spectral decomposition: q diag(f(lambda)) q^T.
 
     Every eigenvalue must be evaluable by ``f``; the error names the first
     offending eigenvalue.
     """
-    lam = d.eigenvalues
-    ok = f.defined_at(lam)
-    if not ok.all():
-        raise DomainViolationError(
-            f"{f.describe()} undefined at eigenvalue {lam[~ok][0]!r}"
-        )
-    return d.apply(f.eval_array(lam))
+    return d.apply(_f_of_spectrum(f, d.eigenvalues))
 
 
 def operator_norm_sym(s) -> float:

@@ -10,9 +10,10 @@ unreliable when the two values disagree beyond ``DOUBLING_TOL``; unreliable
 chains are counted separately rather than failed.
 
 One integrator takes stacked integrands: integrate_trials_checked integrates
-T rows, cuts them itself into blocks under functions.STACK_ENTRIES and
-contracts each row alone; integrate_stack_checked is it on one row.
-integrate_matrix keeps its own node-order sum.
+T rows, cuts them itself into blocks under functions.STACK_ENTRIES, and
+contracts and doubling-checks each block with one batched matmul, which
+gives every row the bits it has alone; integrate_stack_checked is it on one
+row. integrate_matrix keeps its own node-order sum.
 """
 
 from __future__ import annotations
@@ -106,12 +107,19 @@ def _samples(g: Callable[[np.ndarray], np.ndarray], a, b, n: int):
     return ws, samples
 
 
-def _agrees(v1, v2) -> bool:
-    """The doubling check: the Frobenius norm of the raveled difference of
-    the n- and 2n-node results is at most DOUBLING_TOL times 1 + the norm of
+def _row_norms(d: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each row of an (R, ...) stack, as the sqrt of one
+    batched d . d^T matmul: the dot np.linalg.norm(np.ravel(row)) takes, so
+    the same bits."""
+    flat = d.reshape(d.shape[0], 1, -1)
+    return np.sqrt(flat @ np.swapaxes(flat, 1, 2)).reshape(-1)
+
+
+def _agrees(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """The doubling check of each row of the (R, ...) n- and 2n-node results:
+    the norm of the difference is at most DOUBLING_TOL times 1 + the norm of
     the n-node result."""
-    resid = float(np.linalg.norm(np.ravel(v1 - v2)))
-    return resid <= DOUBLING_TOL * (1.0 + float(np.linalg.norm(np.ravel(v1))))
+    return _row_norms(v1 - v2) <= DOUBLING_TOL * (1.0 + _row_norms(v1))
 
 
 def _checked(integrate, g, a: float, b: float, n: int):
@@ -119,7 +127,7 @@ def _checked(integrate, g, a: float, b: float, n: int):
     MAX_NODES // 2)."""
     v1 = integrate(g, a, b, n)
     v2 = integrate(g, a, b, 2 * n)
-    return v1, _agrees(v1, v2)
+    return v1, bool(_agrees(np.asarray(v1)[None], np.asarray(v2)[None])[0])
 
 
 def integrate_scalar(g: Callable[[np.ndarray], np.ndarray], a: float, b: float, n: int = 64) -> float:
@@ -168,13 +176,6 @@ def integrate_matrix_checked(
     return _checked(integrate_matrix, g, a, b, n)
 
 
-def _contract(w: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """The weights w of n nodes contracted with the (n, ...) samples s: the
-    (1, n) . (n, k) dot that np.tensordot(w, s, axes=(0, 0)) makes, without
-    its axis bookkeeping, so the same bits."""
-    return np.dot(w.reshape(1, -1), s.reshape(s.shape[0], -1)).reshape(s.shape[1:])
-
-
 def integrate_stack_checked(
     g: Callable[[np.ndarray], np.ndarray], a: float, b: float, n: int = 64
 ) -> tuple[np.ndarray, bool]:
@@ -195,31 +196,34 @@ def integrate_stack_checked(
     return value, ok
 
 
-def _integrate_trials(g, a: np.ndarray, b: np.ndarray, n: int) -> list[np.ndarray]:
+def _integrate_trials(g, a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     ws, samples = _samples(g, a, b, n)
-    # one contraction per trial, on its contiguous (n, ...) slice: a single
-    # contraction over the stack, or a strided slice, can round differently
-    return list(map(_contract, ws, samples))
+    # one (1, n) . (n, k) product per row, on its contiguous slice: the bits of
+    # np.tensordot(w, s, axes=(0, 0)) on the row alone; a single contraction
+    # over the whole stack, or a strided slice, can round differently
+    flat = np.ascontiguousarray(samples).reshape(samples.shape[0], n, -1)
+    return np.matmul(ws[:, None, :], flat).reshape(samples.shape[:1] + samples.shape[2:])
 
 
 def integrate_trials_checked(
     g: Callable[[slice, np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray, n: int = 64,
     node_entries: int = 1,
-) -> tuple[list[np.ndarray], list[bool]]:
-    """The integrals of T integrands, on the intervals [a[t], b[t]] of two
-    (T,) arrays with a < b, and their doubling flags.
+) -> tuple[np.ndarray, list[bool]]:
+    """The (T, ...) integrals of T integrands, on the intervals [a[t], b[t]]
+    of two (T,) arrays with a < b, and their doubling flags.
 
     ``g(sl, xs)`` maps the (R, n) nodes xs of the rows sl to the (R, n, ...)
     stack of their samples, node_entries entries per node. The rows are
     taken in blocks of whole rows of at most STACK_ENTRIES entries at 2n
-    nodes, and each row is contracted alone, so a row's integral and flag
-    have the same bits in any block, a block of one included.
+    nodes (one row when a row alone holds more), and every row is
+    contracted and checked as if alone, so a row's integral and flag have
+    the same bits in any block, a block of one included.
     """
     values, flags = [], []
     for sl in _blocks(a.shape[0], 2 * n * node_entries):
         lo, hi = a[sl, None], b[sl, None]
         v1 = _integrate_trials(lambda xs: g(sl, xs), lo, hi, n)
         v2 = _integrate_trials(lambda xs: g(sl, xs), lo, hi, 2 * n)
-        values += v1
-        flags += map(_agrees, v1, v2)
-    return values, flags
+        values.append(v1)
+        flags += _agrees(v1, v2).tolist()
+    return np.concatenate(values), flags

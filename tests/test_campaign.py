@@ -746,8 +746,49 @@ def _ref_kittaneh(stream, dim, p):
     return _inequality_report("kittaneh", lhs, rhs, p.rtol, p.atol)
 
 
+def _ref_dragomir(stream, dim, p):
+    """The per-trial dragomir chain: f of each anchor through eigh and
+    matrix_function, and each segment integral through its own
+    integrate_stack_checked call."""
+    ma, mb = (check_symmetric(m) for m in campaign._spd_pair(stream, dim))
+    if p.f.kind == "inverse":
+        for m in (ma, mb):
+            if float(np.linalg.eigvalsh(m)[0]) <= 0.0:
+                raise NotPositiveDefiniteError("inverse needs a positive definite pair")
+
+    def f_of(m):
+        return matrix_function(eigh(m), p.f)
+
+    def segment(ts):
+        combos = ts[:, None, None] * ma + (1.0 - ts)[:, None, None] * mb
+        lam, q = np.linalg.eigh(combos)
+        if not p.f.defined_at(lam).all():
+            raise DomainViolationError("undefined on the segment")
+        return (q * p.f.eval_array(lam)[:, None, :]) @ np.swapaxes(q, 1, 2)
+
+    fa, fb, f_mid = f_of(ma), f_of(mb), f_of(0.5 * (ma + mb))
+    d3 = 0.5 * (f_of(0.25 * (3.0 * ma + mb)) + f_of(0.25 * (ma + 3.0 * mb)))
+    central, ok2 = integrate_stack_checked(segment, 0.25, 0.75, p.quad_n)
+    full, ok4 = integrate_stack_checked(segment, 0.0, 1.0, p.quad_n)
+    terms = (f_mid, 2.0 * central, d3, full, 0.5 * f_mid + 0.25 * (fa + fb), 0.5 * (fa + fb))
+    return _ref_order_report_from_matrices(
+        "dragomir", chains.DRAGOMIR_TERM_NAMES, terms, p.rtol, quad_reliable=ok2 and ok4
+    )
+
+
 _NUS = (0.3, 0.5, 0.7)
 _BATCH_CASES = (
+    (
+        "dragomir",
+        _ref_dragomir,
+        [
+            {},
+            dict(function=FunctionSpec.inverse()),
+            dict(quad_n=17),
+            # inverse at 17 nodes fails the doubling check on some trials
+            dict(function=FunctionSpec.inverse(), quad_n=17),
+        ],
+    ),
     ("scalar_means", _ref_scalar_means, [{}]),
     ("det_ag", _ref_det_ag, [dict(nu=nu) for nu in _NUS]),
     ("am_gm_loewner", _ref_am_gm_loewner, [dict(nu=nu) for nu in _NUS + (0.0, 1.0)]),
@@ -789,8 +830,8 @@ _BATCH_CASES = (
 
 @pytest.mark.parametrize("tid, reference, variants", _BATCH_CASES, ids=[c[0] for c in _BATCH_CASES])
 def test_batched_rows_match_the_per_trial_code(tid, reference, variants):
-    # every id but dragomir has a per-trial reference
-    assert {c[0] for c in _BATCH_CASES} == set(campaign.THEOREM_IDS) - {"dragomir"}
+    # every id has a per-trial reference
+    assert {c[0] for c in _BATCH_CASES} == set(campaign.THEOREM_IDS)
     for kwargs in variants:
         params = resolve_params(tid, CampaignConfig(**kwargs))
         for dim in (1, 2, 3, 5, 8, 17):
@@ -1329,3 +1370,13 @@ def test_no_curve_block_exceeds_the_entry_budget(monkeypatch):
             assert blocks and max(size for _, size in blocks) <= STACK_ENTRIES, (tid, dim)
             # a block holds more than one trial (or kink piece) where they fit
             assert max(rows for rows, _ in blocks) > 1, (tid, dim)
+    # dragomir's segment rows: one row alone, when it holds more than
+    # STACK_ENTRIES entries at 2n nodes (dim 40), and more than one where they fit
+    params = resolve_params("dragomir", CampaignConfig())
+    for dim in (2, 8, 40):
+        blocks.clear()
+        seeds = [derive_trial_seed(8, dim, t) for t in range(6)]
+        list(campaign._outcomes("dragomir", seeds, dim, params))
+        assert blocks and all(rows == 1 or size <= STACK_ENTRIES for rows, size in blocks), dim
+        fits = 2 * 2 * params.quad_n * dim * dim <= STACK_ENTRIES
+        assert (max(rows for rows, _ in blocks) > 1) == fits, dim

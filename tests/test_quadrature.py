@@ -19,9 +19,12 @@ from hhverify import quadrature
 from hhverify.errors import DimMismatchError
 from hhverify.functions import STACK_ENTRIES
 from hhverify.quadrature import (
+    DOUBLING_TOL,
     MAX_NODES,
-    _contract,
+    _agrees,
+    _integrate_trials,
     _mapped_nodes,
+    _row_norms,
     integrate_stack_checked,
     integrate_trials_checked,
 )
@@ -255,12 +258,46 @@ def test_trial_integrator_refuses_a_non_finite_sample_and_a_wrong_shape():
         integrate_trials_checked(lambda sl, ts: np.ones(ts.shape[1]), a, b, 16)
 
 
-def test_contraction_is_tensordot_bit_for_bit():
+def test_batched_contraction_is_tensordot_bit_for_bit():
+    # every row of one batched contraction has the bits of its own tensordot
     rng = np.random.default_rng(5)
+    pool = rng.standard_normal((50, MAX_NODES, 8, 8))
     for n in range(1, MAX_NODES + 1):
-        w = rng.standard_normal(n)
         for shape in ((), (3,), (5, 5), (8, 8)):
-            s = rng.standard_normal((n,) + shape) * rng.uniform(0.0, 1e3)
-            got, want = _contract(w, s), np.tensordot(w, s, axes=(0, 0))
-            assert got.shape == want.shape == shape
-            assert np.array_equal(got, want), (n, shape)
+            size = math.prod(shape)
+            for trials in (1, 2, 7, 50):
+                s = pool[:trials, :n].reshape(trials, n, -1)[:, :, :size].reshape(
+                    (trials, n) + shape
+                ) * rng.uniform(0.0, 1e3)
+                a = rng.uniform(-2.0, 1.0, (trials, 1))
+                b = a + rng.uniform(0.01, 3.0, (trials, 1))
+                got = _integrate_trials(lambda xs: s, a, b, n)
+                ws = _mapped_nodes(a, b, n)[1]
+                assert got.shape == (trials,) + shape
+                for t in range(trials):
+                    want = np.tensordot(ws[t], s[t], axes=(0, 0))
+                    assert np.array_equal(got[t], want), (n, shape, trials, t)
+
+
+def test_batched_doubling_norms_are_linalg_norm_bit_for_bit():
+    rng = np.random.default_rng(6)
+    flags = set()
+    for shape in ((), (1,), (3,), (5, 5), (8, 8), (40, 40)):
+        for trials in (1, 2, 7, 50):
+            for _ in range(20):
+                v1 = rng.standard_normal((trials,) + shape) * rng.uniform(0.0, 1e3)
+                scale = np.array([np.linalg.norm(np.ravel(v)) for v in v1])
+                # differences around the doubling threshold, so both flags occur
+                step = DOUBLING_TOL * (1.0 + scale) * rng.uniform(0.0, 2.0, trials)
+                d = rng.standard_normal(v1.shape)
+                d *= (step / np.array([np.linalg.norm(np.ravel(x)) for x in d])).reshape(
+                    (trials,) + (1,) * len(shape)
+                )
+                v2 = v1 + d
+                resid = [np.linalg.norm(np.ravel(x)) for x in v1 - v2]
+                assert _row_norms(v1 - v2).tolist() == resid
+                assert _row_norms(v1).tolist() == scale.tolist()
+                want = [r <= DOUBLING_TOL * (1.0 + c) for r, c in zip(resid, scale)]
+                assert _agrees(v1, v2).tolist() == want
+                flags.update(want)
+    assert flags == {True, False}
