@@ -187,61 +187,52 @@ def _inequality_report(
     )
 
 
-def hh_terms(anchors, log_curve, edges, quad_n: int):
-    """The five Hermite-Hadamard terms of a log-convex curve v on [lo, hi].
+def _hh_stack(anchors, log_curve, lo, hi, quad_n: int, node_entries: int, cuts=None, spans=None):
+    """The five Hermite-Hadamard terms of the log-convex curve v of each of T
+    trials on [lo[t], hi[t]], and whether its integral passed the doubling
+    check.
 
-    ``anchors`` are v at lo, q1, mid, q2 and hi (q1, q2 the quarter points).
-    ``log_curve`` is the vectorized log v; it is integrated over each piece
-    of ``edges`` (lo, any interior kinks, hi), the pieces are summed and the
-    sum is divided by hi - lo. Returns the terms in HH_TERM_NAMES order,
+    ``anchors[t]`` are trial t's v at lo, q1, mid, q2 and hi (q1, q2 the
+    quarter points). Its interval is cut at the interior points cuts[t], if
+    given, and every piece is one row of integrate_trials_checked:
+    ``log_curve(rows, xs)`` maps the (R, N) nodes xs of R pieces, of the
+    trials rows, to their samples of log v, node_entries entries per node.
+    A trial's pieces are summed left to right and the sum divided by
+    spans[t] (default hi[t] - lo[t]). Returns, in HH_TERM_NAMES order,
 
         v(mid) <= sqrt(v(q1) v(q2)) <= exp(mean of log v)
-               <= sqrt(v(mid)) v(lo)^(1/4) v(hi)^(1/4) <= sqrt(v(lo) v(hi)),
-
-    and whether every piece passed the quadrature doubling check. It is
-    _hh_integrals on a stack of one trial, log_curve called on each piece's
-    nodes alone.
+               <= sqrt(v(mid)) v(lo)^(1/4) v(hi)^(1/4) <= sqrt(v(lo) v(hi)).
     """
-    edges = np.asarray(edges, dtype=float)
-    pieces = edges.shape[0] - 1
-    (integral,), (reliable,) = _hh_integrals(
-        lambda sl, xs: np.stack([log_curve(x) for x in xs]),
-        edges[:-1], edges[1:], np.zeros(pieces, dtype=np.intp), 1, quad_n, 1,
+    trials = lo.shape[0]
+    if cuts is None:
+        rows, starts, ends = np.arange(trials), lo, hi
+    else:
+        rows = np.repeat(np.arange(trials), [c.size + 1 for c in cuts])
+        edges = [np.concatenate(([x], c, [y])) for x, y, c in zip(lo.tolist(), hi.tolist(), cuts)]
+        starts = np.concatenate([e[:-1] for e in edges])
+        ends = np.concatenate([e[1:] for e in edges])
+    pieces, flags = integrate_trials_checked(
+        lambda sl, xs: log_curve(rows[sl], xs), starts, ends, quad_n, node_entries
     )
-    return _hh_ending(anchors, integral, edges[-1] - edges[0]), reliable
-
-
-def _hh_integrals(curve, lo, hi, owner, trials: int, quad_n: int, node_entries: int):
-    """The integral of the log-curve of each of ``trials`` trials over its
-    pieces, and whether every piece passed the doubling check.
-
-    Piece k is [lo[k], hi[k]] of trial owner[k]; owner is ascending, and a
-    trial's pieces come in order. ``curve(sl, xs)`` is the integrand of the
-    pieces sl: it maps their (R, N) nodes xs to their samples, node_entries
-    entries per node. Each piece is one row of integrate_trials_checked, and
-    each trial's pieces are summed left to right.
-    """
-    pieces, flags = integrate_trials_checked(curve, lo, hi, quad_n, node_entries)
     integrals, reliable = [0.0] * trials, [True] * trials
-    for t, piece, ok in zip(owner.tolist(), pieces, flags):
-        integrals[t] += float(piece)
+    for t, piece, ok in zip(rows.tolist(), pieces.tolist(), flags):
+        integrals[t] += piece
         reliable[t] = reliable[t] and ok
-    return integrals, reliable
-
-
-def _hh_ending(anchors, integral: float, span: float) -> tuple[float, ...]:
-    """The five hh_terms of the anchors and the integral of log v over span."""
-    if span == 0.0:
-        # log b - log a of the gg chain rounds to 0 on an interval one ulp wide
-        raise DomainViolationError("the interval's span rounds to zero")
-    v_lo, v_q1, v_mid, v_q2, v_hi = anchors
-    return (
-        v_mid,
-        math.sqrt(v_q1 * v_q2),
-        math.exp(integral / span),
-        math.sqrt(v_mid) * v_lo**0.25 * v_hi**0.25,
-        math.sqrt(v_lo * v_hi),
-    )
+    terms = []
+    for (v_lo, v_q1, v_mid, v_q2, v_hi), integral, span in zip(
+        anchors, integrals, (hi - lo).tolist() if spans is None else spans
+    ):
+        if span == 0.0:
+            # log b - log a of the gg chain rounds to 0 on an interval one ulp wide
+            raise DomainViolationError("the interval's span rounds to zero")
+        terms.append((
+            v_mid,
+            math.sqrt(v_q1 * v_q2),
+            math.exp(integral / span),
+            math.sqrt(v_mid) * v_lo**0.25 * v_hi**0.25,
+            math.sqrt(v_lo * v_hi),
+        ))
+    return terms, reliable
 
 
 def _order_report_from_rows(
@@ -386,27 +377,22 @@ def _scalar_hh_stack(
         q1, mid, q2 = inner.T
         spans = [y - x for x, y in zip(la, lb)]
 
-        def log_f(sl: slice, ts: np.ndarray) -> np.ndarray:
+        def log_f(rows: np.ndarray, ts: np.ndarray) -> np.ndarray:
             return _positive_logs(f, ts) / ts
 
     else:
         q1, mid, q2 = 0.25 * (3 * a + b), 0.5 * (a + b), 0.25 * (a + 3 * b)
-        spans = (b - a).tolist()
+        spans = None
 
-        def log_f(sl: slice, ts: np.ndarray) -> np.ndarray:
+        def log_f(rows: np.ndarray, ts: np.ndarray) -> np.ndarray:
             return _positive_logs(f, ts)
 
     anchors = f.eval_array(np.array((a, q1, mid, q2, b))).T.tolist()
-    integrals, reliable = integrate_trials_checked(log_f, a, b, quad_n)
+    terms, reliable = _hh_stack(anchors, log_f, a, b, quad_n, 1, spans=spans)
     return [
         _chain_report(
-            "scalar_gg" if gg else "scalar_ag",
-            HH_TERM_NAMES,
-            _hh_ending(anchors[t], float(integrals[t]), spans[t]),
-            rtol,
-            atol,
-            quad_reliable=reliable[t],
-            hypothesis_ok=holds[t],
+            "scalar_gg" if gg else "scalar_ag", HH_TERM_NAMES, terms[t], rtol, atol,
+            quad_reliable=reliable[t], hypothesis_ok=holds[t],
         )
         for t in range(a.shape[0])
     ]
@@ -438,12 +424,7 @@ def _operator_convex(f: FunctionSpec) -> bool:
 
 
 def dragomir_operator_chain(
-    f: FunctionSpec,
-    a,
-    b,
-    quad_n: int = DEFAULT_QUAD_N,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
+    f: FunctionSpec, a, b, quad_n: int = DEFAULT_QUAD_N, rtol: float = DEFAULT_RTOL
 ) -> OrderChainReport:
     """Six-term operator chain for an operator convex f on a symmetric pair.
 
@@ -894,8 +875,8 @@ def _norm_gg_stack(
 ) -> list[ChainReport]:
     """operator_norm_gg_chain of each commuting pair, given by its spectra
     a[t], b[t] of two (T, n) stacks: the anchors one point at a time over the
-    stack, and every piece between the kinks of every trial as one row of
-    _hh_integrals."""
+    stack, and the chain of every trial from one _hh_stack, which cuts the
+    interval of each trial at the kinks of its curve."""
     holds = _commuting_prelude(f, a, b, True, check_hypothesis)
 
     def phi(u: float) -> np.ndarray:
@@ -910,31 +891,27 @@ def _norm_gg_stack(
     sorting_norm = norm_spec.kind == "kyfan" or (
         norm_spec.kind == "schatten" and math.isinf(norm_spec.params[0])
     )
-    cuts = [_eig_crossings(av, bv) if sorting_norm else np.empty(0) for av, bv in zip(a, b)]
-    owner = np.repeat(np.arange(a.shape[0]), [c.size + 1 for c in cuts])
-    edges = [np.concatenate(([0.0], c, [1.0])) for c in cuts]
+    cuts = [_eig_crossings(av, bv) for av, bv in zip(a, b)] if sorting_norm else None
     n = a.shape[1]
 
-    def log_phi(sl: slice, xs: np.ndarray) -> np.ndarray:
-        rows, t = owner[sl], xs[:, :, None]
+    def log_phi(rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        t = xs[:, :, None]
         grid = np.power(a[rows, None, :], t) * np.power(b[rows, None, :], 1.0 - t)
         vals = norms_from_eig_rows(f.eval_array(grid).reshape(-1, n), norm_spec)
         if not (np.isfinite(vals).all() and (vals > 0.0).all()):
             raise DomainViolationError(f"{theorem_id}: norm curve is not strictly positive")
         return np.log(vals.reshape(xs.shape))
 
-    integrals, reliable = _hh_integrals(
-        log_phi,
-        np.concatenate([e[:-1] for e in edges]),
-        np.concatenate([e[1:] for e in edges]),
-        owner, a.shape[0], quad_n, n,
+    trials = a.shape[0]
+    terms, reliable = _hh_stack(
+        anchors.T, log_phi, np.zeros(trials), np.ones(trials), quad_n, n, cuts=cuts
     )
     return [
-        _norm_curve_chain(
-            theorem_id, _hh_ending(tuple(anchors[:, t]), integrals[t], 1.0), reliable[t],
-            rtol, atol, holds[t],
+        _chain_report(
+            theorem_id, HH_TERM_NAMES, terms[t], rtol, atol,
+            quad_reliable=reliable[t], hypothesis_ok=holds[t],
         )
-        for t in range(a.shape[0])
+        for t in range(trials)
     ]
 
 
@@ -951,16 +928,6 @@ def _anchor_gauges(rows: np.ndarray, spec: NormSpec) -> np.ndarray:
 def _require_positive_curve(theorem_id: str, anchors) -> None:
     if (np.asarray(anchors) <= 0.0).any():
         raise DomainViolationError(f"{theorem_id}: norm curve is not strictly positive")
-
-
-def _norm_curve_chain(
-    theorem_id: str, terms, reliable: bool, rtol: float, atol: float, hypothesis_ok: bool = True
-) -> ChainReport:
-    """The five-term chain report of a norm curve from its hh_terms."""
-    return _chain_report(
-        theorem_id, HH_TERM_NAMES, terms, rtol, atol,
-        quad_reliable=reliable, hypothesis_ok=hypothesis_ok,
-    )
 
 
 class TraceVariant(enum.Enum):
@@ -1009,33 +976,30 @@ def _trace_stack(
     variant: TraceVariant, a: np.ndarray, b: np.ndarray, quad_n: int, rtol: float, atol: float
 ) -> list[ChainReport]:
     """trace_chain of each commuting pair, given by its spectra a[t], b[t] of
-    two (T, n) stacks: tau one point at a time over the stack, and the
-    integral of log tau of every trial as one row of _hh_integrals."""
+    two (T, n) stacks: tau one point at a time over the stack, and the chain
+    of every trial from one _hh_stack."""
     pw = 2.0 if variant is TraceVariant.SQUARED else 1.0
 
     def tau(u: float) -> list[float]:
         return (np.power(a, pw * u) * np.power(b, pw * (1.0 - u))).sum(axis=1).tolist()
 
-    def log_tau(sl: slice, xs: np.ndarray) -> np.ndarray:
+    def log_tau(rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
         t = xs[:, :, None]
-        grid = np.power(a[sl, None, :], pw * t) * np.power(b[sl, None, :], pw * (1.0 - t))
+        grid = np.power(a[rows, None, :], pw * t) * np.power(b[rows, None, :], pw * (1.0 - t))
         return np.log(grid.sum(axis=2))
 
     trials = a.shape[0]
-    anchors = list(zip(*(tau(u) for u in HH_NODES)))
-    integrals, reliable = _hh_integrals(
-        log_tau, np.zeros(trials), np.ones(trials), np.arange(trials), trials, quad_n, a.shape[1]
+    terms, reliable = _hh_stack(
+        list(zip(*(tau(u) for u in HH_NODES))), log_tau, np.zeros(trials), np.ones(trials),
+        quad_n, a.shape[1],
     )
     if variant is TraceVariant.SQRT:
         # tr sqrt(AB) is tau(1/2)
-        ends = [(math.sqrt(ab), v[2]) for ab, v in zip((a * b).sum(axis=1).tolist(), anchors)]
+        ends = [(math.sqrt(ab), v[0]) for ab, v in zip((a * b).sum(axis=1).tolist(), terms)]
     else:
         ends = [x * y for x, y in zip(a.sum(axis=1).tolist(), b.sum(axis=1).tolist())]
     return [
-        _trace_report(
-            variant, _hh_ending(anchors[t], integrals[t], 1.0), reliable[t], ends[t], rtol, atol
-        )
-        for t in range(trials)
+        _trace_report(variant, terms[t], reliable[t], ends[t], rtol, atol) for t in range(trials)
     ]
 
 
@@ -1043,9 +1007,9 @@ def _trace_report(
     variant: TraceVariant, terms, reliable: bool, ends, rtol: float, atol: float,
     hypothesis_ok: bool = True,
 ) -> ChainReport:
-    """The trace chain of the curve tau from its hh_terms on [0, 1], with
-    ``ends`` in place of the midpoint term (SQRT: the pair sqrt tr AB,
-    tr sqrt AB) or of the endpoint term (SQUARED: tr A tr B)."""
+    """The trace chain of the curve tau from its five _hh_stack terms on
+    [0, 1], with ``ends`` in place of the midpoint term (SQRT: the pair
+    sqrt tr AB, tr sqrt AB) or of the endpoint term (SQUARED: tr A tr B)."""
     sqrt = variant is TraceVariant.SQRT
     return _chain_report(
         "trace_sqrt" if sqrt else "trace_squared",
@@ -1167,14 +1131,17 @@ def norm_gg_general(
     pair that need not commute."""
     da, db = eigh(a), eigh(b)
 
-    def log_phi(ts: np.ndarray) -> np.ndarray:
+    def log_phi(rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
         # math.log, not np.log: the two can differ in the last bit
-        return np.array([math.log(v) for v in _nc_phi(da, db, a, b, f, norm_spec, ts).tolist()])
+        vals = _nc_phi(da, db, a, b, f, norm_spec, xs[0]).tolist()
+        return np.array([[math.log(v) for v in vals]])
 
     anchors = _nc_phi(da, db, a, b, f, norm_spec, np.array(HH_NODES)).tolist()
     _require_positive_curve(theorem_id, anchors)
-    terms, reliable = hh_terms(anchors, log_phi, (0.0, 1.0), quad_n)
-    return _norm_curve_chain(theorem_id, terms, reliable, rtol, atol, hypothesis_ok=False)
+    (terms,), (reliable,) = _hh_stack([anchors], log_phi, np.zeros(1), np.ones(1), quad_n, a.size)
+    return _chain_report(
+        theorem_id, HH_TERM_NAMES, terms, rtol, atol, quad_reliable=reliable, hypothesis_ok=False
+    )
 
 
 def trace_chain_general(
@@ -1190,10 +1157,11 @@ def trace_chain_general(
     def tau(u: float) -> float:
         return float(np.power(la, pw * u) @ overlap @ np.power(lb, pw * (1.0 - u)))
 
-    def log_tau_rows(ts: np.ndarray) -> np.ndarray:
+    def log_tau(rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        ts = xs[0]
         pa = np.power(la[None, :], pw * ts[:, None])
         pb = np.power(lb[None, :], pw * (1.0 - ts)[:, None])
-        return np.log(np.einsum("ti,ij,tj->t", pa, overlap, pb))
+        return np.log(np.einsum("ti,ij,tj->t", pa, overlap, pb))[None]
 
     if variant is TraceVariant.SQUARED:
         ends = float(np.sum(la)) * float(np.sum(lb))
@@ -1203,7 +1171,9 @@ def trace_chain_general(
         if (w <= 0.0).any():
             raise DomainViolationError("trace_sqrt: the spectrum of AB is not positive")
         ends = (math.sqrt(float(np.trace(a @ b))), float(np.sum(np.sqrt(w))))
-    terms, reliable = hh_terms(tuple(tau(u) for u in HH_NODES), log_tau_rows, (0.0, 1.0), quad_n)
+    (terms,), (reliable,) = _hh_stack(
+        [[tau(u) for u in HH_NODES]], log_tau, np.zeros(1), np.ones(1), quad_n, a.size
+    )
     return _trace_report(variant, terms, reliable, ends, rtol, atol, hypothesis_ok=False)
 
 
@@ -1296,11 +1266,10 @@ class _TwoSidedPowers:
         _check_bridge(x.shape[1:], ma.shape[1:], mb.shape[1:])
         return cls(ma, mb, x)
 
-    def norms(
-        self, ts: np.ndarray, second, spec: NormSpec, trials: slice = slice(None)
-    ) -> np.ndarray:
+    def norms(self, ts: np.ndarray, second, spec: NormSpec, trials=slice(None)) -> np.ndarray:
         """Norm at each exponent pair (t, second(t)) of the array ts, for each
-        trial of the slice trials: shape (trials, len(ts))."""
+        trial that the slice or index array trials picks: shape (trials,
+        len(ts))."""
         la, lb, core = self.la[trials], self.lb[trials], self.core[trials]
         m, k = core.shape[1:]
 
@@ -1489,9 +1458,9 @@ def _uin_stack(
     rtol: float, atol: float,
 ) -> list[ChainReport]:
     """uin_chain of each trial of tp: the anchors of every trial from one
-    materialized stack, and the integral of every trial as one row of
-    _hh_integrals. The trials share the interval, so their quadrature nodes
-    are the same bits, and the curve is taken at the nodes of the first."""
+    materialized stack, and the chain of every trial from one _hh_stack. The
+    trials share the interval, so their quadrature nodes are the same bits,
+    and the curve is taken at the nodes of the first."""
     lo, hi = _uin_interval(variant, nu)
     diagonal = variant is UinVariant.DIAGONAL
 
@@ -1502,25 +1471,22 @@ def _uin_stack(
     mats = tp.direct([(t, second(t)) for t in points])
     _require_finite(mats)
     norms = _norms_stack(mats, norm_spec)
-    anchors = [tuple(norms[i : i + 5]) for i in range(0, len(norms), 5)]
     theorem_id = _UIN_IDS[variant]
     _require_positive_curve(theorem_id, norms)
 
-    def log_curve(sl: slice, xs: np.ndarray) -> np.ndarray:
-        vals = tp.norms(xs[0], second, norm_spec, sl)
+    def log_curve(rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        vals = tp.norms(xs[0], second, norm_spec, rows)
         if not (np.isfinite(vals).all() and (vals > 0.0).all()):
             raise DomainViolationError("norm curve is not strictly positive")
         return np.log(vals)
 
-    trials = len(anchors)
+    trials = mats.shape[0]
     m, k = tp.core.shape[1:]
-    integrals, reliable = _hh_integrals(
-        log_curve, np.full(trials, lo), np.full(trials, hi), np.arange(trials), trials, quad_n,
-        m * k,
+    terms, reliable = _hh_stack(
+        [norms[i : i + 5] for i in range(0, len(norms), 5)], log_curve,
+        np.full(trials, lo), np.full(trials, hi), quad_n, m * k,
     )
     return [
-        _norm_curve_chain(
-            theorem_id, _hh_ending(anchors[t], integrals[t], hi - lo), reliable[t], rtol, atol
-        )
+        _chain_report(theorem_id, HH_TERM_NAMES, terms[t], rtol, atol, quad_reliable=reliable[t])
         for t in range(trials)
     ]

@@ -62,21 +62,12 @@ class NormSpec:
         """Evaluate the gauge on a descending singular-value vector.
 
         A (T, n) array of such vectors gives the array of their T gauges, each
-        equal bit for bit to the gauge of its row alone.
+        equal bit for bit to the gauge of its row alone; a vector is gauged as
+        the one row of a (1, n) array, and an empty one gives 0.0.
         """
         if s.ndim == 2:
             return self._of_rows(s)
-        if self.kind == "kyfan":
-            k = min(self.params[0], s.shape[-1])
-            return float(np.sum(s[:k]))
-        p = self.params[0]
-        if p == math.inf:
-            return float(s[0]) if s.size else 0.0
-        if p == 1.0:
-            return float(np.sum(s))
-        if p == 2.0:
-            return float(math.sqrt(np.sum(s * s)))
-        return float(np.sum(np.power(s, p)) ** (1.0 / p))
+        return float(self._of_rows(s[None])[0]) if s.size else 0.0
 
     def _of_rows(self, s: np.ndarray) -> np.ndarray:
         if self.kind == "kyfan":

@@ -24,7 +24,7 @@ from hhverify import (
     scalar_hh_chain,
     scalar_mean_chain_report,
 )
-from hhverify.chains import DRAGOMIR_TERM_NAMES, HH_NODES, HH_TERM_NAMES, hh_terms
+from hhverify.chains import DRAGOMIR_TERM_NAMES, HH_NODES, HH_TERM_NAMES, _hh_stack
 from hhverify.errors import (
     DegenerateIntervalError,
     NonPositiveInputError,
@@ -135,26 +135,35 @@ def test_scalar_chain_validation():
         scalar_hh_chain("ag", f, 0.0, math.inf)
 
 
-def test_hh_terms_closed_form():
+def _hh_one(anchors, log_v, quad_n, cuts=None):
+    """_hh_stack on one trial over [0, 1], log_v called on the nodes of each piece."""
+    (terms,), (reliable,) = _hh_stack(
+        [anchors], lambda rows, xs: np.stack([log_v(x) for x in xs]), np.zeros(1), np.ones(1),
+        quad_n, 1, cuts=cuts,
+    )
+    return terms, reliable
+
+
+def test_hh_stack_closed_form():
     # v(t) = exp(t^2) on [0, 1]: log v is a polynomial, so quadrature is exact
     anchors = tuple(math.exp(t * t) for t in HH_NODES)
-    terms, reliable = hh_terms(anchors, lambda ts: ts * ts, (0.0, 1.0), 64)
+    terms, reliable = _hh_one(anchors, lambda ts: ts * ts, 64)
     assert reliable
     want = [math.exp(e) for e in (1 / 4, 5 / 16, 1 / 3, 3 / 8, 1 / 2)]
     np.testing.assert_allclose(terms, want, rtol=1e-14)
 
 
-def test_hh_terms_integrates_piecewise_across_a_kink():
+def test_hh_stack_integrates_piecewise_across_a_kink():
     # log v(t) = |t - 1/2|: smooth on either side of the kink, not across it
     anchors = tuple(math.exp(abs(t - 0.5)) for t in HH_NODES)
 
     def log_v(ts):
         return np.abs(ts - 0.5)
 
-    terms, reliable = hh_terms(anchors, log_v, (0.0, 0.5, 1.0), 64)
+    terms, reliable = _hh_one(anchors, log_v, 64, cuts=[np.array([0.5])])
     assert reliable
     assert terms[2] == pytest.approx(math.exp(0.25), rel=1e-14)
-    _, reliable = hh_terms(anchors, log_v, (0.0, 1.0), 64)
+    _, reliable = _hh_one(anchors, log_v, 64)
     assert not reliable
 
 
