@@ -42,7 +42,7 @@ from .functions import (
     _check_grid_n,
     _positive_logs,
     _scan_fine_grid,
-    convexity_verdicts,
+    convexity_holds,
 )
 from .linalg import (
     CommutingPair,
@@ -735,15 +735,12 @@ def _advisory_convexity(
     """Whether f passes is_gg_convex (gg) or is_ag_convex on each interval
     [lo[t], hi[t]] of two (T,) arrays, inside the domain of f and positive
     for gg; a single point gives nothing to test and passes."""
-    holds = [True] * lo.shape[0]
+    holds = np.ones(lo.shape[0], dtype=bool)
     if check_hypothesis:
-        test = np.flatnonzero(lo < hi)
-        verdicts = convexity_verdicts(
-            f, lo[test], hi[test], gg, DEFAULT_GRID_N, DEFAULT_CONVEXITY_TOL
-        )
-        for k, verdict in zip(test.tolist(), verdicts):
-            holds[k] = verdict.holds
-    return holds
+        test = lo < hi
+        grid = DEFAULT_GRID_N, DEFAULT_CONVEXITY_TOL
+        holds[test] = convexity_holds(f, lo[test], hi[test], gg, *grid)
+    return holds.tolist()
 
 
 def _commuting_prelude(
@@ -1027,7 +1024,8 @@ def _trace_report(
 
 def _general_apply(m: np.ndarray, fn) -> np.ndarray:
     """fn on the (real, positive) spectrum of a product of positives, for one
-    matrix or for each matrix of a (T, n, n) stack."""
+    matrix or for each matrix of a (T, n, n) stack, each as if alone (eig
+    makes a whole stack complex for one complex spectrum)."""
     w, v = np.linalg.eig(m)
     wr = w.real
     if not np.isfinite(wr).all() or (wr <= 0.0).any():
@@ -1035,6 +1033,8 @@ def _general_apply(m: np.ndarray, fn) -> np.ndarray:
     imag = np.max(np.abs(w.imag), axis=-1)
     if (imag > 1e-8 * (1.0 + np.max(np.abs(wr), axis=-1))).any():
         raise ConvergenceError("spectrum of the non-commuting product is not real")
+    if w.ndim == 2 and np.iscomplexobj(w):
+        return np.stack([_general_apply(x, fn) for x in m])
     return np.real((v * fn(wr)[..., None, :]) @ np.linalg.inv(v))
 
 
@@ -1276,7 +1276,8 @@ class _TwoSidedPowers:
         def block(sl: slice, t: np.ndarray) -> np.ndarray:
             left = np.power(la[sl, None, :], t[:, None])
             right = np.power(lb[sl, None, :], second(t)[:, None])
-            prods = left[..., None] * core[sl, None] * right[..., None, :]
+            prods = left[..., None] * core[sl, None]
+            prods *= right[..., None, :]
             return norms_of_stack(prods.reshape(-1, m, k), spec).reshape(prods.shape[:2])
 
         return _curve_stack(block, core.shape[0], ts, m * k)

@@ -23,6 +23,11 @@ add the same two products in the other order, so their slacks have the same
 bits, and only lambda <= 1/2 (k <= g//2) is scanned. That range is scanned in
 blocks of whole k slices, in k, then i, then j order, one vectorized pass per
 block; the verdict is bit for bit that of the plain per-triple loop.
+
+``convexity_holds`` (the chains' advisory hypothesis check) keeps only the
+holds bit, and scans only the rows an O(g**2) certificate cannot settle: a
+row within e of an affine one with 2e + 8u max|F| <= tol/2 (u = 2**-53), or
+with second differences >= 8u max|F| <= tol/2, scans to slacks >= -tol.
 """
 
 from __future__ import annotations
@@ -355,20 +360,13 @@ def _checked_verdict(
     return convexity_verdicts(f, *ends, gg, grid_n, tol)[0]
 
 
-def convexity_verdicts(
-    f: FunctionSpec, lo: np.ndarray, hi: np.ndarray, gg: bool, grid_n: int, tol: float
-) -> list[ConvexityVerdict]:
-    """is_ag_convex (gg: is_gg_convex) of f on each interval [lo[t], hi[t]]
-    of two (T,) arrays, whose checks the caller has made.
-
-    The fine grids are built for a block of intervals at once, in blocks of
-    whole grids of at most STACK_ENTRIES entries, with the arithmetic of the
-    one-interval grid (math.log for the geometric endpoints, as np.log can
-    differ in the last bit); the scan runs once per interval, on its row.
-    """
+def _fine_grids(f: FunctionSpec, lo: np.ndarray, hi: np.ndarray, gg: bool, grid_n: int):
+    """(log f, points) of the fine grids of the intervals [lo[t], hi[t]] of
+    two (T,) arrays, in blocks of whole grids of at most STACK_ENTRIES entries,
+    built as for one interval (math.log for the geometric endpoints, as np.log
+    can differ in the last bit); a block raises a domain error when built."""
     m = grid_n * grid_n
     steps = np.arange(m + 1, dtype=float)  # the integer steps, exactly
-    verdicts = []
     for sl in _blocks(lo.shape[0], m + 1):
         if gg:
             pairs = zip(lo[sl].tolist(), hi[sl].tolist())
@@ -379,9 +377,55 @@ def convexity_verdicts(
         fine = a + (b - a) * steps / m
         if gg:
             fine = np.exp(fine)
-        logs = _positive_logs(f, fine)
-        verdicts.extend(_scan_fine_grid(row, pts, grid_n, tol) for row, pts in zip(logs, fine))
-    return verdicts
+        yield _positive_logs(f, fine), fine
+
+
+def convexity_verdicts(
+    f: FunctionSpec, lo: np.ndarray, hi: np.ndarray, gg: bool, grid_n: int, tol: float
+) -> list[ConvexityVerdict]:
+    """is_ag_convex (gg: is_gg_convex) of f on each interval [lo[t], hi[t]]
+    of two (T,) arrays, whose checks the caller has made."""
+    grids = _fine_grids(f, lo, hi, gg, grid_n)
+    return [_scan_fine_grid(row, x, grid_n, tol) for logs, xs in grids for row, x in zip(logs, xs)]
+
+
+def convexity_holds(
+    f: FunctionSpec, lo: np.ndarray, hi: np.ndarray, gg: bool, grid_n: int, tol: float
+) -> list[bool]:
+    """The holds bits of convexity_verdicts(f, lo, hi, gg, grid_n, tol), with
+    its grids and errors; a row that _certified settles is not scanned."""
+    return [
+        ok or _scan_fine_grid(row, x, grid_n, tol).holds
+        for logs, xs in _fine_grids(f, lo, hi, gg, grid_n)
+        for ok, row, x in zip(_certified(logs, grid_n, tol).tolist(), logs, xs)
+    ]
+
+
+def _certified(logs: np.ndarray, grid_n: int, tol: float) -> np.ndarray:
+    """Whether _scan_fine_grid(row, _, grid_n, tol).holds is sure, for each
+    row F[0..M], M = grid_n**2, of logs (|F| in {0} u [2**-54, 2**1000], as
+    for logs of doubles, so every step rounds with relative error at most
+    u = 2**-53); Fmax = max|F|. The scan's slack fl(fl(fl(k c_i) + fl((g-k)
+    c_j)) / g - F_m), c_i = F[ig], m = ki + (g-k)j, is within 6u Fmax of exact
+    (k + (g-k) = g: the sum is within 2u g Fmax, the quotient 3u Fmax).
+    (A) b = fl((F[M] - F[0]) / M) and d_m = fl(F_m - fl(F[0] + fl(b m))) give
+    e = max|d| (1 + 2u) + 4u (Fmax + |b| M) >= |F_m - l(m)| for the real
+    affine l(m) = F[0] + b m; its chord over (k, i, j) meets l at m, so every
+    exact slack is at least -2e. (B) If every fl(fl(F[m-1] + F[m+1]) - 2F[m])
+    >= 8u Fmax, every exact second difference is at least 0, F lies below its
+    chords, and every exact slack is at least 0. Certified rows pass (A) with
+    2e + 8u Fmax <= tol/2 or (B) with 8u Fmax <= tol/2, so every computed
+    slack is at least -tol, the halved tol covering the test's own rounding.
+    """
+    u, m = 2.0**-53, grid_n * grid_n
+    fmax = np.abs(logs).max(axis=1)
+    slope = (logs[:, m] - logs[:, 0]) / m
+    dev = logs - (logs[:, :1] + slope[:, None] * np.arange(m + 1, dtype=float))
+    eps = np.abs(dev).max(axis=1) * (1.0 + 2.0 * u) + 4.0 * u * (fmax + np.abs(slope) * m)
+    floor = 8.0 * u * fmax
+    second = (logs[:, :-2] + logs[:, 2:]) - 2.0 * logs[:, 1:-1]
+    convex = (second >= floor[:, None]).all(axis=1) & (floor <= tol / 2)
+    return convex | (2.0 * eps + floor <= tol / 2)
 
 
 def ag_gg_transport_check(

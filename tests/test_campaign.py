@@ -21,7 +21,7 @@ from hhverify import (
     select_theorems,
     serialize_report,
 )
-from hhverify import campaign, chains, quadrature
+from hhverify import campaign, chains, functions, quadrature
 from hhverify.campaign import (
     DROP_COMMUTATIVITY,
     DROP_CONVEXITY_GUARD,
@@ -88,6 +88,7 @@ from hhverify.sampler import (
     derive_trial_seed,
     random_commuting_pair,
     random_general,
+    random_spd,
 )
 
 SMALL = dict(trials=10, dims=(2, 3), master_seed=7)
@@ -657,6 +658,17 @@ def test_general_apply_refuses_any_bad_matrix_in_a_stack():
     rotation[2] = [[1.0, -2.0], [2.0, 1.0]]  # eigenvalues 1 +- 2i
     with pytest.raises(ConvergenceError):
         chains._general_apply(rotation, np.sqrt)
+
+
+def test_general_apply_gives_each_matrix_of_a_stack_its_bits_alone():
+    # eigenvalues 2 +- 1e-10i pass the realness tolerance, and eig then
+    # returns the whole stack as complex
+    near_real = np.array([[2.0, 1e-10], [-1e-10, 2.0]])
+    for trial in range(200):
+        stream = RandomStream(derive_trial_seed(14, 2, trial))
+        ab = random_spd(stream, 2) @ random_spd(stream, 2)
+        got = chains._general_apply(np.stack([ab, near_real]), np.log)[0]
+        assert got.tobytes() == chains._general_apply(ab, np.log).tobytes(), trial
 
 
 @pytest.mark.parametrize("tid", ["op_gg_hh", "phi_operator"])
@@ -1308,12 +1320,33 @@ def test_drop_convexity_guard_skips_the_hypothesis_scan(tid, monkeypatch):
     def no_scan(*args):
         raise AssertionError("the hypothesis scan ran")
 
-    monkeypatch.setattr(chains, "convexity_verdicts", no_scan)
+    monkeypatch.setattr(chains, "convexity_holds", no_scan)
     cfg = CampaignConfig(ablation=frozenset({DROP_CONVEXITY_GUARD}))
     params = resolve_params(tid, cfg)
     seeds = [derive_trial_seed(6, 3, t) for t in range(10)]
     outcomes = list(campaign._outcomes(tid, seeds, 3, params))
     assert all(o.hypothesis_ok and o.quad_reliable for o in outcomes)
+
+
+def test_certified_hypothesis_skips_the_grid_scan(monkeypatch):
+    # under exp:1 every advisory interval is certified without a scan, while
+    # a witness scan still runs once per trial
+    scans = []
+    real_scan = functions._scan_fine_grid
+
+    def counted(*args):
+        scans.append(1)
+        return real_scan(*args)
+
+    monkeypatch.setattr(functions, "_scan_fine_grid", counted)
+    monkeypatch.setattr(chains, "_scan_fine_grid", counted)
+    seeds = [derive_trial_seed(6, 3, t) for t in range(10)]
+    for tid, want in (("scalar_ag", 0), ("phi_sandwich", len(seeds))):
+        params = resolve_params(tid, CampaignConfig(function=FunctionSpec.exp(1.0)))
+        scans.clear()
+        outcomes = list(campaign._outcomes(tid, seeds, 3, params))
+        assert len(scans) == want, tid
+        assert all(o.hypothesis_ok for o in outcomes)
 
 
 def test_no_curve_block_exceeds_the_entry_budget(monkeypatch):

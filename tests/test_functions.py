@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hhverify import (
     ConfigError,
@@ -22,8 +24,11 @@ from hhverify.functions import (
     MEAN_CHAIN_NAMES,
     STACK_ENTRIES,
     ConvexityVerdict,
+    _certified,
+    _fine_grids,
     _scan_fine_grid,
     _scan_midpoint_only,
+    convexity_holds,
     convexity_verdicts,
 )
 
@@ -330,3 +335,80 @@ def test_stacked_grids_match_one_interval_at_a_time(gg, g):
             assert _verdict_bits(got[t]) == _verdict_bits(want), (f, t)
         one = (is_gg_convex if gg else is_ag_convex)(f, float(lo[5]), float(hi[5]), g)
         assert _verdict_bits(one) == _verdict_bits(got[5])
+
+
+def _outcome(call):
+    """call()'s value, or the type and text of what it raised."""
+    try:
+        with np.errstate(over="ignore"):
+            return call()
+    except DomainViolationError as e:
+        return type(e), str(e)
+
+
+_FUNCTIONS = st.one_of(
+    st.floats(0.01, 100.0).map(FunctionSpec.exp),
+    st.floats(-3.0, 3.0).map(FunctionSpec.power),
+    st.just(FunctionSpec.inverse()),
+    st.just(FunctionSpec.identity()),
+    st.lists(st.floats(0.0, 10.0), min_size=1, max_size=4)
+    .filter(any)
+    .map(FunctionSpec.poly),
+)
+# (lo, relative width (hi - lo) / lo)
+_INTERVALS = st.lists(
+    st.tuples(st.floats(1e-3, 1e3), st.floats(1e-9, 1e3)), min_size=1, max_size=7
+)
+
+
+@given(_FUNCTIONS, st.booleans(), _INTERVALS, st.sampled_from([3, 4, 5, 33, 64]))
+def test_certified_holds_match_the_scan(f, gg, intervals, g):
+    lo = np.array([x for x, _ in intervals])
+    hi = np.array([x + x * w for x, w in intervals])
+    got = _outcome(lambda: convexity_holds(f, lo, hi, gg, g, DEFAULT_CONVEXITY_TOL))
+    verdicts = _outcome(lambda: convexity_verdicts(f, lo, hi, gg, g, DEFAULT_CONVEXITY_TOL))
+    assert got == (verdicts if isinstance(verdicts, tuple) else [v.holds for v in verdicts])
+
+
+def _planted(row, g, tol):
+    """(certified, scan verdict) of one planted row of log-values."""
+    row = np.asarray(row, dtype=float)
+    fine = np.linspace(1.0, 2.0, row.shape[0])
+    return bool(_certified(row[None], g, tol)[0]), _scan_fine_grid(row, fine, g, tol)
+
+
+def test_certificate_refuses_a_concave_bump():
+    g = DEFAULT_GRID_N
+    m = np.arange(g * g + 1, dtype=float)
+    affine = 0.3 - 2.5 * m / m[-1]
+    tent = np.maximum(0.0, 1.0 - np.abs(m - 500.0) / 40.0)  # concave on its support
+    for depth in (0.6, 1.5):
+        bump = depth * DEFAULT_CONVEXITY_TOL
+        certified, verdict = _planted(affine + bump * tent, g, DEFAULT_CONVEXITY_TOL)
+        assert not certified, depth
+        assert verdict.slack == pytest.approx(-bump, rel=1e-3)
+        assert verdict.holds == (depth < 1.0)
+
+
+def test_certificate_refuses_an_affine_row_that_fails_on_rounding():
+    # a row near 1e7 on the float line of its own endpoint slope: every
+    # computed deviation from that line is 0, so only the rounding terms of
+    # the bound keep it out, while the scan's rounding (ulp(1e7) > tol)
+    # rejects it
+    g = DEFAULT_GRID_N
+    steps = np.arange(g * g + 1, dtype=float)
+    row = 1e7 + 0.1 * steps
+    slope = (row[-1] - row[0]) / steps[-1]
+    row = 1e7 + slope * steps
+    assert (row - (row[0] + ((row[-1] - row[0]) / steps[-1]) * steps) == 0.0).all()
+    certified, verdict = _planted(row, g, DEFAULT_CONVEXITY_TOL)
+    assert not verdict.holds
+    assert not certified
+
+
+@pytest.mark.parametrize("gg", [False, True])
+@pytest.mark.parametrize("f", [FunctionSpec.exp(1.0), FunctionSpec.inverse()])
+def test_certificate_settles_exp_and_inverse(f, gg):
+    lo, hi = np.array([0.1, 0.5, 3.0]), np.array([0.2, 2.0, 30.0])
+    (logs, _), = _fine_grids(f, lo, hi, gg, DEFAULT_GRID_N)
+    assert _certified(logs, DEFAULT_GRID_N, DEFAULT_CONVEXITY_TOL).all()
