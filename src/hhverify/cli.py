@@ -1,14 +1,16 @@
 """Command-line front end: `verify` runs a campaign, `demo` replays one trial.
 
 Option precedence is CLI flag > config-file entry > built-in default. The
-config file is plain `key = value` text with the same keys as the flags;
-parse problems are reported with the file name and line number and exit
-with status 2.
+config file is plain `key = value` text whose keys are the `verify` flags
+(`_OPTIONS`) without `--config`; parse problems are reported with the file
+name and line number and exit with status 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import os
 import sys
 
@@ -31,21 +33,6 @@ from .errors import ConfigError, UnknownTheoremError, VerificationError
 from .functions import parse_function
 from .norms import parse_norm
 
-_CONFIG_KEYS = (
-    "theorem",
-    "trials",
-    "dim",
-    "seed",
-    "rtol",
-    "atol",
-    "norm",
-    "nu",
-    "fn",
-    "quad-n",
-    "ablation",
-    "out",
-)
-
 
 def _read_config_file(path: str) -> dict[str, tuple[str, int]]:
     try:
@@ -62,7 +49,7 @@ def _read_config_file(path: str) -> dict[str, tuple[str, int]]:
         if not sep:
             raise ConfigError(f"{path}:{num}: expected 'key = value', got {line!r}")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _OPTIONS:
             raise ConfigError(f"{path}:{num}: unknown key {key!r}")
         if not value:
             raise ConfigError(f"{path}:{num}: empty value for {key!r}")
@@ -123,25 +110,29 @@ def _to_fn(text: str, where: str):
         raise ConfigError(f"{where}: {exc}") from None
 
 
-class _Option:
-    """One resolvable option: CLI value wins, then the file entry."""
+# every `verify` option, which is also a config-file key: its CampaignConfig
+# field (None when it has none), its converter and its help text
+_OPTIONS = {
+    "theorem": (None, lambda text, where: text, "theorem id, comma list, or 'all'"),
+    "trials": ("trials", _to_int, "trials per theorem per dimension"),
+    "dim": ("dims", _to_dims, "comma-separated dimensions, e.g. 2,3,5,8"),
+    "seed": ("master_seed", _to_int, "master seed (64-bit)"),
+    "rtol": ("rtol", _to_float, "relative tolerance"),
+    "atol": ("atol", _to_float, "absolute tolerance"),
+    "norm": ("norm", _to_norm, "schatten:p | opnorm | tracenorm | kyfan:k"),
+    "nu": ("nu", _to_float, "weight parameter in [0, 1]"),
+    "fn": ("function", _to_fn, "exp:c | power:r | poly:c0,c1,... | inverse | identity"),
+    "quad-n": ("quad_n", _to_int, "quadrature node count"),
+    "ablation": ("ablation", _to_ablation, "comma list of DROP_* flags"),
+    "out": (None, lambda text, where: text, "write the JSON report to this file"),
+}
+_KEY_OF_FIELD = {field: key for key, (field, _, _) in _OPTIONS.items() if field}
 
-    def __init__(self, key: str, convert, path: str | None, entries):
-        self.key = key
-        self.convert = convert
-        self.path = path
-        self.entries = entries
-
-    def resolve(self, cli_value, default):
-        if cli_value is not None:
-            return self.convert(str(cli_value), f"--{self.key}")
-        entry = self.entries.get(self.key)
-        if entry is not None:
-            value, line = entry
-            return self.convert(value, f"{self.path}:{line}: {self.key}")
-        return default
+# the options `demo` shares with `verify`, in `demo --help` order
+_DEMO_KEYS = ("fn", "nu", "norm", "quad-n", "rtol", "atol", "ablation")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hhverify",
@@ -151,60 +142,45 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     ver = sub.add_parser("verify", help="run a verification campaign")
-    ver.add_argument("--theorem", default=None, help="theorem id, comma list, or 'all'")
-    ver.add_argument("--trials", default=None, help="trials per theorem per dimension")
-    ver.add_argument("--dim", default=None, help="comma-separated dimensions, e.g. 2,3,5,8")
-    ver.add_argument("--seed", default=None, help="master seed (64-bit)")
-    ver.add_argument("--rtol", default=None, help="relative tolerance")
-    ver.add_argument("--atol", default=None, help="absolute tolerance")
-    ver.add_argument("--norm", default=None, help="schatten:p | opnorm | tracenorm | kyfan:k")
-    ver.add_argument("--nu", default=None, help="weight parameter in [0, 1]")
-    ver.add_argument("--fn", default=None, help="exp:c | power:r | poly:c0,c1,... | inverse | identity")
-    ver.add_argument("--quad-n", default=None, help="quadrature node count")
-    ver.add_argument("--ablation", default=None, help="comma list of DROP_* flags")
-    ver.add_argument("--out", default=None, help="write the JSON report to this file")
-    ver.add_argument("--config", default=None, help="read key = value defaults from this file")
+    for key, (_, _, text) in _OPTIONS.items():
+        ver.add_argument(f"--{key}", help=text)
+    ver.add_argument("--config", help="read key = value defaults from this file")
 
     demo = sub.add_parser("demo", help="replay a single seeded trial")
     demo.add_argument("--theorem", required=True, help="theorem id")
     demo.add_argument("--seed", required=True, help="trial seed (as reported)")
     demo.add_argument("--dim", required=True, help="matrix dimension")
-    demo.add_argument("--fn", default=None)
-    demo.add_argument("--nu", default=None)
-    demo.add_argument("--norm", default=None)
-    demo.add_argument("--quad-n", default=None)
-    demo.add_argument("--rtol", default=None)
-    demo.add_argument("--atol", default=None)
-    demo.add_argument("--ablation", default=None)
+    for key in _DEMO_KEYS:
+        demo.add_argument(f"--{key}", help=_OPTIONS[key][2])
     return parser
 
 
-def _verify_config(args) -> tuple[CampaignConfig, str | None]:
-    entries = _read_config_file(args.config) if args.config else {}
-    path = args.config
+def _resolve(args, path: str | None, entries, key: str):
+    """One option converted: CLI value first, then the file entry; None when
+    neither gives it."""
+    convert = _OPTIONS[key][1]
+    value = getattr(args, key.replace("-", "_"))
+    if value is not None:
+        return convert(value, f"--{key}")
+    if key in entries:
+        value, line = entries[key]
+        return convert(value, f"{path}:{line}: {key}")
+    return None
 
-    def opt(key, convert):
-        return _Option(key, convert, path, entries)
 
-    default = CampaignConfig()
-    theorem = opt("theorem", lambda t, w: t).resolve(args.theorem, "all")
-    ablation = opt("ablation", _to_ablation).resolve(args.ablation, default.ablation)
-    cfg = CampaignConfig(
-        theorem_ids=select_theorems(theorem, ablation),
-        trials=opt("trials", _to_int).resolve(args.trials, default.trials),
-        dims=opt("dim", _to_dims).resolve(args.dim, default.dims),
-        master_seed=opt("seed", _to_int).resolve(args.seed, default.master_seed),
-        rtol=opt("rtol", _to_float).resolve(args.rtol, default.rtol),
-        atol=opt("atol", _to_float).resolve(args.atol, default.atol),
-        norm=opt("norm", _to_norm).resolve(args.norm, default.norm),
-        nu=opt("nu", _to_float).resolve(args.nu, default.nu),
-        quad_n=opt("quad-n", _to_int).resolve(args.quad_n, default.quad_n),
-        function=opt("fn", _to_fn).resolve(args.fn, default.function),
-        ablation=ablation,
-    )
-    cfg.validate()
-    out = opt("out", lambda t, w: t).resolve(args.out, None)
-    return cfg, out
+def _campaign_config(theorem: str, resolve, keys, **fixed) -> CampaignConfig:
+    """The campaign that the options among `keys` ask for; a field no option
+    gives keeps the dataclass default (`run_campaign` and `demo_trial`
+    validate it). The ablation is converted first, as the theorem selection
+    needs it, and the rest in field order, which decides the error reported
+    when several options are bad."""
+    ablation = resolve("ablation") or CampaignConfig.ablation
+    given = {"theorem_ids": select_theorems(theorem, ablation), "ablation": ablation}
+    for field in dataclasses.fields(CampaignConfig):
+        key = _KEY_OF_FIELD.get(field.name)
+        if key in keys and field.name not in given and (value := resolve(key)) is not None:
+            given[field.name] = value
+    return CampaignConfig(**given, **fixed)
 
 
 def _verdict(st: TheoremStats) -> str:
@@ -258,7 +234,11 @@ def _campaign_text(report: CampaignReport) -> str:
 
 
 def _cmd_verify(args) -> tuple[int, str]:
-    cfg, out = _verify_config(args)
+    entries = _read_config_file(args.config) if args.config else {}
+    resolve = functools.partial(_resolve, args, args.config, entries)
+    theorem = resolve("theorem")
+    cfg = _campaign_config("all" if theorem is None else theorem, resolve, _OPTIONS)
+    out = resolve("out")
     report = run_campaign(cfg)
     if out is not None:
         try:
@@ -273,26 +253,10 @@ def _cmd_demo(args) -> tuple[int, str]:
     tid = args.theorem.strip()
     if tid not in THEOREM_IDS:
         raise UnknownTheoremError(f"unknown theorem id {tid!r}")
-
-    def opt(key, convert):
-        return _Option(key, convert, None, {})
-
-    default = CampaignConfig()
-    seed = opt("seed", _to_int).resolve(args.seed, None)
-    dim = opt("dim", _to_int).resolve(args.dim, None)
-    ablation = opt("ablation", _to_ablation).resolve(args.ablation, default.ablation)
-    cfg = CampaignConfig(
-        theorem_ids=select_theorems(tid, ablation),
-        trials=1,
-        dims=(dim,),
-        rtol=opt("rtol", _to_float).resolve(args.rtol, default.rtol),
-        atol=opt("atol", _to_float).resolve(args.atol, default.atol),
-        norm=opt("norm", _to_norm).resolve(args.norm, default.norm),
-        nu=opt("nu", _to_float).resolve(args.nu, default.nu),
-        quad_n=opt("quad-n", _to_int).resolve(args.quad_n, default.quad_n),
-        function=opt("fn", _to_fn).resolve(args.fn, default.function),
-        ablation=ablation,
-    )
+    seed = _to_int(args.seed, "--seed")
+    dim = _to_int(args.dim, "--dim")
+    resolve = functools.partial(_resolve, args, None, {})
+    cfg = _campaign_config(tid, resolve, _DEMO_KEYS, trials=1, dims=(dim,))
     text, payload, outcome = demo_trial(tid, seed, dim, cfg)
     judged_pass = outcome.passed and outcome.quad_reliable
     return (0 if judged_pass else 1), text + "\n" + _json_value(payload, 0)

@@ -370,6 +370,28 @@ def test_ablated_failures_are_expected_not_genuine():
     assert report.exit_code == 0
 
 
+def test_dropped_convexity_guard_fails_once_the_function_is_not_ag_convex():
+    # exp:1 passes every guard, so dropping them induces nothing; power:3 is
+    # not log-convex, and both AG chains then fail on every trial
+    def run(function):
+        return run_campaign(
+            CampaignConfig(
+                theorem_ids=("scalar_ag", "op_ag_midpoint"),
+                trials=10,
+                dims=(2, 3),
+                function=function,
+                ablation=frozenset({DROP_CONVEXITY_GUARD}),
+            )
+        )
+
+    assert [st.fail_count for st in run(None).stats] == [0, 0]
+    report = run(FunctionSpec.power(3.0))
+    for st in report.stats:
+        assert st.fail_count == st.trials_run == 20
+        assert st.expected_violation and not st.genuine_violation
+    assert report.exit_code == 0
+
+
 def test_hypothesis_unmet_failures_do_not_flip_exit_code():
     # power:2 is not AG-convex; the guard flags every trial it breaks
     cfg = CampaignConfig(

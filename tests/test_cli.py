@@ -3,6 +3,7 @@ demo replay, and exit codes."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -330,3 +331,86 @@ def test_repeated_dimension_is_a_configuration_error(capsys):
     assert captured.err.startswith("configuration error: dimensions must not repeat")
     assert captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+# one value per config key; each changes the report of the small base campaign
+_KEY_VALUES = {
+    "theorem": "kittaneh",
+    "trials": "3",
+    "dim": "3",
+    "seed": "11",
+    "rtol": "1e-7",
+    "atol": "1e-11",
+    "norm": "kyfan:1",
+    "nu": "0.6",
+    "fn": "power:-0.5",
+    "quad-n": "16",
+    "ablation": "DROP_POSITIVITY",
+    "out": None,
+}
+_KEY_BASE = {"theorem": "det_ag,kittaneh", "trials": "2", "dim": "2"}
+
+
+def _wall_free(text: str) -> str:
+    return re.sub(r"wall time \d+ ms", "wall time N ms", text)
+
+
+@pytest.mark.parametrize("key", sorted(_KEY_VALUES))
+def test_each_config_key_gives_the_report_of_its_flag(key, tmp_path, capsys):
+    def run(name, options, in_file=()):
+        out = tmp_path / f"{name}.json"
+        options = {**options, "out": str(out)}
+        cfgfile = tmp_path / f"{name}.cfg"
+        cfgfile.write_text("".join(f"{k} = {options[k]}\n" for k in in_file))
+        argv = ["verify", "--config", str(cfgfile)]
+        for k, v in options.items():
+            if k not in in_file:
+                argv += [f"--{k}", v]
+        code = main(argv)
+        return code, _wall_free(capsys.readouterr().out), out.read_bytes()
+
+    options = dict(_KEY_BASE)
+    if _KEY_VALUES[key] is not None:
+        options[key] = _KEY_VALUES[key]
+    by_flag = run("flag", options)
+    assert run("file", options, in_file=(key,)) == by_flag
+    if key != "out":
+        assert by_flag[2] != run("base", _KEY_BASE)[2]
+
+
+def _in_process(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, _wall_free(captured.out), captured.err
+
+
+def _stand_alone(argv):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "hhverify", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return proc.returncode, _wall_free(proc.stdout), proc.stderr
+
+
+def test_repeated_main_calls_share_no_state(tmp_path, capsys):
+    # main builds its parser once per process; each call must still print
+    # and return what the same command does in a fresh process
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("theorem = scalar_means\ntrials = 4\ndim = 2\nnu = 0.7\n")
+    calls = (
+        ["verify", "--config", str(cfgfile)],
+        VERIFY_SMALL,
+        ["demo", "--theorem", "kittaneh", "--seed", "1", "--dim", "2"],
+        ["verify", "--trials", "many"],
+        ["verify", "--bogus", "1"],
+        VERIFY_SMALL,
+    )
+    in_process = [_in_process(argv, capsys) for argv in calls]
+    assert [code for code, _, _ in in_process] == [0, 0, 0, 2, 2, 0]
+    assert in_process == [_stand_alone(argv) for argv in calls]
