@@ -7,8 +7,8 @@ trial seeds (each splitmix64(master ^ ((dim << 32) + trial)), so any trial can
 be replayed in isolation as a block of one), draws the inputs of every trial
 of the block and hands them to a chain of ``chains``, the ablated chains
 included, which returns one report per trial carrying passed /
-quad_reliable / hypothesis_ok / min_margin. A row whose chain takes one
-trial at a time wraps it in ``_each``.
+quad_reliable / hypothesis_ok / min_margin. Every runner, the ablated ones
+included, evaluates its block as stacks of trials.
 
 Accounting: a trial that cannot be judged (quadrature doubling failed, or
 run_trial caught one of the errors that mean it) is unreliable: excluded from
@@ -32,7 +32,6 @@ from .chains import (
     ChainReport,
     InequalityReport,
     OrderChainReport,
-    PhiProduct,
     TraceVariant,
     UinVariant,
     _advisory_convexity,
@@ -47,12 +46,12 @@ from .chains import (
     _norm_power_stack,
     _operator_convex,
     _phi_operator_verdicts,
+    _phi_product_verdicts,
     _scalar_hh_stack,
     _trace_stack,
     _two_sided_verdicts,
     _TwoSidedPowers,
     _uin_stack,
-    ag_convexity_witness,
     det_ag_indefinite,
     kittaneh_general,
     norm_gg_general,
@@ -151,6 +150,10 @@ def _spd_pair_with_x(stream: RandomStream, dim: int):
     return a, b, random_general(stream, dim, dim)
 
 
+def _general(stream: RandomStream, dim: int, k: int) -> list[np.ndarray]:
+    return [random_general(stream, dim, dim) for _ in range(k)]
+
+
 # ---------------------------------------------------------------------------
 # the theorem table
 #
@@ -216,12 +219,6 @@ class Theorem:
     nu: Callable[[str, float], float] = _any_nu
 
 
-def _each(run: Callable) -> Callable:
-    """The runner of a row that evaluates one trial at a time: ``run(stream,
-    dim, params)`` on the RandomStream of each seed of the block."""
-    return lambda seeds, dim, p: [run(RandomStream(s), dim, p) for s in seeds.tolist()]
-
-
 def _scalar_hh(kind: str) -> Theorem:
     return Theorem(
         lambda seeds, d, p: _scalar_hh_stack(
@@ -238,7 +235,9 @@ def _commuting_order(theorem_id: str, general) -> Theorem:
             theorem_id, p.f, *_commuting_spectra(RandomStream(seeds), d), p.quad_n, p.rtol,
             p.check_hypothesis,
         ),
-        drop_commutativity=_each(lambda s, d, p: general(p.f, *_spd_pair(s, d), p.quad_n, p.rtol)),
+        drop_commutativity=lambda seeds, d, p: general(
+            p.f, *_spd_pair(RandomStream(seeds), d), p.quad_n, p.rtol
+        ),
         convexity_guard=True,
     )
 
@@ -249,10 +248,8 @@ def _norm_gg(theorem_id: str, fn) -> Theorem:
             theorem_id, p.f, *_commuting_spectra(RandomStream(seeds), d), p.norm, p.quad_n,
             p.rtol, p.atol, p.check_hypothesis,
         ),
-        drop_commutativity=_each(
-            lambda s, d, p: norm_gg_general(
-                theorem_id, p.f, *_spd_pair(s, d), p.norm, p.quad_n, p.rtol, p.atol
-            )
+        drop_commutativity=lambda seeds, d, p: norm_gg_general(
+            theorem_id, p.f, *_spd_pair(RandomStream(seeds), d), p.norm, p.quad_n, p.rtol, p.atol
         ),
         convexity_guard=True,
         fn=fn,
@@ -264,10 +261,8 @@ def _trace(variant: TraceVariant) -> Theorem:
         lambda seeds, d, p: _trace_stack(
             variant, *_commuting_spectra(RandomStream(seeds), d), p.quad_n, p.rtol, p.atol
         ),
-        drop_commutativity=_each(
-            lambda s, d, p: trace_chain_general(
-                variant, *_spd_pair(s, d), p.quad_n, p.rtol, p.atol
-            )
+        drop_commutativity=lambda seeds, d, p: trace_chain_general(
+            variant, *_spd_pair(RandomStream(seeds), d), p.quad_n, p.rtol, p.atol
         ),
     )
 
@@ -338,10 +333,8 @@ THEOREMS = {
         lambda seeds, d, p: _det_ag_stack(
             *_spd_pair(RandomStream(seeds), d), p.nu, p.rtol, p.atol
         ),
-        drop_positivity=_each(
-            lambda s, d, p: det_ag_indefinite(
-                random_general(s, d, d), random_general(s, d, d), p.nu, p.rtol, p.atol
-            )
+        drop_positivity=lambda seeds, d, p: det_ag_indefinite(
+            *_general(RandomStream(seeds), d, 2), p.nu, p.rtol, p.atol
         ),
         nu=_inner_nu,
     ),
@@ -357,22 +350,17 @@ THEOREMS = {
         lambda seeds, d, p: _kittaneh_stack(
             *_spd_pair_with_x(RandomStream(seeds), d), p.nu, p.norm, p.rtol, p.atol
         ),
-        drop_positivity=_each(
-            lambda s, d, p: kittaneh_general(
-                *(random_general(s, d, d) for _ in range(3)), p.nu, p.norm, p.rtol, p.atol
-            )
+        drop_positivity=lambda seeds, d, p: kittaneh_general(
+            *_general(RandomStream(seeds), d, 3), p.nu, p.norm, p.rtol, p.atol
         ),
         schatten2=True,
     ),
     "phi_operator": Theorem(
         _phi_operator_batch,
-        drop_commutativity=_each(
-            lambda s, d, p: _witness(
-                "phi_operator",
-                ag_convexity_witness(PhiProduct(p.f, *_spd_pair(s, d)), p.norm),
-                hypothesis_ok=False,
-            )
-        ),
+        drop_commutativity=lambda seeds, d, p: [
+            _witness("phi_operator", v, hypothesis_ok=False)
+            for v in _phi_product_verdicts(p.f, *_spd_pair(RandomStream(seeds), d), p.norm)
+        ],
         convexity_guard=True,
     ),
     "phi_sandwich": _two_sided_witness("phi_sandwich", diagonal=False),

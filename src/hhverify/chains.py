@@ -9,7 +9,7 @@ the report unreliable instead of failing it.
 
 One rule (_order_verdicts) decides every Loewner link, from the smallest
 eigenvalue of the difference and the spectral radii of the two terms; one
-cutter (_over_nodes) splits node arrays under functions.STACK_ENTRIES, and
+cutter (_curve_stack) splits curve points under functions.STACK_ENTRIES, and
 quadrature.integrate_trials_checked alone cuts stacks of integrand rows.
 """
 
@@ -54,15 +54,9 @@ from .linalg import (
     check_matrix,
     check_symmetric,
     check_symmetric_stack,
-    eigh,
-    matrix_function,
-    power_from_decomp,
 )
 from .norms import NormSpec, norms_from_eig_rows, norms_of_stack
-from .quadrature import (
-    integrate_matrix_checked,
-    integrate_trials_checked,
-)
+from .quadrature import _agrees, integrate_matrix, integrate_trials_checked
 
 DEFAULT_RTOL = 1e-8
 DEFAULT_ATOL = 1e-12
@@ -681,7 +675,7 @@ def _norms_stack(m: np.ndarray, spec: NormSpec) -> list[float]:
         # the Frobenius norm as np.linalg.norm takes it: a dot product of the
         # flattened matrix with itself (BLAS ddot), then the root
         return np.sqrt((flat[:, None, :] @ flat[:, :, None])[:, 0, 0]).tolist()
-    return _sv_norm(m.reshape(-1, m.shape[-2], m.shape[-1]), spec).tolist()
+    return _sv_norm(m, spec).ravel().tolist()
 
 
 def _kittaneh_stack(
@@ -883,7 +877,6 @@ def _norm_gg_stack(
         return _anchor_gauges(f.eval_array(eigs), norm_spec)
 
     anchors = np.array([phi(u) for u in HH_NODES])  # (5, T)
-    _require_positive_curve(theorem_id, anchors)
     # max-type norms sort the branches, so kinks sit at branch crossings
     sorting_norm = norm_spec.kind == "kyfan" or (
         norm_spec.kind == "schatten" and math.isinf(norm_spec.params[0])
@@ -899,17 +892,9 @@ def _norm_gg_stack(
             raise DomainViolationError(f"{theorem_id}: norm curve is not strictly positive")
         return np.log(vals.reshape(xs.shape))
 
-    trials = a.shape[0]
-    terms, reliable = _hh_stack(
-        anchors.T, log_phi, np.zeros(trials), np.ones(trials), quad_n, n, cuts=cuts
+    return _curve_reports(
+        theorem_id, anchors.T, log_phi, 0.0, 1.0, quad_n, n, rtol, atol, holds, cuts
     )
-    return [
-        _chain_report(
-            theorem_id, HH_TERM_NAMES, terms[t], rtol, atol,
-            quad_reliable=reliable[t], hypothesis_ok=holds[t],
-        )
-        for t in range(trials)
-    ]
 
 
 def _anchor_gauges(rows: np.ndarray, spec: NormSpec) -> np.ndarray:
@@ -922,9 +907,23 @@ def _anchor_gauges(rows: np.ndarray, spec: NormSpec) -> np.ndarray:
     return norms_from_eig_rows(rows, spec)
 
 
-def _require_positive_curve(theorem_id: str, anchors) -> None:
+def _curve_reports(
+    theorem_id: str, anchors, log_curve, lo: float, hi: float, quad_n: int, node_entries: int,
+    rtol: float, atol: float, holds, cuts=None,
+) -> list[ChainReport]:
+    """The five-term chain of the norm curve of each trial on [lo, hi]: its
+    anchors checked positive, then the _hh_stack terms as a ChainReport, with
+    the hypothesis verdicts holds."""
     if (np.asarray(anchors) <= 0.0).any():
         raise DomainViolationError(f"{theorem_id}: norm curve is not strictly positive")
+    trials = len(holds)
+    terms, reliable = _hh_stack(
+        anchors, log_curve, np.full(trials, lo), np.full(trials, hi), quad_n, node_entries, cuts
+    )
+    return [
+        _chain_report(theorem_id, HH_TERM_NAMES, v, rtol, atol, quad_reliable=ok, hypothesis_ok=h)
+        for v, ok, h in zip(terms, reliable, holds)
+    ]
 
 
 class TraceVariant(enum.Enum):
@@ -985,125 +984,145 @@ def _trace_stack(
         grid = np.power(a[rows, None, :], pw * t) * np.power(b[rows, None, :], pw * (1.0 - t))
         return np.log(grid.sum(axis=2))
 
-    trials = a.shape[0]
-    terms, reliable = _hh_stack(
-        list(zip(*(tau(u) for u in HH_NODES))), log_tau, np.zeros(trials), np.ones(trials),
-        quad_n, a.shape[1],
-    )
     if variant is TraceVariant.SQRT:
         # tr sqrt(AB) is tau(1/2)
-        ends = [(math.sqrt(ab), v[0]) for ab, v in zip((a * b).sum(axis=1).tolist(), terms)]
+        ends = [(math.sqrt(ab), mid) for ab, mid in zip((a * b).sum(axis=1).tolist(), tau(0.5))]
     else:
         ends = [x * y for x, y in zip(a.sum(axis=1).tolist(), b.sum(axis=1).tolist())]
-    return [
-        _trace_report(variant, terms[t], reliable[t], ends[t], rtol, atol) for t in range(trials)
-    ]
+    return _trace_reports(variant, tau, log_tau, ends, quad_n, a.shape[1], rtol, atol, True)
 
 
-def _trace_report(
-    variant: TraceVariant, terms, reliable: bool, ends, rtol: float, atol: float,
-    hypothesis_ok: bool = True,
-) -> ChainReport:
-    """The trace chain of the curve tau from its five _hh_stack terms on
-    [0, 1], with ``ends`` in place of the midpoint term (SQRT: the pair
-    sqrt tr AB, tr sqrt AB) or of the endpoint term (SQUARED: tr A tr B)."""
-    sqrt = variant is TraceVariant.SQRT
-    return _chain_report(
-        "trace_sqrt" if sqrt else "trace_squared",
-        TRACE_SQRT_TERM_NAMES if sqrt else TRACE_SQUARED_TERM_NAMES,
-        ends + terms[1:] if sqrt else terms[:4] + (ends,),
-        rtol, atol, quad_reliable=reliable, hypothesis_ok=hypothesis_ok,
+def _trace_reports(
+    variant: TraceVariant, tau, log_tau, ends, quad_n: int, node_entries: int, rtol: float,
+    atol: float, hypothesis_ok: bool,
+) -> list[ChainReport]:
+    """The trace chain of each trial from the five _hh_stack terms of its
+    curve on [0, 1] (tau(u) the values of the trials at u, log_tau as
+    _hh_stack takes it), with ends[t] in place of the midpoint term (SQRT: the
+    pair sqrt tr AB, tr sqrt AB) or of the endpoint term (SQUARED: tr A tr B)."""
+    trials, sqrt = len(ends), variant is TraceVariant.SQRT
+    terms, reliable = _hh_stack(
+        list(zip(*(tau(u) for u in HH_NODES))), log_tau, np.zeros(trials), np.ones(trials),
+        quad_n, node_entries,
     )
+    return [
+        _chain_report(
+            "trace_sqrt" if sqrt else "trace_squared",
+            TRACE_SQRT_TERM_NAMES if sqrt else TRACE_SQUARED_TERM_NAMES,
+            end + v[1:] if sqrt else v[:4] + (end,),
+            rtol, atol, quad_reliable=ok, hypothesis_ok=hypothesis_ok,
+        )
+        for v, ok, end in zip(terms, reliable, ends)
+    ]
 
 
 # ---------------------------------------------------------------------------
 # the ablations: the chains above on positive pairs that need not commute, and
 # on matrices that need not be positive, through general eigendecompositions
-# (a product spectrum that is not real and positive raises ConvergenceError)
+# (a product spectrum that is not real and positive raises ConvergenceError).
+# Like the kernels above, each takes (T, n, n) stacks and returns T reports.
+
+
+def _eig_function(m: np.ndarray, fn) -> np.ndarray:
+    """v diag(fn(w)) v^-1 from np.linalg.eig of m, one matrix or a (..., n, n)
+    stack, each matrix as if alone: eig makes a whole stack complex for one
+    complex spectrum, so the matrices with real spectra are taken again."""
+    w, v = np.linalg.eig(m)
+    out = (v * fn(w)[..., None, :]) @ np.linalg.inv(v)
+    real = (w.imag == 0.0).all(axis=-1) if w.ndim > 1 and np.iscomplexobj(w) else False
+    if np.any(real):
+        out[real] = _eig_function(m[real], fn)
+    return out
 
 
 def _general_apply(m: np.ndarray, fn) -> np.ndarray:
     """fn on the (real, positive) spectrum of a product of positives, for one
-    matrix or for each matrix of a (T, n, n) stack, each as if alone (eig
-    makes a whole stack complex for one complex spectrum)."""
-    w, v = np.linalg.eig(m)
-    wr = w.real
-    if not np.isfinite(wr).all() or (wr <= 0.0).any():
-        raise ConvergenceError("spectrum of the non-commuting product is not positive")
-    imag = np.max(np.abs(w.imag), axis=-1)
-    if (imag > 1e-8 * (1.0 + np.max(np.abs(wr), axis=-1))).any():
-        raise ConvergenceError("spectrum of the non-commuting product is not real")
-    if w.ndim == 2 and np.iscomplexobj(w):
-        return np.stack([_general_apply(x, fn) for x in m])
-    return np.real((v * fn(wr)[..., None, :]) @ np.linalg.inv(v))
+    matrix or for each matrix of a (..., n, n) stack, each as if alone."""
+
+    def checked(w: np.ndarray) -> np.ndarray:
+        wr = w.real
+        if not np.isfinite(wr).all() or (wr <= 0.0).any():
+            raise ConvergenceError("spectrum of the non-commuting product is not positive")
+        imag = np.max(np.abs(w.imag), axis=-1)
+        if (imag > 1e-8 * (1.0 + np.max(np.abs(wr), axis=-1))).any():
+            raise ConvergenceError("spectrum of the non-commuting product is not real")
+        return fn(wr)
+
+    return np.real(_eig_function(m, checked))
 
 
-def _principal_power(m: np.ndarray, t: float) -> np.ndarray:
-    """Principal branch m^t of a general square matrix (complex result)."""
-    w, v = np.linalg.eig(m)
-    return (v * np.power(w.astype(np.complex128), t)) @ np.linalg.inv(v)
+def _sv_norm(m: np.ndarray, spec: NormSpec) -> np.ndarray:
+    """The norms of a (..., m, n) stack, of shape (...)."""
+    s = np.maximum(np.linalg.svd(m, compute_uv=False), 0.0)
+    return spec.of_singular_values(s.reshape(-1, s.shape[-1])).reshape(s.shape[:-1])
 
 
-def _sv_norm(m: np.ndarray, spec: NormSpec):
-    """Norm of one matrix, or the array of norms of a (T, n, n) stack."""
-    s = np.linalg.svd(m, compute_uv=False)
-    return spec.of_singular_values(np.maximum(s, 0.0))
+def _pair(a: np.ndarray, b: np.ndarray) -> tuple:
+    """A and B as drawn, then the spectra and signed bases of their
+    symmetric parts, as eigh gives them."""
+    return (a, b) + _signed_eigh(check_symmetric_stack(a)) + _signed_eigh(check_symmetric_stack(b))
 
 
-def _log_f_of_sym(d, f: FunctionSpec) -> np.ndarray:
-    return d.apply(np.log(f.eval_array(d.eigenvalues)))
+def _weighted_products(pair: tuple, ts: np.ndarray) -> np.ndarray:
+    """A^t B^(1-t) of each trial of a _pair at the nodes ts: (T, len(ts), n, n)."""
+    a, b, la, qa, lb, qb = pair
+    return _power_stack(la, qa, ts, a) @ _power_stack(lb, qb, 1.0 - ts, b)
 
 
-def _weighted_products(da, db, a, b, ts: np.ndarray) -> np.ndarray:
-    """The (T, n, n) stack of A^t B^(1-t) over the nodes ts."""
-    return power_from_decomp(da, ts, a) @ power_from_decomp(db, 1.0 - ts, b)
+def _product_norms(pair: tuple, f: FunctionSpec, spec: NormSpec, ts: np.ndarray) -> np.ndarray:
+    """||f(A^t B^(1-t))|| of each trial of a _pair at the points ts, (T,
+    len(ts)), in blocks of _curve_stack."""
 
+    def block(sl, t: np.ndarray) -> np.ndarray:
+        products = _weighted_products([x[sl] for x in pair], t)
+        return _sv_norm(_general_apply(products, f.eval_array), spec)
 
-def _nc_phi(da, db, a, b, f: FunctionSpec, spec: NormSpec, ts: np.ndarray) -> np.ndarray:
-    """phi(t) = ||f(A^t B^(1-t))|| at every node of ts."""
-
-    def block(t: np.ndarray) -> np.ndarray:
-        return _sv_norm(_general_apply(_weighted_products(da, db, a, b, t), f.eval_array), spec)
-
-    return _over_nodes(block, ts, a.size)
+    return _curve_stack(block, pair[0].shape[0], ts, pair[0][0].size)
 
 
 def _segment_functions(f: FunctionSpec, a: np.ndarray, b: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """f(t A + (1-t) B) for every t in ts via one stacked eigh, each equal bit
-    for bit to matrix_function(eigh(t A + (1-t) B), f).
+    """f(t A + (1-t) B) of each trial of two (T, n, n) stacks at every t in
+    ts, via one stacked eigh, each equal bit for bit to
+    matrix_function(eigh(t A + (1-t) B), f).
 
     Unlike the segment of _dragomir_stack, it symmetrizes before and after, as
     eigh and matrix_function do; the sampled A and B are not exactly symmetric.
     """
-    lam, q = np.linalg.eigh(_sym(ts[:, None, None] * a + (1.0 - ts)[:, None, None] * b))
+    t = ts[:, None, None]
+    lam, q = np.linalg.eigh(_sym(t * a[:, None] + (1.0 - t) * b[:, None]))
     return _apply_stack(q, _f_of_spectrum(f, lam))
 
 
-def op_gg_hh_general(f: FunctionSpec, a, b, quad_n: int, rtol: float) -> OrderChainReport:
-    """The op_gg_hh chain on a positive pair that need not commute:
+def op_gg_hh_general(f: FunctionSpec, a, b, quad_n: int, rtol: float) -> list[OrderChainReport]:
+    """The op_gg_hh chain on positive pairs that need not commute:
     log f(sqrt(AB)) <= int_0^1 log f(A^t B^(1-t)) dt <= (log f(A) + log f(B))/2."""
-    da, db = eigh(a), eigh(b)
+    pair = _pair(a, b)
     t1 = _sym(_general_apply(a @ b, lambda w: np.log(f.eval_array(np.sqrt(w)))))
 
-    def nodes(ts: np.ndarray) -> np.ndarray:
-        m = _weighted_products(da, db, a, b, ts)
+    def nodes(trials: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        m = _weighted_products([x[trials] for x in pair], ts)
         return _sym(_general_apply(m, lambda w: np.log(f.eval_array(w))))
 
-    t3 = 0.5 * (_log_f_of_sym(da, f) + _log_f_of_sym(db, f))
+    la, qa, lb, qb = pair[2:]
+    logs = _apply_stack(np.stack((qa, qb)), np.log(f.eval_array(np.stack((la, lb)))))
+    t3 = 0.5 * (logs[0] + logs[1])
     return _general_order_chain("op_gg_hh", GG_HH_TERM_NAMES, t1, nodes, t3, quad_n, rtol)
 
 
-def op_ag_midpoint_general(f: FunctionSpec, a, b, quad_n: int, rtol: float) -> OrderChainReport:
-    """The op_ag_midpoint chain on a positive pair that need not commute, the
+def op_ag_midpoint_general(
+    f: FunctionSpec, a, b, quad_n: int, rtol: float
+) -> list[OrderChainReport]:
+    """The op_ag_midpoint chain on positive pairs that need not commute, the
     geometric mean of f(P) and f(Q) taken as sqrt(f(P) f(Q))."""
-    da, db = eigh(a), eigh(b)
-    fa, fb = matrix_function(da, f), matrix_function(db, f)
-    t1 = matrix_function(eigh(0.5 * (a + b)), f)
+    fa, fb, t1 = (
+        _apply_stack(q, _f_of_spectrum(f, lam))
+        for lam, q in (_signed_eigh(check_symmetric_stack(m)) for m in (a, b, 0.5 * (a + b)))
+    )
 
-    def nodes(als: np.ndarray) -> np.ndarray:
+    def nodes(trials: np.ndarray, als: np.ndarray) -> np.ndarray:
         # (1 - al) A + al B is al B + (1 - al) A: the sum is the same bits
-        fp = _segment_functions(f, a, b, als)
-        fq = _segment_functions(f, b, a, als)
+        fp = _segment_functions(f, a[trials], b[trials], als)
+        fq = _segment_functions(f, b[trials], a[trials], als)
         return _sym(_general_apply(fp @ fq, np.sqrt))
 
     t3 = _sym(_general_apply(fa @ fb, np.sqrt))
@@ -1113,89 +1132,107 @@ def op_ag_midpoint_general(f: FunctionSpec, a, b, quad_n: int, rtol: float) -> O
 
 
 def _general_order_chain(theorem_id: str, names, t1, nodes, t3, quad_n: int, rtol: float):
-    """The Loewner chain t1 <= int_0^1 nodes(t) dt <= t3, the nodes evaluated
-    in blocks (_over_nodes)."""
-    t2, ok = integrate_matrix_checked(
-        lambda ts: _over_nodes(nodes, ts, t1.size), 0.0, 1.0, quad_n
-    )
-    return _order_report_from_matrices(
-        theorem_id, names, (t1, t2, t3), rtol, quad_reliable=ok, hypothesis_ok=False
-    )
+    """The Loewner chain t1 <= int_0^1 nodes(trials, t) dt <= t3 of each trial,
+    nodes(trials, t) the (len(trials), len(t), n, n) values of the trials of
+    an index array. Each block of trials (_blocks at 2 quad_n nodes) goes
+    through integrate_matrix, node axis first; each trial's doubling flag
+    comes from its own row."""
+    trials, n = t1.shape[:2]
+    t2, reliable = [], []
+    for sl in _blocks(trials, 2 * quad_n * n * n):
+        rows = np.arange(trials)[sl]
+
+        def samples(ts: np.ndarray) -> np.ndarray:
+            values = _curve_stack(lambda s, t: nodes(rows[s], t), rows.size, ts, n * n)
+            return np.swapaxes(values, 0, 1)
+
+        v1, v2 = (integrate_matrix(samples, 0.0, 1.0, k) for k in (quad_n, 2 * quad_n))
+        t2.append(v1)
+        reliable += _agrees(v1, v2).tolist()
+    mats = np.stack((t1, np.concatenate(t2), t3))
+    return _matrix_order_reports(theorem_id, names, mats, rtol, reliable, [False] * trials)
 
 
 def norm_gg_general(
     theorem_id: str, f: FunctionSpec, a, b, norm_spec: NormSpec, quad_n: int, rtol: float,
     atol: float,
-) -> ChainReport:
-    """The op_norm_gg chain of phi(u) = ||f(A^u B^(1-u))|| on a positive
-    pair that need not commute."""
-    da, db = eigh(a), eigh(b)
+) -> list[ChainReport]:
+    """The op_norm_gg chain of phi(u) = ||f(A^u B^(1-u))|| on positive pairs
+    that need not commute."""
+    pair, (trials, n) = _pair(a, b), a.shape[:2]
 
     def log_phi(rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        vals = _product_norms([x[rows] for x in pair], f, norm_spec, xs[0])
         # math.log, not np.log: the two can differ in the last bit
-        vals = _nc_phi(da, db, a, b, f, norm_spec, xs[0]).tolist()
-        return np.array([[math.log(v) for v in vals]])
+        return np.array([math.log(v) for v in vals.ravel().tolist()]).reshape(vals.shape)
 
-    anchors = _nc_phi(da, db, a, b, f, norm_spec, np.array(HH_NODES)).tolist()
-    _require_positive_curve(theorem_id, anchors)
-    (terms,), (reliable,) = _hh_stack([anchors], log_phi, np.zeros(1), np.ones(1), quad_n, a.size)
-    return _chain_report(
-        theorem_id, HH_TERM_NAMES, terms, rtol, atol, quad_reliable=reliable, hypothesis_ok=False
+    anchors = _product_norms(pair, f, norm_spec, np.array(HH_NODES)).tolist()
+    return _curve_reports(
+        theorem_id, anchors, log_phi, 0.0, 1.0, quad_n, n * n, rtol, atol, [False] * trials
     )
 
 
 def trace_chain_general(
     variant: TraceVariant, a, b, quad_n: int, rtol: float, atol: float
-) -> ChainReport:
-    """The trace chains on a positive pair that need not commute, with
+) -> list[ChainReport]:
+    """The trace chains on positive pairs that need not commute, with
     tau(u) = tr(A^u B^(1-u)) = sum_ij la_i^u (qa_i . qb_j)^2 lb_j^(1-u)."""
-    da, db = eigh(a), eigh(b)
-    la, lb = da.eigenvalues, db.eigenvalues
-    overlap = (da.q.T @ db.q) ** 2
+    _, _, la, qa, lb, qb = _pair(a, b)
+    overlap = (np.swapaxes(qa, 1, 2) @ qb) ** 2
     pw = 2.0 if variant is TraceVariant.SQUARED else 1.0
 
-    def tau(u: float) -> float:
-        return float(np.power(la, pw * u) @ overlap @ np.power(lb, pw * (1.0 - u)))
+    def tau(u: float) -> list[float]:
+        left = np.power(la, pw * u)[:, None, :] @ overlap
+        return (left @ np.power(lb, pw * (1.0 - u))[:, :, None])[:, 0, 0].tolist()
 
     def log_tau(rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        ts = xs[0]
-        pa = np.power(la[None, :], pw * ts[:, None])
-        pb = np.power(lb[None, :], pw * (1.0 - ts)[:, None])
-        return np.log(np.einsum("ti,ij,tj->t", pa, overlap, pb))[None]
+        t = xs[:, :, None]
+        pa = np.power(la[rows, None, :], pw * t)
+        pb = np.power(lb[rows, None, :], pw * (1.0 - t))
+        return np.log(np.einsum("rti,rij,rtj->rt", pa, overlap[rows], pb))
 
     if variant is TraceVariant.SQUARED:
-        ends = float(np.sum(la)) * float(np.sum(lb))
+        ends = (la.sum(axis=1) * lb.sum(axis=1)).tolist()
     else:
         # tr sqrt(AB) as the sum of the roots of the eigenvalues of AB
-        w = np.linalg.eigvals(a @ b).real
+        ab = a @ b
+        w = np.linalg.eigvals(ab).real
         if (w <= 0.0).any():
             raise DomainViolationError("trace_sqrt: the spectrum of AB is not positive")
-        ends = (math.sqrt(float(np.trace(a @ b))), float(np.sum(np.sqrt(w))))
-    (terms,), (reliable,) = _hh_stack(
-        [[tau(u) for u in HH_NODES]], log_tau, np.zeros(1), np.ones(1), quad_n, a.size
-    )
-    return _trace_report(variant, terms, reliable, ends, rtol, atol, hypothesis_ok=False)
+        traces = np.trace(ab, axis1=1, axis2=2).tolist()
+        ends = [(math.sqrt(x), y) for x, y in zip(traces, np.sqrt(w).sum(axis=1).tolist())]
+    return _trace_reports(variant, tau, log_tau, ends, quad_n, a[0].size, rtol, atol, False)
 
 
-def det_ag_indefinite(a, b, nu: float, rtol: float, atol: float) -> InequalityReport:
+def det_ag_indefinite(a, b, nu: float, rtol: float, atol: float) -> list[InequalityReport]:
     """det_ag on the symmetric parts of A, B, which need not be positive, with
     |det| on the left: |det A|^nu |det B|^(1-nu) <= det(nu A + (1-nu) B)."""
     a, b = _sym(a), _sym(b)
-    la, lb = np.linalg.eigvalsh(a), np.linalg.eigvalsh(b)
-    lhs = float(np.prod(np.abs(la))) ** nu * float(np.prod(np.abs(lb))) ** (1.0 - nu)
-    rhs = float(np.prod(np.linalg.eigvalsh(nu * a + (1.0 - nu) * b)))
-    return _inequality_report("det_ag", lhs, rhs, rtol, atol, hypothesis_ok=False)
+    lam = np.linalg.eigvalsh(np.stack((a, b, nu * a + (1.0 - nu) * b)))
+    dets = (np.prod(m, axis=1).tolist() for m in (np.abs(lam[0]), np.abs(lam[1]), lam[2]))
+    return [
+        _inequality_report("det_ag", da**nu * db ** (1.0 - nu), dm, rtol, atol, hypothesis_ok=False)
+        for da, db, dm in zip(*dets)
+    ]
 
 
 def kittaneh_general(
     a, b, x, nu: float, norm_spec: NormSpec, rtol: float, atol: float
-) -> InequalityReport:
-    """kittaneh on general A, B, with the principal powers A^nu, B^(1-nu)."""
-    lhs = _sv_norm(_principal_power(a, nu) @ x @ _principal_power(b, 1.0 - nu), norm_spec)
-    if not math.isfinite(lhs):
+) -> list[InequalityReport]:
+    """kittaneh on general A, B, with the principal powers A^nu, B^(1-nu)
+    (complex matrices)."""
+    left = _eig_function(a, lambda w: np.power(w.astype(np.complex128), nu))
+    right = _eig_function(b, lambda w: np.power(w.astype(np.complex128), 1.0 - nu))
+    lhs = _sv_norm(left @ x @ right, norm_spec)
+    if not np.isfinite(lhs).all():
         raise DomainViolationError("kittaneh: the left side is not finite")
-    rhs = _sv_norm(a @ x, norm_spec) ** nu * _sv_norm(x @ b, norm_spec) ** (1.0 - nu)
-    return _inequality_report("kittaneh", lhs, rhs, rtol, atol, hypothesis_ok=False)
+    sides = zip(lhs.tolist(), *(_sv_norm(m, norm_spec).tolist() for m in (a @ x, x @ b)))
+    return [
+        _inequality_report(
+            "kittaneh", norm, ax**nu * xb ** (1.0 - nu), rtol, atol, hypothesis_ok=False
+        )
+        for norm, ax, xb in sides
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -1208,15 +1245,6 @@ class PhiOperator:
 
     f: FunctionSpec
     pair: CommutingPair
-
-
-@dataclass(frozen=True)
-class PhiProduct:
-    """t -> ||f(A^t B^(1-t))|| on a positive pair that need not commute."""
-
-    f: FunctionSpec
-    a: np.ndarray
-    b: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -1297,39 +1325,29 @@ class _TwoSidedPowers:
         return np.stack(out, axis=1)
 
 
-def _over_nodes(fn, ts: np.ndarray, node_entries: int) -> np.ndarray:
-    """fn over the node array ts, called on blocks of whole nodes of
-    node_entries entries each, at most STACK_ENTRIES entries in all. Each
-    node's value is computed alone, so the blocking leaves its bits."""
-    return np.concatenate([fn(ts[sl]) for sl in _blocks(ts.shape[0], node_entries)])
-
-
 def _curve_stack(block, trials: int, ts: np.ndarray, point_entries: int) -> np.ndarray:
-    """The (trials, len(ts)) values of a curve of each trial, from
+    """The (trials, len(ts), ...) values of a curve of each trial, from
     ``block(sl, t)``, the values of the trials sl at the points t. Blocks
-    hold whole trials, or whole points of one trial (_over_nodes) when a
-    trial alone is larger, and at most STACK_ENTRIES entries at
-    point_entries per point."""
+    hold whole trials, or whole points of one trial when a trial alone is
+    larger, and at most STACK_ENTRIES entries at point_entries per point.
+    Each point's value is computed alone, so the blocking leaves its bits."""
     per_trial = ts.shape[0] * point_entries
     if per_trial <= STACK_ENTRIES:
         return np.concatenate([block(sl, ts) for sl in _blocks(trials, per_trial)])
+    points = _blocks(ts.shape[0], point_entries)
     return np.stack([
-        _over_nodes(lambda t: block(slice(k, k + 1), t)[0], ts, point_entries)
-        for k in range(trials)
+        np.concatenate([block(slice(k, k + 1), ts[sl])[0] for sl in points]) for k in range(trials)
     ])
 
 
-def _witness_scans(vals: np.ndarray, ts: np.ndarray, grid_n: int, tol: float):
-    """The convexity scan of the log of each row of a (T, len(ts)) array of
-    curve values on the fine grid ts."""
+def _witness_scans(curve, grid_n: int, tol: float) -> list[ConvexityVerdict]:
+    """The convexity scan of the log of each row of curve(ts), the (T,
+    len(ts)) values of the curves of T trials on the fine grid ts of [0, 1]."""
+    ts = np.arange(grid_n * grid_n + 1) / (grid_n * grid_n)
+    vals = curve(ts)
     if not (np.isfinite(vals).all() and (vals > 0.0).all()):
         raise DomainViolationError("norm curve is not strictly positive on [0, 1]")
     return [_scan_fine_grid(row, ts, grid_n, tol) for row in np.log(vals)]
-
-
-def _witness_grid(grid_n: int) -> np.ndarray:
-    m = grid_n * grid_n
-    return np.arange(m + 1) / m
 
 
 def _phi_operator_verdicts(
@@ -1339,14 +1357,24 @@ def _phi_operator_verdicts(
     """The PhiOperator witness of each commuting pair, given by its spectra
     a[t], b[t] of two (T, n) stacks."""
     _require_in_domain(f, *_joint_ranges(a, b))
-    ts = _witness_grid(grid_n)
 
     def block(sl: slice, t: np.ndarray) -> np.ndarray:
         grid = np.power(a[sl, None, :], t[:, None]) * np.power(b[sl, None, :], (1.0 - t)[:, None])
         rows = f.eval_array(grid).reshape(-1, a.shape[1])
         return norms_from_eig_rows(rows, norm_spec).reshape(grid.shape[:2])
 
-    return _witness_scans(_curve_stack(block, a.shape[0], ts, a.shape[1]), ts, grid_n, tol)
+    return _witness_scans(lambda ts: _curve_stack(block, a.shape[0], ts, a.shape[1]), grid_n, tol)
+
+
+def _phi_product_verdicts(
+    f: FunctionSpec, a: np.ndarray, b: np.ndarray, norm_spec: NormSpec
+) -> list[ConvexityVerdict]:
+    """The witness of t -> ||f(A^t B^(1-t))|| of each pair of (T, n, n)
+    stacks of positive A, B that need not commute."""
+    pair = _pair(a, b)
+    return _witness_scans(
+        lambda ts: _product_norms(pair, f, norm_spec, ts), DEFAULT_GRID_N, DEFAULT_CONVEXITY_TOL
+    )
 
 
 def _two_sided_verdicts(
@@ -1354,9 +1382,8 @@ def _two_sided_verdicts(
     grid_n: int = DEFAULT_GRID_N, tol: float = DEFAULT_CONVEXITY_TOL,
 ) -> list[ConvexityVerdict]:
     """The PhiDiagonal (diagonal) or PhiSandwich witness of each trial of tp."""
-    ts = _witness_grid(grid_n)
     second = (lambda t: t) if diagonal else (lambda t: 1.0 - t)
-    return _witness_scans(tp.norms(ts, second, norm_spec), ts, grid_n, tol)
+    return _witness_scans(lambda ts: tp.norms(ts, second, norm_spec), grid_n, tol)
 
 
 def ag_convexity_witness(
@@ -1367,18 +1394,13 @@ def ag_convexity_witness(
 ) -> ConvexityVerdict:
     """Grid test that a norm curve is AG-convex (log-convex) on [0, 1].
 
-    Accepts PhiOperator, PhiProduct, PhiSandwich, or PhiDiagonal. The scan
+    Accepts PhiOperator, PhiSandwich, or PhiDiagonal. The scan
     is identical to the scalar one: log of the curve on the fine grid against
     all coarse chords.
     """
     grid_n = _check_grid_n(grid_n)
     if isinstance(curve, PhiOperator):
         verdicts = _phi_operator_verdicts(curve.f, *_spectra(curve.pair), norm_spec, grid_n, tol)
-    elif isinstance(curve, PhiProduct):
-        ts = _witness_grid(grid_n)
-        da, db = eigh(curve.a), eigh(curve.b)
-        vals = _nc_phi(da, db, curve.a, curve.b, curve.f, norm_spec, ts)
-        verdicts = _witness_scans(vals[None], ts, grid_n, tol)
     elif isinstance(curve, (PhiSandwich, PhiDiagonal)):
         tp = _TwoSidedPowers.of_one(curve.a, curve.b, curve.x)
         verdicts = _two_sided_verdicts(tp, isinstance(curve, PhiDiagonal), norm_spec, grid_n, tol)
@@ -1472,8 +1494,6 @@ def _uin_stack(
     mats = tp.direct([(t, second(t)) for t in points])
     _require_finite(mats)
     norms = _norms_stack(mats, norm_spec)
-    theorem_id = _UIN_IDS[variant]
-    _require_positive_curve(theorem_id, norms)
 
     def log_curve(rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
         vals = tp.norms(xs[0], second, norm_spec, rows)
@@ -1481,13 +1501,8 @@ def _uin_stack(
             raise DomainViolationError("norm curve is not strictly positive")
         return np.log(vals)
 
-    trials = mats.shape[0]
     m, k = tp.core.shape[1:]
-    terms, reliable = _hh_stack(
-        [norms[i : i + 5] for i in range(0, len(norms), 5)], log_curve,
-        np.full(trials, lo), np.full(trials, hi), quad_n, m * k,
+    return _curve_reports(
+        _UIN_IDS[variant], [norms[i : i + 5] for i in range(0, len(norms), 5)], log_curve, lo, hi,
+        quad_n, m * k, rtol, atol, [True] * mats.shape[0],
     )
-    return [
-        _chain_report(theorem_id, HH_TERM_NAMES, terms[t], rtol, atol, quad_reliable=reliable[t])
-        for t in range(trials)
-    ]

@@ -256,13 +256,7 @@ def _psd_spectrum(lam: np.ndarray, t: float) -> np.ndarray:
 def power_from_decomp(d: SpectralDecomp, t, original: np.ndarray | None = None) -> np.ndarray:
     """pd_power via a precomputed decomposition; t in {0, 1} short-circuits
     to exact identity / the original matrix so endpoint terms carry no
-    reconstruction noise.
-
-    ``t`` may also be a 1-d array of T exponents. The result is then the
-    (T, n, n) stack of the powers (see _power_stack).
-    """
-    if isinstance(t, np.ndarray):
-        return _power_stack(d.eigenvalues, d.q, t, original)
+    reconstruction noise."""
     if t == 0.0:
         return np.eye(d.dim)
     if t == 1.0 and original is not None:

@@ -13,7 +13,7 @@ One integrator takes stacked integrands: integrate_trials_checked integrates
 T rows, cuts them itself into blocks under functions.STACK_ENTRIES, and
 contracts and doubling-checks each block with one batched matmul, which
 gives every row the bits it has alone; integrate_stack_checked is it on one
-row. integrate_matrix keeps its own node-order sum.
+row. integrate_matrix integrates a stack of trials node by node, in order.
 """
 
 from __future__ import annotations
@@ -149,9 +149,10 @@ def integrate_matrix(
 ) -> np.ndarray:
     """Entrywise integral of a matrix-valued ``g`` over [a, b].
 
-    ``g`` takes the node array and returns the (T, m, m) stack of its samples.
-    The weighted samples are added one node at a time, in node order, and a
-    non-finite sample is an error that names its node.
+    ``g`` takes the node array and returns its samples, node axis first: (N,
+    m, m), or (N, T, m, m) for a stack of T trials. The weighted samples are
+    added one node at a time, in node order, so each trial keeps the bits it
+    has alone; a non-finite sample is an error that names its node.
     """
     if a == b:
         return np.zeros(np.asarray(g(np.asarray([a])), dtype=float).shape[1:])
