@@ -242,7 +242,7 @@ def _commuting_order(theorem_id: str, general) -> Theorem:
     )
 
 
-def _norm_gg(theorem_id: str, fn) -> Theorem:
+def _norm_gg(theorem_id: str, fn, convexity_guard: bool = True) -> Theorem:
     return Theorem(
         lambda seeds, d, p: _norm_gg_stack(
             theorem_id, p.f, *_commuting_spectra(RandomStream(seeds), d), p.norm, p.quad_n,
@@ -251,7 +251,7 @@ def _norm_gg(theorem_id: str, fn) -> Theorem:
         drop_commutativity=lambda seeds, d, p: norm_gg_general(
             theorem_id, p.f, *_spd_pair(RandomStream(seeds), d), p.norm, p.quad_n, p.rtol, p.atol
         ),
-        convexity_guard=True,
+        convexity_guard=convexity_guard,
         fn=fn,
     )
 
@@ -316,9 +316,7 @@ THEOREMS = {
         )
     ),
     "dragomir": Theorem(
-        lambda seeds, d, p: _dragomir_stack(
-            p.f, *_spd_pair(RandomStream(seeds), d), p.quad_n, p.rtol
-        ),
+        lambda seeds, d, p: _dragomir_stack(p.f, *_spd_pair(RandomStream(seeds), d), p.rtol),
         fn=_operator_convex_fn,
     ),
     "op_gg_hh": _commuting_order("op_gg_hh", lambda *args: op_gg_hh_general(*args)),
@@ -326,7 +324,8 @@ THEOREMS = {
         "op_ag_midpoint", lambda *args: op_ag_midpoint_general(*args)
     ),
     "op_norm_gg": _norm_gg("op_norm_gg", _fn_or_exp),
-    "exp_norm": _norm_gg("exp_norm", _exp_only),
+    # exp_norm ignores --fn, so no function can make its guard matter
+    "exp_norm": _norm_gg("exp_norm", _exp_only, convexity_guard=False),
     "trace_sqrt": _trace(TraceVariant.SQRT),
     "trace_squared": _trace(TraceVariant.SQUARED),
     "det_ag": Theorem(

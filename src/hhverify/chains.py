@@ -418,7 +418,7 @@ def _operator_convex(f: FunctionSpec) -> bool:
 
 
 def dragomir_operator_chain(
-    f: FunctionSpec, a, b, quad_n: int = DEFAULT_QUAD_N, rtol: float = DEFAULT_RTOL
+    f: FunctionSpec, a, b, *, rtol: float = DEFAULT_RTOL
 ) -> OrderChainReport:
     """Six-term operator chain for an operator convex f on a symmetric pair.
 
@@ -429,21 +429,34 @@ def dragomir_operator_chain(
                 <=  (f(A)+f(B))/2
 
     Supported f: power:2 on any symmetric pair, inverse on a positive
-    definite pair. The pair need not commute. It is _dragomir_stack on a
-    stack of one pair.
+    definite pair. The pair need not commute. Both segment integrals are
+    exact (no quadrature), so the report is always quad_reliable; rtol is
+    keyword-only, so a quad_n passed where it used to go is an error. It is
+    _dragomir_stack on a stack of one pair.
     """
     a, b = (np.asarray(m, dtype=float)[None] for m in (a, b))
-    return _dragomir_stack(f, a, b, quad_n, rtol)[0]
+    return _dragomir_stack(f, a, b, rtol)[0]
 
 
 def _dragomir_stack(
-    f: FunctionSpec, a: np.ndarray, b: np.ndarray, quad_n: int, rtol: float
+    f: FunctionSpec, a: np.ndarray, b: np.ndarray, rtol: float
 ) -> list[OrderChainReport]:
-    """dragomir_operator_chain of each pair a[t], b[t] of two (T, n, n) stacks.
+    """dragomir_operator_chain of each pair a[t], b[t] of two (T, n, n) stacks."""
+    terms = _dragomir_terms(f, a, b)
+    trials = terms.shape[1]
+    return _matrix_order_reports(
+        "dragomir", DRAGOMIR_TERM_NAMES, terms, rtol, [True] * trials, [True] * trials
+    )
 
-    f of the five anchor matrices of every trial comes from one eigh, and
-    the two segment integrals of every trial from one integrator call:
-    row 2t is trial t's [1/4, 3/4], row 2t + 1 its [0, 1].
+
+def _dragomir_terms(f: FunctionSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (6, T, n, n) stack of the DRAGOMIR_TERM_NAMES terms of each pair.
+
+    f of the five anchor matrices of every trial comes from one eigh. The
+    segment integrals int_lo^hi f(tA + (1-t)B) dt over [1/4, 3/4] and
+    [0, 1] are exact: (hi - lo) f(B) plus the excess of the path over f(B),
+    which is 0 at A = B (_square_excess for power:2; _inverse_excess, from
+    B's spectrum in that eigh and one more eigh, for inverse).
     """
     if not _operator_convex(f):
         raise ConfigError(
@@ -461,25 +474,71 @@ def _dragomir_stack(
         if bad.any():
             name = "a" if bad[0].any() else "b"
             raise NotPositiveDefiniteError(f"inverse needs positive definite {name}")
+        excess = _inverse_excess(ma, mb, lam[trials : 2 * trials], q[trials : 2 * trials])
+    else:
+        excess = _square_excess(ma, mb)
     fa, fb, f_mid, f_q1, f_q2 = _apply_stack(q, _f_of_spectrum(f, lam)).reshape(anchors.shape)
-    owner = np.repeat(np.arange(trials), 2)
+    central, full = ((hi - lo) * fb + e for (lo, hi), e in zip(DRAGOMIR_SEGMENTS, excess))
+    return np.stack((
+        f_mid, 2.0 * central, 0.5 * (f_q1 + f_q2), full, 0.5 * f_mid + 0.25 * (fa + fb),
+        0.5 * (fa + fb),
+    ))
 
-    def segment(sl: slice, xs: np.ndarray) -> np.ndarray:
-        # f(t A + (1-t) B) at the (R, N) nodes xs of the rows sl
-        t = xs[..., None, None]
-        combos = t * ma[owner[sl], None] + (1.0 - t) * mb[owner[sl], None]
-        lam, q = np.linalg.eigh(combos.reshape(-1, n, n))
-        vals = _f_of_spectrum(f, lam)
-        return ((q * vals[:, None, :]) @ np.swapaxes(q, 1, 2)).reshape(combos.shape)
 
-    lo, hi = np.tile([0.25, 0.0], trials), np.tile([0.75, 1.0], trials)
-    integrals, flags = integrate_trials_checked(segment, lo, hi, quad_n, n * n)
-    d2, full, d6 = 2.0 * integrals[0::2], integrals[1::2], 0.5 * (fa + fb)
-    terms = np.stack((f_mid, d2, 0.5 * (f_q1 + f_q2), full, 0.5 * f_mid + 0.25 * (fa + fb), d6))
-    reliable = [ok2 and ok4 for ok2, ok4 in zip(flags[0::2], flags[1::2])]
-    return _matrix_order_reports(
-        "dragomir", DRAGOMIR_TERM_NAMES, terms, rtol, reliable, [True] * trials
-    )
+# dragomir's two segments [lo, hi] of the path t -> tA + (1-t)B
+DRAGOMIR_SEGMENTS = ((0.25, 0.75), (0.0, 1.0))
+# below this |x| the inverse segment weight takes its Taylor series, whose
+# first omitted term is then below 1e-18 relative
+INVERSE_SERIES_CUT = 1e-3
+_INVERSE_SERIES_TERMS = 6
+
+
+def _square_excess(ma: np.ndarray, mb: np.ndarray) -> list[np.ndarray]:
+    """int_lo^hi (tA + (1-t)B)^2 dt - (hi - lo) B^2 of each pair of two
+    (T, n, n) stacks, per dragomir segment. With D = A - B the path is
+    B + tD, so this is m1 (BD + DB) + m2 D^2, m1 and m2 the integrals of t
+    and t^2. Any symmetric pair will do."""
+    d = ma - mb
+    bd, dd = mb @ d, d @ d
+    cross = bd + np.swapaxes(bd, 1, 2)  # DB = (BD)^T for symmetric B, D
+    return [
+        0.5 * (hi**2 - lo**2) * cross + (hi**3 - lo**3) / 3.0 * dd for lo, hi in DRAGOMIR_SEGMENTS
+    ]
+
+
+def _inverse_excess(
+    ma: np.ndarray, mb: np.ndarray, lb: np.ndarray, qb: np.ndarray
+) -> list[np.ndarray]:
+    """int_lo^hi (tA + (1-t)B)^(-1) dt - (hi - lo) B^(-1) of each positive
+    definite pair of two (T, n, n) stacks, per dragomir segment, from the
+    spectra lb, qb of the B stack.
+
+    With W = qb diag(lb^(-1/2)), so that W^T B W = I and W W^T = B^(-1),
+    and W^T (A - B) W = Q diag(x) Q^T, the path is W^(-T) (I + tX) W^(-1),
+    and its inverse integrates to (W Q) diag(g(x)) (W Q)^T, g the segment
+    weight. Taking X from A - B keeps it exactly 0 at A = B.
+    """
+    w = qb * (1.0 / np.sqrt(lb))[:, None, :]
+    x, qx = _signed_eigh(_sym(np.swapaxes(w, 1, 2) @ (ma - mb) @ w))
+    if not (x > -1.0).all():
+        raise DomainViolationError(f"inverse undefined on the segment: 1 + x = {1.0 + x.min()!r}")
+    v = w @ qx
+    return [
+        _apply_stack(v, _inverse_segment_weight(x, lo, hi) - (hi - lo))
+        for lo, hi in DRAGOMIR_SEGMENTS
+    ]
+
+
+def _inverse_segment_weight(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """g(x) = int_lo^hi dt / (1 + tx) at each x > -1, for 0 <= lo < hi <= 1:
+    log((1 + hi x) / (1 + lo x)) / x, taken as log1p((hi - lo) x / (1 + lo x))
+    / x, and for |x| < INVERSE_SERIES_CUT as the series
+    sum_k (-x)^k (hi^(k+1) - lo^(k+1)) / (k + 1)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        closed = np.log1p((hi - lo) * x / (1.0 + lo * x)) / x
+    k = np.arange(_INVERSE_SERIES_TERMS, 0, -1)  # highest power first, for polyval
+    coef = (-1.0) ** (k - 1) * (hi**k - lo**k) / k
+    return np.where(np.abs(x) < INVERSE_SERIES_CUT, np.polyval(coef, x), closed)
 
 
 def det_ag_concavity_check(

@@ -190,8 +190,7 @@ def test_theorem_table_order_and_ablation_sets():
         }),
         DROP_POSITIVITY: frozenset({"det_ag", "kittaneh"}),
         DROP_CONVEXITY_GUARD: frozenset({
-            "scalar_ag", "scalar_gg", "op_gg_hh", "op_ag_midpoint",
-            "op_norm_gg", "exp_norm", "phi_operator",
+            "scalar_ag", "scalar_gg", "op_gg_hh", "op_ag_midpoint", "op_norm_gg", "phi_operator",
         }),
     }
 
@@ -232,6 +231,14 @@ def test_select_all_under_ablation_restricts():
         "phi_operator",
     }
     assert list(both) == [t for t in THEOREM_IDS if t in set(both)]
+
+
+def test_drop_convexity_guard_leaves_exp_norm_out():
+    # exp_norm ignores --fn and always runs exp:1, so its guard cannot matter
+    got = select_theorems("all", frozenset({DROP_CONVEXITY_GUARD}))
+    assert "exp_norm" not in got and "op_norm_gg" in got
+    with pytest.raises(ConfigError):
+        select_theorems("exp_norm", frozenset({DROP_CONVEXITY_GUARD}))
 
 
 def test_select_explicit_id_must_support_flags():
@@ -1008,46 +1015,78 @@ def _ref_kittaneh(stream, dim, p):
     return _inequality_report("kittaneh", lhs, rhs, p.rtol, p.atol)
 
 
-def _ref_dragomir(stream, dim, p):
-    """The per-trial dragomir chain: f of each anchor through eigh and
-    matrix_function, and each segment integral through its own
-    integrate_stack_checked call."""
-    ma, mb = (check_symmetric(m) for m in campaign._spd_pair(stream, dim))
-    if p.f.kind == "inverse":
-        for m in (ma, mb):
-            if float(np.linalg.eigvalsh(m)[0]) <= 0.0:
-                raise NotPositiveDefiniteError("inverse needs a positive definite pair")
+def _ref_dragomir(f, ma, mb, quad_n):
+    """The quadrature oracle of one dragomir trial: its six terms, f of each
+    anchor through eigh and matrix_function and each segment integral by
+    Gauss-Legendre quadrature through its own integrate_stack_checked
+    call, and whether both integrals passed the doubling check."""
+    ma, mb = check_symmetric(ma), check_symmetric(mb)
 
     def f_of(m):
-        return matrix_function(eigh(m), p.f)
+        return matrix_function(eigh(m), f)
 
     def segment(ts):
         combos = ts[:, None, None] * ma + (1.0 - ts)[:, None, None] * mb
         lam, q = np.linalg.eigh(combos)
-        if not p.f.defined_at(lam).all():
+        if not f.defined_at(lam).all():
             raise DomainViolationError("undefined on the segment")
-        return (q * p.f.eval_array(lam)[:, None, :]) @ np.swapaxes(q, 1, 2)
+        return (q * f.eval_array(lam)[:, None, :]) @ np.swapaxes(q, 1, 2)
 
     fa, fb, f_mid = f_of(ma), f_of(mb), f_of(0.5 * (ma + mb))
     d3 = 0.5 * (f_of(0.25 * (3.0 * ma + mb)) + f_of(0.25 * (ma + 3.0 * mb)))
-    central, ok2 = integrate_stack_checked(segment, 0.25, 0.75, p.quad_n)
-    full, ok4 = integrate_stack_checked(segment, 0.0, 1.0, p.quad_n)
+    central, ok2 = integrate_stack_checked(segment, 0.25, 0.75, quad_n)
+    full, ok4 = integrate_stack_checked(segment, 0.0, 1.0, quad_n)
     terms = (f_mid, 2.0 * central, d3, full, 0.5 * f_mid + 0.25 * (fa + fb), 0.5 * (fa + fb))
-    return _ref_order_report_from_matrices(
-        "dragomir", chains.DRAGOMIR_TERM_NAMES, terms, p.rtol, quad_reliable=ok2 and ok4
-    )
+    return np.array(terms), ok2 and ok4
+
+
+def _dragomir_oracle_errors(f, trials_per_dim):
+    """The largest error of the closed-form central_integral and
+    full_integral against the 256-node oracle, max-entry error over the max
+    entry, on trials_per_dim sampled trials at each of dims 2, 3, 5 and 8.
+    The anchor terms match the oracle's exactly."""
+    worst = 0.0
+    for dim in (2, 3, 5, 8):
+        seeds = [derive_trial_seed(2015, dim, t) for t in range(trials_per_dim)]
+        a, b = campaign._spd_pair(RandomStream(np.array(seeds, dtype=np.uint64)), dim)
+        got = chains._dragomir_terms(f, a, b)
+        for t in range(trials_per_dim):
+            want, ok = _ref_dragomir(f, a[t], b[t], 256)
+            assert ok, (f.describe(), dim, t)
+            for k in (0, 2, 4, 5):
+                np.testing.assert_array_equal(got[k, t], want[k])
+            for k in (1, 3):
+                worst = max(worst, np.abs(got[k, t] - want[k]).max() / np.abs(want[k]).max())
+    return worst
+
+
+@pytest.mark.parametrize("fn", ["power:2", "inverse"])
+def test_dragomir_closed_forms_match_the_quadrature_oracle(fn):
+    assert _dragomir_oracle_errors(parse_function(fn), 50) <= 1e-12
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("fn", ["power:2", "inverse"])
+def test_dragomir_closed_forms_match_the_quadrature_oracle_on_4000_trials(fn):
+    assert _dragomir_oracle_errors(parse_function(fn), 1000) <= 1e-12
+
+
+def _one_dragomir(stream, dim, p):
+    """One dragomir trial alone: the chain on a stack of one pair, which
+    reads no quad_n."""
+    return chains.dragomir_operator_chain(p.f, *campaign._spd_pair(stream, dim), rtol=p.rtol)
 
 
 _NUS = (0.3, 0.5, 0.7)
 _BATCH_CASES = (
     (
         "dragomir",
-        _ref_dragomir,
+        _one_dragomir,
         [
             {},
             dict(function=FunctionSpec.inverse()),
+            # the segment integrals are exact: quad_n changes nothing
             dict(quad_n=17),
-            # inverse at 17 nodes fails the doubling check on some trials
             dict(function=FunctionSpec.inverse(), quad_n=17),
         ],
     ),
@@ -1658,16 +1697,14 @@ def test_no_curve_block_exceeds_the_entry_budget(monkeypatch):
             assert blocks and max(size for _, size in blocks) <= STACK_ENTRIES, (tid, dim)
             # a block holds more than one trial (or kink piece) where they fit
             assert max(rows for rows, _ in blocks) > 1, (tid, dim)
-    # dragomir's segment rows: one row alone, when it holds more than
-    # STACK_ENTRIES entries at 2n nodes (dim 40), and more than one where they fit
-    params = resolve_params("dragomir", CampaignConfig())
-    for dim in (2, 8, 40):
-        blocks.clear()
-        seeds = [derive_trial_seed(8, dim, t) for t in range(6)]
-        list(campaign._outcomes("dragomir", seeds, dim, params))
-        assert blocks and all(rows == 1 or size <= STACK_ENTRIES for rows, size in blocks), dim
-        fits = 2 * 2 * params.quad_n * dim * dim <= STACK_ENTRIES
-        assert (max(rows for rows, _ in blocks) > 1) == fits, dim
+    # dragomir integrates nothing: its segment integrals are exact
+    for f in (FunctionSpec.power(2.0), FunctionSpec.inverse()):
+        params = resolve_params("dragomir", CampaignConfig(function=f))
+        for dim in (2, 8, 40):
+            blocks.clear()
+            seeds = [derive_trial_seed(8, dim, t) for t in range(6)]
+            list(campaign._outcomes("dragomir", seeds, dim, params))
+            assert not blocks, (f.describe(), dim)
     # the ablated phi_operator and op_gg_hh: every stack of products of A^t
     # B^(1-t) is under the budget, and op_gg_hh integrates blocks of whole
     # trials, node axis first (one trial alone at dim 40)

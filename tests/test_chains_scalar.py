@@ -24,13 +24,14 @@ from hhverify import (
     scalar_hh_chain,
     scalar_mean_chain_report,
 )
+from hhverify import chains
 from hhverify.chains import DRAGOMIR_TERM_NAMES, HH_NODES, HH_TERM_NAMES, _hh_stack
 from hhverify.errors import (
     DegenerateIntervalError,
     NonPositiveInputError,
     NotPositiveDefiniteError,
 )
-from hhverify.sampler import RandomStream, random_spd
+from hhverify.sampler import RandomStream, random_orthogonal, random_spd
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +242,9 @@ def test_dragomir_rejects_unsupported_function():
         dragomir_operator_chain(FunctionSpec.exp(), eye, 2.0 * eye)
     with pytest.raises(ConfigError):
         dragomir_operator_chain(FunctionSpec.power(3.0), eye, 2.0 * eye)
+    # the segment integrals are exact: a node count is no longer an argument
+    with pytest.raises(TypeError):
+        dragomir_operator_chain(FunctionSpec.power(2.0), eye, 2.0 * eye, 64)
 
 
 def test_dragomir_inverse_requires_positive_definite():
@@ -249,6 +253,58 @@ def test_dragomir_inverse_requires_positive_definite():
         dragomir_operator_chain(FunctionSpec.inverse(), a, np.eye(2))
     with pytest.raises(DimMismatchError):
         dragomir_operator_chain(FunctionSpec.inverse(), np.eye(2), np.eye(3))
+    # positive definite, but 1 + x rounds to 0 on the segment's path
+    with pytest.raises(DomainViolationError):
+        dragomir_operator_chain(FunctionSpec.inverse(), np.diag([1e-17, 1.0]), np.eye(2))
+
+
+def _max_entry_error(got, want):
+    """Per matrix of a stack: max-entry error over the max entry of want."""
+    return np.abs(got - want).max(axis=(-2, -1)) / np.abs(want).max(axis=(-2, -1))
+
+
+@pytest.mark.parametrize(
+    "f", [FunctionSpec.power(2.0), FunctionSpec.inverse()], ids=FunctionSpec.describe
+)
+def test_dragomir_segments_at_a_equal_b_are_the_span_times_f(f):
+    # A = B: the path is constant (x = 0 everywhere, where the inverse weight
+    # is its series), so central_integral = 2 * (1/2) f(A) and full_integral
+    # = f(A)
+    for dim in (1, 2, 3, 5, 8):
+        a = random_spd(RandomStream(np.arange(50, dtype=np.uint64) + 1), dim, 0.1, 10.0)
+        terms = chains._dragomir_terms(f, a, a)
+        fa = terms[5]  # (f(A) + f(B)) / 2
+        assert _max_entry_error(terms[1], fa).max() <= 1e-15, dim
+        assert _max_entry_error(terms[3], fa).max() <= 1e-15, dim
+        assert dragomir_operator_chain(f, a[0], a[0]).passed
+
+
+def test_dragomir_inverse_series_and_closed_branches_agree_at_the_cut(monkeypatch):
+    # pairs with W^T (A - B) W = U diag(x) U^T, W^T B W = I, and every |x| a
+    # hair below the series cut-off or a hair above it
+    cut = chains.INVERSE_SERIES_CUT
+    inverse = FunctionSpec.inverse()
+    for dim in (1, 2, 3, 5, 8):
+        stream = RandomStream(np.arange(40, dtype=np.uint64) + 9)
+        b = random_spd(stream, dim, 0.1, 10.0)
+        u = random_orthogonal(stream, dim)
+        signs = np.where(stream.uniform(dim) < 0.5, -1.0, 1.0)
+        lb, qb = np.linalg.eigh(b)
+        root = qb * np.sqrt(lb)[:, None, :]  # root root^T = B
+        for side, scale in (("below", 1.0 - 1e-3), ("above", 1.0 + 1e-3)):
+            x = signs * cut * scale
+            m = root @ u
+            a = b + (m * x[:, None, :]) @ np.swapaxes(m, 1, 2)
+            a = 0.5 * (a + np.swapaxes(a, 1, 2))
+            branch = {}
+            for name, moved in (("series", 10.0 * cut), ("closed", 0.1 * cut)):
+                monkeypatch.setattr(chains, "INVERSE_SERIES_CUT", moved)
+                branch[name] = chains._dragomir_terms(inverse, a, b)[[1, 3]]
+            monkeypatch.setattr(chains, "INVERSE_SERIES_CUT", cut)
+            got = chains._dragomir_terms(inverse, a, b)[[1, 3]]
+            # the default cut takes the series below it and the closed form above
+            np.testing.assert_array_equal(got, branch["series" if side == "below" else "closed"])
+            assert _max_entry_error(branch["series"], branch["closed"]).max() <= 1e-13, (dim, side)
 
 
 # ---------------------------------------------------------------------------

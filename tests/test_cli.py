@@ -108,6 +108,7 @@ def test_bad_flag_values_exit_two(capsys):
         ["verify", "--ablation", "DROP_GRAVITY"],
         ["verify", "--theorem", "uin_symmetric", "--nu", "0.5", "--trials", "1", "--dim", "2"],
         ["verify", "--theorem", "scalar_ag", "--ablation", "DROP_POSITIVITY"],
+        ["verify", "--theorem", "exp_norm", "--ablation", "DROP_CONVEXITY_GUARD"],
         ["verify", "--theorem", "dragomir", "--fn", "exp:1", "--trials", "1", "--dim", "2"],
         ["demo", "--theorem", "nope", "--seed", "1", "--dim", "2"],
         ["demo", "--theorem", "scalar_ag", "--seed", "x", "--dim", "2"],

@@ -29,7 +29,7 @@ REFERENCE_RUNS = {
     ),
     "dragomir_inverse": (
         "--theorem dragomir --fn inverse --trials 6 --dim 1,2,3,5,8 --quad-n 17",
-        3,
+        0,
     ),
     "drop_positivity_guard_power_m05": (
         "--theorem all --ablation DROP_POSITIVITY,DROP_CONVEXITY_GUARD --trials 3 --dim 2,3"
