@@ -540,7 +540,7 @@ def run_trial(theorem_id: str, seed: int, dim: int, params: TrialParams):
         # the trial's inputs take the function out of its domain or out of
         # the float range (f overflows on the convexity grid, a chain term is
         # not finite), or out of what an eigen- or singular-value routine can
-        # take (an ablated product's spectrum is not real): it cannot be judged
+        # take: it cannot be judged
         return _unreliable(theorem_id)
 
 

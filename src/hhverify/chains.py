@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    ConvergenceError,
     DegenerateIntervalError,
     DimMismatchError,
     DomainViolationError,
@@ -50,13 +49,14 @@ from .linalg import (
     _f_of_spectrum,
     _power_stack,
     _signed_eigh,
+    _spectrum_powers,
     _sym,
     check_matrix,
     check_symmetric,
     check_symmetric_stack,
 )
 from .norms import NormSpec, norms_from_eig_rows, norms_of_stack
-from .quadrature import _agrees, integrate_matrix, integrate_trials_checked
+from .quadrature import integrate_trials_checked
 
 DEFAULT_RTOL = 1e-8
 DEFAULT_ATOL = 1e-12
@@ -1077,9 +1077,10 @@ def _trace_reports(
 
 # ---------------------------------------------------------------------------
 # the ablations: the chains above on positive pairs that need not commute, and
-# on matrices that need not be positive, through general eigendecompositions
-# (a product spectrum that is not real and positive raises ConvergenceError).
-# Like the kernels above, each takes (T, n, n) stacks and returns T reports.
+# on matrices that need not be positive. f of a product XY of two positives
+# goes through eigh of a symmetric matrix similar to it (_f_of_product); only
+# the general matrices of the ablated kittaneh go through eig. Like the
+# kernels above, each takes (T, n, n) stacks and returns T reports.
 
 
 def _eig_function(m: np.ndarray, fn) -> np.ndarray:
@@ -1094,20 +1095,22 @@ def _eig_function(m: np.ndarray, fn) -> np.ndarray:
     return out
 
 
-def _general_apply(m: np.ndarray, fn) -> np.ndarray:
-    """fn on the (real, positive) spectrum of a product of positives, for one
-    matrix or for each matrix of a (..., n, n) stack, each as if alone."""
-
-    def checked(w: np.ndarray) -> np.ndarray:
-        wr = w.real
-        if not np.isfinite(wr).all() or (wr <= 0.0).any():
-            raise ConvergenceError("spectrum of the non-commuting product is not positive")
-        imag = np.max(np.abs(w.imag), axis=-1)
-        if (imag > 1e-8 * (1.0 + np.max(np.abs(wr), axis=-1))).any():
-            raise ConvergenceError("spectrum of the non-commuting product is not real")
-        return fn(wr)
-
-    return np.real(_eig_function(m, checked))
+def _f_of_product(xl: np.ndarray, xq: np.ndarray, y: np.ndarray, fn) -> np.ndarray:
+    """fn(XY) for X = xq diag(xl) xq^T with xl > 0 and a symmetric positive Y,
+    for one pair or for each pair of (..., n) spectra and (..., n, n) stacks,
+    each as if alone. XY is similar to S = X^(1/2) Y X^(1/2), so fn(XY) is
+    X^(1/2) V diag(fn(mu)) V^T X^(-1/2), with (mu, V) from one stacked eigh
+    of sym(S)."""
+    root = np.sqrt(xl)[..., None, :]
+    xt = np.swapaxes(xq, -1, -2)
+    half = (xq * root) @ xt
+    mu, v = np.linalg.eigh(_sym(half @ y @ half))
+    # a NaN in mu, which eigh returns for a matrix that is not finite, fails too
+    if not ((xl > 0.0).all() and (mu > 0.0).all()):
+        raise DomainViolationError("X, or the spectrum of XY, is not positive")
+    left = half @ v
+    left *= fn(mu)[..., None, :]
+    return left @ (np.swapaxes(v, -1, -2) @ ((xq / root) @ xt))
 
 
 def _sv_norm(m: np.ndarray, spec: NormSpec) -> np.ndarray:
@@ -1122,10 +1125,13 @@ def _pair(a: np.ndarray, b: np.ndarray) -> tuple:
     return (a, b) + _signed_eigh(check_symmetric_stack(a)) + _signed_eigh(check_symmetric_stack(b))
 
 
-def _weighted_products(pair: tuple, ts: np.ndarray) -> np.ndarray:
-    """A^t B^(1-t) of each trial of a _pair at the nodes ts: (T, len(ts), n, n)."""
-    a, b, la, qa, lb, qb = pair
-    return _power_stack(la, qa, ts, a) @ _power_stack(lb, qb, 1.0 - ts, b)
+def _f_of_power_product(pair: tuple, rows, ts: np.ndarray, fn) -> np.ndarray:
+    """fn(A^t B^(1-t)) of the trials rows (a slice or an index array) of a
+    _pair at the points ts: (trials, len(ts), n, n), with X = A^t given by
+    its spectrum la^t."""
+    _, b, la, qa, lb, qb = (x[rows] for x in pair)
+    y = _power_stack(lb, qb, 1.0 - ts, b)
+    return _f_of_product(_spectrum_powers(la, ts), qa[:, None], y, fn)
 
 
 def _product_norms(pair: tuple, f: FunctionSpec, spec: NormSpec, ts: np.ndarray) -> np.ndarray:
@@ -1133,36 +1139,21 @@ def _product_norms(pair: tuple, f: FunctionSpec, spec: NormSpec, ts: np.ndarray)
     len(ts)), in blocks of _curve_stack."""
 
     def block(sl, t: np.ndarray) -> np.ndarray:
-        products = _weighted_products([x[sl] for x in pair], t)
-        return _sv_norm(_general_apply(products, f.eval_array), spec)
+        return _sv_norm(_f_of_power_product(pair, sl, t, f.eval_array), spec)
 
     return _curve_stack(block, pair[0].shape[0], ts, pair[0][0].size)
-
-
-def _segment_functions(f: FunctionSpec, a: np.ndarray, b: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """f(t A + (1-t) B) of each trial of two (T, n, n) stacks at every t in
-    ts, via one stacked eigh, each equal bit for bit to
-    matrix_function(eigh(t A + (1-t) B), f).
-
-    Unlike the segment of _dragomir_stack, it symmetrizes before and after, as
-    eigh and matrix_function do; the sampled A and B are not exactly symmetric.
-    """
-    t = ts[:, None, None]
-    lam, q = np.linalg.eigh(_sym(t * a[:, None] + (1.0 - t) * b[:, None]))
-    return _apply_stack(q, _f_of_spectrum(f, lam))
 
 
 def op_gg_hh_general(f: FunctionSpec, a, b, quad_n: int, rtol: float) -> list[OrderChainReport]:
     """The op_gg_hh chain on positive pairs that need not commute:
     log f(sqrt(AB)) <= int_0^1 log f(A^t B^(1-t)) dt <= (log f(A) + log f(B))/2."""
     pair = _pair(a, b)
-    t1 = _sym(_general_apply(a @ b, lambda w: np.log(f.eval_array(np.sqrt(w)))))
+    la, qa, lb, qb = pair[2:]
+    t1 = _sym(_f_of_product(la, qa, b, lambda w: np.log(f.eval_array(np.sqrt(w)))))
 
     def nodes(trials: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        m = _weighted_products([x[trials] for x in pair], ts)
-        return _sym(_general_apply(m, lambda w: np.log(f.eval_array(w))))
+        return _sym(_f_of_power_product(pair, trials, ts, lambda w: np.log(f.eval_array(w))))
 
-    la, qa, lb, qb = pair[2:]
     logs = _apply_stack(np.stack((qa, qb)), np.log(f.eval_array(np.stack((la, lb)))))
     t3 = 0.5 * (logs[0] + logs[1])
     return _general_order_chain("op_gg_hh", GG_HH_TERM_NAMES, t1, nodes, t3, quad_n, rtol)
@@ -1173,43 +1164,40 @@ def op_ag_midpoint_general(
 ) -> list[OrderChainReport]:
     """The op_ag_midpoint chain on positive pairs that need not commute, the
     geometric mean of f(P) and f(Q) taken as sqrt(f(P) f(Q))."""
-    fa, fb, t1 = (
-        _apply_stack(q, _f_of_spectrum(f, lam))
+    (fla, qa), (flb, qb), (flm, qm) = (
+        (_f_of_spectrum(f, lam), q)
         for lam, q in (_signed_eigh(check_symmetric_stack(m)) for m in (a, b, 0.5 * (a + b)))
     )
 
     def nodes(trials: np.ndarray, als: np.ndarray) -> np.ndarray:
-        # (1 - al) A + al B is al B + (1 - al) A: the sum is the same bits
-        fp = _segment_functions(f, a[trials], b[trials], als)
-        fq = _segment_functions(f, b[trials], a[trials], als)
-        return _sym(_general_apply(fp @ fq, np.sqrt))
+        # P = al A + (1 - al) B and Q = al B + (1 - al) A, symmetrized as eigh
+        # symmetrizes them: the sampled A and B are not exactly symmetric
+        t, x, y = als[:, None, None], a[trials, None], b[trials, None]
+        lam, q = np.linalg.eigh(_sym(np.stack((t * x + (1.0 - t) * y, t * y + (1.0 - t) * x))))
+        fl = _f_of_spectrum(f, lam)
+        return _sym(_f_of_product(fl[0], q[0], _apply_stack(q[1], fl[1]), np.sqrt))
 
-    t3 = _sym(_general_apply(fa @ fb, np.sqrt))
+    t3 = _sym(_f_of_product(fla, qa, _apply_stack(qb, flb), np.sqrt))
     return _general_order_chain(
-        "op_ag_midpoint", AG_MIDPOINT_TERM_NAMES, t1, nodes, t3, quad_n, rtol
+        "op_ag_midpoint", AG_MIDPOINT_TERM_NAMES, _apply_stack(qm, flm), nodes, t3, quad_n, rtol
     )
 
 
 def _general_order_chain(theorem_id: str, names, t1, nodes, t3, quad_n: int, rtol: float):
     """The Loewner chain t1 <= int_0^1 nodes(trials, t) dt <= t3 of each trial,
     nodes(trials, t) the (len(trials), len(t), n, n) values of the trials of
-    an index array. Each block of trials (_blocks at 2 quad_n nodes) goes
-    through integrate_matrix, node axis first; each trial's doubling flag
-    comes from its own row."""
+    an index array. Every trial's integral is one row of
+    integrate_trials_checked, and the rows share the interval, so the nodes
+    of the first row are every row's."""
     trials, n = t1.shape[:2]
-    t2, reliable = [], []
-    for sl in _blocks(trials, 2 * quad_n * n * n):
+
+    def samples(sl: slice, xs: np.ndarray) -> np.ndarray:
         rows = np.arange(trials)[sl]
+        return _curve_stack(lambda s, t: nodes(rows[s], t), rows.size, xs[0], n * n)
 
-        def samples(ts: np.ndarray) -> np.ndarray:
-            values = _curve_stack(lambda s, t: nodes(rows[s], t), rows.size, ts, n * n)
-            return np.swapaxes(values, 0, 1)
-
-        v1, v2 = (integrate_matrix(samples, 0.0, 1.0, k) for k in (quad_n, 2 * quad_n))
-        t2.append(v1)
-        reliable += _agrees(v1, v2).tolist()
-    mats = np.stack((t1, np.concatenate(t2), t3))
-    return _matrix_order_reports(theorem_id, names, mats, rtol, reliable, [False] * trials)
+    t2, ok = integrate_trials_checked(samples, np.zeros(trials), np.ones(trials), quad_n, n * n)
+    mats = np.stack((t1, t2, t3))
+    return _matrix_order_reports(theorem_id, names, mats, rtol, ok, [False] * trials)
 
 
 def norm_gg_general(
@@ -1253,12 +1241,13 @@ def trace_chain_general(
     if variant is TraceVariant.SQUARED:
         ends = (la.sum(axis=1) * lb.sum(axis=1)).tolist()
     else:
-        # tr sqrt(AB) as the sum of the roots of the eigenvalues of AB
-        ab = a @ b
-        w = np.linalg.eigvals(ab).real
-        if (w <= 0.0).any():
+        # tr sqrt(AB) as the sum of the roots of the spectrum of A^(1/2) B
+        # A^(1/2), which is similar to AB
+        half = (qa * np.sqrt(la)[:, None, :]) @ np.swapaxes(qa, 1, 2)
+        w = np.linalg.eigvalsh(_sym(half @ b @ half))
+        if not (w > 0.0).all():
             raise DomainViolationError("trace_sqrt: the spectrum of AB is not positive")
-        traces = np.trace(ab, axis1=1, axis2=2).tolist()
+        traces = np.trace(a @ b, axis1=1, axis2=2).tolist()
         ends = [(math.sqrt(x), y) for x, y in zip(traces, np.sqrt(w).sum(axis=1).tolist())]
     return _trace_reports(variant, tau, log_tau, ends, quad_n, a[0].size, rtol, atol, False)
 

@@ -270,6 +270,16 @@ def power_from_decomp(d: SpectralDecomp, t, original: np.ndarray | None = None) 
 _SCALAR_POWER_SHORTCUTS = (-1.0, 0.5, 2.0)
 
 
+def _spectrum_powers(lam: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """lam^t of (..., n) spectra at each exponent of the 1-d array ts: shape
+    (..., len(ts), n), each row the bits of np.power(lam, t) alone."""
+    vals = np.power(lam[..., None, :], ts[:, None])
+    for k, t in enumerate(ts.tolist()):
+        if t in _SCALAR_POWER_SHORTCUTS:
+            vals[..., k, :] = np.power(lam, t)
+    return vals
+
+
 def _power_stack(
     lam: np.ndarray, q: np.ndarray, ts: np.ndarray, original: np.ndarray | None = None
 ) -> np.ndarray:
@@ -287,11 +297,7 @@ def _power_stack(
     if general:
         # the guard names the first negative exponent, as a loop over ts would
         lam = _psd_spectrum(lam, next((t for t in general if t < 0.0), general[0]))
-    vals = np.power(lam[..., None, :], ts[:, None])
-    for k, t in enumerate(tl):
-        if t in _SCALAR_POWER_SHORTCUTS:
-            vals[..., k, :] = np.power(lam, t)
-    out = _apply_stack(q[..., None, :, :], vals)
+    out = _apply_stack(q[..., None, :, :], _spectrum_powers(lam, ts))
     for k, t in enumerate(tl):
         if exact[k]:
             out[..., k, :, :] = np.eye(lam.shape[-1]) if t == 0.0 else original

@@ -9,11 +9,13 @@ variants, which re-integrate at twice the node count and flag the result as
 unreliable when the two values disagree beyond ``DOUBLING_TOL``; unreliable
 chains are counted separately rather than failed.
 
-One integrator takes stacked integrands: integrate_trials_checked integrates
-T rows, cuts them itself into blocks under functions.STACK_ENTRIES, and
+One integrator serves every chain: integrate_trials_checked integrates T
+rows, cuts them itself into blocks under functions.STACK_ENTRIES, and
 contracts and doubling-checks each block with one batched matmul, which
-gives every row the bits it has alone; integrate_stack_checked is it on one
-row. integrate_matrix integrates a stack of trials node by node, in order.
+gives every row the bits it has alone. No chain calls integrate_scalar,
+integrate_matrix or the other *_checked variants (integrate_stack_checked is
+integrate_trials_checked on one row); they stay because
+perfbench/tracer.py traces them.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ accounting, exit codes, serialization, and single-trial replay."""
 import json
 import math
 from dataclasses import replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -66,6 +67,7 @@ from hhverify.linalg import (
     _apply_stack,
     _f_of_spectrum,
     _power_stack,
+    _spectrum_powers,
     _sym,
     LoewnerOrdering,
     SpectralDecomp,
@@ -80,9 +82,6 @@ from hhverify.linalg import (
 )
 from hhverify.norms import norm, norms_from_eig_rows, norms_of_stack, parse_norm
 from hhverify.quadrature import (
-    DOUBLING_TOL,
-    MAX_NODES,
-    _mapped_nodes,
     integrate_matrix_checked,
     integrate_scalar_checked,
     integrate_stack_checked,
@@ -497,14 +496,24 @@ def test_repro_command_round_trip():
 # DROP_COMMUTATIVITY: stacked runners against the per-node loop they replace
 
 
-def _ref_general_apply(m, fn):
-    w, v = np.linalg.eig(m)
-    wr = w.real
-    if not np.isfinite(wr).all() or (wr <= 0.0).any():
-        raise ConvergenceError("not positive")
-    if float(np.max(np.abs(w.imag))) > 1e-8 * (1.0 + float(np.max(np.abs(wr)))):
-        raise ConvergenceError("not real")
-    return np.real((v * fn(wr)) @ np.linalg.inv(v))
+def _ref_f_of_product(xl, xq, y, fn):
+    """fn(XY) for X = xq diag(xl) xq^T and a symmetric positive Y, restated
+    on one matrix or one trial's stack: X^(1/2) fn(S) X^(-1/2) with S the
+    symmetric part of X^(1/2) Y X^(1/2), which is similar to XY."""
+    if not (xl > 0.0).all():
+        raise DomainViolationError("X is not positive definite")
+    root = np.sqrt(xl)[..., None, :]
+    half = (xq * root) @ np.swapaxes(xq, -1, -2)
+    inv_half = (xq / root) @ np.swapaxes(xq, -1, -2)
+    s = half @ y @ half
+    mu, v = np.linalg.eigh(0.5 * (s + np.swapaxes(s, -1, -2)))
+    if not (mu > 0.0).all():
+        raise DomainViolationError("the spectrum of XY is not positive")
+    return ((half @ v) * fn(mu)[..., None, :]) @ (np.swapaxes(v, -1, -2) @ inv_half)
+
+
+# what a per-node reference makes an unreliable trial
+_REF_UNRELIABLE = (np.linalg.LinAlgError, DomainViolationError, NonFiniteSampleError)
 
 
 def _ref_sym(m):
@@ -533,29 +542,17 @@ def _ref_order_report_from_matrices(
     )
 
 
-def _ref_integrate_matrix(g, n):
-    xs, ws = _mapped_nodes(0.0, 1.0, n)
-    total = None
-    for t, w in zip(xs, ws):
-        sample = np.asarray(g(float(t)), dtype=float)
-        if total is None:
-            total = np.zeros(sample.shape)
-        if not np.isfinite(sample).all():
-            raise NonFiniteSampleError(f"non-finite at t={t!r}")
-        total += w * sample
-    return total
-
-
-def _ref_integrate_matrix_checked(g, n):
-    v1 = _ref_integrate_matrix(g, n)
-    v2 = _ref_integrate_matrix(g, min(2 * n, MAX_NODES))
-    resid = float(np.linalg.norm(v1 - v2))
-    return v1, resid <= DOUBLING_TOL * (1.0 + float(np.linalg.norm(v1)))
+def _ref_integrate_checked(node, n):
+    """The [0, 1] integral of node(t), sampled one node at a time, and its
+    doubling flag."""
+    return integrate_stack_checked(lambda ts: np.stack([node(float(t)) for t in ts]), 0.0, 1.0, n)
 
 
 def _ref_phi(da, db, a, b, f, spec, t):
-    m = power_from_decomp(da, t, a) @ power_from_decomp(db, 1.0 - t, b)
-    s = np.linalg.svd(_ref_general_apply(m, f.eval_array), compute_uv=False)
+    m = _ref_f_of_product(
+        np.power(da.eigenvalues, t), da.q, power_from_decomp(db, 1.0 - t, b), f.eval_array
+    )
+    s = np.linalg.svd(m, compute_uv=False)
     return float(spec.of_singular_values(np.maximum(s, 0.0)))
 
 
@@ -567,14 +564,18 @@ def _ref_op_gg_hh(stream, dim, p):
     a, b = campaign._spd_pair(stream, dim)
     da, db = eigh(a), eigh(b)
     try:
-        t1 = _ref_sym(_ref_general_apply(a @ b, lambda w: np.log(p.f.eval_array(np.sqrt(w)))))
+        t1 = _ref_sym(_ref_f_of_product(
+            da.eigenvalues, da.q, b, lambda w: np.log(p.f.eval_array(np.sqrt(w)))
+        ))
 
         def node(t):
-            m = power_from_decomp(da, t, a) @ power_from_decomp(db, 1.0 - t, b)
-            return _ref_sym(_ref_general_apply(m, lambda w: np.log(p.f.eval_array(w))))
+            y = power_from_decomp(db, 1.0 - t, b)
+            return _ref_sym(_ref_f_of_product(
+                np.power(da.eigenvalues, t), da.q, y, lambda w: np.log(p.f.eval_array(w))
+            ))
 
-        t2, ok = _ref_integrate_matrix_checked(node, p.quad_n)
-    except (np.linalg.LinAlgError, ConvergenceError):
+        t2, ok = _ref_integrate_checked(node, p.quad_n)
+    except _REF_UNRELIABLE:
         return _unreliable("op_gg_hh")
     t3 = 0.5 * (_ref_log_f_of_sym(da, p.f) + _ref_log_f_of_sym(db, p.f))
     return _ref_order_report_from_matrices(
@@ -590,13 +591,13 @@ def _ref_op_ag_midpoint(stream, dim, p):
     try:
 
         def node(al):
-            fp = matrix_function(eigh(al * a + (1.0 - al) * b), p.f)
+            lam, q = np.linalg.eigh(_ref_sym(al * a + (1.0 - al) * b))
             fq = matrix_function(eigh((1.0 - al) * a + al * b), p.f)
-            return _ref_sym(_ref_general_apply(fp @ fq, np.sqrt))
+            return _ref_sym(_ref_f_of_product(_f_of_spectrum(p.f, lam), q, fq, np.sqrt))
 
-        t2, ok = _ref_integrate_matrix_checked(node, p.quad_n)
-        t3 = _ref_sym(_ref_general_apply(fa @ fb, np.sqrt))
-    except (np.linalg.LinAlgError, ConvergenceError):
+        t2, ok = _ref_integrate_checked(node, p.quad_n)
+        t3 = _ref_sym(_ref_f_of_product(_f_of_spectrum(p.f, da.eigenvalues), da.q, fb, np.sqrt))
+    except _REF_UNRELIABLE:
         return _unreliable("op_ag_midpoint")
     return _ref_order_report_from_matrices(
         "op_ag_midpoint", AG_MIDPOINT_TERM_NAMES, (t1, t2, t3), p.rtol,
@@ -616,7 +617,7 @@ def _ref_norm_gg(theorem_id, stream, dim, p):
             return np.array([math.log(_ref_phi(da, db, a, b, p.f, p.norm, float(t))) for t in ts])
 
         integral, ok = integrate_scalar_checked(g, 0.0, 1.0, p.quad_n)
-    except (np.linalg.LinAlgError, ConvergenceError):
+    except _REF_UNRELIABLE:
         return _unreliable(theorem_id)
     p0, p14, p12, p34, p1 = anchors
     terms = (
@@ -638,7 +639,7 @@ def _ref_phi_operator(stream, dim, p):
     ts = np.arange(m + 1) / m
     try:
         vals = np.array([_ref_phi(da, db, a, b, p.f, p.norm, float(t)) for t in ts])
-    except (np.linalg.LinAlgError, ConvergenceError):
+    except _REF_UNRELIABLE:
         return _unreliable("phi_operator")
     if not (np.isfinite(vals).all() and (vals > 0.0).all()):
         return _unreliable("phi_operator")
@@ -685,43 +686,57 @@ def test_stacked_nc_runners_match_per_node_loop(tid, reference, norms):
                     assert got == want, (tid, norm_text, fn, dim, seed)
 
 
-def test_general_apply_refuses_any_bad_matrix_in_a_stack():
-    good = np.array([[2.0, 0.5], [0.3, 1.0]])
-    stack = np.stack([good, good, good])
-    np.testing.assert_array_equal(
-        chains._general_apply(stack, np.sqrt)[1], _ref_general_apply(good, np.sqrt)
-    )
-    negative = stack.copy()
-    negative[1] = -good  # one non-positive spectrum in the middle of the stack
-    with pytest.raises(ConvergenceError):
-        chains._general_apply(negative, np.sqrt)
-    rotation = stack.copy()
-    rotation[2] = [[1.0, -2.0], [2.0, 1.0]]  # eigenvalues 1 +- 2i
-    with pytest.raises(ConvergenceError):
-        chains._general_apply(rotation, np.sqrt)
+def test_f_of_product_refuses_any_bad_matrix_in_a_stack():
+    x = np.array([[2.0, 0.5], [0.5, 1.0]])
+    y = np.array([[1.0, 0.3], [0.3, 2.0]])
+    xl, xq = np.linalg.eigh(x)
+    stack = np.stack([y, y, y])
+    root = chains._f_of_product(xl, xq, stack, np.sqrt)
+    np.testing.assert_array_equal(root[1], chains._f_of_product(xl, xq, y, np.sqrt))
+    np.testing.assert_allclose(root[1] @ root[1], x @ y, rtol=1e-14)
+    indefinite = stack.copy()
+    indefinite[1] = [[1.0, 2.0], [2.0, 1.0]]  # eigenvalues 3 and -1, in the middle of the stack
+    with pytest.raises(DomainViolationError):
+        chains._f_of_product(xl, xq, indefinite, np.sqrt)
+    infinite = stack.copy()
+    infinite[2, 0, 0] = np.inf  # eigh, unlike eig, takes it
+    unreliable = (DomainViolationError, np.linalg.LinAlgError)
+    with np.errstate(invalid="ignore"), pytest.raises(unreliable):
+        chains._f_of_product(xl, xq, infinite, np.sqrt)
+    # a singular X: S has a zero row and column, yet eigh can round all of its
+    # spectrum positive, and X^(-1/2) is not finite
+    singular, y4 = np.array([1.0, 0.0, 3.0, 4.0]), np.ones((4, 4)) + np.eye(4)
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(DomainViolationError):
+        chains._f_of_product(singular, np.eye(4), y4, np.sqrt)
 
 
-def test_general_apply_gives_each_matrix_of_a_stack_its_bits_alone():
-    # eigenvalues 2 +- 1e-10i pass the realness tolerance, and eig then
-    # returns the whole stack as complex
+def test_eig_function_gives_each_matrix_of_a_stack_its_bits_alone():
+    # eigenvalues 2 +- 1e-10i make eig return the whole stack as complex, and
+    # the principal powers of the ablated kittaneh then take the matrices
+    # with real spectra again
     near_real = np.array([[2.0, 1e-10], [-1e-10, 2.0]])
+
+    def power(w):
+        return np.power(w.astype(np.complex128), 0.3)
+
     for trial in range(200):
         stream = RandomStream(derive_trial_seed(14, 2, trial))
         ab = random_spd(stream, 2) @ random_spd(stream, 2)
-        got = chains._general_apply(np.stack([ab, near_real]), np.log)[0]
-        assert got.tobytes() == chains._general_apply(ab, np.log).tobytes(), trial
+        got = chains._eig_function(np.stack([ab, near_real]), power)[0]
+        assert got.tobytes() == chains._eig_function(ab, power).tobytes(), trial
 
 
-@pytest.mark.parametrize("tid", ["op_gg_hh", "phi_operator"])
+@pytest.mark.parametrize("tid", ["op_gg_hh", "op_ag_midpoint", "op_norm_gg", "phi_operator"])
 def test_one_bad_node_makes_the_nc_trial_unreliable(tid, monkeypatch):
-    real_products = chains._weighted_products
+    real_f_of_product = chains._f_of_product
 
-    def one_bad_node(pair, ts):
-        out = real_products(pair, ts)
-        out[:, min(3, ts.shape[0] - 1)] *= -1.0  # a negative spectrum at one node
-        return out
+    def one_bad_node(xl, xq, y, fn):
+        if y.ndim == 4:  # the points of a curve, not an end term
+            y = y.copy()
+            y[:, min(3, y.shape[1] - 1)] *= -1.0  # a negative definite Y at one point
+        return real_f_of_product(xl, xq, y, fn)
 
-    monkeypatch.setattr(chains, "_weighted_products", one_bad_node)
+    monkeypatch.setattr(chains, "_f_of_product", one_bad_node)
     params = resolve_params(tid, CampaignConfig(ablation=frozenset({DROP_COMMUTATIVITY})))
     outcome = run_trial(tid, derive_trial_seed(3, 3, 0), 3, params)
     assert not outcome.quad_reliable
@@ -751,7 +766,9 @@ def test_drop_commutativity_campaign_shows_expected_violations():
 
 # ---------------------------------------------------------------------------
 # the ablated rows as stacks of trials: the per-trial chains they replace,
-# which evaluated one trial's nodes in blocks of whole nodes
+# which evaluated one trial's nodes in blocks of whole nodes. They take f of
+# a product of two positives by a route: the similarity route of the chains
+# (bit for bit), or the eig route the chains took before, kept as an oracle
 
 
 def _pt_over_nodes(fn, ts, node_entries):
@@ -759,8 +776,9 @@ def _pt_over_nodes(fn, ts, node_entries):
 
 
 def _pt_general_apply(m, fn):
-    """The per-trial _general_apply: a stack that eig makes complex is taken
-    again one matrix at a time."""
+    """fn on the spectrum of each product of positives of a stack, through
+    np.linalg.eig and inv; a stack that eig makes complex is taken again one
+    matrix at a time."""
     w, v = np.linalg.eig(m)
     wr = w.real
     if not np.isfinite(wr).all() or (wr <= 0.0).any():
@@ -772,68 +790,92 @@ def _pt_general_apply(m, fn):
     return np.real((v * fn(wr)[..., None, :]) @ np.linalg.inv(v))
 
 
-def _pt_products(da, db, a, b, ts):
-    return _power_stack(da.eigenvalues, da.q, ts, a) @ _power_stack(db.eigenvalues, db.q, 1.0 - ts, b)
+class _Route(NamedTuple):
+    # fn(XY) from the spectrum xl and basis xq of X, and Y
+    product: Callable
+    # the checked integral of a matrix curve on [0, 1]
+    integrate: Callable
+    # the spectrum of AB from eigh(A), A and B
+    ab_spectrum: Callable
+
+
+def _similar_ab_spectrum(da, a, b):
+    half = (da.q * np.sqrt(da.eigenvalues)) @ da.q.T
+    return np.linalg.eigvalsh(_ref_sym(half @ b @ half))
+
+
+_SIMILAR = _Route(_ref_f_of_product, integrate_stack_checked, _similar_ab_spectrum)
+_EIG = _Route(
+    lambda xl, xq, y, fn: _pt_general_apply(_apply_stack(xq, xl) @ y, fn),
+    integrate_matrix_checked,
+    lambda da, a, b: np.linalg.eigvals(a @ b).real,
+)
+
+
+def _pt_power_products(da, db, b, ts, fn, route):
+    """fn(A^t B^(1-t)) at each t of ts."""
+    xl = _spectrum_powers(da.eigenvalues, ts)
+    return route.product(xl, da.q, _power_stack(db.eigenvalues, db.q, 1.0 - ts, b), fn)
 
 
 def _pt_sv_norm(m, spec):
     return spec.of_singular_values(np.maximum(np.linalg.svd(m, compute_uv=False), 0.0))
 
 
-def _pt_phi(da, db, a, b, f, spec, ts):
+def _pt_phi(da, db, b, f, spec, ts, route):
     def block(t):
-        return _pt_sv_norm(_pt_general_apply(_pt_products(da, db, a, b, t), f.eval_array), spec)
+        return _pt_sv_norm(_pt_power_products(da, db, b, t, f.eval_array, route), spec)
 
-    return _pt_over_nodes(block, ts, a.size)
+    return _pt_over_nodes(block, ts, b.size)
 
 
-def _pt_order_chain(tid, names, t1, nodes, t3, quad_n, rtol):
-    t2, ok = integrate_matrix_checked(
-        lambda ts: _pt_over_nodes(nodes, ts, t1.size), 0.0, 1.0, quad_n
-    )
+def _pt_order_chain(tid, names, t1, nodes, t3, p, route):
+    t2, ok = route.integrate(lambda ts: _pt_over_nodes(nodes, ts, t1.size), 0.0, 1.0, p.quad_n)
     return chains._order_report_from_matrices(
-        tid, names, (t1, t2, t3), rtol, quad_reliable=ok, hypothesis_ok=False
+        tid, names, (t1, t2, t3), p.rtol, quad_reliable=ok, hypothesis_ok=False
     )
 
 
-def _pt_op_gg_hh(tid, stream, dim, p):
+def _pt_op_gg_hh(tid, stream, dim, p, route=_SIMILAR):
     a, b = campaign._spd_pair(stream, dim)
     da, db = eigh(a), eigh(b)
-    t1 = _ref_sym(_pt_general_apply(a @ b, lambda w: np.log(p.f.eval_array(np.sqrt(w)))))
+    t1 = _ref_sym(route.product(
+        da.eigenvalues, da.q, b, lambda w: np.log(p.f.eval_array(np.sqrt(w)))
+    ))
 
     def nodes(ts):
-        m = _pt_products(da, db, a, b, ts)
-        return _sym(_pt_general_apply(m, lambda w: np.log(p.f.eval_array(w))))
+        return _sym(_pt_power_products(da, db, b, ts, lambda w: np.log(p.f.eval_array(w)), route))
 
     t3 = 0.5 * (_ref_log_f_of_sym(da, p.f) + _ref_log_f_of_sym(db, p.f))
-    return _pt_order_chain(tid, GG_HH_TERM_NAMES, t1, nodes, t3, p.quad_n, p.rtol)
+    return _pt_order_chain(tid, GG_HH_TERM_NAMES, t1, nodes, t3, p, route)
 
 
-def _pt_op_ag_midpoint(tid, stream, dim, p):
+def _pt_op_ag_midpoint(tid, stream, dim, p, route=_SIMILAR):
     a, b = campaign._spd_pair(stream, dim)
     da, db = eigh(a), eigh(b)
-    fa, fb = matrix_function(da, p.f), matrix_function(db, p.f)
+    fb = matrix_function(db, p.f)
     t1 = matrix_function(eigh(0.5 * (a + b)), p.f)
 
     def segment(x, y, ts):
         lam, q = np.linalg.eigh(_sym(ts[:, None, None] * x + (1.0 - ts)[:, None, None] * y))
-        return _apply_stack(q, _f_of_spectrum(p.f, lam))
+        return _f_of_spectrum(p.f, lam), q
 
     def nodes(als):
-        return _sym(_pt_general_apply(segment(a, b, als) @ segment(b, a, als), np.sqrt))
+        fq = _apply_stack(*segment(b, a, als)[::-1])
+        return _sym(route.product(*segment(a, b, als), fq, np.sqrt))
 
-    t3 = _sym(_pt_general_apply(fa @ fb, np.sqrt))
-    return _pt_order_chain(tid, AG_MIDPOINT_TERM_NAMES, t1, nodes, t3, p.quad_n, p.rtol)
+    t3 = _sym(route.product(_f_of_spectrum(p.f, da.eigenvalues), da.q, fb, np.sqrt))
+    return _pt_order_chain(tid, AG_MIDPOINT_TERM_NAMES, t1, nodes, t3, p, route)
 
 
-def _pt_norm_gg(tid, stream, dim, p):
+def _pt_norm_gg(tid, stream, dim, p, route=_SIMILAR):
     a, b = campaign._spd_pair(stream, dim)
     da, db = eigh(a), eigh(b)
 
     def log_phi(ts):
-        return np.array([math.log(v) for v in _pt_phi(da, db, a, b, p.f, p.norm, ts).tolist()])
+        return np.array([math.log(v) for v in _pt_phi(da, db, b, p.f, p.norm, ts, route).tolist()])
 
-    anchors = _pt_phi(da, db, a, b, p.f, p.norm, np.array(HH_NODES)).tolist()
+    anchors = _pt_phi(da, db, b, p.f, p.norm, np.array(HH_NODES), route).tolist()
     if (np.asarray(anchors) <= 0.0).any():
         raise DomainViolationError("norm curve is not strictly positive")
     pieces = [integrate_stack_checked(log_phi, 0.0, 1.0, p.quad_n)]
@@ -843,13 +885,13 @@ def _pt_norm_gg(tid, stream, dim, p):
     )
 
 
-def _pt_phi_operator(tid, stream, dim, p):
+def _pt_phi_operator(tid, stream, dim, p, route=_SIMILAR):
     a, b = campaign._spd_pair(stream, dim)
-    vals = _pt_phi(eigh(a), eigh(b), a, b, p.f, p.norm, _REF_TS)
+    vals = _pt_phi(eigh(a), eigh(b), b, p.f, p.norm, _REF_TS, route)
     return _ref_witness(tid, vals, _REF_TS, hypothesis_ok=False)
 
 
-def _pt_trace(tid, stream, dim, p):
+def _pt_trace(tid, stream, dim, p, route=_SIMILAR):
     a, b = campaign._spd_pair(stream, dim)
     da, db = eigh(a), eigh(b)
     la, lb = da.eigenvalues, db.eigenvalues
@@ -865,8 +907,8 @@ def _pt_trace(tid, stream, dim, p):
         return np.log(np.einsum("ti,ij,tj->t", pa, overlap, pb))
 
     if tid == "trace_sqrt":
-        w = np.linalg.eigvals(a @ b).real
-        if (w <= 0.0).any():
+        w = route.ab_spectrum(da, a, b)
+        if not (w > 0.0).all():
             raise DomainViolationError("the spectrum of AB is not positive")
         ends = (math.sqrt(float(np.trace(a @ b))), float(np.sum(np.sqrt(w))))
     pieces = [integrate_stack_checked(log_tau, 0.0, 1.0, p.quad_n)]
@@ -963,6 +1005,71 @@ def test_ablated_rows_match_the_per_trial_code(tid, flag, reference, variants):
                 assert got == want, (tid, kwargs, dim)
                 for k in (0, 17, 39):
                     assert outcome_to_dict(run_trial(tid, seeds[k], dim, params)) == want[k]
+
+
+# the largest deviation of the similarity route from the eig oracle: order
+# chain terms over max(1, the largest spectral radius of the trial's terms),
+# norm and trace terms relative, the witness slack absolute
+_EIG_ORACLE_BOUNDS = {
+    "op_gg_hh": 1e-10, "op_ag_midpoint": 1e-10, "op_norm_gg": 1e-12, "trace_sqrt": 1e-13,
+    "phi_operator": 1e-12,
+}
+
+
+def _eig_oracle_errors(fn, trials_per_dim, monkeypatch):
+    """The largest deviation of each DROP_COMMUTATIVITY row that takes f of a
+    product from its eig-route oracle, on trials_per_dim trials at each of
+    dims 2, 3, 5 and 8. Every trial has the oracle's passed and
+    quad_reliable."""
+    terms = []
+    real_reports = chains._matrix_order_reports
+
+    def reports(tid, names, mats, *args):
+        terms.append(mats[:, 0])
+        return real_reports(tid, names, mats, *args)
+
+    monkeypatch.setattr(chains, "_matrix_order_reports", reports)
+    references = {c[0]: c[2] for c in _NC_CASES}
+    config = CampaignConfig(function=parse_function(fn), ablation=frozenset({DROP_COMMUTATIVITY}))
+    worst = dict.fromkeys(_EIG_ORACLE_BOUNDS, 0.0)
+    for tid in _EIG_ORACLE_BOUNDS:
+        params = resolve_params(tid, config)
+
+        def oracle(*args):
+            return references[tid](*args, route=_EIG)
+
+        for dim in (2, 3, 5, 8):
+            for t in range(trials_per_dim):
+                seed = derive_trial_seed(2018, dim, t)
+                terms.clear()
+                got = run_trial(tid, seed, dim, params)
+                want = _ref_trial(tid, oracle, RandomStream(seed), dim, params)
+                flags = (got.passed, got.quad_reliable)
+                assert flags == (want.passed, want.quad_reliable), (tid, dim, seed)
+                if tid == "phi_operator":
+                    error = abs(got.verdict.slack - want.verdict.slack)
+                elif tid in ("op_gg_hh", "op_ag_midpoint"):
+                    new, old = terms
+                    radius = np.abs(np.linalg.eigvalsh(old)).max()
+                    error = np.abs(new - old).max() / max(1.0, radius)
+                else:
+                    pairs = zip(got.term_values, want.term_values)
+                    error = max(abs(x - y) / abs(y) for x, y in pairs)
+                worst[tid] = max(worst[tid], error)
+    return worst
+
+
+@pytest.mark.parametrize("fn", ["exp:1", "power:3"])
+def test_similar_route_matches_the_eig_oracle(fn, monkeypatch):
+    worst = _eig_oracle_errors(fn, 50, monkeypatch)
+    assert all(worst[tid] <= bound for tid, bound in _EIG_ORACLE_BOUNDS.items()), worst
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("fn", ["exp:1", "power:3"])
+def test_similar_route_matches_the_eig_oracle_on_2000_trials(fn, monkeypatch):
+    worst = _eig_oracle_errors(fn, 500, monkeypatch)
+    assert all(worst[tid] <= bound for tid, bound in _EIG_ORACLE_BOUNDS.items()), worst
 
 
 # ---------------------------------------------------------------------------
@@ -1705,17 +1812,18 @@ def test_no_curve_block_exceeds_the_entry_budget(monkeypatch):
             seeds = [derive_trial_seed(8, dim, t) for t in range(6)]
             list(campaign._outcomes("dragomir", seeds, dim, params))
             assert not blocks, (f.describe(), dim)
-    # the ablated phi_operator and op_gg_hh: every stack of products of A^t
-    # B^(1-t) is under the budget, and op_gg_hh integrates blocks of whole
-    # trials, node axis first (one trial alone at dim 40)
+    # the ablated phi_operator and op_gg_hh: every stack of f of products of
+    # A^t B^(1-t) is under the budget, and op_gg_hh integrates (R, N, n, n)
+    # blocks of R whole trials (one trial alone at dim 40)
     applied = []
-    real_apply = chains._general_apply
+    real_f_of_product = chains._f_of_product
 
-    def general_apply(m, fn):
-        applied.append(m.size)
-        return real_apply(m, fn)
+    def f_of_product(xl, xq, y, fn):
+        if y.ndim == 4:  # the points of a curve, not an end term
+            applied.append(y.size)
+        return real_f_of_product(xl, xq, y, fn)
 
-    monkeypatch.setattr(chains, "_general_apply", general_apply)
+    monkeypatch.setattr(chains, "_f_of_product", f_of_product)
     shapes = []
 
     def matrix_samples(g, a, b, n):
@@ -1733,7 +1841,8 @@ def test_no_curve_block_exceeds_the_entry_budget(monkeypatch):
             list(campaign._outcomes(tid, seeds, dim, params))
             assert applied and max(applied) <= STACK_ENTRIES, (tid, dim)
             if tid == "op_gg_hh":
-                trials = [shape[1] for shape in shapes]
+                assert {shape[2:] for shape in shapes} == {(dim, dim)}, dim
+                rows = [shape[0] for shape in shapes]
                 sizes = [math.prod(shape) for shape in shapes]
-                assert all(t == 1 or size <= STACK_ENTRIES for t, size in zip(trials, sizes))
-                assert (max(trials) > 1) == (dim == 8), dim
+                assert all(r == 1 or size <= STACK_ENTRIES for r, size in zip(rows, sizes))
+                assert (max(rows) > 1) == (dim == 8), dim
