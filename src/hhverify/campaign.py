@@ -2,13 +2,17 @@
 accounting, and deterministic report serialization.
 
 Each theorem id has one row in THEOREMS: its runner, the runners that replace
-it under an ablation flag, and its parameter rules. A runner takes a block of
-trial seeds (each splitmix64(master ^ ((dim << 32) + trial)), so any trial can
-be replayed in isolation as a block of one), draws the inputs of every trial
-of the block and hands them to a chain of ``chains``, the ablated chains
-included, which returns one report per trial carrying passed /
-quad_reliable / hypothesis_ok / min_margin. Every runner, the ablated ones
-included, evaluates its block as stacks of trials.
+it under an ablation flag, and its parameter rules. A campaign runs, for each
+dim, blocks of consecutive trial seeds (each splitmix64(master ^ ((dim << 32)
++ trial)), so any trial can be replayed in isolation as a block of one), and
+every id runs a block before the next one is drawn. A runner takes the block
+(a _Block) and hands the inputs of its trials to a chain of ``chains``, the
+ablated chains included, which returns one report per trial carrying passed
+/ quad_reliable / hypothesis_ok / min_margin. The seeds do not depend on the
+id, so the ids share the block's draws: each kind of input (the scalar log
+pair, the commuting spectra, the SPD pair with or without X, its two-sided
+powers, the general matrices) is drawn once per block, read-only, and
+dropped with the block. Every id's outcomes are folded in trial order.
 
 Accounting: a trial that cannot be judged (quadrature doubling failed, or
 run_trial caught one of the errors that mean it) is unreliable: excluded from
@@ -20,8 +24,10 @@ violations and leave the exit code at 0.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -121,11 +127,12 @@ def _unreliable(theorem_id: str) -> InequalityReport:
 
 
 # ---------------------------------------------------------------------------
-# trial input sampling
+# trial inputs: a block of seeds and the draws its runners share
 
 
-def _scalar_interval(stream: RandomStream) -> tuple[np.ndarray, np.ndarray]:
-    vals = _log_uniform(stream, 2, SPD_LO, SPD_HI)
+def _scalar_interval(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The endpoints a < b of each trial's interval: its row of a (T, 2) log
+    pair, sorted."""
     a, b = vals.min(axis=-1), vals.max(axis=-1)
     tie = a == b  # measure zero: b moves up by one ulp
     if tie.any():
@@ -141,17 +148,82 @@ def _commuting_spectra(stream: RandomStream, dim: int) -> tuple[np.ndarray, np.n
     return a, b
 
 
-def _spd_pair(stream: RandomStream, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    return random_spd(stream, dim, SPD_LO, SPD_HI), random_spd(stream, dim, SPD_LO, SPD_HI)
+def _read_only(value):
+    """value, with every array it holds (the items of a tuple, the attributes
+    of a _TwoSidedPowers) marked read-only, so that a chain that writes into
+    a shared input raises ValueError instead of changing another id's bits."""
+    if isinstance(value, _TwoSidedPowers):
+        items = vars(value).values()
+    else:
+        items = value if isinstance(value, tuple) else (value,)
+    for item in items:
+        if isinstance(item, np.ndarray):
+            item.flags.writeable = False
+    return value
 
 
-def _spd_pair_with_x(stream: RandomStream, dim: int):
-    a, b = _spd_pair(stream, dim)
-    return a, b, random_general(stream, dim, dim)
+class _Block:
+    """One block of trial seeds at one dimension, and the inputs that every
+    theorem id's runner draws for it.
 
+    A trial's seed does not depend on the theorem id, and every draw is a
+    pure function of (seeds, dim), so each kind of input is drawn once, on
+    first use, kept read-only while the block runs and handed to every id
+    that asks for it. A draw that raises is not kept (a cached_property
+    stores only what returns): each runner that needs it draws it again and
+    raises as it would alone.
+    """
 
-def _general(stream: RandomStream, dim: int, k: int) -> list[np.ndarray]:
-    return [random_general(stream, dim, dim) for _ in range(k)]
+    def __init__(self, seeds: np.ndarray, dim: int):
+        self.seeds, self.dim = seeds, dim
+        self._sequences: dict = {}
+
+    def _sequence(self, kind: str, k: int, draw: Callable) -> tuple:
+        """The first k values that draw(stream, i) gives for i = 0, 1, ...
+        from one stream of the block's seeds. A longer request continues the
+        stream where a shorter one stopped, so the shorter is its prefix."""
+        have, stream = self._sequences.get(kind, ((), None))
+        if len(have) < k:
+            stream = RandomStream(self.seeds) if stream is None else copy.copy(stream)
+            have += _read_only(tuple(draw(stream, i) for i in range(len(have), k)))
+            self._sequences[kind] = (have, stream)
+        return have[:k]
+
+    @cached_property
+    def log_pair(self) -> np.ndarray:
+        """(T, 2) log-uniform values: scalar_means' pair, and sorted, the
+        interval of the scalar chains."""
+        return _read_only(_log_uniform(RandomStream(self.seeds), 2, SPD_LO, SPD_HI))
+
+    @cached_property
+    def interval(self) -> tuple[np.ndarray, np.ndarray]:
+        return _read_only(_scalar_interval(self.log_pair))
+
+    @cached_property
+    def commuting(self) -> tuple[np.ndarray, np.ndarray]:
+        """The spectra of commuting pairs, checked."""
+        return _read_only(_commuting_spectra(RandomStream(self.seeds), self.dim))
+
+    def _spd(self, stream: RandomStream, i: int) -> np.ndarray:
+        if i < 2:
+            return random_spd(stream, self.dim, SPD_LO, SPD_HI)
+        return random_general(stream, self.dim, self.dim)
+
+    def spd(self, k: int) -> tuple[np.ndarray, ...]:
+        """The first k of (A, B, X) from one stream: two random_spd, then a
+        general X. spd(1) is norm_power's A, spd(2) the SPD pair."""
+        return self._sequence("spd", k, self._spd)
+
+    @cached_property
+    def two_sided(self) -> _TwoSidedPowers:
+        """The _TwoSidedPowers of spd(3): the spectra of A and B, and Qa' X Qb."""
+        return _read_only(_TwoSidedPowers.of_stacks(*self.spd(3)))
+
+    def general(self, k: int) -> tuple[np.ndarray, ...]:
+        """k general matrices from one stream; general(2) is general(3)[:2]."""
+        return self._sequence(
+            "general", k, lambda stream, i: random_general(stream, self.dim, self.dim)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +269,8 @@ def _symmetric_nu(theorem_id: str, nu: float) -> float:
 class Theorem:
     """Everything the campaign knows about one theorem id.
 
-    ``run(seeds, dim, params)`` draws the inputs of the trials of a 1-d
-    uint64 array of seeds and returns their reports in order; a replay is
+    ``run(block, params)`` takes the inputs of the trials of a _Block from
+    the block's shared draws and returns their reports in order; a replay is
     the same runner on a block of one seed. ``drop_commutativity`` and
     ``drop_positivity`` are the runners, of the same form, that replace it
     under those ablation flags (None: the flag does not apply);
@@ -221,9 +293,8 @@ class Theorem:
 
 def _scalar_hh(kind: str) -> Theorem:
     return Theorem(
-        lambda seeds, d, p: _scalar_hh_stack(
-            kind, p.f, *_scalar_interval(RandomStream(seeds)), p.quad_n, p.rtol, p.atol,
-            p.check_hypothesis,
+        lambda block, p: _scalar_hh_stack(
+            kind, p.f, *block.interval, p.quad_n, p.rtol, p.atol, p.check_hypothesis
         ),
         convexity_guard=True,
     )
@@ -231,25 +302,22 @@ def _scalar_hh(kind: str) -> Theorem:
 
 def _commuting_order(theorem_id: str, general) -> Theorem:
     return Theorem(
-        lambda seeds, d, p: _commuting_order_stack(
-            theorem_id, p.f, *_commuting_spectra(RandomStream(seeds), d), p.quad_n, p.rtol,
-            p.check_hypothesis,
+        lambda block, p: _commuting_order_stack(
+            theorem_id, p.f, *block.commuting, p.quad_n, p.rtol, p.check_hypothesis
         ),
-        drop_commutativity=lambda seeds, d, p: general(
-            p.f, *_spd_pair(RandomStream(seeds), d), p.quad_n, p.rtol
-        ),
+        drop_commutativity=lambda block, p: general(p.f, *block.spd(2), p.quad_n, p.rtol),
         convexity_guard=True,
     )
 
 
 def _norm_gg(theorem_id: str, fn, convexity_guard: bool = True) -> Theorem:
     return Theorem(
-        lambda seeds, d, p: _norm_gg_stack(
-            theorem_id, p.f, *_commuting_spectra(RandomStream(seeds), d), p.norm, p.quad_n,
-            p.rtol, p.atol, p.check_hypothesis,
+        lambda block, p: _norm_gg_stack(
+            theorem_id, p.f, *block.commuting, p.norm, p.quad_n, p.rtol, p.atol,
+            p.check_hypothesis,
         ),
-        drop_commutativity=lambda seeds, d, p: norm_gg_general(
-            theorem_id, p.f, *_spd_pair(RandomStream(seeds), d), p.norm, p.quad_n, p.rtol, p.atol
+        drop_commutativity=lambda block, p: norm_gg_general(
+            theorem_id, p.f, *block.spd(2), p.norm, p.quad_n, p.rtol, p.atol
         ),
         convexity_guard=convexity_guard,
         fn=fn,
@@ -258,11 +326,9 @@ def _norm_gg(theorem_id: str, fn, convexity_guard: bool = True) -> Theorem:
 
 def _trace(variant: TraceVariant) -> Theorem:
     return Theorem(
-        lambda seeds, d, p: _trace_stack(
-            variant, *_commuting_spectra(RandomStream(seeds), d), p.quad_n, p.rtol, p.atol
-        ),
-        drop_commutativity=lambda seeds, d, p: trace_chain_general(
-            variant, *_spd_pair(RandomStream(seeds), d), p.quad_n, p.rtol, p.atol
+        lambda block, p: _trace_stack(variant, *block.commuting, p.quad_n, p.rtol, p.atol),
+        drop_commutativity=lambda block, p: trace_chain_general(
+            variant, *block.spd(2), p.quad_n, p.rtol, p.atol
         ),
     )
 
@@ -273,8 +339,8 @@ def _witness(theorem_id: str, verdict: ConvexityVerdict, hypothesis_ok: bool = T
     )
 
 
-def _phi_operator_batch(seeds: np.ndarray, dim: int, p: TrialParams):
-    a, b = _commuting_spectra(RandomStream(seeds), dim)
+def _phi_operator_batch(block: _Block, p: TrialParams):
+    a, b = block.commuting
     # the witness refuses a joint spectrum outside the domain of f, which the
     # hypothesis scan then may assume
     verdicts = _phi_operator_verdicts(p.f, a, b, p.norm)
@@ -284,13 +350,9 @@ def _phi_operator_batch(seeds: np.ndarray, dim: int, p: TrialParams):
 
 def _two_sided_witness(theorem_id: str, diagonal: bool) -> Theorem:
     return Theorem(
-        lambda seeds, d, p: [
+        lambda block, p: [
             _witness(theorem_id, v)
-            for v in _two_sided_verdicts(
-                _TwoSidedPowers.of_stacks(*_spd_pair_with_x(RandomStream(seeds), d)),
-                diagonal,
-                p.norm,
-            )
+            for v in _two_sided_verdicts(block.two_sided, diagonal, p.norm)
         ],
         schatten2=True,
     )
@@ -298,9 +360,8 @@ def _two_sided_witness(theorem_id: str, diagonal: bool) -> Theorem:
 
 def _uin(variant: UinVariant, nu=_any_nu) -> Theorem:
     return Theorem(
-        lambda seeds, d, p: _uin_stack(
-            variant, _TwoSidedPowers.of_stacks(*_spd_pair_with_x(RandomStream(seeds), d)),
-            p.norm, p.nu, p.quad_n, p.rtol, p.atol,
+        lambda block, p: _uin_stack(
+            variant, block.two_sided, p.norm, p.nu, p.quad_n, p.rtol, p.atol
         ),
         schatten2=True,
         nu=nu,
@@ -310,13 +371,9 @@ def _uin(variant: UinVariant, nu=_any_nu) -> Theorem:
 THEOREMS = {
     "scalar_ag": _scalar_hh("ag"),
     "scalar_gg": _scalar_hh("gg"),
-    "scalar_means": Theorem(
-        lambda seeds, d, p: _means_stack(
-            *_log_uniform(RandomStream(seeds), 2, SPD_LO, SPD_HI).T, p.rtol, p.atol
-        )
-    ),
+    "scalar_means": Theorem(lambda block, p: _means_stack(*block.log_pair.T, p.rtol, p.atol)),
     "dragomir": Theorem(
-        lambda seeds, d, p: _dragomir_stack(p.f, *_spd_pair(RandomStream(seeds), d), p.rtol),
+        lambda block, p: _dragomir_stack(p.f, *block.spd(2), p.rtol),
         fn=_operator_convex_fn,
     ),
     "op_gg_hh": _commuting_order("op_gg_hh", lambda *args: op_gg_hh_general(*args)),
@@ -329,36 +386,26 @@ THEOREMS = {
     "trace_sqrt": _trace(TraceVariant.SQRT),
     "trace_squared": _trace(TraceVariant.SQUARED),
     "det_ag": Theorem(
-        lambda seeds, d, p: _det_ag_stack(
-            *_spd_pair(RandomStream(seeds), d), p.nu, p.rtol, p.atol
-        ),
-        drop_positivity=lambda seeds, d, p: det_ag_indefinite(
-            *_general(RandomStream(seeds), d, 2), p.nu, p.rtol, p.atol
-        ),
+        lambda block, p: _det_ag_stack(*block.spd(2), p.nu, p.rtol, p.atol),
+        drop_positivity=lambda block, p: det_ag_indefinite(*block.general(2), p.nu, p.rtol, p.atol),
         nu=_inner_nu,
     ),
-    "am_gm_loewner": Theorem(
-        lambda seeds, d, p: _am_gm_stack(*_spd_pair(RandomStream(seeds), d), p.nu, p.rtol)
-    ),
+    "am_gm_loewner": Theorem(lambda block, p: _am_gm_stack(*block.spd(2), p.nu, p.rtol)),
     "norm_power": Theorem(
-        lambda seeds, d, p: _norm_power_stack(
-            random_spd(RandomStream(seeds), d, SPD_LO, SPD_HI), NORM_POWER_ALPHAS, p.rtol, p.atol
-        )
+        lambda block, p: _norm_power_stack(block.spd(1)[0], NORM_POWER_ALPHAS, p.rtol, p.atol)
     ),
     "kittaneh": Theorem(
-        lambda seeds, d, p: _kittaneh_stack(
-            *_spd_pair_with_x(RandomStream(seeds), d), p.nu, p.norm, p.rtol, p.atol
-        ),
-        drop_positivity=lambda seeds, d, p: kittaneh_general(
-            *_general(RandomStream(seeds), d, 3), p.nu, p.norm, p.rtol, p.atol
+        lambda block, p: _kittaneh_stack(*block.spd(3), p.nu, p.norm, p.rtol, p.atol),
+        drop_positivity=lambda block, p: kittaneh_general(
+            *block.general(3), p.nu, p.norm, p.rtol, p.atol
         ),
         schatten2=True,
     ),
     "phi_operator": Theorem(
         _phi_operator_batch,
-        drop_commutativity=lambda seeds, d, p: [
+        drop_commutativity=lambda block, p: [
             _witness("phi_operator", v, hypothesis_ok=False)
-            for v in _phi_product_verdicts(p.f, *_spd_pair(RandomStream(seeds), d), p.norm)
+            for v in _phi_product_verdicts(p.f, *block.spd(2), p.norm)
         ],
         convexity_guard=True,
     ),
@@ -533,9 +580,9 @@ def _runner(theorem_id: str, params: TrialParams) -> Callable:
 def run_trial(theorem_id: str, seed: int, dim: int, params: TrialParams):
     """One seeded trial: the runner on a block of one seed, so any campaign
     trial can be replayed by the demo command."""
-    run, seeds = _runner(theorem_id, params), np.array([seed & _MASK64], dtype=np.uint64)
+    block = _Block(np.array([seed & _MASK64], dtype=np.uint64), dim)
     try:
-        return run(seeds, dim, params)[0]
+        return _runner(theorem_id, params)(block, params)[0]
     except (DomainViolationError, NonFiniteSampleError, ConvergenceError, np.linalg.LinAlgError):
         # the trial's inputs take the function out of its domain or out of
         # the float range (f overflows on the convexity grid, a chain term is
@@ -549,52 +596,47 @@ def run_trial(theorem_id: str, seed: int, dim: int, params: TrialParams):
 _BLOCK_ENTRIES = 1 << 15
 
 
-def _outcomes(theorem_id: str, seeds: list[int], dim: int, params: TrialParams):
-    """The outcomes of the trials of seeds, in order.
-
-    The runner takes them in blocks of consecutive seeds; a block that
-    raises is run again one trial at a time through run_trial, so its
-    trials end (or raise) exactly as they do alone.
-    """
-    run = _runner(theorem_id, params)
+def _blocks(seeds: list[int], dim: int):
+    """The blocks of consecutive seeds that a campaign runs at dim."""
     size = max(1, _BLOCK_ENTRIES // (dim * dim))
     for start in range(0, len(seeds), size):
-        block = seeds[start : start + size]
-        try:
-            outcomes = run(np.array(block, dtype=np.uint64), dim, params)
-        except Exception:
-            outcomes = [run_trial(theorem_id, seed, dim, params) for seed in block]
-        yield from outcomes
+        yield _Block(np.array(seeds[start : start + size], dtype=np.uint64), dim)
 
 
-def _theorem_stats(tid: str, params: TrialParams, cfg: CampaignConfig) -> TheoremStats:
-    """Fold the outcomes of one theorem's trials, in trial order; the worst
-    trial moves only on a strictly smaller margin."""
+def _block_outcomes(theorem_id: str, block: _Block, params: TrialParams) -> list:
+    """The outcomes of the trials of block, in order. A block that raises is
+    run again one trial at a time through run_trial, so its trials end (or
+    raise) exactly as they do alone."""
+    try:
+        return _runner(theorem_id, params)(block, params)
+    except Exception:
+        return [run_trial(theorem_id, seed, block.dim, params) for seed in block.seeds.tolist()]
+
+
+def _fold(st: TheoremStats, params: TrialParams, block: _Block, outcomes) -> None:
+    """Fold the outcomes of a block's trials into st, in trial order; the
+    worst trial moves only on a strictly smaller margin."""
     ablated = params.drop_commutativity or params.drop_positivity or not params.check_hypothesis
-    st = TheoremStats(theorem_id=tid)
-    for dim in cfg.dims:
-        seeds = [derive_trial_seed(cfg.master_seed, dim, t) for t in range(cfg.trials)]
-        for seed, outcome in zip(seeds, _outcomes(tid, seeds, dim, params)):
-            st.trials_run += 1
-            if not outcome.quad_reliable:
-                st.unreliable_count += 1
-                continue
-            margin = float(outcome.min_margin)
-            if st.min_margin is None or margin < st.min_margin:
-                st.min_margin = margin
-                st.worst_trial_seed = seed
-                st.worst_dim = dim
-            if outcome.passed:
-                st.pass_count += 1
-                continue
-            st.fail_count += 1
-            if not outcome.hypothesis_ok:
-                st.hypothesis_failures += 1
-            if ablated:
-                st.expected_violation = True
-            elif outcome.hypothesis_ok:
-                st.genuine_violation = True
-    return st
+    for seed, outcome in zip(block.seeds.tolist(), outcomes):
+        st.trials_run += 1
+        if not outcome.quad_reliable:
+            st.unreliable_count += 1
+            continue
+        margin = float(outcome.min_margin)
+        if st.min_margin is None or margin < st.min_margin:
+            st.min_margin = margin
+            st.worst_trial_seed = seed
+            st.worst_dim = block.dim
+        if outcome.passed:
+            st.pass_count += 1
+            continue
+        st.fail_count += 1
+        if not outcome.hypothesis_ok:
+            st.hypothesis_failures += 1
+        if ablated:
+            st.expected_violation = True
+        elif outcome.hypothesis_ok:
+            st.genuine_violation = True
 
 
 def run_campaign(cfg: CampaignConfig) -> CampaignReport:
@@ -603,10 +645,18 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     cfg.validate()
     start = time.perf_counter()
     resolved = {tid: resolve_params(tid, cfg) for tid in cfg.theorem_ids}
+    stats = [TheoremStats(theorem_id=tid) for tid in cfg.theorem_ids]
     # an extreme function overflows in numpy on its way to an unreliable
     # trial; those warnings say nothing the report does not
     with np.errstate(all="ignore"):
-        stats = [_theorem_stats(tid, resolved[tid], cfg) for tid in cfg.theorem_ids]
+        for dim in cfg.dims:
+            seeds = [derive_trial_seed(cfg.master_seed, dim, t) for t in range(cfg.trials)]
+            # every id runs a block before the next block is drawn, so the
+            # block's draws are shared by all ids and dropped after them
+            for block in _blocks(seeds, dim):
+                for st in stats:
+                    params = resolved[st.theorem_id]
+                    _fold(st, params, block, _block_outcomes(st.theorem_id, block, params))
     total_trials = sum(st.trials_run for st in stats)
     total_unreliable = sum(st.unreliable_count for st in stats)
     any_genuine = any(st.genuine_violation for st in stats)

@@ -3,7 +3,7 @@ accounting, exit codes, serialization, and single-trial replay."""
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -96,6 +96,21 @@ from hhverify.sampler import (
 )
 
 SMALL = dict(trials=10, dims=(2, 3), master_seed=7)
+
+
+def _outcomes(tid, seeds, dim, params):
+    """The outcomes of one id's trials of seeds, run in the campaign's blocks."""
+    return [
+        o
+        for block in campaign._blocks(seeds, dim)
+        for o in campaign._block_outcomes(tid, block, params)
+    ]
+
+
+def _spd_pair(stream, dim):
+    """The SPD pair a trial draws: two random_spd from its stream."""
+    lo, hi = campaign.SPD_LO, campaign.SPD_HI
+    return random_spd(stream, dim, lo, hi), random_spd(stream, dim, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +307,7 @@ def test_report_schema_and_round_trip():
 
 def _every_trial(outcome):
     """A block runner whose every trial ends in outcome(), or in what it raises."""
-    return lambda seeds, dim, p: [outcome() for _ in seeds.tolist()]
+    return lambda block, p: [outcome() for _ in block.seeds.tolist()]
 
 
 def test_exit_code_one_on_genuine_violation(monkeypatch):
@@ -561,7 +576,7 @@ def _ref_log_f_of_sym(d, f):
 
 
 def _ref_op_gg_hh(stream, dim, p):
-    a, b = campaign._spd_pair(stream, dim)
+    a, b = _spd_pair(stream, dim)
     da, db = eigh(a), eigh(b)
     try:
         t1 = _ref_sym(_ref_f_of_product(
@@ -584,7 +599,7 @@ def _ref_op_gg_hh(stream, dim, p):
 
 
 def _ref_op_ag_midpoint(stream, dim, p):
-    a, b = campaign._spd_pair(stream, dim)
+    a, b = _spd_pair(stream, dim)
     da, db = eigh(a), eigh(b)
     fa, fb = matrix_function(da, p.f), matrix_function(db, p.f)
     t1 = matrix_function(eigh(0.5 * (a + b)), p.f)
@@ -606,7 +621,7 @@ def _ref_op_ag_midpoint(stream, dim, p):
 
 
 def _ref_norm_gg(theorem_id, stream, dim, p):
-    a, b = campaign._spd_pair(stream, dim)
+    a, b = _spd_pair(stream, dim)
     da, db = eigh(a), eigh(b)
     try:
         anchors = [_ref_phi(da, db, a, b, p.f, p.norm, u) for u in (0.0, 0.25, 0.5, 0.75, 1.0)]
@@ -633,7 +648,7 @@ def _ref_norm_gg(theorem_id, stream, dim, p):
 
 
 def _ref_phi_operator(stream, dim, p):
-    a, b = campaign._spd_pair(stream, dim)
+    a, b = _spd_pair(stream, dim)
     da, db = eigh(a), eigh(b)
     m = DEFAULT_GRID_N * DEFAULT_GRID_N
     ts = np.arange(m + 1) / m
@@ -837,7 +852,7 @@ def _pt_order_chain(tid, names, t1, nodes, t3, p, route):
 
 
 def _pt_op_gg_hh(tid, stream, dim, p, route=_SIMILAR):
-    a, b = campaign._spd_pair(stream, dim)
+    a, b = _spd_pair(stream, dim)
     da, db = eigh(a), eigh(b)
     t1 = _ref_sym(route.product(
         da.eigenvalues, da.q, b, lambda w: np.log(p.f.eval_array(np.sqrt(w)))
@@ -851,7 +866,7 @@ def _pt_op_gg_hh(tid, stream, dim, p, route=_SIMILAR):
 
 
 def _pt_op_ag_midpoint(tid, stream, dim, p, route=_SIMILAR):
-    a, b = campaign._spd_pair(stream, dim)
+    a, b = _spd_pair(stream, dim)
     da, db = eigh(a), eigh(b)
     fb = matrix_function(db, p.f)
     t1 = matrix_function(eigh(0.5 * (a + b)), p.f)
@@ -869,7 +884,7 @@ def _pt_op_ag_midpoint(tid, stream, dim, p, route=_SIMILAR):
 
 
 def _pt_norm_gg(tid, stream, dim, p, route=_SIMILAR):
-    a, b = campaign._spd_pair(stream, dim)
+    a, b = _spd_pair(stream, dim)
     da, db = eigh(a), eigh(b)
 
     def log_phi(ts):
@@ -886,13 +901,13 @@ def _pt_norm_gg(tid, stream, dim, p, route=_SIMILAR):
 
 
 def _pt_phi_operator(tid, stream, dim, p, route=_SIMILAR):
-    a, b = campaign._spd_pair(stream, dim)
+    a, b = _spd_pair(stream, dim)
     vals = _pt_phi(eigh(a), eigh(b), b, p.f, p.norm, _REF_TS, route)
     return _ref_witness(tid, vals, _REF_TS, hypothesis_ok=False)
 
 
 def _pt_trace(tid, stream, dim, p, route=_SIMILAR):
-    a, b = campaign._spd_pair(stream, dim)
+    a, b = _spd_pair(stream, dim)
     da, db = eigh(a), eigh(b)
     la, lb = da.eigenvalues, db.eigenvalues
     overlap = (da.q.T @ db.q) ** 2
@@ -1001,7 +1016,7 @@ def test_ablated_rows_match_the_per_trial_code(tid, flag, reference, variants):
                     for s in seeds
                 ]
                 # the campaign's blocks, and one trial alone as demo replays it
-                got = [outcome_to_dict(o) for o in campaign._outcomes(tid, seeds, dim, params)]
+                got = [outcome_to_dict(o) for o in _outcomes(tid, seeds, dim, params)]
                 assert got == want, (tid, kwargs, dim)
                 for k in (0, 17, 39):
                     assert outcome_to_dict(run_trial(tid, seeds[k], dim, params)) == want[k]
@@ -1082,14 +1097,14 @@ def _ref_scalar_means(stream, dim, p):
 
 
 def _ref_det_ag(stream, dim, p):
-    ma, mb = (check_symmetric(m) for m in campaign._spd_pair(stream, dim))
+    ma, mb = (check_symmetric(m) for m in _spd_pair(stream, dim))
     lhs = det_pd(ma) ** p.nu * det_pd(mb) ** (1.0 - p.nu)
     rhs = det_pd(p.nu * ma + (1.0 - p.nu) * mb)
     return _inequality_report("det_ag", lhs, rhs, p.rtol, p.atol)
 
 
 def _ref_am_gm_loewner(stream, dim, p):
-    a, b = campaign._spd_pair(stream, dim)
+    a, b = _spd_pair(stream, dim)
     gm = weighted_geometric_mean(a, b, p.nu)
     am = (1.0 - p.nu) * check_symmetric(a) + p.nu * check_symmetric(b)
     names = ("weighted_geometric_mean", "weighted_arithmetic_mean")
@@ -1110,7 +1125,7 @@ def _ref_norm_power(stream, dim, p):
 
 
 def _ref_kittaneh(stream, dim, p):
-    a, b = campaign._spd_pair(stream, dim)
+    a, b = _spd_pair(stream, dim)
     x = random_general(stream, dim, dim)
     ma, mb = check_symmetric(a), check_symmetric(b)
     da, db = eigh(ma), eigh(mb)
@@ -1155,7 +1170,7 @@ def _dragomir_oracle_errors(f, trials_per_dim):
     worst = 0.0
     for dim in (2, 3, 5, 8):
         seeds = [derive_trial_seed(2015, dim, t) for t in range(trials_per_dim)]
-        a, b = campaign._spd_pair(RandomStream(np.array(seeds, dtype=np.uint64)), dim)
+        a, b = _spd_pair(RandomStream(np.array(seeds, dtype=np.uint64)), dim)
         got = chains._dragomir_terms(f, a, b)
         for t in range(trials_per_dim):
             want, ok = _ref_dragomir(f, a[t], b[t], 256)
@@ -1181,7 +1196,7 @@ def test_dragomir_closed_forms_match_the_quadrature_oracle_on_4000_trials(fn):
 def _one_dragomir(stream, dim, p):
     """One dragomir trial alone: the chain on a stack of one pair, which
     reads no quad_n."""
-    return chains.dragomir_operator_chain(p.f, *campaign._spd_pair(stream, dim), rtol=p.rtol)
+    return chains.dragomir_operator_chain(p.f, *_spd_pair(stream, dim), rtol=p.rtol)
 
 
 _NUS = (0.3, 0.5, 0.7)
@@ -1246,7 +1261,7 @@ def test_batched_rows_match_the_per_trial_code(tid, reference, variants):
             seeds = [derive_trial_seed(2015, dim, t) for t in range(100)]
             want = [outcome_to_dict(reference(RandomStream(s), dim, params)) for s in seeds]
             # the campaign's blocks, and one trial alone as demo replays it
-            got = [outcome_to_dict(o) for o in campaign._outcomes(tid, seeds, dim, params)]
+            got = [outcome_to_dict(o) for o in _outcomes(tid, seeds, dim, params)]
             assert got == want, (tid, kwargs, dim)
             for k in (0, 37, 99):
                 assert outcome_to_dict(run_trial(tid, seeds[k], dim, params)) == want[k]
@@ -1267,7 +1282,7 @@ def _plant_in_det_ag(seed, error):
 
 def _plant_in_op_gg_hh_general(seed, error):
     """The ablated op_gg_hh stack, raising error on the block that holds the trial of seed."""
-    planted = campaign._spd_pair(RandomStream(seed), 3)[0]
+    planted = _spd_pair(RandomStream(seed), 3)[0]
     real = campaign.op_gg_hh_general
 
     def run(f, a, b, *args):
@@ -1279,36 +1294,203 @@ def _plant_in_op_gg_hh_general(seed, error):
 
 
 # a stacked row, and an ablated stacked row: the config, the planter, the
-# error planted in trial 7, and the pass, fail and unreliable counts of a
-# 20-trial campaign at master seed 3 and dim 3
+# error planted in trial 7, the pass, fail and unreliable counts of a
+# 20-trial campaign at master seed 3 and dim 3, and an id that shares the
+# row's draws
 _RAISING_ROWS = {
-    "det_ag": (CampaignConfig(), _plant_in_det_ag, DomainViolationError, (19, 0, 1)),
+    "det_ag": (
+        CampaignConfig(), _plant_in_det_ag, DomainViolationError, (19, 0, 1), "am_gm_loewner"
+    ),
     "op_gg_hh": (
         CampaignConfig(ablation=frozenset({DROP_COMMUTATIVITY})),
         _plant_in_op_gg_hh_general,
         ConvergenceError,
         (7, 12, 1),
+        "trace_sqrt",
     ),
 }
 
 
 @pytest.mark.parametrize("tid", list(_RAISING_ROWS))
 def test_a_raising_block_is_rerun_one_trial_at_a_time(tid, monkeypatch):
-    cfg, plant, error, counts = _RAISING_ROWS[tid]
+    cfg, plant, error, counts, other = _RAISING_ROWS[tid]
     params = resolve_params(tid, cfg)
     seeds = [derive_trial_seed(3, 3, t) for t in range(20)]
     want = [outcome_to_dict(run_trial(tid, s, 3, params)) for s in seeds]
+    other_params = resolve_params(other, cfg)
+    other_want = [outcome_to_dict(o) for o in _outcomes(other, seeds, 3, other_params)]
+    cfg = replace(cfg, trials=20, dims=(3,), master_seed=3)
+    other_alone = run_campaign(replace(cfg, theorem_ids=(other,))).stats[0]
     monkeypatch.setattr(campaign, *plant(seeds[7], error))
-    got = list(campaign._outcomes(tid, seeds, 3, params))
+    got = _outcomes(tid, seeds, 3, params)
     assert [o.quad_reliable for o in got] == [t != 7 for t in range(20)]
     assert [outcome_to_dict(o) for k, o in enumerate(got) if k != 7] == want[:7] + want[8:]
-    cfg = replace(cfg, theorem_ids=(tid,), trials=20, dims=(3,), master_seed=3)
-    st = run_campaign(cfg).stats[0]
+    st = run_campaign(replace(cfg, theorem_ids=(tid,))).stats[0]
     assert (st.pass_count, st.fail_count, st.unreliable_count) == counts
+    # on a block both ids share, the planted id alone runs one trial at a
+    # time, and the other id's outcomes stay what they are without it
+    (block,) = campaign._blocks(seeds, 3)
+    rerun = []
+    real_run_trial = campaign.run_trial
+    monkeypatch.setattr(
+        campaign, "run_trial", lambda t, *args: rerun.append(t) or real_run_trial(t, *args)
+    )
+    got = campaign._block_outcomes(tid, block, params)
+    assert [outcome_to_dict(o) for k, o in enumerate(got) if k != 7] == want[:7] + want[8:]
+    assert [outcome_to_dict(o) for o in campaign._block_outcomes(other, block, other_params)] == (
+        other_want
+    )
+    assert rerun == [tid] * 20
+    rerun.clear()
+    stats = run_campaign(replace(cfg, theorem_ids=(tid, other))).stats
+    assert rerun == [tid] * 20
+    assert (stats[0].pass_count, stats[0].fail_count, stats[0].unreliable_count) == counts
+    assert asdict(stats[0]) == asdict(st) and asdict(stats[1]) == asdict(other_alone)
     # an error the trial alone does not catch still ends the campaign
     monkeypatch.setattr(campaign, *plant(seeds[7], NotPositiveDefiniteError))
     with pytest.raises(NotPositiveDefiniteError):
-        list(campaign._outcomes(tid, seeds, 3, params))
+        _outcomes(tid, seeds, 3, params)
+
+
+# ---------------------------------------------------------------------------
+# the draws a block shares between theorem ids
+
+
+# --theorem all under each of these: the flags, function, norm and weight
+_SHARED_CONFIGS = {
+    "defaults": dict(),
+    "drop_commutativity": dict(ablation=frozenset({DROP_COMMUTATIVITY})),
+    "drop_positivity_and_guard": dict(
+        ablation=frozenset({DROP_POSITIVITY, DROP_CONVEXITY_GUARD}),
+        function=parse_function("power:-0.5"),
+    ),
+    "kyfan_nu": dict(norm=parse_norm("kyfan:2"), nu=0.7),
+}
+
+
+@pytest.mark.parametrize("name", list(_SHARED_CONFIGS))
+def test_every_id_gets_the_stats_it_gets_alone(name):
+    """Sharing a block's draws between ids leaves each id's stats as they
+    are in a campaign of that id alone."""
+    kwargs = _SHARED_CONFIGS[name]
+    ids = select_theorems("all", kwargs.get("ablation", frozenset()))
+    cfg = CampaignConfig(theorem_ids=ids, trials=7, dims=(1, 2, 3, 5, 8), master_seed=19, **kwargs)
+    together = run_campaign(cfg).stats
+    assert [st.theorem_id for st in together] == list(ids)
+    for st in together:
+        (alone,) = run_campaign(replace(cfg, theorem_ids=(st.theorem_id,))).stats
+        assert asdict(st) == asdict(alone), st.theorem_id
+
+
+def _same_bits(got, want):
+    return len(got) == len(want) and all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("dim", [1, 3, 8])
+def test_each_shared_kind_is_what_its_runner_drew_alone(dim):
+    seeds = np.array([derive_trial_seed(6, dim, t) for t in range(5)], dtype=np.uint64)
+    lo, hi = campaign.SPD_LO, campaign.SPD_HI
+
+    def stream():
+        return RandomStream(seeds)
+
+    # norm_power's A, the SPD pair, and the pair with X, as one stream each
+    a = random_spd(stream(), dim, lo, hi)
+    s = stream()
+    pair = _spd_pair(s, dim)
+    with_x = (*pair, random_general(s, dim, dim))
+    assert _same_bits(campaign._Block(seeds, dim).spd(1), (a,))
+    assert _same_bits(campaign._Block(seeds, dim).spd(2), pair)
+    assert _same_bits(campaign._Block(seeds, dim).spd(3), with_x)
+    block = campaign._Block(seeds, dim)
+    assert _same_bits(block.spd(1), (a,)) and _same_bits(block.spd(2), pair)
+    assert _same_bits(block.spd(3), with_x)
+    assert block.spd(3)[:2] == block.spd(2) and block.spd(2)[0] is block.spd(1)[0]
+    tp = campaign._Block(seeds, dim).two_sided
+    ref = chains._TwoSidedPowers.of_stacks(*with_x)
+    assert _same_bits(list(vars(tp).values()), list(vars(ref).values()))
+    # the scalar chains' interval is the sorted log pair of scalar_means
+    block = campaign._Block(seeds, dim)
+    pair = _log_uniform(stream(), 2, lo, hi)
+    assert np.array_equal(block.log_pair, pair)
+    assert _same_bits(block.interval, tuple(np.sort(pair, axis=1).T))
+    _, ca, cb = random_commuting_pair(stream(), dim, lo, hi)
+    assert _same_bits(block.commuting, (ca, cb))
+    # DROP_POSITIVITY's general matrices: det_ag's two are kittaneh's first two
+    s = stream()
+    general = [random_general(s, dim, dim) for _ in range(3)]
+    assert _same_bits(campaign._Block(seeds, dim).general(2), general[:2])
+    assert _same_bits(campaign._Block(seeds, dim).general(3), general)
+    block = campaign._Block(seeds, dim)
+    assert _same_bits(block.general(2), general[:2]) and _same_bits(block.general(3), general)
+    assert block.general(3)[:2] == block.general(2)
+
+
+def test_a_shared_input_refuses_an_in_place_write():
+    seeds = np.array([derive_trial_seed(6, 3, t) for t in range(4)], dtype=np.uint64)
+    block = campaign._Block(seeds, 3)
+    arrays = [
+        block.log_pair, *block.interval, *block.commuting, *block.spd(3),
+        *block.general(3), *vars(block.two_sided).values(),
+    ]
+    for m in arrays:
+        with pytest.raises(ValueError):
+            m[0] += 1.0
+    with pytest.raises(ValueError):
+        block.spd(2)[0].sort(axis=0)
+
+
+def _count_draws(monkeypatch, names, failures=0):
+    """Make each campaign draw of names count its calls, and raise on the
+    first failures of them; returns the counts."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, real):
+        def draw(*args):
+            calls[name] += 1
+            if calls[name] <= failures:
+                raise DomainViolationError("planted")
+            return real(*args)
+
+        return draw
+
+    for name in names:
+        monkeypatch.setattr(campaign, name, counted(name, getattr(campaign, name)))
+    return calls
+
+
+def test_a_draw_that_raises_is_not_kept(monkeypatch):
+    seeds = np.array([derive_trial_seed(6, 3, t) for t in range(4)], dtype=np.uint64)
+    fresh = campaign._Block(seeds, 3)
+    want_commuting, want_spd = fresh.commuting, fresh.spd(3)
+    calls = _count_draws(monkeypatch, ("_commuting_spectra", "random_general"), failures=1)
+    block = campaign._Block(seeds, 3)
+    with pytest.raises(DomainViolationError):
+        block.commuting
+    assert _same_bits(block.commuting, want_commuting)
+    block.commuting  # kept now: no third draw
+    assert calls["_commuting_spectra"] == 2
+    # the pair stays kept when the X after it raises, and X is drawn again
+    pair = block.spd(2)
+    with pytest.raises(DomainViolationError):
+        block.spd(3)
+    assert block.spd(3)[:2] == pair and _same_bits(block.spd(3), want_spd)
+    assert calls["random_general"] == 2
+
+
+def test_a_campaign_draws_each_kind_once_per_block(monkeypatch):
+    counts = _count_draws(monkeypatch, ("_log_uniform", "_commuting_spectra", "random_spd"))
+    of_stacks = []
+    real_two_sided = chains._TwoSidedPowers.of_stacks.__func__
+    monkeypatch.setattr(
+        chains._TwoSidedPowers, "of_stacks",
+        classmethod(lambda cls, *args: of_stacks.append(1) or real_two_sided(cls, *args)),
+    )
+    report = run_campaign(CampaignConfig(trials=5, dims=(2, 3), master_seed=8))
+    assert report.exit_code == 0
+    # one block per dim; random_spd draws A and B
+    assert counts == {"_log_uniform": 2, "_commuting_spectra": 2, "random_spd": 4}
+    assert len(of_stacks) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -1453,7 +1635,7 @@ def _ref_signed_eigh(m):
 
 
 def _ref_two_sided(tid, stream, dim, p):
-    a, b = campaign._spd_pair(stream, dim)
+    a, b = _spd_pair(stream, dim)
     x = random_general(stream, dim, dim)
     (la, qa), (lb, qb) = _ref_signed_eigh(check_symmetric(a)), _ref_signed_eigh(check_symmetric(b))
     core = qa.T @ x @ qb
@@ -1548,7 +1730,7 @@ def _ref_trace(tid, stream, dim, p):
 
 
 def _ref_uin(tid, stream, dim, p):
-    a, b = campaign._spd_pair(stream, dim)
+    a, b = _spd_pair(stream, dim)
     x = random_general(stream, dim, dim)
     ma, mb = check_symmetric(a), check_symmetric(b)
     (la, qa), (lb, qb) = _ref_signed_eigh(ma), _ref_signed_eigh(mb)
@@ -1621,7 +1803,7 @@ def test_scan_rows_match_the_per_trial_code_under_every_variant(tid):
                 want = [
                     outcome_to_dict(_SCAN_REFS[tid](RandomStream(s), dim, params)) for s in seeds
                 ]
-                got = [outcome_to_dict(o) for o in campaign._outcomes(tid, seeds, dim, params)]
+                got = [outcome_to_dict(o) for o in _outcomes(tid, seeds, dim, params)]
                 assert got == want, (tid, kwargs, dim)
                 assert outcome_to_dict(run_trial(tid, seeds[5], dim, params)) == want[5]
 
@@ -1655,7 +1837,7 @@ def test_curve_rows_match_the_per_trial_code_under_every_variant(tid):
         for dim in (1, 2, 3, 5, 8):
             seeds = [derive_trial_seed(2018, dim, t) for t in range(16)]
             want = [outcome_to_dict(_CURVE_REFS[tid](RandomStream(s), dim, params)) for s in seeds]
-            got = [outcome_to_dict(o) for o in campaign._outcomes(tid, seeds, dim, params)]
+            got = [outcome_to_dict(o) for o in _outcomes(tid, seeds, dim, params)]
             assert got == want, (tid, kwargs, dim)
             assert outcome_to_dict(run_trial(tid, seeds[5], dim, params)) == want[5]
 
@@ -1663,14 +1845,14 @@ def test_curve_rows_match_the_per_trial_code_under_every_variant(tid):
 @pytest.mark.parametrize("tid", _SCAN_IDS + _CURVE_IDS)
 def test_a_trial_that_raises_in_a_scan_block_ends_unreliable(tid, monkeypatch):
     if tid in ("scalar_ag", "scalar_gg"):
-        draw = "_scalar_interval"
+        draw = "_log_uniform"
     elif tid.startswith(("phi_s", "phi_d", "uin_")):
-        draw = "_spd_pair_with_x"
+        draw = "random_spd"
     else:
         draw = "_commuting_spectra"
     params = resolve_params(tid, CampaignConfig())
     seeds = [derive_trial_seed(4, 3, t) for t in range(12)]
-    want = [outcome_to_dict(o) for o in campaign._outcomes(tid, seeds, 3, params)]
+    want = [outcome_to_dict(o) for o in _outcomes(tid, seeds, 3, params)]
     real_draw = getattr(campaign, draw)
 
     def planted(stream, *args):
@@ -1679,7 +1861,7 @@ def test_a_trial_that_raises_in_a_scan_block_ends_unreliable(tid, monkeypatch):
         return real_draw(stream, *args)
 
     monkeypatch.setattr(campaign, draw, planted)
-    got = list(campaign._outcomes(tid, seeds, 3, params))
+    got = list(_outcomes(tid, seeds, 3, params))
     assert [o.quad_reliable for o in got] == [t != 7 for t in range(12)]
     assert [outcome_to_dict(o) for k, o in enumerate(got) if k != 7] == want[:7] + want[8:]
     assert outcome_to_dict(got[7]) == outcome_to_dict(_unreliable(tid))
@@ -1708,7 +1890,7 @@ def test_an_endpoint_tie_moves_the_upper_end_by_one_ulp(tid, monkeypatch):
 
     want = [reference(s) for s in seeds]
     assert [outcome_to_dict(run_trial(tid, s, 2, params)) for s in seeds] == want
-    assert [outcome_to_dict(o) for o in campaign._outcomes(tid, seeds, 2, params)] == want
+    assert [outcome_to_dict(o) for o in _outcomes(tid, seeds, 2, params)] == want
     assert (outcome_to_dict(_unreliable(tid)) in want) == (tid == "scalar_gg")
     with pytest.raises(DomainViolationError):
         chains.scalar_hh_chain("gg", FunctionSpec.exp(1.0), 9.9, math.nextafter(9.9, math.inf))
@@ -1725,7 +1907,7 @@ def test_drop_convexity_guard_skips_the_hypothesis_scan(tid, monkeypatch):
     cfg = CampaignConfig(ablation=frozenset({DROP_CONVEXITY_GUARD}))
     params = resolve_params(tid, cfg)
     seeds = [derive_trial_seed(6, 3, t) for t in range(10)]
-    outcomes = list(campaign._outcomes(tid, seeds, 3, params))
+    outcomes = list(_outcomes(tid, seeds, 3, params))
     assert all(o.hypothesis_ok and o.quad_reliable for o in outcomes)
 
 
@@ -1745,7 +1927,7 @@ def test_certified_hypothesis_skips_the_grid_scan(monkeypatch):
     for tid, want in (("scalar_ag", 0), ("phi_sandwich", len(seeds))):
         params = resolve_params(tid, CampaignConfig(function=FunctionSpec.exp(1.0)))
         scans.clear()
-        outcomes = list(campaign._outcomes(tid, seeds, 3, params))
+        outcomes = list(_outcomes(tid, seeds, 3, params))
         assert len(scans) == want, tid
         assert all(o.hypothesis_ok for o in outcomes)
 
@@ -1768,11 +1950,11 @@ def test_no_curve_block_exceeds_the_entry_budget(monkeypatch):
         for dim in (2, 8, 40):
             params = resolve_params(tid, CampaignConfig())
             seeds = [derive_trial_seed(8, dim, t) for t in range(6)]
-            list(campaign._outcomes(tid, seeds, dim, params))
+            list(_outcomes(tid, seeds, dim, params))
     params = resolve_params("uin_full", CampaignConfig())
     run_trial("uin_full", derive_trial_seed(8, 40, 0), 40, params)
     seeds = [derive_trial_seed(8, 40, t) for t in range(3)]
-    list(campaign._outcomes("uin_full", seeds, 40, params))
+    list(_outcomes("uin_full", seeds, 40, params))
     assert sizes and max(sizes) <= STACK_ENTRIES
     # a block holds more than one trial where they fit
     assert max(sizes) > (DEFAULT_GRID_N**2 + 1) * 2 * 2
@@ -1781,7 +1963,7 @@ def test_no_curve_block_exceeds_the_entry_budget(monkeypatch):
     params = resolve_params("op_norm_gg", CampaignConfig(norm=NormSpec.opnorm()))
     for dim in (8, 40):
         seeds = [derive_trial_seed(8, dim, t) for t in range(6)]
-        list(campaign._outcomes("op_norm_gg", seeds, dim, params))
+        list(_outcomes("op_norm_gg", seeds, dim, params))
     assert sizes and max(sizes) <= STACK_ENTRIES
     # a block holds more than one piece at 2 * quad_n nodes where they fit
     assert max(sizes) > 2 * params.quad_n * 8
@@ -1800,7 +1982,7 @@ def test_no_curve_block_exceeds_the_entry_budget(monkeypatch):
         for dim in (2, 8, 40):
             blocks.clear()
             seeds = [derive_trial_seed(8, dim, t) for t in range(6)]
-            list(campaign._outcomes(tid, seeds, dim, params))
+            list(_outcomes(tid, seeds, dim, params))
             assert blocks and max(size for _, size in blocks) <= STACK_ENTRIES, (tid, dim)
             # a block holds more than one trial (or kink piece) where they fit
             assert max(rows for rows, _ in blocks) > 1, (tid, dim)
@@ -1810,7 +1992,7 @@ def test_no_curve_block_exceeds_the_entry_budget(monkeypatch):
         for dim in (2, 8, 40):
             blocks.clear()
             seeds = [derive_trial_seed(8, dim, t) for t in range(6)]
-            list(campaign._outcomes("dragomir", seeds, dim, params))
+            list(_outcomes("dragomir", seeds, dim, params))
             assert not blocks, (f.describe(), dim)
     # the ablated phi_operator and op_gg_hh: every stack of f of products of
     # A^t B^(1-t) is under the budget, and op_gg_hh integrates (R, N, n, n)
@@ -1838,7 +2020,7 @@ def test_no_curve_block_exceeds_the_entry_budget(monkeypatch):
             applied.clear()
             shapes.clear()
             seeds = [derive_trial_seed(8, dim, t) for t in range(3)]
-            list(campaign._outcomes(tid, seeds, dim, params))
+            list(_outcomes(tid, seeds, dim, params))
             assert applied and max(applied) <= STACK_ENTRIES, (tid, dim)
             if tid == "op_gg_hh":
                 assert {shape[2:] for shape in shapes} == {(dim, dim)}, dim
