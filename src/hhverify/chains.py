@@ -1315,9 +1315,11 @@ class PhiDiagonal:
 
 class _TwoSidedPowers:
     """Evaluates |||A^s X B^t||| for exponent arrays through the orthogonal
-    reduction A^s X B^t = Qa (diag(la^s) (Qa' X Qb) diag(lb^t)) Qb', which the
-    norm family cannot see, for each trial of checked (T, m, m), (T, k, k)
-    and (T, m, k) stacks (see of_one and of_stacks)."""
+    reduction A^s X B^t = Qa (diag(la^s) C diag(lb^t)) Qb' with C = Qa' X Qb,
+    which the norm family cannot see, for each trial of checked (T, m, m),
+    (T, k, k) and (T, m, k) stacks (see of_one and of_stacks). Schatten-2
+    needs no product at all: |||A^s X B^t|||_2^2 = sum_ij la_i^(2s) C_ij^2
+    lb_j^(2t), one matmul against C∘C (core2) per block of points."""
 
     def __init__(self, ma: np.ndarray, mb: np.ndarray, mx: np.ndarray):
         (self.la, self.qa), (self.lb, self.qb) = _signed_eigh(ma), _signed_eigh(mb)
@@ -1325,6 +1327,7 @@ class _TwoSidedPowers:
             raise NotPositiveDefiniteError("fractional power base must be positive definite")
         self.ma, self.mb, self.mx = ma, mb, mx
         self.core = np.swapaxes(self.qa, 1, 2) @ mx @ self.qb
+        self.core2 = self.core * self.core
 
     @classmethod
     def of_one(cls, a, b, x) -> "_TwoSidedPowers":
@@ -1346,12 +1349,16 @@ class _TwoSidedPowers:
         """Norm at each exponent pair (t, second(t)) of the array ts, for each
         trial that the slice or index array trials picks: shape (trials,
         len(ts))."""
-        la, lb, core = self.la[trials], self.lb[trials], self.core[trials]
+        la, lb, core, core2 = (x[trials] for x in (self.la, self.lb, self.core, self.core2))
         m, k = core.shape[1:]
+        frobenius = spec.kind == "schatten" and spec.params[0] == 2.0
 
         def block(sl: slice, t: np.ndarray) -> np.ndarray:
             left = np.power(la[sl, None, :], t[:, None])
             right = np.power(lb[sl, None, :], second(t)[:, None])
+            if frobenius:
+                # (T, P, m) @ (T, m, k), then a row-wise dot with right∘right
+                return np.sqrt((((left * left) @ core2[sl]) * (right * right)).sum(axis=-1))
             prods = left[..., None] * core[sl, None]
             prods *= right[..., None, :]
             return norms_of_stack(prods.reshape(-1, m, k), spec).reshape(prods.shape[:2])
@@ -1378,7 +1385,11 @@ def _curve_stack(block, trials: int, ts: np.ndarray, point_entries: int) -> np.n
     ``block(sl, t)``, the values of the trials sl at the points t. Blocks
     hold whole trials, or whole points of one trial when a trial alone is
     larger, and at most STACK_ENTRIES entries at point_entries per point.
-    Each point's value is computed alone, so the blocking leaves its bits."""
+    A trial's points are cut by len(ts) and point_entries alone, and block
+    must give each trial of sl the bits it gives that trial alone; so a
+    trial's values have the same bits in any block of trials, a block of one
+    (a replay) included. A point's value may depend on the points that share
+    its block: a matmul over P points can round differently as P changes."""
     per_trial = ts.shape[0] * point_entries
     if per_trial <= STACK_ENTRIES:
         return np.concatenate([block(sl, ts) for sl in _blocks(trials, per_trial)])
@@ -1517,7 +1528,9 @@ def uin_chain(
     END_RIGHT [nu, 1], FULL and DIAGONAL [0, 1]. Terms are the midpoint value,
     geometric mean at the quarter points, exponentiated mean of log phi, the
     midpoint-endpoint mix, and the endpoint geometric mean. Anchor terms use
-    materialized powers; only the integral goes through the scaled reduction.
+    materialized powers; only the integral goes through the scaled reduction
+    of _TwoSidedPowers, which under Schatten-2 takes each node's norm from
+    la^(2s) (C∘C) lb^(2t) without forming the product.
     """
     return _uin_stack(
         variant, _TwoSidedPowers.of_one(a, b, x), norm_spec, nu, quad_n, rtol, atol

@@ -1634,6 +1634,24 @@ def _ref_signed_eigh(m):
     return lam, q * signs
 
 
+def _ref_curve_norms(la, lb, core, ts, second, spec):
+    """|||diag(la^t) core diag(lb^s)||| at the points t of ts and s of second,
+    as one trial alone: Schatten-2 as sum_ij la_i^(2t) core_ij^2 lb_j^(2s), in
+    the point blocks of chains._curve_stack (all points when they fit in
+    STACK_ENTRIES entries at m k per point, else STACK_ENTRIES // (m k) at a
+    time), and every other norm from the materialized products."""
+    left, right = np.power(la[None, :], ts[:, None]), np.power(lb[None, :], second[:, None])
+    if not (spec.kind == "schatten" and spec.params[0] == 2.0):
+        return norms_of_stack(left[:, :, None] * core * right[:, None, :], spec)
+    m, k = core.shape
+    size = ts.size if ts.size * m * k <= STACK_ENTRIES else max(1, STACK_ENTRIES // (m * k))
+    core2 = core * core
+    return np.concatenate([
+        np.sqrt((((lp * lp) @ core2) * (rp * rp)).sum(axis=-1))
+        for lp, rp in ((left[i : i + size], right[i : i + size]) for i in range(0, ts.size, size))
+    ])
+
+
 def _ref_two_sided(tid, stream, dim, p):
     a, b = _spd_pair(stream, dim)
     x = random_general(stream, dim, dim)
@@ -1641,9 +1659,7 @@ def _ref_two_sided(tid, stream, dim, p):
     core = qa.T @ x @ qb
     ts = _REF_TS
     second = ts if tid == "phi_diagonal" else 1.0 - ts
-    left, right = np.power(la[None, :], ts[:, None]), np.power(lb[None, :], second[:, None])
-    vals = norms_of_stack(left[:, :, None] * core * right[:, None, :], p.norm)
-    return _ref_witness(tid, vals, ts)
+    return _ref_witness(tid, _ref_curve_norms(la, lb, core, ts, second, p.norm), ts)
 
 
 # ---------------------------------------------------------------------------
@@ -1752,8 +1768,7 @@ def _ref_uin(tid, stream, dim, p):
         return mx @ power_from_decomp(db, sb, original=mb)
 
     def log_curve(ts):
-        left, right = np.power(la[None, :], ts[:, None]), np.power(lb[None, :], second(ts)[:, None])
-        vals = norms_of_stack(left[:, :, None] * core * right[:, None, :], p.norm)
+        vals = _ref_curve_norms(la, lb, core, ts, second(ts), p.norm)
         if not (np.isfinite(vals).all() and (vals > 0.0).all()):
             raise DomainViolationError("norm curve is not strictly positive")
         return np.log(vals)
@@ -1840,6 +1855,23 @@ def test_curve_rows_match_the_per_trial_code_under_every_variant(tid):
             got = [outcome_to_dict(o) for o in _outcomes(tid, seeds, dim, params)]
             assert got == want, (tid, kwargs, dim)
             assert outcome_to_dict(run_trial(tid, seeds[5], dim, params)) == want[5]
+
+
+@pytest.mark.parametrize("tid", ["phi_sandwich", "uin_full"])
+def test_a_one_point_block_replays_bit_for_bit(tid):
+    """At dim 41 a block holds STACK_ENTRIES // 41^2 = 9 points, so the 1,090
+    points of the scan and the 64 nodes of the quadrature each end in a
+    block of one point, whose Schatten-2 matmul takes another BLAS route
+    (gemv) than the blocks of nine: a trial replays with the same blocks."""
+    dim = 41
+    per_block = STACK_ENTRIES // dim**2
+    assert per_block == 9
+    params = resolve_params(tid, CampaignConfig())
+    assert (DEFAULT_GRID_N**2 + 1) % per_block == 1 and params.quad_n % per_block == 1
+    assert params.norm == parse_norm("schatten:2")
+    seeds = [derive_trial_seed(2020, dim, t) for t in range(3)]
+    got = [outcome_to_dict(o) for o in _outcomes(tid, seeds, dim, params)]
+    assert got == [outcome_to_dict(run_trial(tid, s, dim, params)) for s in seeds]
 
 
 @pytest.mark.parametrize("tid", _SCAN_IDS + _CURVE_IDS)

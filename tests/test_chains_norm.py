@@ -21,8 +21,9 @@ from hhverify import (
     kittaneh_check,
     uin_chain,
 )
+from hhverify.chains import _TwoSidedPowers
 from hhverify.errors import DegenerateIntervalError
-from hhverify.norms import norm
+from hhverify.norms import norm, norms_of_stack, parse_norm
 from hhverify.sampler import RandomStream, random_commuting_pair, random_spd
 
 ALL_VARIANTS = (
@@ -117,6 +118,56 @@ def test_uin_rectangular_x():
     assert rep.passed
     with pytest.raises(DimMismatchError):
         uin_chain(UinVariant.FULL, a, b, x.T, NormSpec.schatten(2.0))
+
+
+# ---------------------------------------------------------------------------
+# the reduced two-sided curve
+
+
+def _two_sided(stream, m, k, trials=3):
+    a = np.stack([random_spd(stream, m, 0.1, 10.0) for _ in range(trials)])
+    b = np.stack([random_spd(stream, k, 0.1, 10.0) for _ in range(trials)])
+    x = np.asarray(stream.gaussian(trials * m * k)).reshape(trials, m, k)
+    return _TwoSidedPowers.of_stacks(a, b, x)
+
+
+def _materialized_norms(tp, ts, second, spec):
+    """The norm of every diag(la^t) C diag(lb^second(t)) of tp, formed as a
+    (T, P, m, k) stack and taken by norms_of_stack."""
+    left = np.power(tp.la[:, None, :], ts[:, None])
+    right = np.power(tp.lb[:, None, :], second(ts)[:, None])
+    prods = left[..., None] * tp.core[:, None] * right[..., None, :]
+    m, k = tp.core.shape[1:]
+    return norms_of_stack(prods.reshape(-1, m, k), spec).reshape(prods.shape[:2])
+
+
+_SHAPES = [(d, d) for d in (1, 2, 3, 5, 8, 17)] + [(4, 2), (3, 7)]
+# the endpoints, the midpoint, and the witness grid: at m k = 289 the grid
+# is cut into blocks of points
+_TS = np.concatenate(([0.0, 1.0, 0.5], np.arange(1090) / 1089.0))
+_SECONDS = {"sandwich": lambda t: 1.0 - t, "diagonal": lambda t: t}
+
+
+@pytest.mark.parametrize("m, k", _SHAPES)
+@pytest.mark.parametrize("curve", sorted(_SECONDS))
+def test_schatten2_curve_equals_the_norm_of_the_materialized_products(m, k, curve):
+    tp = _two_sided(RandomStream(1000 * m + k), m, k)
+    spec, second = NormSpec.schatten(2.0), _SECONDS[curve]
+    got, want = tp.norms(_TS, second, spec), _materialized_norms(tp, _TS, second, spec)
+    assert got.shape == want.shape == (3, _TS.size)
+    assert np.all(np.abs(got - want) <= 1e-14 * want), np.max(np.abs(got / want - 1.0))
+    # the trials of a stack have the bits they have alone
+    for t in range(3):
+        assert np.array_equal(tp.norms(_TS, second, spec, [t])[0], got[t])
+
+
+@pytest.mark.parametrize("m, k", [(2, 2), (5, 5), (17, 17), (3, 7)])
+@pytest.mark.parametrize("text", ["opnorm", "tracenorm", "kyfan:2", "schatten:3"])
+def test_other_norms_keep_the_materialized_products(m, k, text):
+    tp = _two_sided(RandomStream(7 * m + k), m, k)
+    spec = parse_norm(text)
+    for second in _SECONDS.values():
+        assert np.array_equal(tp.norms(_TS, second, spec), _materialized_norms(tp, _TS, second, spec))
 
 
 def test_uin_integral_matches_riemann_sum():
