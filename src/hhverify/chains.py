@@ -11,6 +11,13 @@ One rule (_order_verdicts) decides every Loewner link, from the smallest
 eigenvalue of the difference and the spectral radii of the two terms; one
 cutter (_curve_stack) splits curve points under functions.STACK_ENTRIES, and
 quadrature.integrate_trials_checked alone cuts stacks of integrand rows.
+
+No chain takes a norm itself: norms.norms_of_stack and norms_from_eig_rows
+do, and a chain asks a NormSpec only is_frobenius and is_max_type. Each norm
+curve has one evaluator, used by its anchors, integrand and witness alike:
+_commuting_norms for ||f(A^t B^(1-t))|| of a commuting pair, _product_norms
+for a pair that need not commute, and _TwoSidedPowers.norms for |||A^s X
+B^t|||.
 """
 
 from __future__ import annotations
@@ -727,16 +734,6 @@ def _norm_power_stack(t, alphas: np.ndarray, rtol: float, atol: float) -> list[I
     return reports
 
 
-def _norms_stack(m: np.ndarray, spec: NormSpec) -> list[float]:
-    """norm() of each matrix of a (..., m, n) stack, flattened in order."""
-    flat = m.reshape(-1, m.shape[-2] * m.shape[-1])
-    if spec.kind == "schatten" and spec.params[0] == 2.0:
-        # the Frobenius norm as np.linalg.norm takes it: a dot product of the
-        # flattened matrix with itself (BLAS ddot), then the root
-        return np.sqrt((flat[:, None, :] @ flat[:, :, None])[:, 0, 0]).tolist()
-    return _sv_norm(m, spec).ravel().tolist()
-
-
 def _kittaneh_stack(
     a, b, x, nu: float, norm_spec: NormSpec, rtol: float, atol: float
 ) -> list[InequalityReport]:
@@ -751,12 +748,9 @@ def _kittaneh_stack(
 
     trio = np.stack((power(ma, nu) @ x @ power(mb, 1.0 - nu), ma @ x, x @ mb), axis=1)
     _require_finite(trio)
-    norms = _norms_stack(trio, norm_spec)
     return [
-        _inequality_report(
-            "kittaneh", norms[i], norms[i + 1] ** nu * norms[i + 2] ** (1.0 - nu), rtol, atol
-        )
-        for i in range(0, len(norms), 3)
+        _inequality_report("kittaneh", lhs, ax**nu * xb ** (1.0 - nu), rtol, atol)
+        for lhs, ax, xb in norms_of_stack(trio, norm_spec).tolist()
     ]
 
 
@@ -924,46 +918,39 @@ def _norm_gg_stack(
     quad_n: int, rtol: float, atol: float, check_hypothesis: bool,
 ) -> list[ChainReport]:
     """operator_norm_gg_chain of each commuting pair, given by its spectra
-    a[t], b[t] of two (T, n) stacks: the anchors one point at a time over the
-    stack, and the chain of every trial from one _hh_stack, which cuts the
-    interval of each trial at the kinks of its curve."""
+    a[t], b[t] of two (T, n) stacks: the anchors of every trial from one
+    _commuting_norms, and the chain of every trial from one _hh_stack, which
+    cuts the interval of each trial at the kinks of its curve."""
     holds = _commuting_prelude(f, a, b, True, check_hypothesis)
-
-    def phi(u: float) -> np.ndarray:
-        eigs = np.power(a, u) * np.power(b, 1.0 - u) if 0.0 < u < 1.0 else (
-            a if u == 1.0 else b
-        )
-        return _anchor_gauges(f.eval_array(eigs), norm_spec)
-
-    anchors = np.array([phi(u) for u in HH_NODES])  # (5, T)
+    # one point at a time: a power by one shared exponent takes numpy's fast
+    # paths (0.5 is a square root), which a row of exponents does not
+    points = [np.array([u]) for u in HH_NODES]
+    anchors = np.concatenate([_commuting_norms(f, a, b, norm_spec, u) for u in points], axis=1)
     # max-type norms sort the branches, so kinks sit at branch crossings
-    sorting_norm = norm_spec.kind == "kyfan" or (
-        norm_spec.kind == "schatten" and math.isinf(norm_spec.params[0])
-    )
-    cuts = [_eig_crossings(av, bv) for av, bv in zip(a, b)] if sorting_norm else None
-    n = a.shape[1]
+    cuts = [_eig_crossings(av, bv) for av, bv in zip(a, b)] if norm_spec.is_max_type else None
 
     def log_phi(rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        t = xs[:, :, None]
-        grid = np.power(a[rows, None, :], t) * np.power(b[rows, None, :], 1.0 - t)
-        vals = norms_from_eig_rows(f.eval_array(grid).reshape(-1, n), norm_spec)
+        vals = _commuting_norms(f, a[rows], b[rows], norm_spec, xs)
         if not (np.isfinite(vals).all() and (vals > 0.0).all()):
             raise DomainViolationError(f"{theorem_id}: norm curve is not strictly positive")
-        return np.log(vals.reshape(xs.shape))
+        return np.log(vals)
 
     return _curve_reports(
-        theorem_id, anchors.T, log_phi, 0.0, 1.0, quad_n, n, rtol, atol, holds, cuts
+        theorem_id, anchors, log_phi, 0.0, 1.0, quad_n, a.shape[1], rtol, atol, holds, cuts
     )
 
 
-def _anchor_gauges(rows: np.ndarray, spec: NormSpec) -> np.ndarray:
-    """norms_from_eig_rows of each row of a (T, n) eigenvalue array, with the
-    bits it has as a stack of one: the power of a general Schatten p, taken
-    on reversed rows, can round differently in a taller stack, so those rows
-    are gauged one at a time."""
-    if spec.kind == "schatten" and spec.params[0] not in (1.0, 2.0, math.inf):
-        return np.concatenate([norms_from_eig_rows(row[None], spec) for row in rows])
-    return norms_from_eig_rows(rows, spec)
+def _commuting_norms(
+    f: FunctionSpec, a: np.ndarray, b: np.ndarray, spec: NormSpec, ts: np.ndarray
+) -> np.ndarray:
+    """||f(A^t B^(1-t))|| of the commuting pairs given by the spectra a[r],
+    b[r] of two (R, n) stacks, at the points ts: a (P,) array shared by every
+    pair, or an (R, P) array of each pair's own. Shape (R, P); each value has
+    the bits it has alone."""
+    t = ts[..., None]
+    grid = np.power(a[:, None, :], t) * np.power(b[:, None, :], 1.0 - t)
+    rows = f.eval_array(grid).reshape(-1, a.shape[1])
+    return norms_from_eig_rows(rows, spec).reshape(grid.shape[:2])
 
 
 def _curve_reports(
@@ -1113,12 +1100,6 @@ def _f_of_product(xl: np.ndarray, xq: np.ndarray, y: np.ndarray, fn) -> np.ndarr
     return left @ (np.swapaxes(v, -1, -2) @ ((xq / root) @ xt))
 
 
-def _sv_norm(m: np.ndarray, spec: NormSpec) -> np.ndarray:
-    """The norms of a (..., m, n) stack, of shape (...)."""
-    s = np.maximum(np.linalg.svd(m, compute_uv=False), 0.0)
-    return spec.of_singular_values(s.reshape(-1, s.shape[-1])).reshape(s.shape[:-1])
-
-
 def _pair(a: np.ndarray, b: np.ndarray) -> tuple:
     """A and B as drawn, then the spectra and signed bases of their
     symmetric parts, as eigh gives them."""
@@ -1139,7 +1120,7 @@ def _product_norms(pair: tuple, f: FunctionSpec, spec: NormSpec, ts: np.ndarray)
     len(ts)), in blocks of _curve_stack."""
 
     def block(sl, t: np.ndarray) -> np.ndarray:
-        return _sv_norm(_f_of_power_product(pair, sl, t, f.eval_array), spec)
+        return norms_of_stack(_f_of_power_product(pair, sl, t, f.eval_array), spec)
 
     return _curve_stack(block, pair[0].shape[0], ts, pair[0][0].size)
 
@@ -1271,10 +1252,10 @@ def kittaneh_general(
     (complex matrices)."""
     left = _eig_function(a, lambda w: np.power(w.astype(np.complex128), nu))
     right = _eig_function(b, lambda w: np.power(w.astype(np.complex128), 1.0 - nu))
-    lhs = _sv_norm(left @ x @ right, norm_spec)
+    lhs = norms_of_stack(left @ x @ right, norm_spec)
     if not np.isfinite(lhs).all():
         raise DomainViolationError("kittaneh: the left side is not finite")
-    sides = zip(lhs.tolist(), *(_sv_norm(m, norm_spec).tolist() for m in (a @ x, x @ b)))
+    sides = zip(lhs.tolist(), *(norms_of_stack(m, norm_spec).tolist() for m in (a @ x, x @ b)))
     return [
         _inequality_report(
             "kittaneh", norm, ax**nu * xb ** (1.0 - nu), rtol, atol, hypothesis_ok=False
@@ -1351,12 +1332,11 @@ class _TwoSidedPowers:
         len(ts))."""
         la, lb, core, core2 = (x[trials] for x in (self.la, self.lb, self.core, self.core2))
         m, k = core.shape[1:]
-        frobenius = spec.kind == "schatten" and spec.params[0] == 2.0
 
         def block(sl: slice, t: np.ndarray) -> np.ndarray:
             left = np.power(la[sl, None, :], t[:, None])
             right = np.power(lb[sl, None, :], second(t)[:, None])
-            if frobenius:
+            if spec.is_frobenius:
                 # (T, P, m) @ (T, m, k), then a row-wise dot with right∘right
                 return np.sqrt((((left * left) @ core2[sl]) * (right * right)).sum(axis=-1))
             prods = left[..., None] * core[sl, None]
@@ -1418,9 +1398,7 @@ def _phi_operator_verdicts(
     _require_in_domain(f, *_joint_ranges(a, b))
 
     def block(sl: slice, t: np.ndarray) -> np.ndarray:
-        grid = np.power(a[sl, None, :], t[:, None]) * np.power(b[sl, None, :], (1.0 - t)[:, None])
-        rows = f.eval_array(grid).reshape(-1, a.shape[1])
-        return norms_from_eig_rows(rows, norm_spec).reshape(grid.shape[:2])
+        return _commuting_norms(f, a[sl], b[sl], norm_spec, t)
 
     return _witness_scans(lambda ts: _curve_stack(block, a.shape[0], ts, a.shape[1]), grid_n, tol)
 
@@ -1554,7 +1532,6 @@ def _uin_stack(
     points = (lo, 0.25 * (3.0 * lo + hi), 0.5 * (lo + hi), 0.25 * (lo + 3.0 * hi), hi)
     mats = tp.direct([(t, second(t)) for t in points])
     _require_finite(mats)
-    norms = _norms_stack(mats, norm_spec)
 
     def log_curve(rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
         vals = tp.norms(xs[0], second, norm_spec, rows)
@@ -1564,6 +1541,6 @@ def _uin_stack(
 
     m, k = tp.core.shape[1:]
     return _curve_reports(
-        _UIN_IDS[variant], [norms[i : i + 5] for i in range(0, len(norms), 5)], log_curve, lo, hi,
-        quad_n, m * k, rtol, atol, [True] * mats.shape[0],
+        _UIN_IDS[variant], norms_of_stack(mats, norm_spec).tolist(), log_curve, lo, hi, quad_n,
+        m * k, rtol, atol, [True] * mats.shape[0],
     )

@@ -4,11 +4,19 @@ A norm is identified by a small spec: Schatten p (p >= 1, p = inf meaning the
 operator norm), the Ky Fan k-norms, and the named aliases ``opnorm`` and
 ``tracenorm``. All of them are symmetric gauge functions of the singular
 values, which is the invariance the checks in this package rely on.
+
+This module alone decides how a norm is taken: one gauge (_gauge_rows), one
+Frobenius rule (_frobenius_rows, which the quadrature's doubling check also
+uses) and one kernel for stacks of matrices (norms_of_stack, which norm()
+runs on one matrix). Each gives a row or matrix the bits it has alone, in a
+stack of any height. Other modules ask a NormSpec only is_frobenius and
+is_max_type.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +24,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     ConvergenceError,
+    DimMismatchError,
     NotSquareError,
     SchattenOrderError,
 )
@@ -44,9 +53,25 @@ class NormSpec:
 
     @staticmethod
     def kyfan(k: int) -> "NormSpec":
-        if not (isinstance(k, int) and k >= 1):
-            raise SchattenOrderError(f"Ky Fan order must be an integer >= 1, got {k}")
-        return NormSpec(kind="kyfan", params=(k,))
+        """Any integral k >= 1 (numpy integers too), bool not."""
+        try:
+            order = operator.index(k)
+        except TypeError:
+            order = None
+        if order is None or isinstance(k, bool) or order < 1:
+            raise SchattenOrderError(f"Ky Fan order must be an integer >= 1, got {k!r}")
+        return NormSpec(kind="kyfan", params=(order,))
+
+    @property
+    def is_frobenius(self) -> bool:
+        """Schatten-2, the Frobenius norm: taken without singular values."""
+        return self.kind == "schatten" and self.params[0] == 2.0
+
+    @property
+    def is_max_type(self) -> bool:
+        """The operator norm and the Ky Fan norms: they pick the largest
+        singular values, so a norm curve kinks where two of them cross."""
+        return self.kind == "kyfan" or self.params[0] == math.inf
 
     def describe(self) -> str:
         if self.kind == "kyfan":
@@ -58,31 +83,10 @@ class NormSpec:
             return "tracenorm"
         return f"schatten:{exact_g(p)}"
 
-    def of_singular_values(self, s: np.ndarray):
-        """Evaluate the gauge on a descending singular-value vector.
-
-        A (T, n) array of such vectors gives the array of their T gauges, each
-        equal bit for bit to the gauge of its row alone; a vector is gauged as
-        the one row of a (1, n) array, and an empty one gives 0.0.
-        """
-        if s.ndim == 2:
-            return self._of_rows(s)
-        return float(self._of_rows(s[None])[0]) if s.size else 0.0
-
-    def _of_rows(self, s: np.ndarray) -> np.ndarray:
-        if self.kind == "kyfan":
-            return np.sum(s[:, : min(self.params[0], s.shape[1])], axis=1)
-        p = self.params[0]
-        if p == math.inf:
-            return s[:, 0]
-        if p == 1.0:
-            return np.sum(s, axis=1)
-        if p == 2.0:
-            return np.sqrt(np.sum(s * s, axis=1))
-        # the root is taken one value at a time: the array power of numpy can
-        # differ from the scalar one in the last bit
-        sums = np.sum(np.power(s, p), axis=1)
-        return np.array([x ** (1.0 / p) for x in sums.tolist()])
+    def of_singular_values(self, s: np.ndarray) -> float:
+        """Evaluate the gauge on a descending singular-value vector, as the
+        one row of a (1, n) array; an empty one gives 0.0."""
+        return float(_gauge_rows(s[None], self)[0]) if s.size else 0.0
 
 
 def parse_norm(text: str) -> NormSpec:
@@ -125,29 +129,28 @@ def singular_values(m) -> np.ndarray:
 
 
 def norm(m, spec: NormSpec) -> float:
-    """Evaluate a unitarily invariant norm of a (possibly rectangular) matrix."""
-    a = check_matrix(m)
-    if spec.kind == "schatten" and spec.params[0] == 2.0:
-        # Frobenius shortcut: no SVD needed
-        return float(np.linalg.norm(a))
-    return spec.of_singular_values(singular_values(a))
+    """Evaluate a unitarily invariant norm of a (possibly rectangular) matrix:
+    norms_of_stack on a stack of one."""
+    return float(norms_of_stack(check_matrix(m)[None], spec)[0])
 
 
 def norms_of_stack(stack: np.ndarray, spec: NormSpec) -> np.ndarray:
-    """Norm of every matrix in a (T, m, n) stack.
+    """Norm of every matrix of a (..., m, n) stack, of shape (...).
 
-    Schatten-2 reduces to Frobenius norms; the rest go through one batched
-    singular value decomposition.
+    Schatten-2 of a real stack is the Frobenius norm of each matrix; the rest
+    go through one batched singular value decomposition and the gauge. Every
+    matrix gets the bits it has alone.
     """
-    if stack.ndim != 3:
-        raise NotSquareError(f"expected a (T, m, n) stack, got shape {stack.shape}")
-    if spec.kind == "schatten" and spec.params[0] == 2.0:
-        return np.sqrt(np.sum(stack * stack, axis=(1, 2)))
+    if stack.ndim < 2:
+        raise DimMismatchError(f"expected a (..., m, n) stack, got shape {stack.shape}")
+    if spec.is_frobenius and not np.iscomplexobj(stack):
+        return _frobenius_rows(stack.reshape(stack.shape[:-2] + (-1,)))
     try:
         s = np.linalg.svd(stack, compute_uv=False)
     except np.linalg.LinAlgError as e:  # pragma: no cover
         raise ConvergenceError(f"singular value computation failed: {e}") from e
-    return _gauge_rows(np.maximum(s, 0.0), spec)
+    rows = np.maximum(s, 0.0).reshape(-1, s.shape[-1])
+    return _gauge_rows(rows, spec).reshape(s.shape[:-1])
 
 
 def norm_from_eigs(eigs: np.ndarray, spec: NormSpec) -> float:
@@ -158,15 +161,25 @@ def norm_from_eigs(eigs: np.ndarray, spec: NormSpec) -> float:
 
 
 def norms_from_eig_rows(rows: np.ndarray, spec: NormSpec) -> np.ndarray:
-    """Row-wise ``norm_from_eigs`` for a (T, n) eigenvalue array."""
+    """Row-wise ``norm_from_eigs`` for a (T, n) eigenvalue array. The
+    operator norm is the largest |eigenvalue|, found without a sort, as the
+    max down the columns of the C-ordered transpose: numpy reduces T short
+    rows far slower than n long ones."""
+    if spec == NormSpec.opnorm():
+        return np.abs(rows.T, order="C").max(axis=0)
     return _gauge_rows(np.sort(np.abs(rows), axis=1)[:, ::-1], spec)
 
 
 def _gauge_rows(s: np.ndarray, spec: NormSpec) -> np.ndarray:
-    """The gauge of each row of a (T, n) array of descending singular values;
-    unlike NormSpec._of_rows, it takes the root as one array power."""
+    """The gauge of each row of a (T, n) array of descending singular values.
+
+    The rows are made contiguous first: numpy's power can round a strided row
+    otherwise than a contiguous one, and on contiguous rows a row has the
+    same bits alone as in a stack of any height.
+    """
+    s = np.ascontiguousarray(s)
     if spec.kind == "kyfan":
-        return np.sum(s[:, : min(spec.params[0], s.shape[1])], axis=1)
+        return np.sum(s[:, : spec.params[0]], axis=1)
     p = spec.params[0]
     if p == math.inf:
         return s[:, 0]
@@ -175,6 +188,14 @@ def _gauge_rows(s: np.ndarray, spec: NormSpec) -> np.ndarray:
     if p == 2.0:
         return np.sqrt(np.sum(s * s, axis=1))
     return np.power(np.sum(np.power(s, p), axis=1), 1.0 / p)
+
+
+def _frobenius_rows(flat: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each row of a real (..., k) array, of shape
+    (...): the root of the row's dot with itself, one batched (1, k) @ (k, 1)
+    matmul per row, which is the ddot np.linalg.norm takes, so its bits."""
+    rows = flat.reshape(-1, 1, flat.shape[-1])
+    return np.sqrt(rows @ np.swapaxes(rows, 1, 2)).reshape(flat.shape[:-1])
 
 
 def trace(m) -> float:

@@ -7,7 +7,9 @@ against an independent implementation). Rules are cached per node count.
 Every integral that feeds a reported chain term goes through the ``*_checked``
 variants, which re-integrate at twice the node count and flag the result as
 unreliable when the two values disagree beyond ``DOUBLING_TOL``; unreliable
-chains are counted separately rather than failed.
+chains are counted separately rather than failed. The two values are
+compared in the Frobenius norm, taken by the one rule of norms.py
+(_frobenius_rows).
 
 One integrator serves every chain: integrate_trials_checked integrates T
 rows, cuts them itself into blocks under functions.STACK_ENTRIES, and
@@ -28,6 +30,7 @@ import numpy as np
 
 from .errors import DimMismatchError, NodeCountError, NonFiniteSampleError
 from .functions import _blocks
+from .norms import _frobenius_rows
 
 MAX_NODES = 512
 
@@ -109,19 +112,13 @@ def _samples(g: Callable[[np.ndarray], np.ndarray], a, b, n: int):
     return ws, samples
 
 
-def _row_norms(d: np.ndarray) -> np.ndarray:
-    """The Frobenius norm of each row of an (R, ...) stack, as the sqrt of one
-    batched d . d^T matmul: the dot np.linalg.norm(np.ravel(row)) takes, so
-    the same bits."""
-    flat = d.reshape(d.shape[0], 1, -1)
-    return np.sqrt(flat @ np.swapaxes(flat, 1, 2)).reshape(-1)
-
-
 def _agrees(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     """The doubling check of each row of the (R, ...) n- and 2n-node results:
-    the norm of the difference is at most DOUBLING_TOL times 1 + the norm of
-    the n-node result."""
-    return _row_norms(v1 - v2) <= DOUBLING_TOL * (1.0 + _row_norms(v1))
+    the Frobenius norm of the difference is at most DOUBLING_TOL times 1 +
+    that of the n-node result."""
+    rows = v1.shape[0]
+    diff = _frobenius_rows((v1 - v2).reshape(rows, -1))
+    return diff <= DOUBLING_TOL * (1.0 + _frobenius_rows(v1.reshape(rows, -1)))
 
 
 def _checked(integrate, g, a: float, b: float, n: int):

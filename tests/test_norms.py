@@ -16,7 +16,7 @@ from hhverify import (
     singular_values,
     trace,
 )
-from hhverify.errors import SchattenOrderError
+from hhverify.errors import DimMismatchError, SchattenOrderError
 from hhverify.norms import (
     norm_from_eigs,
     norms_from_eig_rows,
@@ -37,9 +37,11 @@ def test_singular_values_fixture():
 def test_schatten_two_is_frobenius():
     m = np.diag([3.0, 4.0])
     assert abs(norm(m, NormSpec.schatten(2.0)) - 5.0) < 1e-14
-    rng = np.random.default_rng(0)
-    g = rng.normal(size=(4, 6))
-    assert abs(norm(g, NormSpec.schatten(2.0)) - np.linalg.norm(g)) < 1e-12
+    # the bits of np.linalg.norm, in a stack as alone
+    stack = np.random.default_rng(0).normal(size=(2000, 3, 4))
+    want = [float(np.linalg.norm(m)) for m in stack]
+    assert norms_of_stack(stack, NormSpec.schatten(2.0)).tolist() == want
+    assert [norm(m, NormSpec.schatten(2.0)) for m in stack] == want
 
 
 def test_norm_family_equivalences():
@@ -87,8 +89,28 @@ def test_norm_axioms_triangle_and_scaling():
 def test_spec_constructors_validate():
     with pytest.raises(SchattenOrderError):
         NormSpec.schatten(0.5)
-    with pytest.raises(SchattenOrderError):
-        NormSpec.kyfan(0)
+    for bad in (0, True, False, 2.0, "2"):
+        with pytest.raises(SchattenOrderError):
+            NormSpec.kyfan(bad)
+
+
+def test_kyfan_takes_any_integral_order_and_round_trips():
+    spec = NormSpec.kyfan(np.int64(2))
+    assert spec == NormSpec.kyfan(2)
+    assert type(spec.params[0]) is int
+    assert spec.describe() == "kyfan:2"
+    assert parse_norm(spec.describe()) == spec
+
+
+def test_spec_predicates():
+    cases = {
+        "opnorm": (False, True), "tracenorm": (False, False), "kyfan:1": (False, True),
+        "kyfan:3": (False, True), "schatten:1.5": (False, False), "schatten:2": (True, False),
+        "schatten:3": (False, False),
+    }
+    for text, (frobenius, max_type) in cases.items():
+        spec = parse_norm(text)
+        assert (spec.is_frobenius, spec.is_max_type) == (frobenius, max_type), text
 
 
 def test_parse_norm():
@@ -109,7 +131,48 @@ def test_norms_of_stack_matches_loop():
     for spec in (NormSpec.schatten(2.0), NormSpec.opnorm(), NormSpec.kyfan(2)):
         batched = norms_of_stack(stack, spec)
         looped = np.array([norm(stack[i], spec) for i in range(7)])
-        np.testing.assert_allclose(batched, looped, atol=1e-12)
+        assert batched.tolist() == looped.tolist()
+
+
+_BIT_SPECS = ("opnorm", "tracenorm", "kyfan:2", "schatten:1.5", "schatten:2", "schatten:3")
+
+
+@pytest.mark.parametrize("trials", [1, 7, 4096])
+@pytest.mark.parametrize("text", _BIT_SPECS)
+def test_a_stacked_norm_has_the_bits_it_has_alone(text, trials):
+    spec = parse_norm(text)
+    rng = np.random.default_rng(trials)
+    stack = rng.normal(size=(trials, 3, 4)) * np.exp(rng.normal(size=(trials, 1, 1)))
+    batched = norms_of_stack(stack, spec).tolist()
+    assert batched == [norm(m, spec) for m in stack]
+    for n in (2, 5, 13):
+        rows = rng.normal(size=(trials, n)) * np.exp(rng.normal(size=(trials, 1)))
+        batched = norms_from_eig_rows(rows, spec).tolist()
+        assert batched == [norms_from_eig_rows(rows[i : i + 1], spec)[0] for i in range(trials)]
+
+
+def test_norms_of_stack_takes_any_leading_axes():
+    rng = np.random.default_rng(10)
+    stack = rng.normal(size=(2, 3, 4, 5))
+    for text in _BIT_SPECS:
+        spec = parse_norm(text)
+        got = norms_of_stack(stack, spec)
+        assert got.shape == (2, 3)
+        assert got.ravel().tolist() == [norm(m, spec) for m in stack.reshape(-1, 4, 5)]
+        assert norms_of_stack(stack[0, 0], spec).shape == ()
+
+
+def test_norms_of_stack_refuses_fewer_than_two_axes():
+    for bad in (np.ones(4), np.float64(1.0)):
+        with pytest.raises(DimMismatchError):
+            norms_of_stack(np.asarray(bad), NormSpec.opnorm())
+
+
+def test_a_complex_stack_takes_schatten_two_from_its_singular_values():
+    rng = np.random.default_rng(11)
+    stack = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+    got = norms_of_stack(stack, NormSpec.schatten(2.0))
+    np.testing.assert_allclose(got, [np.linalg.norm(m) for m in stack], rtol=1e-14)
 
 
 def test_norms_from_eig_rows_matches_materialized():

@@ -18,13 +18,13 @@ from hhverify import (
 from hhverify import quadrature
 from hhverify.errors import DimMismatchError
 from hhverify.functions import STACK_ENTRIES
+from hhverify.norms import _frobenius_rows
 from hhverify.quadrature import (
     DOUBLING_TOL,
     MAX_NODES,
     _agrees,
     _integrate_trials,
     _mapped_nodes,
-    _row_norms,
     integrate_stack_checked,
     integrate_trials_checked,
 )
@@ -295,8 +295,8 @@ def test_batched_doubling_norms_are_linalg_norm_bit_for_bit():
                 )
                 v2 = v1 + d
                 resid = [np.linalg.norm(np.ravel(x)) for x in v1 - v2]
-                assert _row_norms(v1 - v2).tolist() == resid
-                assert _row_norms(v1).tolist() == scale.tolist()
+                assert _frobenius_rows((v1 - v2).reshape(trials, -1)).tolist() == resid
+                assert _frobenius_rows(v1.reshape(trials, -1)).tolist() == scale.tolist()
                 want = [r <= DOUBLING_TOL * (1.0 + c) for r, c in zip(resid, scale)]
                 assert _agrees(v1, v2).tolist() == want
                 flags.update(want)
