@@ -47,8 +47,8 @@ from .functions import (
     _blocks,
     _check_grid_n,
     _positive_logs,
-    _scan_fine_grid,
     convexity_holds,
+    scan_block,
 )
 from .linalg import (
     CommutingPair,
@@ -642,8 +642,9 @@ def kittaneh_check(
 # The kernels of the scalar and commuting chains and of the witness curves
 # (_scalar_hh_stack, _commuting_order_stack, _phi_operator_verdicts,
 # _two_sided_verdicts) follow the same rules, and keep two more steps per
-# trial: the convexity scan of each trial's row, and the contraction of each
-# trial's quadrature samples (integrate_trials_checked).
+# trial: the full convexity scan of each row that scan_block cannot settle,
+# and the contraction of each trial's quadrature samples
+# (integrate_trials_checked).
 
 
 def _check_bridge(x_shape, a_shape, b_shape) -> None:
@@ -1381,12 +1382,14 @@ def _curve_stack(block, trials: int, ts: np.ndarray, point_entries: int) -> np.n
 
 def _witness_scans(curve, grid_n: int, tol: float) -> list[ConvexityVerdict]:
     """The convexity scan of the log of each row of curve(ts), the (T,
-    len(ts)) values of the curves of T trials on the fine grid ts of [0, 1]."""
+    len(ts)) values of the curves of T trials on the fine grid ts of [0, 1],
+    through scan_block in blocks of whole rows under STACK_ENTRIES."""
     ts = np.arange(grid_n * grid_n + 1) / (grid_n * grid_n)
     vals = curve(ts)
     if not (np.isfinite(vals).all() and (vals > 0.0).all()):
         raise DomainViolationError("norm curve is not strictly positive on [0, 1]")
-    return [_scan_fine_grid(row, ts, grid_n, tol) for row in np.log(vals)]
+    logs = np.log(vals)
+    return [v for sl in _blocks(*logs.shape) for v in scan_block(logs[sl], ts, grid_n, tol)]
 
 
 def _phi_operator_verdicts(

@@ -24,10 +24,20 @@ bits, and only lambda <= 1/2 (k <= g//2) is scanned. That range is scanned in
 blocks of whole k slices, in k, then i, then j order, one vectorized pass per
 block; the verdict is bit for bit that of the plain per-triple loop.
 
+``scan_block`` gives the scan's verdicts of the rows of a block, bit for
+bit, from one vectorized pass over their second differences: a row whose
+every second difference is at least 32u max|F| (u = 2**-53) is strictly
+log-convex by more than the scan's rounding, so its first minimum lies on a
+trivial triple (k = 0, or i = j) and only those are scanned, for all such
+rows at once; every other row goes through ``_scan_fine_grid``. The witness
+scans and ``convexity_verdicts`` (so ``is_ag_convex`` and ``is_gg_convex``)
+call it.
+
 ``convexity_holds`` (the chains' advisory hypothesis check) keeps only the
-holds bit, and scans only the rows an O(g**2) certificate cannot settle: a
-row within e of an affine one with 2e + 8u max|F| <= tol/2 (u = 2**-53), or
-with second differences >= 8u max|F| <= tol/2, scans to slacks >= -tol.
+holds bit, and sends to ``scan_block``, with the same pass, only the rows an
+O(g**2) certificate cannot settle: a row within e of an affine one with
+2e + 8u max|F| <= tol/2, or with second differences >= 8u max|F| <= tol/2,
+scans to slacks >= -tol.
 """
 
 from __future__ import annotations
@@ -188,7 +198,11 @@ def parse_function(text: str) -> FunctionSpec:
 class ConvexityVerdict:
     """Grid-supported verdict. ``slack`` is the minimum, over all tested
     triples, of (allowed right side - left side) in log scale; the verdict
-    holds iff slack >= -tol. ``worst_triple`` is the (x, y, lambda) attaining it."""
+    holds iff slack >= -tol. ``worst_triple`` is the (x, y, lambda) attaining
+    it first in the scan's order. For a row that ``scan_block`` settles that
+    is a trivial triple (lambda = 0, or x = y), whose exact slack is 0, so
+    slack is the scan's rounding there, whether or not it was scanned in
+    full."""
 
     holds: bool
     worst_triple: tuple[float, float, float]
@@ -386,28 +400,108 @@ def convexity_verdicts(
     """is_ag_convex (gg: is_gg_convex) of f on each interval [lo[t], hi[t]]
     of two (T,) arrays, whose checks the caller has made."""
     grids = _fine_grids(f, lo, hi, gg, grid_n)
-    return [_scan_fine_grid(row, x, grid_n, tol) for logs, xs in grids for row, x in zip(logs, xs)]
+    return [v for logs, xs in grids for v in scan_block(logs, xs, grid_n, tol)]
 
 
 def convexity_holds(
     f: FunctionSpec, lo: np.ndarray, hi: np.ndarray, gg: bool, grid_n: int, tol: float
 ) -> list[bool]:
     """The holds bits of convexity_verdicts(f, lo, hi, gg, grid_n, tol), with
-    its grids and errors; a row that _certified settles is not scanned."""
-    return [
-        ok or _scan_fine_grid(row, x, grid_n, tol).holds
-        for logs, xs in _fine_grids(f, lo, hi, gg, grid_n)
-        for ok, row, x in zip(_certified(logs, grid_n, tol).tolist(), logs, xs)
-    ]
+    its grids and errors; a row that _certified settles is not scanned, and
+    the others go through scan_block with the same second-difference pass."""
+    out = []
+    for logs, xs in _fine_grids(f, lo, hi, gg, grid_n):
+        second = _second_pass(logs)
+        holds = _certified(logs, grid_n, tol, second)
+        rest = np.flatnonzero(~holds)
+        if rest.size:
+            verdicts = scan_block(logs[rest], xs[rest], grid_n, tol, [a[rest] for a in second])
+            holds[rest] = [v.holds for v in verdicts]
+        out += holds.tolist()
+    return out
 
 
-def _certified(logs: np.ndarray, grid_n: int, tol: float) -> np.ndarray:
+# a row whose every computed second difference is at least _SETTLE * u * max|F|
+# is settled by scan_block from its trivial triples (the proof needs > 19)
+_SETTLE = 32.0
+
+
+def _second_pass(logs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one second-difference pass over the rows F of logs: each row's
+    Fmax = max|F|, its min|F|, and its smallest computed second difference
+    fl(fl(F[m-1] + F[m+1]) - 2F[m])."""
+    absf = np.abs(logs)
+    second = ((logs[:, :-2] + logs[:, 2:]) - 2.0 * logs[:, 1:-1]).min(axis=1)
+    return absf.max(axis=1), absf.min(axis=1), second
+
+
+def scan_block(
+    logs: np.ndarray, points: np.ndarray, grid_n: int, tol: float, second=None
+) -> list[ConvexityVerdict]:
+    """_scan_fine_grid(logs[t], points[t], grid_n, tol) of each row t of the
+    (T, M + 1) log rows of a block, M = grid_n**2, bit for bit; points is
+    (T, M + 1) or one (M + 1,) grid for every row, and second the rows'
+    _second_pass when the caller has made it.
+
+    A row with every |F| in [2**-54, 2**1000] (inside _certified's range,
+    so every step rounds with relative error at most u = 2**-53) and every
+    computed second difference at least _SETTLE u Fmax, Fmax = max|F|, is
+    settled from its trivial triples:
+    the k = 0 slice and the diagonal i = j, whose exact slacks are 0. Each
+    computed second difference is within 2u Fmax + u (4 + 2u) Fmax < 7u Fmax
+    of exact, so the smallest exact one is d >= (_SETTLE - 7) u Fmax > 0.
+    Then G(m) = F(m) - d m**2 / 2 has second differences >= 0 and lies below
+    its chords, so the exact slack of (k, i, j) is at least d/2 times the
+    chord gap of m**2, (d/2) k (g-k) (i-j)**2 >= d (g-1)/2 >= 25u Fmax for a
+    non-trivial triple (1 <= k <= g//2, i != j, g >= 3). Every computed slack
+    is within 6u Fmax of exact (see _certified): a non-trivial one is at
+    least 19u Fmax, a trivial one at most 6u Fmax. So the scan's first
+    minimum, its slack bits, its worst triple and holds all come from a
+    trivial triple, and only those are scanned, in the scan's (k, i, j)
+    order and with its per-element arithmetic. Every other row goes through
+    _scan_fine_grid.
+    """
+    g, n, u = grid_n, grid_n + 1, 2.0**-53
+    fmax, fmin, dmin = _second_pass(logs) if second is None else second
+    settled = (fmin >= 2.0**-54) & (fmax <= 2.0**1000) & (dmin >= _SETTLE * u * fmax)
+    points = np.broadcast_to(points, logs.shape)
+    out: list = [None] * logs.shape[0]
+    for t in np.flatnonzero(~settled).tolist():
+        out[t] = _scan_fine_grid(logs[t], points[t], g, tol)
+    rows = np.flatnonzero(settled)
+    if rows.size == 0:
+        return out
+    coarse = logs[rows, None, ::g]  # (R, 1, n)
+    k, gk, index = _scan_block_index(g, 0, 1)
+    edge = (k * coarse)[..., :, None] + (gk * coarse)[..., None, :]
+    edge /= g
+    edge -= logs[rows][:, index]
+    kd = np.arange(1, g // 2 + 1).reshape(-1, 1)
+    diag = kd * coarse + (g - kd) * coarse
+    diag /= g
+    diag -= coarse
+    slack = np.concatenate([edge.reshape(rows.size, -1), diag.reshape(rows.size, -1)], axis=1)
+    pos = slack.argmin(axis=1)
+    best = slack[np.arange(rows.size), pos]
+    for t, p, s in zip(rows.tolist(), pos.tolist(), best.tolist()):
+        if p < n * n:
+            i, j, kk = p // n, p % n, 0
+        else:
+            i = j = (p - n * n) % n
+            kk = 1 + (p - n * n) // n
+        worst = (float(points[t, i * g]), float(points[t, j * g]), kk / g)
+        out[t] = ConvexityVerdict(holds=s >= -tol, worst_triple=worst, slack=s)
+    return out
+
+
+def _certified(logs: np.ndarray, grid_n: int, tol: float, second=None) -> np.ndarray:
     """Whether _scan_fine_grid(row, _, grid_n, tol).holds is sure, for each
     row F[0..M], M = grid_n**2, of logs (|F| in {0} u [2**-54, 2**1000], as
     for logs of doubles, so every step rounds with relative error at most
-    u = 2**-53); Fmax = max|F|. The scan's slack fl(fl(fl(k c_i) + fl((g-k)
-    c_j)) / g - F_m), c_i = F[ig], m = ki + (g-k)j, is within 6u Fmax of exact
-    (k + (g-k) = g: the sum is within 2u g Fmax, the quotient 3u Fmax).
+    u = 2**-53); Fmax = max|F|, second the rows' _second_pass if made. The
+    scan's slack fl(fl(fl(k c_i) + fl((g-k) c_j)) / g - F_m), c_i = F[ig],
+    m = ki + (g-k)j, is within 6u Fmax of exact (k + (g-k) = g: the sum is
+    within 2u g Fmax, the quotient 3u Fmax).
     (A) b = fl((F[M] - F[0]) / M) and d_m = fl(F_m - fl(F[0] + fl(b m))) give
     e = max|d| (1 + 2u) + 4u (Fmax + |b| M) >= |F_m - l(m)| for the real
     affine l(m) = F[0] + b m; its chord over (k, i, j) meets l at m, so every
@@ -418,13 +512,12 @@ def _certified(logs: np.ndarray, grid_n: int, tol: float) -> np.ndarray:
     slack is at least -tol, the halved tol covering the test's own rounding.
     """
     u, m = 2.0**-53, grid_n * grid_n
-    fmax = np.abs(logs).max(axis=1)
+    fmax, _, dmin = _second_pass(logs) if second is None else second
     slope = (logs[:, m] - logs[:, 0]) / m
     dev = logs - (logs[:, :1] + slope[:, None] * np.arange(m + 1, dtype=float))
     eps = np.abs(dev).max(axis=1) * (1.0 + 2.0 * u) + 4.0 * u * (fmax + np.abs(slope) * m)
     floor = 8.0 * u * fmax
-    second = (logs[:, :-2] + logs[:, 2:]) - 2.0 * logs[:, 1:-1]
-    convex = (second >= floor[:, None]).all(axis=1) & (floor <= tol / 2)
+    convex = (dmin >= floor) & (floor <= tol / 2)
     return convex | (2.0 * eps + floor <= tol / 2)
 
 

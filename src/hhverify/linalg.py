@@ -274,9 +274,11 @@ def _spectrum_powers(lam: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """lam^t of (..., n) spectra at each exponent of the 1-d array ts: shape
     (..., len(ts), n), each row the bits of np.power(lam, t) alone."""
     vals = np.power(lam[..., None, :], ts[:, None])
-    for k, t in enumerate(ts.tolist()):
-        if t in _SCALAR_POWER_SHORTCUTS:
-            vals[..., k, :] = np.power(lam, t)
+    shortcut = ts == _SCALAR_POWER_SHORTCUTS[0]
+    for t in _SCALAR_POWER_SHORTCUTS[1:]:
+        shortcut |= ts == t
+    for k in np.flatnonzero(shortcut).tolist():
+        vals[..., k, :] = np.power(lam, ts.item(k))
     return vals
 
 
@@ -291,16 +293,18 @@ def _power_stack(
     Every exponent is taken through the spectrum, and the rows at t = 0 and
     t = 1 are then overwritten; each matrix of a stacked product is computed
     alone, so the extra rows leave the others' bits."""
-    tl = ts.tolist()
-    exact = [t == 0.0 or (t == 1.0 and original is not None) for t in tl]
-    general = [t for t, e in zip(tl, exact) if not e]
-    if general:
-        # the guard names the first negative exponent, as a loop over ts would
-        lam = _psd_spectrum(lam, next((t for t in general if t < 0.0), general[0]))
+    exact = ts == 0.0
+    if original is not None:
+        exact |= ts == 1.0
+    if not exact.all():
+        # the guard names the first negative exponent, as a loop over ts
+        # would (an exact exponent is never negative, and the guard reads a
+        # nonnegative one only as such)
+        negative = ts[ts < 0.0]
+        lam = _psd_spectrum(lam, negative.item(0) if negative.size else 0.0)
     out = _apply_stack(q[..., None, :, :], _spectrum_powers(lam, ts))
-    for k, t in enumerate(tl):
-        if exact[k]:
-            out[..., k, :, :] = np.eye(lam.shape[-1]) if t == 0.0 else original
+    for k in np.flatnonzero(exact).tolist():
+        out[..., k, :, :] = np.eye(lam.shape[-1]) if ts.item(k) == 0.0 else original
     return out
 
 

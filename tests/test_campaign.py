@@ -1941,8 +1941,10 @@ def test_drop_convexity_guard_skips_the_hypothesis_scan(tid, monkeypatch):
 
 
 def test_certified_hypothesis_skips_the_grid_scan(monkeypatch):
-    # under exp:1 every advisory interval is certified without a scan, while
-    # a witness scan still runs once per trial
+    # under exp:1 every advisory interval is certified without a scan, and
+    # the strictly log-convex dim-3 witness curves are settled from their
+    # trivial triples; at dim 1 the witness log curve is affine, so each
+    # trial still takes the full scan
     scans = []
     real_scan = functions._scan_fine_grid
 
@@ -1951,13 +1953,12 @@ def test_certified_hypothesis_skips_the_grid_scan(monkeypatch):
         return real_scan(*args)
 
     monkeypatch.setattr(functions, "_scan_fine_grid", counted)
-    monkeypatch.setattr(chains, "_scan_fine_grid", counted)
-    seeds = [derive_trial_seed(6, 3, t) for t in range(10)]
-    for tid, want in (("scalar_ag", 0), ("phi_sandwich", len(seeds))):
+    for tid, dim, want in (("scalar_ag", 3, 0), ("phi_sandwich", 3, 0), ("phi_sandwich", 1, 10)):
+        seeds = [derive_trial_seed(6, dim, t) for t in range(10)]
         params = resolve_params(tid, CampaignConfig(function=FunctionSpec.exp(1.0)))
         scans.clear()
-        outcomes = list(_outcomes(tid, seeds, 3, params))
-        assert len(scans) == want, tid
+        outcomes = list(_outcomes(tid, seeds, dim, params))
+        assert len(scans) == want, (tid, dim)
         assert all(o.hypothesis_ok for o in outcomes)
 
 

@@ -17,7 +17,11 @@ from hhverify import (
     parse_function,
     scalar_mean_chain,
 )
+from hhverify import campaign, chains, functions
+from hhverify.campaign import DROP_COMMUTATIVITY, CampaignConfig, resolve_params
 from hhverify.errors import DegenerateIntervalError, NonPositiveInputError
+from hhverify.norms import parse_norm
+from hhverify.sampler import derive_trial_seed
 from hhverify.functions import (
     DEFAULT_CONVEXITY_TOL,
     DEFAULT_GRID_N,
@@ -30,6 +34,7 @@ from hhverify.functions import (
     _scan_midpoint_only,
     convexity_holds,
     convexity_verdicts,
+    scan_block,
 )
 
 
@@ -390,6 +395,14 @@ def test_certificate_refuses_a_concave_bump():
         assert verdict.holds == (depth < 1.0)
 
 
+def _rounding_row(g):
+    """A row near 1e7 on the float line of its own endpoint slope."""
+    steps = np.arange(g * g + 1, dtype=float)
+    row = 1e7 + 0.1 * steps
+    slope = (row[-1] - row[0]) / steps[-1]
+    return 1e7 + slope * steps
+
+
 def test_certificate_refuses_an_affine_row_that_fails_on_rounding():
     # a row near 1e7 on the float line of its own endpoint slope: every
     # computed deviation from that line is 0, so only the rounding terms of
@@ -397,9 +410,7 @@ def test_certificate_refuses_an_affine_row_that_fails_on_rounding():
     # rejects it
     g = DEFAULT_GRID_N
     steps = np.arange(g * g + 1, dtype=float)
-    row = 1e7 + 0.1 * steps
-    slope = (row[-1] - row[0]) / steps[-1]
-    row = 1e7 + slope * steps
+    row = _rounding_row(g)
     assert (row - (row[0] + ((row[-1] - row[0]) / steps[-1]) * steps) == 0.0).all()
     certified, verdict = _planted(row, g, DEFAULT_CONVEXITY_TOL)
     assert not verdict.holds
@@ -412,3 +423,112 @@ def test_certificate_settles_exp_and_inverse(f, gg):
     lo, hi = np.array([0.1, 0.5, 3.0]), np.array([0.2, 2.0, 30.0])
     (logs, _), = _fine_grids(f, lo, hi, gg, DEFAULT_GRID_N)
     assert _certified(logs, DEFAULT_GRID_N, DEFAULT_CONVEXITY_TOL).all()
+
+
+# -- the block kernel: rows settled from their trivial triples ---------------
+
+
+def assert_block_is_the_scan(logs, points, g, tol=DEFAULT_CONVEXITY_TOL):
+    """scan_block's verdict of each row of logs is _scan_fine_grid's: the same
+    holds, the same worst triple and the same slack bits (sign of zero
+    included). Returns the rows scan_block handed to the full scan."""
+    scanned = []
+
+    def counted(row, *args):
+        scanned.append(row.copy())
+        return _scan_fine_grid(row, *args)
+
+    mp = pytest.MonkeyPatch()
+    mp.setattr(functions, "_scan_fine_grid", counted)
+    try:
+        got = scan_block(logs, points, g, tol)
+    finally:
+        mp.undo()
+    rows = np.broadcast_to(points, logs.shape)
+    assert len(got) == logs.shape[0]
+    for t, v in enumerate(got):
+        want = _scan_fine_grid(logs[t], rows[t], g, tol)
+        assert v.holds == want.holds, t
+        assert v.worst_triple == want.worst_triple, t
+        assert np.signbit(v.slack) == np.signbit(want.slack), t
+        assert np.float64(v.slack).tobytes() == np.float64(want.slack).tobytes(), t
+    return scanned
+
+
+# (offset, slope, log10 |c|, rate, sign of c) of a + b x + c exp(r x): convex
+# for c > 0, concave for c < 0, and near affine, down to rounding, for small |c|
+_SHAPES = st.lists(
+    st.tuples(
+        st.floats(-50.0, 50.0), st.floats(-50.0, 50.0), st.floats(-18.0, 2.0),
+        st.floats(-3.0, 3.0), st.booleans(),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(st.sampled_from([3, 4, 5, 33, 64]), _SHAPES)
+def test_scan_block_matches_the_scan_on_drawn_rows(g, shapes):
+    m = g * g
+    x = 0.5 + 2.5 * np.arange(m + 1) / m
+    logs = np.array([a + b * x + (1.0 if up else -1.0) * 10.0**e * np.exp(r * x)
+                     for a, b, e, r, up in shapes])
+    # a grid of points for each row, as convexity_verdicts passes them
+    points = x * np.arange(1.0, len(shapes) + 1.0)[:, None]
+    assert_block_is_the_scan(logs, points, g)
+
+
+def test_scan_block_on_planted_rows():
+    g = DEFAULT_GRID_N
+    m = np.arange(g * g + 1, dtype=float)
+    # integers below 2**50, so every second difference is exactly 2; at
+    # max|F| = 2**49 that is 32u max|F|, one more and it is just below
+    at = 2.0**49 - m[-1] ** 2 + m**2
+    affine = 0.3 - 2.5 * m / m[-1]
+    tent = np.maximum(0.0, 1.0 - np.abs(m - 500.0) / 40.0)
+    rows = {
+        "at the threshold": (at, False),
+        "just below": (at + 1.0, True),
+        "affine": (affine, True),
+        "rounding": (_rounding_row(g), True),
+        "bump 0.6 tol": (affine + 0.6 * DEFAULT_CONVEXITY_TOL * tent, True),
+        "bump 1.5 tol": (affine + 1.5 * DEFAULT_CONVEXITY_TOL * tent, True),
+        "zeros": (np.zeros_like(m), True),
+    }
+    points = np.linspace(1.0, 2.0, m.shape[0])
+    for name, (row, scans) in rows.items():
+        scanned = assert_block_is_the_scan(row[None], points, g)
+        assert len(scanned) == scans, name
+    logs = np.array([row for row, _ in rows.values()])
+    scanned = assert_block_is_the_scan(logs, points, g)
+    want = [row for row, scans in rows.values() if scans]
+    assert len(scanned) == len(want)
+    assert all((a == b).all() for a, b in zip(scanned, want))
+
+
+@pytest.mark.parametrize("norm", ["opnorm", "tracenorm", "kyfan:2", "schatten:3"])
+def test_scan_block_matches_the_scan_on_witness_rows(norm, monkeypatch):
+    blocks = []
+    real_block = chains.scan_block
+
+    def recorded(logs, points, g, tol):
+        blocks.append((logs.copy(), points, g, tol))
+        return real_block(logs, points, g, tol)
+
+    monkeypatch.setattr(chains, "scan_block", recorded)
+    runs = [(tid, fn, frozenset()) for fn in ("exp:1", "power:2", "inverse", "poly:1,2,0.5")
+            for tid in ("phi_operator", "phi_sandwich", "phi_diagonal")]
+    runs.append(("phi_operator", "exp:1", frozenset({DROP_COMMUTATIVITY})))
+    for tid, fn, ablation in runs:
+        cfg = CampaignConfig(norm=parse_norm(norm), function=parse_function(fn), ablation=ablation)
+        params = resolve_params(tid, cfg)
+        for dim in (1, 2, 3, 5, 8):
+            seeds = [derive_trial_seed(22, dim, t) for t in range(6)]
+            for block in campaign._blocks(seeds, dim):
+                campaign._block_outcomes(tid, block, params)
+    monkeypatch.undo()
+    rows = sum(logs.shape[0] for logs, *_ in blocks)
+    assert rows == len(runs) * 5 * 6
+    scanned = sum(len(assert_block_is_the_scan(*block)) for block in blocks)
+    # the log-affine dim-1 rows go through the full scan, most others do not
+    assert 0 < scanned < rows / 2
