@@ -446,9 +446,9 @@ def scan_block(
     A row with every |F| in [2**-54, 2**1000] (inside _certified's range,
     so every step rounds with relative error at most u = 2**-53) and every
     computed second difference at least _SETTLE u Fmax, Fmax = max|F|, is
-    settled from its trivial triples:
-    the k = 0 slice and the diagonal i = j, whose exact slacks are 0. Each
-    computed second difference is within 2u Fmax + u (4 + 2u) Fmax < 7u Fmax
+    settled from its trivial triples, the k = 0 slice and the diagonal
+    i = j, whose exact slacks are 0. Each computed second difference is
+    within 2u Fmax + u (4 + 2u) Fmax < 7u Fmax
     of exact, so the smallest exact one is d >= (_SETTLE - 7) u Fmax > 0.
     Then G(m) = F(m) - d m**2 / 2 has second differences >= 0 and lies below
     its chords, so the exact slack of (k, i, j) is at least d/2 times the
