@@ -10,9 +10,9 @@ every id runs a block before the next one is drawn. A runner takes the block
 ablated chains included, which returns one report per trial carrying passed
 / quad_reliable / hypothesis_ok / min_margin. The seeds do not depend on the
 id, so the ids share the block's draws: each kind of input (the scalar log
-pair, the commuting spectra, the SPD pair with or without X, its two-sided
-powers, the general matrices) is drawn once per block, read-only, and
-dropped with the block. Every id's outcomes are folded in trial order.
+pair, the commuting spectra, the SPD pair and its checked spectral view,
+the view with X, the general matrices) is drawn once per block, read-only,
+and dropped with the block. Every id's outcomes are folded in trial order.
 
 Accounting: a trial that cannot be judged (quadrature doubling failed, or
 run_trial caught one of the errors that mean it) is unreliable: excluded from
@@ -24,7 +24,6 @@ violations and leave the exit code at 0.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -41,6 +40,7 @@ from .chains import (
     TraceVariant,
     UinVariant,
     _advisory_convexity,
+    _Pair,
     _am_gm_stack,
     _commuting_order_stack,
     _det_ag_stack,
@@ -51,6 +51,7 @@ from .chains import (
     _norm_gg_stack,
     _norm_power_stack,
     _operator_convex,
+    _pair,
     _phi_operator_verdicts,
     _phi_product_verdicts,
     _scalar_hh_stack,
@@ -176,18 +177,6 @@ class _Block:
 
     def __init__(self, seeds: np.ndarray, dim: int):
         self.seeds, self.dim = seeds, dim
-        self._sequences: dict = {}
-
-    def _sequence(self, kind: str, k: int, draw: Callable) -> tuple:
-        """The first k values that draw(stream, i) gives for i = 0, 1, ...
-        from one stream of the block's seeds. A longer request continues the
-        stream where a shorter one stopped, so the shorter is its prefix."""
-        have, stream = self._sequences.get(kind, ((), None))
-        if len(have) < k:
-            stream = RandomStream(self.seeds) if stream is None else copy.copy(stream)
-            have += _read_only(tuple(draw(stream, i) for i in range(len(have), k)))
-            self._sequences[kind] = (have, stream)
-        return have[:k]
 
     @cached_property
     def log_pair(self) -> np.ndarray:
@@ -204,26 +193,32 @@ class _Block:
         """The spectra of commuting pairs, checked."""
         return _read_only(_commuting_spectra(RandomStream(self.seeds), self.dim))
 
-    def _spd(self, stream: RandomStream, i: int) -> np.ndarray:
-        if i < 2:
-            return random_spd(stream, self.dim, SPD_LO, SPD_HI)
-        return random_general(stream, self.dim, self.dim)
+    @cached_property
+    def spd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A and B, two random_spd from one stream, and the state where the
+        stream stopped, at which X is drawn."""
+        stream = RandomStream(self.seeds)
+        a, b = (random_spd(stream, self.dim, SPD_LO, SPD_HI) for _ in range(2))
+        return _read_only((a, b, stream.state))
 
-    def spd(self, k: int) -> tuple[np.ndarray, ...]:
-        """The first k of (A, B, X) from one stream: two random_spd, then a
-        general X. spd(1) is norm_power's A, spd(2) the SPD pair."""
-        return self._sequence("spd", k, self._spd)
+    @cached_property
+    def pair(self) -> _Pair:
+        """The checked spectral view of A and B that every SPD runner reads:
+        A and B are checked and decomposed once per block."""
+        return _read_only(_pair(*self.spd[:2]))
 
     @cached_property
     def two_sided(self) -> _TwoSidedPowers:
-        """The _TwoSidedPowers of spd(3): the spectra of A and B, and Qa' X Qb."""
-        return _read_only(_TwoSidedPowers.of_stacks(*self.spd(3)))
+        """The view and a general X drawn after A and B, with Qa' X Qb: for
+        kittaneh and the two-sided curves, the only runners that read X."""
+        x = random_general(RandomStream(self.spd[2]), self.dim, self.dim)
+        return _read_only(_TwoSidedPowers.of_stacks(self.pair, x))
 
-    def general(self, k: int) -> tuple[np.ndarray, ...]:
-        """k general matrices from one stream; general(2) is general(3)[:2]."""
-        return self._sequence(
-            "general", k, lambda stream, i: random_general(stream, self.dim, self.dim)
-        )
+    @cached_property
+    def general(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Three general matrices from one stream, for the DROP_POSITIVITY rows."""
+        stream = RandomStream(self.seeds)
+        return _read_only(tuple(random_general(stream, self.dim, self.dim) for _ in range(3)))
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +300,7 @@ def _commuting_order(theorem_id: str, general) -> Theorem:
         lambda block, p: _commuting_order_stack(
             theorem_id, p.f, *block.commuting, p.quad_n, p.rtol, p.check_hypothesis
         ),
-        drop_commutativity=lambda block, p: general(p.f, *block.spd(2), p.quad_n, p.rtol),
+        drop_commutativity=lambda block, p: general(p.f, block.pair, p.quad_n, p.rtol),
         convexity_guard=True,
     )
 
@@ -317,7 +312,7 @@ def _norm_gg(theorem_id: str, fn, convexity_guard: bool = True) -> Theorem:
             p.check_hypothesis,
         ),
         drop_commutativity=lambda block, p: norm_gg_general(
-            theorem_id, p.f, *block.spd(2), p.norm, p.quad_n, p.rtol, p.atol
+            theorem_id, p.f, block.pair, p.norm, p.quad_n, p.rtol, p.atol
         ),
         convexity_guard=convexity_guard,
         fn=fn,
@@ -328,7 +323,7 @@ def _trace(variant: TraceVariant) -> Theorem:
     return Theorem(
         lambda block, p: _trace_stack(variant, *block.commuting, p.quad_n, p.rtol, p.atol),
         drop_commutativity=lambda block, p: trace_chain_general(
-            variant, *block.spd(2), p.quad_n, p.rtol, p.atol
+            variant, block.pair, p.quad_n, p.rtol, p.atol
         ),
     )
 
@@ -373,7 +368,7 @@ THEOREMS = {
     "scalar_gg": _scalar_hh("gg"),
     "scalar_means": Theorem(lambda block, p: _means_stack(*block.log_pair.T, p.rtol, p.atol)),
     "dragomir": Theorem(
-        lambda block, p: _dragomir_stack(p.f, *block.spd(2), p.rtol),
+        lambda block, p: _dragomir_stack(p.f, block.pair, p.rtol),
         fn=_operator_convex_fn,
     ),
     "op_gg_hh": _commuting_order("op_gg_hh", lambda *args: op_gg_hh_general(*args)),
@@ -386,18 +381,20 @@ THEOREMS = {
     "trace_sqrt": _trace(TraceVariant.SQRT),
     "trace_squared": _trace(TraceVariant.SQUARED),
     "det_ag": Theorem(
-        lambda block, p: _det_ag_stack(*block.spd(2), p.nu, p.rtol, p.atol),
-        drop_positivity=lambda block, p: det_ag_indefinite(*block.general(2), p.nu, p.rtol, p.atol),
+        lambda block, p: _det_ag_stack(block.pair, p.nu, p.rtol, p.atol),
+        drop_positivity=lambda block, p: det_ag_indefinite(
+            *block.general[:2], p.nu, p.rtol, p.atol
+        ),
         nu=_inner_nu,
     ),
-    "am_gm_loewner": Theorem(lambda block, p: _am_gm_stack(*block.spd(2), p.nu, p.rtol)),
+    "am_gm_loewner": Theorem(lambda block, p: _am_gm_stack(block.pair, p.nu, p.rtol)),
     "norm_power": Theorem(
-        lambda block, p: _norm_power_stack(block.spd(1)[0], NORM_POWER_ALPHAS, p.rtol, p.atol)
+        lambda block, p: _norm_power_stack(block.pair[:4], NORM_POWER_ALPHAS, p.rtol, p.atol)
     ),
     "kittaneh": Theorem(
-        lambda block, p: _kittaneh_stack(*block.spd(3), p.nu, p.norm, p.rtol, p.atol),
+        lambda block, p: _kittaneh_stack(block.two_sided, p.nu, p.norm, p.rtol, p.atol),
         drop_positivity=lambda block, p: kittaneh_general(
-            *block.general(3), p.nu, p.norm, p.rtol, p.atol
+            *block.general, p.nu, p.norm, p.rtol, p.atol
         ),
         schatten2=True,
     ),
@@ -405,7 +402,7 @@ THEOREMS = {
         _phi_operator_batch,
         drop_commutativity=lambda block, p: [
             _witness("phi_operator", v, hypothesis_ok=False)
-            for v in _phi_product_verdicts(p.f, *block.spd(2), p.norm)
+            for v in _phi_product_verdicts(p.f, block.pair, p.norm)
         ],
         convexity_guard=True,
     ),

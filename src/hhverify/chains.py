@@ -13,11 +13,13 @@ cutter (_curve_stack) splits curve points under functions.STACK_ENTRIES, and
 quadrature.integrate_trials_checked alone cuts stacks of integrand rows.
 
 No chain takes a norm itself: norms.norms_of_stack and norms_from_eig_rows
-do, and a chain asks a NormSpec only is_frobenius and is_max_type. Each norm
-curve has one evaluator, used by its anchors, integrand and witness alike:
-_commuting_norms for ||f(A^t B^(1-t))|| of a commuting pair, _product_norms
-for a pair that need not commute, and _TwoSidedPowers.norms for |||A^s X
-B^t|||.
+do, and a chain asks a NormSpec only is_frobenius and is_max_type. Each
+curve ||f(A^t B^(1-t))|| has one evaluator for its anchors, integrand and
+witness: _commuting_norms for a commuting pair, _product_norms for one that
+need not commute. |||A^s X B^t||| has _TwoSidedPowers.norms for its integrand
+and witness, and _TwoSidedPowers.direct for its materialized points (the
+uin_* anchors, kittaneh's products). Every chain on a drawn pair A, B reads
+one checked spectral view of it (_Pair) and decomposes only its own mixes.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -439,52 +442,52 @@ def dragomir_operator_chain(
     definite pair. The pair need not commute. Both segment integrals are
     exact (no quadrature), so the report is always quad_reliable; rtol is
     keyword-only, so a quad_n passed where it used to go is an error. It is
-    _dragomir_stack on a stack of one pair.
+    _dragomir_stack on the _Pair of a stack of one.
     """
+    if not _operator_convex(f):
+        raise ConfigError(
+            f"operator convexity is certified here only for power:2 and inverse, got {f.describe()}"
+        )
     a, b = (np.asarray(m, dtype=float)[None] for m in (a, b))
-    return _dragomir_stack(f, a, b, rtol)[0]
+    # A checked before B, so each error is the one a check of A alone raises
+    return _dragomir_stack(f, _Pair(*_side(a), *_side(b)), rtol)[0]
 
 
-def _dragomir_stack(
-    f: FunctionSpec, a: np.ndarray, b: np.ndarray, rtol: float
-) -> list[OrderChainReport]:
-    """dragomir_operator_chain of each pair a[t], b[t] of two (T, n, n) stacks."""
-    terms = _dragomir_terms(f, a, b)
+def _dragomir_stack(f: FunctionSpec, pair: _Pair, rtol: float) -> list[OrderChainReport]:
+    """dragomir_operator_chain of each trial of a _Pair."""
+    terms = _dragomir_terms(f, pair)
     trials = terms.shape[1]
     return _matrix_order_reports(
         "dragomir", DRAGOMIR_TERM_NAMES, terms, rtol, [True] * trials, [True] * trials
     )
 
 
-def _dragomir_terms(f: FunctionSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The (6, T, n, n) stack of the DRAGOMIR_TERM_NAMES terms of each pair.
+def _dragomir_terms(f: FunctionSpec, pair: _Pair) -> np.ndarray:
+    """The (6, T, n, n) stack of the DRAGOMIR_TERM_NAMES terms of each trial
+    of a _Pair, for an f that _operator_convex accepts.
 
-    f of the five anchor matrices of every trial comes from one eigh. The
-    segment integrals int_lo^hi f(tA + (1-t)B) dt over [1/4, 3/4] and
-    [0, 1] are exact: (hi - lo) f(B) plus the excess of the path over f(B),
-    which is 0 at A = B (_square_excess for power:2; _inverse_excess, from
-    B's spectrum in that eigh and one more eigh, for inverse).
+    f of A and B comes from the view's spectra, and f of the three mixes of
+    every trial from one eigh. The segment integrals int_lo^hi f(tA +
+    (1-t)B) dt over [1/4, 3/4] and [0, 1] are exact: (hi - lo) f(B) plus the
+    excess of the path over f(B), which is 0 at A = B (_square_excess for
+    power:2; _inverse_excess, from B's spectrum and one more eigh, for
+    inverse).
     """
-    if not _operator_convex(f):
-        raise ConfigError(
-            f"operator convexity is certified here only for power:2 and inverse, got {f.describe()}"
-        )
-    ma, mb = check_symmetric_stack(a), check_symmetric_stack(b)
+    ma, mb = pair.ma, pair.mb
     if ma.shape != mb.shape:
         raise DimMismatchError(f"shape mismatch {ma.shape[1:]} vs {mb.shape[1:]}")
-    trials, n = ma.shape[:2]
-    # A, B, (A+B)/2, (3A+B)/4, (A+3B)/4 of every trial
-    anchors = np.stack((ma, mb, 0.5 * (ma + mb), 0.25 * (3.0 * ma + mb), 0.25 * (ma + 3.0 * mb)))
-    lam, q = _signed_eigh(anchors.reshape(-1, n, n))
+    # (A+B)/2, (3A+B)/4, (A+3B)/4 of every trial
+    mixes = np.stack((0.5 * (ma + mb), 0.25 * (3.0 * ma + mb), 0.25 * (ma + 3.0 * mb)))
+    lm, qm = _signed_eigh(mixes.reshape((-1,) + ma.shape[1:]))
     if f.kind == "inverse":
-        bad = lam.reshape(5, trials, n)[:2, :, 0] <= 0.0  # A and B of each trial
-        if bad.any():
-            name = "a" if bad[0].any() else "b"
-            raise NotPositiveDefiniteError(f"inverse needs positive definite {name}")
-        excess = _inverse_excess(ma, mb, lam[trials : 2 * trials], q[trials : 2 * trials])
+        for name, spectra in (("a", pair.la), ("b", pair.lb)):
+            if (spectra[:, 0] <= 0.0).any():
+                raise NotPositiveDefiniteError(f"inverse needs positive definite {name}")
+        excess = _inverse_excess(ma, mb, pair.lb, pair.qb)
     else:
         excess = _square_excess(ma, mb)
-    fa, fb, f_mid, f_q1, f_q2 = _apply_stack(q, _f_of_spectrum(f, lam)).reshape(anchors.shape)
+    lam, q = (np.concatenate(x) for x in ((pair.la, pair.lb, lm), (pair.qa, pair.qb, qm)))
+    fa, fb, f_mid, f_q1, f_q2 = _apply_stack(q, _f_of_spectrum(f, lam)).reshape(5, *ma.shape)
     central, full = ((hi - lo) * fb + e for (lo, hi), e in zip(DRAGOMIR_SEGMENTS, excess))
     return np.stack((
         f_mid, 2.0 * central, 0.5 * (f_q1 + f_q2), full, 0.5 * f_mid + 0.25 * (fa + fb),
@@ -561,7 +564,7 @@ def det_ag_concavity_check(
     ma, mb = check_symmetric(a), check_symmetric(b)
     if ma.shape != mb.shape:
         raise DimMismatchError(f"shape mismatch {ma.shape} vs {mb.shape}")
-    return _det_ag_stack(ma[None], mb[None], alpha, rtol, atol)[0]
+    return _det_ag_stack(_pair(ma[None], mb[None]), alpha, rtol, atol)[0]
 
 
 def am_gm_loewner_check(
@@ -573,7 +576,7 @@ def am_gm_loewner_check(
     ma, mb = check_symmetric(a), check_symmetric(b)
     if ma.shape != mb.shape:
         raise DimMismatchError(f"shape mismatch {ma.shape} vs {mb.shape}")
-    return _am_gm_stack(ma[None], mb[None], nu, rtol)[0]
+    return _am_gm_stack(_pair(ma[None], mb[None]), nu, rtol)[0]
 
 
 # the exponent grid of norm_power_check: 11 evenly spaced values in [0, 1]
@@ -600,7 +603,7 @@ def norm_power_check(
     for alpha in alphas:
         if not 0.0 <= alpha <= 1.0:
             raise DomainViolationError(f"exponent grid must lie in [0, 1], got {alpha}")
-    return _norm_power_stack(mt[None], alphas, rtol, atol)[0]
+    return _norm_power_stack(_side(mt[None]), alphas, rtol, atol)[0]
 
 
 def kittaneh_check(
@@ -620,24 +623,23 @@ def kittaneh_check(
     """
     if not 0.0 <= nu <= 1.0:
         raise DomainViolationError(f"weight must lie in [0, 1], got {nu}")
-    ma, mb = check_symmetric(a), check_symmetric(b)
-    mx = check_matrix(x)
-    _check_bridge(mx.shape, ma.shape, mb.shape)
-    return _kittaneh_stack(ma[None], mb[None], mx[None], nu, norm_spec, rtol, atol)[0]
+    return _kittaneh_stack(_TwoSidedPowers.of_one(a, b, x), nu, norm_spec, rtol, atol)[0]
 
 
 # ---------------------------------------------------------------------------
 # stacked kernels of the closed-form checks
 #
-# Each kernel takes the inputs of T trials stacked on a leading axis and
-# returns their T reports in order; the public check above is the kernel on a
-# stack of one. Every report is equal bit for bit to the one the trial's own
-# per-matrix evaluation gives: LAPACK and BLAS see each matrix of a stacked
-# eigh, eigvalsh, svd or matmul alone, elementwise steps do not depend on the
-# shape, and a step whose stacked form could round differently (math.log, the
-# ** of Python floats, the report's own arithmetic) runs once per trial on the
-# (T,) results. A kernel raises whenever one of its trials alone would; the
-# campaign then re-runs the block one trial at a time.
+# Each kernel takes the inputs of T trials (the SPD ones a _Pair that the
+# campaign builds once per block: norm_power its A half, kittaneh a
+# _TwoSidedPowers) and returns their T reports in order; the public check
+# above is the kernel on a stack of one. Every report is equal bit for
+# bit to the one the trial's own per-matrix evaluation gives: LAPACK and BLAS
+# see each matrix of a stacked eigh, eigvalsh, svd or matmul alone,
+# elementwise steps do not depend on the shape, and a step whose stacked form
+# could round differently (math.log, the ** of Python floats, the report's
+# own arithmetic) runs once per trial on the (T,) results. A kernel raises
+# whenever one of its trials alone would; the campaign then re-runs the
+# block one trial at a time.
 #
 # The kernels of the scalar and commuting chains and of the witness curves
 # (_scalar_hh_stack, _commuting_order_stack, _phi_operator_verdicts,
@@ -645,6 +647,42 @@ def kittaneh_check(
 # trial: the full convexity scan of each row that scan_block cannot settle,
 # and the contraction of each trial's quadrature samples
 # (integrate_trials_checked).
+
+
+class _Pair(NamedTuple):
+    """The checked spectral view of T pairs A, B, (T, m, m) and (T, k, k)
+    stacks: the _side of A, then the _side of B. It demands no definiteness;
+    each chain checks what it needs of the spectra."""
+
+    a: np.ndarray
+    ma: np.ndarray
+    la: np.ndarray
+    qa: np.ndarray
+    b: np.ndarray
+    mb: np.ndarray
+    lb: np.ndarray
+    qb: np.ndarray
+
+    def take(self, rows) -> _Pair:
+        """The view of the trials rows, a slice or an index array."""
+        return _Pair(*(x[rows] for x in self))
+
+
+def _side(m: np.ndarray) -> tuple:
+    """A stack as given, its symmetric part as check_symmetric_stack gives
+    it, and that part's spectra and signed bases as _signed_eigh gives them."""
+    sym = check_symmetric_stack(m)
+    return (m, sym, *_signed_eigh(sym))
+
+
+def _pair(a: np.ndarray, b: np.ndarray) -> _Pair:
+    """The _Pair of stacks of A and B. Stacks of one shape are checked and
+    decomposed as one stack, each matrix as if alone: a block of one trial (a
+    replay) spends its time per call, and this makes one of each, not two."""
+    if a.ndim != 3 or a.shape != b.shape:
+        return _Pair(*_side(a), *_side(b))
+    both, t = _side(np.concatenate((a, b))), a.shape[0]
+    return _Pair(*(x[:t] for x in both), *(x[t:] for x in both))
 
 
 def _check_bridge(x_shape, a_shape, b_shape) -> None:
@@ -677,13 +715,12 @@ def _means_stack(a: np.ndarray, b: np.ndarray, rtol: float, atol: float) -> list
     ]
 
 
-def _det_ag_stack(a, b, alpha: float, rtol: float, atol: float) -> list[InequalityReport]:
-    """det_ag_concavity_check on each pair of two (T, n, n) stacks."""
-    ma, mb = check_symmetric_stack(a), check_symmetric_stack(b)
-    trio = np.stack((ma, mb, alpha * ma + (1.0 - alpha) * mb), axis=1)
-    _require_finite(trio)
+def _det_ag_stack(pair: _Pair, alpha: float, rtol: float, atol: float) -> list[InequalityReport]:
+    """det_ag_concavity_check on each trial of a _Pair: one eigh, of the mix."""
+    mix = alpha * pair.ma + (1.0 - alpha) * pair.mb
+    _require_finite(mix)
     # the determinant is the product of eigh's eigenvalues, as det_pd takes it
-    lam = np.linalg.eigh(trio)[0]
+    lam = np.stack((pair.la, pair.lb, np.linalg.eigh(mix)[0]), axis=1)
     if (lam[..., 0] <= 0.0).any():
         raise NotPositiveDefiniteError(f"matrix has eigenvalue {float(lam[..., 0].min())!r} <= 0")
     return [
@@ -692,16 +729,14 @@ def _det_ag_stack(a, b, alpha: float, rtol: float, atol: float) -> list[Inequali
     ]
 
 
-def _am_gm_stack(a, b, nu: float, rtol: float) -> list[OrderChainReport]:
-    """am_gm_loewner_check on each pair of two (T, n, n) stacks: the weighted
-    geometric mean A^(1/2) (A^(-1/2) B A^(-1/2))^nu A^(1/2), then the Loewner
-    comparison with (1-nu) A + nu B."""
-    ma, mb = check_symmetric_stack(a), check_symmetric_stack(b)
-    lam, q = np.linalg.eigh(ma)
-    if (lam[:, 0] <= 0.0).any():
-        raise NotPositiveDefiniteError("left factor is not positive definite")
-    if (np.linalg.eigvalsh(mb)[:, 0] <= 0.0).any():
-        raise NotPositiveDefiniteError("right factor is not positive definite")
+def _am_gm_stack(pair: _Pair, nu: float, rtol: float) -> list[OrderChainReport]:
+    """am_gm_loewner_check on each trial of a _Pair: the weighted geometric
+    mean A^(1/2) (A^(-1/2) B A^(-1/2))^nu A^(1/2), from A's spectrum and one
+    eigh of the inner mix, then the Loewner comparison with (1-nu) A + nu B."""
+    ma, mb, lam, q = pair.ma, pair.mb, pair.la, pair.qa
+    for side, spectra in (("left", lam), ("right", pair.lb)):
+        if (spectra[:, 0] <= 0.0).any():
+            raise NotPositiveDefiniteError(f"{side} factor is not positive definite")
     root = np.sqrt(lam)
     inv_root = _apply_stack(q, 1.0 / root)
     inner = _sym(inv_root @ mb @ inv_root)
@@ -715,12 +750,12 @@ def _am_gm_stack(a, b, nu: float, rtol: float) -> list[OrderChainReport]:
     return _matrix_order_reports("am_gm_loewner", names, np.stack((gm, am)), rtol, flags, flags)
 
 
-def _norm_power_stack(t, alphas: np.ndarray, rtol: float, atol: float) -> list[InequalityReport]:
-    """norm_power_check on each matrix of a (T, n, n) stack, all exponents at
-    once: one stacked eigh, the powers of every exponent as one (T, m, n, n)
+def _norm_power_stack(side, alphas: np.ndarray, rtol: float, atol: float) -> list[InequalityReport]:
+    """norm_power_check on the T of each trial of a _side, all exponents at
+    once: the powers of every exponent from T's spectrum as one (T, m, n, n)
     stack, and one eigvalsh over T and its powers."""
-    mt = check_symmetric_stack(t)
-    powers = _power_stack(*np.linalg.eigh(mt), alphas, mt)
+    _, mt, lam, q = side
+    powers = _power_stack(lam, q, alphas, mt)
     _require_finite(powers)
     eig = np.linalg.eigvalsh(np.concatenate((mt[:, None], powers), axis=1))
     norms = np.max(np.abs(eig), axis=-1).tolist()
@@ -736,18 +771,11 @@ def _norm_power_stack(t, alphas: np.ndarray, rtol: float, atol: float) -> list[I
 
 
 def _kittaneh_stack(
-    a, b, x, nu: float, norm_spec: NormSpec, rtol: float, atol: float
+    tp: _TwoSidedPowers, nu: float, norm_spec: NormSpec, rtol: float, atol: float
 ) -> list[InequalityReport]:
-    """kittaneh_check on each triple of (T, m, m), (T, k, k) and (T, m, k)
-    stacks: the three norms of every trial come from one stacked call."""
-    ma, mb = check_symmetric_stack(a), check_symmetric_stack(b)
-    _require_finite(x)
-
-    def power(m: np.ndarray, t: float) -> np.ndarray:
-        # power_from_decomp(eigh(m), t, original=m) for each matrix
-        return _power_stack(*np.linalg.eigh(m), np.array([t]), m)[:, 0]
-
-    trio = np.stack((power(ma, nu) @ x @ power(mb, 1.0 - nu), ma @ x, x @ mb), axis=1)
+    """kittaneh_check on each trial of a _TwoSidedPowers: A^nu X B^(1-nu), AX
+    and XB from one direct, and their norms from one stacked call."""
+    trio = tp.direct([(nu, 1.0 - nu), (1.0, 0.0), (0.0, 1.0)])
     _require_finite(trio)
     return [
         _inequality_report("kittaneh", lhs, ax**nu * xb ** (1.0 - nu), rtol, atol)
@@ -1101,37 +1129,30 @@ def _f_of_product(xl: np.ndarray, xq: np.ndarray, y: np.ndarray, fn) -> np.ndarr
     return left @ (np.swapaxes(v, -1, -2) @ ((xq / root) @ xt))
 
 
-def _pair(a: np.ndarray, b: np.ndarray) -> tuple:
-    """A and B as drawn, then the spectra and signed bases of their
-    symmetric parts, as eigh gives them."""
-    return (a, b) + _signed_eigh(check_symmetric_stack(a)) + _signed_eigh(check_symmetric_stack(b))
-
-
-def _f_of_power_product(pair: tuple, rows, ts: np.ndarray, fn) -> np.ndarray:
+def _f_of_power_product(pair: _Pair, rows, ts: np.ndarray, fn) -> np.ndarray:
     """fn(A^t B^(1-t)) of the trials rows (a slice or an index array) of a
-    _pair at the points ts: (trials, len(ts), n, n), with X = A^t given by
-    its spectrum la^t."""
-    _, b, la, qa, lb, qb = (x[rows] for x in pair)
-    y = _power_stack(lb, qb, 1.0 - ts, b)
-    return _f_of_product(_spectrum_powers(la, ts), qa[:, None], y, fn)
+    _Pair at the points ts: (trials, len(ts), n, n), with X = A^t given by
+    its spectrum la^t and B^(1-t) at t = 0 by B as drawn."""
+    p = pair.take(rows)
+    y = _power_stack(p.lb, p.qb, 1.0 - ts, p.b)
+    return _f_of_product(_spectrum_powers(p.la, ts), p.qa[:, None], y, fn)
 
 
-def _product_norms(pair: tuple, f: FunctionSpec, spec: NormSpec, ts: np.ndarray) -> np.ndarray:
-    """||f(A^t B^(1-t))|| of each trial of a _pair at the points ts, (T,
+def _product_norms(pair: _Pair, f: FunctionSpec, spec: NormSpec, ts: np.ndarray) -> np.ndarray:
+    """||f(A^t B^(1-t))|| of each trial of a _Pair at the points ts, (T,
     len(ts)), in blocks of _curve_stack."""
 
     def block(sl, t: np.ndarray) -> np.ndarray:
         return norms_of_stack(_f_of_power_product(pair, sl, t, f.eval_array), spec)
 
-    return _curve_stack(block, pair[0].shape[0], ts, pair[0][0].size)
+    return _curve_stack(block, pair.a.shape[0], ts, pair.a[0].size)
 
 
-def op_gg_hh_general(f: FunctionSpec, a, b, quad_n: int, rtol: float) -> list[OrderChainReport]:
+def op_gg_hh_general(f: FunctionSpec, pair, quad_n: int, rtol: float) -> list[OrderChainReport]:
     """The op_gg_hh chain on positive pairs that need not commute:
     log f(sqrt(AB)) <= int_0^1 log f(A^t B^(1-t)) dt <= (log f(A) + log f(B))/2."""
-    pair = _pair(a, b)
-    la, qa, lb, qb = pair[2:]
-    t1 = _sym(_f_of_product(la, qa, b, lambda w: np.log(f.eval_array(np.sqrt(w)))))
+    la, qa, lb, qb = pair.la, pair.qa, pair.lb, pair.qb
+    t1 = _sym(_f_of_product(la, qa, pair.b, lambda w: np.log(f.eval_array(np.sqrt(w)))))
 
     def nodes(trials: np.ndarray, ts: np.ndarray) -> np.ndarray:
         return _sym(_f_of_power_product(pair, trials, ts, lambda w: np.log(f.eval_array(w))))
@@ -1142,14 +1163,13 @@ def op_gg_hh_general(f: FunctionSpec, a, b, quad_n: int, rtol: float) -> list[Or
 
 
 def op_ag_midpoint_general(
-    f: FunctionSpec, a, b, quad_n: int, rtol: float
+    f: FunctionSpec, pair: _Pair, quad_n: int, rtol: float
 ) -> list[OrderChainReport]:
     """The op_ag_midpoint chain on positive pairs that need not commute, the
     geometric mean of f(P) and f(Q) taken as sqrt(f(P) f(Q))."""
-    (fla, qa), (flb, qb), (flm, qm) = (
-        (_f_of_spectrum(f, lam), q)
-        for lam, q in (_signed_eigh(check_symmetric_stack(m)) for m in (a, b, 0.5 * (a + b)))
-    )
+    a, b, qa, qb = pair.a, pair.b, pair.qa, pair.qb
+    lm, qm = _signed_eigh(check_symmetric_stack(0.5 * (a + b)))
+    fla, flb, flm = (_f_of_spectrum(f, lam) for lam in (pair.la, pair.lb, lm))
 
     def nodes(trials: np.ndarray, als: np.ndarray) -> np.ndarray:
         # P = al A + (1 - al) B and Q = al B + (1 - al) A, symmetrized as eigh
@@ -1183,15 +1203,15 @@ def _general_order_chain(theorem_id: str, names, t1, nodes, t3, quad_n: int, rto
 
 
 def norm_gg_general(
-    theorem_id: str, f: FunctionSpec, a, b, norm_spec: NormSpec, quad_n: int, rtol: float,
-    atol: float,
+    theorem_id: str, f: FunctionSpec, pair: _Pair, norm_spec: NormSpec, quad_n: int,
+    rtol: float, atol: float,
 ) -> list[ChainReport]:
     """The op_norm_gg chain of phi(u) = ||f(A^u B^(1-u))|| on positive pairs
     that need not commute."""
-    pair, (trials, n) = _pair(a, b), a.shape[:2]
+    trials, n = pair.a.shape[:2]
 
     def log_phi(rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        vals = _product_norms([x[rows] for x in pair], f, norm_spec, xs[0])
+        vals = _product_norms(pair.take(rows), f, norm_spec, xs[0])
         # math.log, not np.log: the two can differ in the last bit
         return np.array([math.log(v) for v in vals.ravel().tolist()]).reshape(vals.shape)
 
@@ -1202,11 +1222,11 @@ def norm_gg_general(
 
 
 def trace_chain_general(
-    variant: TraceVariant, a, b, quad_n: int, rtol: float, atol: float
+    variant: TraceVariant, pair: _Pair, quad_n: int, rtol: float, atol: float
 ) -> list[ChainReport]:
     """The trace chains on positive pairs that need not commute, with
     tau(u) = tr(A^u B^(1-u)) = sum_ij la_i^u (qa_i . qb_j)^2 lb_j^(1-u)."""
-    _, _, la, qa, lb, qb = _pair(a, b)
+    a, b, la, qa, lb, qb = pair.a, pair.b, pair.la, pair.qa, pair.lb, pair.qb
     overlap = (np.swapaxes(qa, 1, 2) @ qb) ** 2
     pw = 2.0 if variant is TraceVariant.SQUARED else 1.0
 
@@ -1298,17 +1318,15 @@ class PhiDiagonal:
 class _TwoSidedPowers:
     """Evaluates |||A^s X B^t||| for exponent arrays through the orthogonal
     reduction A^s X B^t = Qa (diag(la^s) C diag(lb^t)) Qb' with C = Qa' X Qb,
-    which the norm family cannot see, for each trial of checked (T, m, m),
-    (T, k, k) and (T, m, k) stacks (see of_one and of_stacks). Schatten-2
-    needs no product at all: |||A^s X B^t|||_2^2 = sum_ij la_i^(2s) C_ij^2
-    lb_j^(2t), one matmul against C∘C (core2) per block of points."""
+    which the norm family cannot see, for each trial of a _Pair and a checked
+    (T, m, k) stack X (see of_one and of_stacks). Schatten-2 needs no product
+    at all: |||A^s X B^t|||_2^2 = sum_ij la_i^(2s) C_ij^2 lb_j^(2t), one
+    matmul against C∘C (core2) per block of points. Like the view, it
+    demands no definiteness: the curves call require_positive_definite."""
 
-    def __init__(self, ma: np.ndarray, mb: np.ndarray, mx: np.ndarray):
-        (self.la, self.qa), (self.lb, self.qb) = _signed_eigh(ma), _signed_eigh(mb)
-        if (self.la[:, 0] <= 0.0).any() or (self.lb[:, 0] <= 0.0).any():
-            raise NotPositiveDefiniteError("fractional power base must be positive definite")
-        self.ma, self.mb, self.mx = ma, mb, mx
-        self.core = np.swapaxes(self.qa, 1, 2) @ mx @ self.qb
+    def __init__(self, pair: _Pair, mx: np.ndarray):
+        self.pair, self.mx = pair, mx
+        self.core = np.swapaxes(pair.qa, 1, 2) @ mx @ pair.qb
         self.core2 = self.core * self.core
 
     @classmethod
@@ -1317,21 +1335,25 @@ class _TwoSidedPowers:
         ma, mb = check_symmetric(a), check_symmetric(b)
         mx = check_matrix(x)
         _check_bridge(mx.shape, ma.shape, mb.shape)
-        return cls(ma[None], mb[None], mx[None])
+        return cls(_pair(ma[None], mb[None]), mx[None])
 
     @classmethod
-    def of_stacks(cls, a, b, x) -> "_TwoSidedPowers":
-        """The trials of stacks of A, B and X, checked as of_one checks each."""
-        ma, mb = check_symmetric_stack(a), check_symmetric_stack(b)
+    def of_stacks(cls, pair: _Pair, x) -> "_TwoSidedPowers":
+        """The trials of a _Pair and a stack of X, checked as of_one checks X."""
         _require_finite(x)
-        _check_bridge(x.shape[1:], ma.shape[1:], mb.shape[1:])
-        return cls(ma, mb, x)
+        _check_bridge(x.shape[1:], pair.ma.shape[1:], pair.mb.shape[1:])
+        return cls(pair, x)
+
+    def require_positive_definite(self) -> None:
+        if (self.pair.la[:, 0] <= 0.0).any() or (self.pair.lb[:, 0] <= 0.0).any():
+            raise NotPositiveDefiniteError("fractional power base must be positive definite")
 
     def norms(self, ts: np.ndarray, second, spec: NormSpec, trials=slice(None)) -> np.ndarray:
         """Norm at each exponent pair (t, second(t)) of the array ts, for each
         trial that the slice or index array trials picks: shape (trials,
         len(ts))."""
-        la, lb, core, core2 = (x[trials] for x in (self.la, self.lb, self.core, self.core2))
+        p = self.pair
+        la, lb, core, core2 = (x[trials] for x in (p.la, p.lb, self.core, self.core2))
         m, k = core.shape[1:]
 
         def block(sl: slice, t: np.ndarray) -> np.ndarray:
@@ -1352,8 +1374,8 @@ class _TwoSidedPowers:
         one _power_stack per side, so exponents 0 and 1 incur no
         reconstruction noise, and a zero exponent skips its product."""
         sa, sb = (np.array(side, dtype=float) for side in zip(*pairs))
-        left = _power_stack(self.la, self.qa, sa, self.ma)
-        right = _power_stack(self.lb, self.qb, sb, self.mb)
+        p = self.pair
+        left, right = _power_stack(p.la, p.qa, sa, p.ma), _power_stack(p.lb, p.qb, sb, p.mb)
         out = []
         for k, (ta, tb) in enumerate(pairs):
             mx = self.mx if ta == 0.0 else left[:, k] @ self.mx
@@ -1406,12 +1428,9 @@ def _phi_operator_verdicts(
     return _witness_scans(lambda ts: _curve_stack(block, a.shape[0], ts, a.shape[1]), grid_n, tol)
 
 
-def _phi_product_verdicts(
-    f: FunctionSpec, a: np.ndarray, b: np.ndarray, norm_spec: NormSpec
-) -> list[ConvexityVerdict]:
-    """The witness of t -> ||f(A^t B^(1-t))|| of each pair of (T, n, n)
-    stacks of positive A, B that need not commute."""
-    pair = _pair(a, b)
+def _phi_product_verdicts(f: FunctionSpec, pair, norm_spec: NormSpec) -> list[ConvexityVerdict]:
+    """The witness of t -> ||f(A^t B^(1-t))|| of each trial of a _Pair of
+    positive A, B that need not commute."""
     return _witness_scans(
         lambda ts: _product_norms(pair, f, norm_spec, ts), DEFAULT_GRID_N, DEFAULT_CONVEXITY_TOL
     )
@@ -1422,6 +1441,7 @@ def _two_sided_verdicts(
     grid_n: int = DEFAULT_GRID_N, tol: float = DEFAULT_CONVEXITY_TOL,
 ) -> list[ConvexityVerdict]:
     """The PhiDiagonal (diagonal) or PhiSandwich witness of each trial of tp."""
+    tp.require_positive_definite()
     second = (lambda t: t) if diagonal else (lambda t: 1.0 - t)
     return _witness_scans(lambda ts: tp.norms(ts, second, norm_spec), grid_n, tol)
 
@@ -1526,6 +1546,7 @@ def _uin_stack(
     materialized stack, and the chain of every trial from one _hh_stack. The
     trials share the interval, so their quadrature nodes are the same bits,
     and the curve is taken at the nodes of the first."""
+    tp.require_positive_definite()
     lo, hi = _uin_interval(variant, nu)
     diagonal = variant is UinVariant.DIAGONAL
 

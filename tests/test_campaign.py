@@ -1168,7 +1168,7 @@ def _dragomir_oracle_errors(f, trials_per_dim):
     for dim in (2, 3, 5, 8):
         seeds = [derive_trial_seed(2015, dim, t) for t in range(trials_per_dim)]
         a, b = _spd_pair(RandomStream(np.array(seeds, dtype=np.uint64)), dim)
-        got = chains._dragomir_terms(f, a, b)
+        got = chains._dragomir_terms(f, chains._pair(a, b))
         for t in range(trials_per_dim):
             want, ok = _ref_dragomir(f, a[t], b[t], 256)
             assert ok, (f.describe(), dim, t)
@@ -1269,10 +1269,10 @@ def _plant_in_det_ag(seed, error):
     planted = campaign.random_spd(RandomStream(seed), 3, campaign.SPD_LO, campaign.SPD_HI)
     real = campaign._det_ag_stack
 
-    def run(a, b, *args):
-        if any(np.array_equal(m, planted) for m in a):
+    def run(pair, *args):
+        if any(np.array_equal(m, planted) for m in pair.a):
             raise error("planted")
-        return real(a, b, *args)
+        return real(pair, *args)
 
     return "_det_ag_stack", run
 
@@ -1282,10 +1282,10 @@ def _plant_in_op_gg_hh_general(seed, error):
     planted = _spd_pair(RandomStream(seed), 3)[0]
     real = campaign.op_gg_hh_general
 
-    def run(f, a, b, *args):
-        if any(np.array_equal(m, planted) for m in a):
+    def run(f, pair, *args):
+        if any(np.array_equal(m, planted) for m in pair.a):
             raise error("planted")
-        return real(f, a, b, *args)
+        return real(f, pair, *args)
 
     return "op_gg_hh_general", run
 
@@ -1391,21 +1391,23 @@ def test_each_shared_kind_is_what_its_runner_drew_alone(dim):
     def stream():
         return RandomStream(seeds)
 
-    # norm_power's A, the SPD pair, and the pair with X, as one stream each
-    a = random_spd(stream(), dim, lo, hi)
+    # the SPD pair, then X, as one stream
     s = stream()
     pair = _spd_pair(s, dim)
-    with_x = (*pair, random_general(s, dim, dim))
-    assert _same_bits(campaign._Block(seeds, dim).spd(1), (a,))
-    assert _same_bits(campaign._Block(seeds, dim).spd(2), pair)
-    assert _same_bits(campaign._Block(seeds, dim).spd(3), with_x)
+    x = random_general(s, dim, dim)
+    assert _same_bits(campaign._Block(seeds, dim).spd[:2], pair)
+    assert _same_bits((campaign._Block(seeds, dim).two_sided.mx,), (x,))
+    # the checked spectral view of A and B, and the view with X; each matrix
+    # of the view has the bits of its trial's A or B checked and decomposed alone
     block = campaign._Block(seeds, dim)
-    assert _same_bits(block.spd(1), (a,)) and _same_bits(block.spd(2), pair)
-    assert _same_bits(block.spd(3), with_x)
-    assert block.spd(3)[:2] == block.spd(2) and block.spd(2)[0] is block.spd(1)[0]
-    tp = campaign._Block(seeds, dim).two_sided
-    ref = chains._TwoSidedPowers.of_stacks(*with_x)
-    assert _same_bits(list(vars(tp).values()), list(vars(ref).values()))
+    view = chains._pair(*pair)
+    assert _same_bits(block.pair, view)
+    for t in range(len(seeds)):
+        alone = (*chains._side(pair[0][t : t + 1]), *chains._side(pair[1][t : t + 1]))
+        assert _same_bits([m[t : t + 1] for m in view], alone)
+    tp, ref = block.two_sided, chains._TwoSidedPowers.of_stacks(view, x)
+    assert tp.pair is block.pair
+    assert _same_bits((tp.mx, tp.core, tp.core2), (ref.mx, ref.core, ref.core2))
     # the scalar chains' interval is the sorted log pair of scalar_means
     block = campaign._Block(seeds, dim)
     pair = _log_uniform(stream(), 2, lo, hi)
@@ -1413,28 +1415,25 @@ def test_each_shared_kind_is_what_its_runner_drew_alone(dim):
     assert _same_bits(block.interval, tuple(np.sort(pair, axis=1).T))
     _, ca, cb = random_commuting_pair(stream(), dim, lo, hi)
     assert _same_bits(block.commuting, (ca, cb))
-    # DROP_POSITIVITY's general matrices: det_ag's two are kittaneh's first two
+    # DROP_POSITIVITY's general matrices: det_ag reads kittaneh's first two
     s = stream()
     general = [random_general(s, dim, dim) for _ in range(3)]
-    assert _same_bits(campaign._Block(seeds, dim).general(2), general[:2])
-    assert _same_bits(campaign._Block(seeds, dim).general(3), general)
-    block = campaign._Block(seeds, dim)
-    assert _same_bits(block.general(2), general[:2]) and _same_bits(block.general(3), general)
-    assert block.general(3)[:2] == block.general(2)
+    assert _same_bits(campaign._Block(seeds, dim).general, general)
 
 
 def test_a_shared_input_refuses_an_in_place_write():
     seeds = np.array([derive_trial_seed(6, 3, t) for t in range(4)], dtype=np.uint64)
     block = campaign._Block(seeds, 3)
+    tp = block.two_sided
     arrays = [
-        block.log_pair, *block.interval, *block.commuting, *block.spd(3),
-        *block.general(3), *vars(block.two_sided).values(),
+        block.log_pair, *block.interval, *block.commuting, *block.spd, *block.general,
+        *block.pair, tp.mx, tp.core, tp.core2,
     ]
     for m in arrays:
         with pytest.raises(ValueError):
             m[0] += 1.0
     with pytest.raises(ValueError):
-        block.spd(2)[0].sort(axis=0)
+        block.spd[0].sort(axis=0)
 
 
 def _count_draws(monkeypatch, names, failures=0):
@@ -1459,7 +1458,7 @@ def _count_draws(monkeypatch, names, failures=0):
 def test_a_draw_that_raises_is_not_kept(monkeypatch):
     seeds = np.array([derive_trial_seed(6, 3, t) for t in range(4)], dtype=np.uint64)
     fresh = campaign._Block(seeds, 3)
-    want_commuting, want_spd = fresh.commuting, fresh.spd(3)
+    want_commuting, want_x = fresh.commuting, fresh.two_sided.mx
     calls = _count_draws(monkeypatch, ("_commuting_spectra", "random_general"), failures=1)
     block = campaign._Block(seeds, 3)
     with pytest.raises(DomainViolationError):
@@ -1468,10 +1467,10 @@ def test_a_draw_that_raises_is_not_kept(monkeypatch):
     block.commuting  # kept now: no third draw
     assert calls["_commuting_spectra"] == 2
     # the pair stays kept when the X after it raises, and X is drawn again
-    pair = block.spd(2)
+    pair = block.pair
     with pytest.raises(DomainViolationError):
-        block.spd(3)
-    assert block.spd(3)[:2] == pair and _same_bits(block.spd(3), want_spd)
+        block.two_sided
+    assert block.two_sided.pair is pair and np.array_equal(block.two_sided.mx, want_x)
     assert calls["random_general"] == 2
 
 
@@ -1488,6 +1487,44 @@ def test_a_campaign_draws_each_kind_once_per_block(monkeypatch):
     # one block per dim; random_spd draws A and B
     assert counts == {"_log_uniform": 2, "_commuting_spectra": 2, "random_spd": 4}
     assert len(of_stacks) == 2
+
+
+@pytest.mark.parametrize(
+    "ablation", [frozenset(), frozenset({DROP_COMMUTATIVITY})], ids=["none", "nc"]
+)
+def test_a_campaign_checks_and_decomposes_each_drawn_pair_once_per_block(ablation, monkeypatch):
+    # each matrix of every drawn A and B, as drawn and symmetrized
+    drawn = []
+    real_spd = campaign.random_spd
+
+    def spd(*args):
+        m = real_spd(*args)
+        both = np.concatenate((m, 0.5 * (m + np.swapaxes(m, 1, 2))))
+        drawn.append(("AB"[len(drawn) % 2], {x.tobytes() for x in both}))
+        return m
+
+    # the calls of check_symmetric_stack and _signed_eigh that take A or B
+    calls = dict.fromkeys([(kind, name) for kind in ("check", "eigh") for name in "AB"], 0)
+
+    def counted(kind, real):
+        def run(m):
+            m3 = np.asarray(m)
+            keys = {x.tobytes() for x in m3.reshape((-1,) + m3.shape[-2:])}
+            for name in {name for name, mats in drawn if keys & mats}:
+                calls[kind, name] += 1
+            return real(m)
+
+        return run
+
+    monkeypatch.setattr(campaign, "random_spd", spd)
+    for name, kind in (("check_symmetric_stack", "check"), ("_signed_eigh", "eigh")):
+        monkeypatch.setattr(chains, name, counted(kind, getattr(chains, name)))
+    ids = select_theorems("all", ablation)
+    cfg = CampaignConfig(theorem_ids=ids, trials=5, dims=(2, 3), master_seed=8, ablation=ablation)
+    run_campaign(cfg)
+    # one block per dim: the view checks and decomposes A and B once each
+    assert len(drawn) == 4
+    assert calls == dict.fromkeys(calls, 2)
 
 
 # ---------------------------------------------------------------------------

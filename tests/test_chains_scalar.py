@@ -272,7 +272,7 @@ def test_dragomir_segments_at_a_equal_b_are_the_span_times_f(f):
     # = f(A)
     for dim in (1, 2, 3, 5, 8):
         a = random_spd(RandomStream(np.arange(50, dtype=np.uint64) + 1), dim, 0.1, 10.0)
-        terms = chains._dragomir_terms(f, a, a)
+        terms = chains._dragomir_terms(f, chains._pair(a, a))
         fa = terms[5]  # (f(A) + f(B)) / 2
         assert _max_entry_error(terms[1], fa).max() <= 1e-15, dim
         assert _max_entry_error(terms[3], fa).max() <= 1e-15, dim
@@ -299,9 +299,9 @@ def test_dragomir_inverse_series_and_closed_branches_agree_at_the_cut(monkeypatc
             branch = {}
             for name, moved in (("series", 10.0 * cut), ("closed", 0.1 * cut)):
                 monkeypatch.setattr(chains, "INVERSE_SERIES_CUT", moved)
-                branch[name] = chains._dragomir_terms(inverse, a, b)[[1, 3]]
+                branch[name] = chains._dragomir_terms(inverse, chains._pair(a, b))[[1, 3]]
             monkeypatch.setattr(chains, "INVERSE_SERIES_CUT", cut)
-            got = chains._dragomir_terms(inverse, a, b)[[1, 3]]
+            got = chains._dragomir_terms(inverse, chains._pair(a, b))[[1, 3]]
             # the default cut takes the series below it and the closed form above
             np.testing.assert_array_equal(got, branch["series" if side == "below" else "closed"])
             assert _max_entry_error(branch["series"], branch["closed"]).max() <= 1e-13, (dim, side)
@@ -406,3 +406,16 @@ def test_kittaneh_rectangular_bridge_and_mismatch():
         kittaneh_check(a, b, x.T, 0.4, NormSpec.schatten(2.0))
     with pytest.raises(DomainViolationError):
         kittaneh_check(a, b, x, -0.1, NormSpec.schatten(2.0))
+
+
+def test_semidefinite_and_singular_inputs_keep_their_outcomes():
+    # the closed-form checks read one spectral view of A and B, which asks
+    # for no definiteness: each check keeps its own domain
+    x = np.array([[1.0, 2.0], [-0.5, 3.0]])
+    singular = np.diag([1.0, 0.0])
+    assert kittaneh_check(singular, np.eye(2), x, 0.3, NormSpec.opnorm()).passed
+    assert norm_power_check(np.diag([2.0, 0.0])).passed
+    with pytest.raises(NotPositiveDefiniteError, match="^left factor is not positive definite$"):
+        am_gm_loewner_check(singular, np.eye(2), 0.3)
+    with pytest.raises(NotPositiveDefiniteError, match="^right factor is not positive definite$"):
+        am_gm_loewner_check(np.eye(2), singular, 0.3)
