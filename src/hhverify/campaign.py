@@ -10,9 +10,10 @@ every id runs a block before the next one is drawn. A runner takes the block
 ablated chains included, which returns one report per trial carrying passed
 / quad_reliable / hypothesis_ok / min_margin. The seeds do not depend on the
 id, so the ids share the block's draws: each kind of input (the scalar log
-pair, the commuting spectra, the SPD pair and its checked spectral view,
-the view with X, the general matrices) is drawn once per block, read-only,
-and dropped with the block. Every id's outcomes are folded in trial order.
+pair, the commuting spectra, the SPD matrices A and B, each checked and
+decomposed, the X drawn after them, the general matrices) is drawn once per
+block, read-only, and dropped with the block. Every id's outcomes are folded
+in trial order.
 
 Accounting: a trial that cannot be judged (quadrature doubling failed, or
 run_trial caught one of the errors that mean it) is unreliable: excluded from
@@ -41,6 +42,7 @@ from .chains import (
     UinVariant,
     _advisory_convexity,
     _Pair,
+    _Side,
     _am_gm_stack,
     _commuting_order_stack,
     _det_ag_stack,
@@ -51,10 +53,10 @@ from .chains import (
     _norm_gg_stack,
     _norm_power_stack,
     _operator_convex,
-    _pair,
     _phi_operator_verdicts,
     _phi_product_verdicts,
     _scalar_hh_stack,
+    _side,
     _trace_stack,
     _two_sided_verdicts,
     _TwoSidedPowers,
@@ -193,25 +195,34 @@ class _Block:
         """The spectra of commuting pairs, checked."""
         return _read_only(_commuting_spectra(RandomStream(self.seeds), self.dim))
 
+    def _spd_side(self, state: np.ndarray) -> tuple[_Side, np.ndarray]:
+        """The _Side of a random_spd drawn from the block's stream at state,
+        and the state where the stream stopped."""
+        stream = RandomStream(state)
+        side = _side(random_spd(stream, self.dim, SPD_LO, SPD_HI))
+        return _read_only(side), _read_only(stream.state)
+
     @cached_property
-    def spd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """A and B, two random_spd from one stream, and the state where the
-        stream stopped, at which X is drawn."""
-        stream = RandomStream(self.seeds)
-        a, b = (random_spd(stream, self.dim, SPD_LO, SPD_HI) for _ in range(2))
-        return _read_only((a, b, stream.state))
+    def a(self) -> tuple[_Side, np.ndarray]:
+        """A, the first random_spd of the stream: norm_power reads it alone."""
+        return self._spd_side(self.seeds)
+
+    @cached_property
+    def b(self) -> tuple[_Side, np.ndarray]:
+        """B, the random_spd drawn after A."""
+        return self._spd_side(self.a[1])
 
     @cached_property
     def pair(self) -> _Pair:
         """The checked spectral view of A and B that every SPD runner reads:
         A and B are checked and decomposed once per block."""
-        return _read_only(_pair(*self.spd[:2]))
+        return _Pair(self.a[0], self.b[0])
 
     @cached_property
     def two_sided(self) -> _TwoSidedPowers:
-        """The view and a general X drawn after A and B, with Qa' X Qb: for
+        """The view and a general X drawn after B, with Qa' X Qb: for
         kittaneh and the two-sided curves, the only runners that read X."""
-        x = random_general(RandomStream(self.spd[2]), self.dim, self.dim)
+        x = random_general(RandomStream(self.b[1]), self.dim, self.dim)
         return _read_only(_TwoSidedPowers.of_stacks(self.pair, x))
 
     @cached_property
@@ -389,7 +400,7 @@ THEOREMS = {
     ),
     "am_gm_loewner": Theorem(lambda block, p: _am_gm_stack(block.pair, p.nu, p.rtol)),
     "norm_power": Theorem(
-        lambda block, p: _norm_power_stack(block.pair[:4], NORM_POWER_ALPHAS, p.rtol, p.atol)
+        lambda block, p: _norm_power_stack(block.a[0], NORM_POWER_ALPHAS, p.rtol, p.atol)
     ),
     "kittaneh": Theorem(
         lambda block, p: _kittaneh_stack(block.two_sided, p.nu, p.norm, p.rtol, p.atol),

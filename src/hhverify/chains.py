@@ -14,12 +14,12 @@ quadrature.integrate_trials_checked alone cuts stacks of integrand rows.
 
 No chain takes a norm itself: norms.norms_of_stack and norms_from_eig_rows
 do, and a chain asks a NormSpec only is_frobenius and is_max_type. Each
-curve ||f(A^t B^(1-t))|| has one evaluator for its anchors, integrand and
-witness: _commuting_norms for a commuting pair, _product_norms for one that
-need not commute. |||A^s X B^t||| has _TwoSidedPowers.norms for its integrand
-and witness, and _TwoSidedPowers.direct for its materialized points (the
-uin_* anchors, kittaneh's products). Every chain on a drawn pair A, B reads
-one checked spectral view of it (_Pair) and decomposes only its own mixes.
+curve ||f(A^t B^(1-t))|| has one evaluator: _commuting_norms for a commuting
+pair, _product_norms for one that need not commute. |||A^s X B^t||| has
+_TwoSidedPowers.norms for its integrand and witness, and
+_TwoSidedPowers.direct for its materialized points (the uin_* anchors,
+kittaneh). Every chain on a drawn pair A, B reads one checked spectral view
+of it (_Pair).
 """
 
 from __future__ import annotations
@@ -56,13 +56,13 @@ from .functions import (
 from .linalg import (
     CommutingPair,
     _apply_stack,
+    _eigh,
     _f_of_spectrum,
     _power_stack,
-    _signed_eigh,
+    _signed_columns,
     _spectrum_powers,
     _sym,
     check_matrix,
-    check_symmetric,
     check_symmetric_stack,
 )
 from .norms import NormSpec, norms_from_eig_rows, norms_of_stack
@@ -449,8 +449,7 @@ def dragomir_operator_chain(
             f"operator convexity is certified here only for power:2 and inverse, got {f.describe()}"
         )
     a, b = (np.asarray(m, dtype=float)[None] for m in (a, b))
-    # A checked before B, so each error is the one a check of A alone raises
-    return _dragomir_stack(f, _Pair(*_side(a), *_side(b)), rtol)[0]
+    return _dragomir_stack(f, _pair(a, b), rtol)[0]
 
 
 def _dragomir_stack(f: FunctionSpec, pair: _Pair, rtol: float) -> list[OrderChainReport]:
@@ -463,8 +462,7 @@ def _dragomir_stack(f: FunctionSpec, pair: _Pair, rtol: float) -> list[OrderChai
 
 
 def _dragomir_terms(f: FunctionSpec, pair: _Pair) -> np.ndarray:
-    """The (6, T, n, n) stack of the DRAGOMIR_TERM_NAMES terms of each trial
-    of a _Pair, for an f that _operator_convex accepts.
+    """The (6, T, n, n) stack of the DRAGOMIR_TERM_NAMES terms of each trial.
 
     f of A and B comes from the view's spectra, and f of the three mixes of
     every trial from one eigh. The segment integrals int_lo^hi f(tA +
@@ -473,20 +471,18 @@ def _dragomir_terms(f: FunctionSpec, pair: _Pair) -> np.ndarray:
     power:2; _inverse_excess, from B's spectrum and one more eigh, for
     inverse).
     """
-    ma, mb = pair.ma, pair.mb
-    if ma.shape != mb.shape:
-        raise DimMismatchError(f"shape mismatch {ma.shape[1:]} vs {mb.shape[1:]}")
+    ma, mb = pair.a.sym, pair.b.sym
     # (A+B)/2, (3A+B)/4, (A+3B)/4 of every trial
     mixes = np.stack((0.5 * (ma + mb), 0.25 * (3.0 * ma + mb), 0.25 * (ma + 3.0 * mb)))
-    lm, qm = _signed_eigh(mixes.reshape((-1,) + ma.shape[1:]))
+    lm, qm = _eigh(mixes.reshape((-1,) + ma.shape[1:]))
     if f.kind == "inverse":
-        for name, spectra in (("a", pair.la), ("b", pair.lb)):
-            if (spectra[:, 0] <= 0.0).any():
+        for name, side in zip("ab", pair):
+            if (side.lam[:, 0] <= 0.0).any():
                 raise NotPositiveDefiniteError(f"inverse needs positive definite {name}")
-        excess = _inverse_excess(ma, mb, pair.lb, pair.qb)
+        excess = _inverse_excess(ma, mb, pair.b.lam, _signed_columns(pair.b.q))
     else:
         excess = _square_excess(ma, mb)
-    lam, q = (np.concatenate(x) for x in ((pair.la, pair.lb, lm), (pair.qa, pair.qb, qm)))
+    lam, q = (np.concatenate(x) for x in ((pair.a.lam, pair.b.lam, lm), (pair.a.q, pair.b.q, qm)))
     fa, fb, f_mid, f_q1, f_q2 = _apply_stack(q, _f_of_spectrum(f, lam)).reshape(5, *ma.shape)
     central, full = ((hi - lo) * fb + e for (lo, hi), e in zip(DRAGOMIR_SEGMENTS, excess))
     return np.stack((
@@ -529,7 +525,7 @@ def _inverse_excess(
     weight. Taking X from A - B keeps it exactly 0 at A = B.
     """
     w = qb * (1.0 / np.sqrt(lb))[:, None, :]
-    x, qx = _signed_eigh(_sym(np.swapaxes(w, 1, 2) @ (ma - mb) @ w))
+    x, qx = _eigh(_sym(np.swapaxes(w, 1, 2) @ (ma - mb) @ w))
     if not (x > -1.0).all():
         raise DomainViolationError(f"inverse undefined on the segment: 1 + x = {1.0 + x.min()!r}")
     v = w @ qx
@@ -561,10 +557,7 @@ def det_ag_concavity_check(
     """det(alpha A + (1-alpha) B) >= det(A)^alpha det(B)^(1-alpha) for PD A, B."""
     if not 0.0 < alpha < 1.0:
         raise DomainViolationError(f"weight must lie strictly inside (0, 1), got {alpha}")
-    ma, mb = check_symmetric(a), check_symmetric(b)
-    if ma.shape != mb.shape:
-        raise DimMismatchError(f"shape mismatch {ma.shape} vs {mb.shape}")
-    return _det_ag_stack(_pair(ma[None], mb[None]), alpha, rtol, atol)[0]
+    return _det_ag_stack(_pair(a, b, _one), alpha, rtol, atol)[0]
 
 
 def am_gm_loewner_check(
@@ -573,10 +566,7 @@ def am_gm_loewner_check(
     """A #_nu B <= (1-nu) A + nu B in the Loewner order for PD A, B."""
     if not (0.0 <= nu <= 1.0):
         raise DomainViolationError(f"weight must lie in [0, 1], got {nu}")
-    ma, mb = check_symmetric(a), check_symmetric(b)
-    if ma.shape != mb.shape:
-        raise DimMismatchError(f"shape mismatch {ma.shape} vs {mb.shape}")
-    return _am_gm_stack(_pair(ma[None], mb[None]), nu, rtol)[0]
+    return _am_gm_stack(_pair(a, b, _one), nu, rtol)[0]
 
 
 # the exponent grid of norm_power_check: 11 evenly spaced values in [0, 1]
@@ -598,12 +588,12 @@ def norm_power_check(
     For PSD T both sides are lambda_max^alpha, so the check is a sanity
     identity: its margin is rounding only.
     """
-    mt = check_symmetric(t)
+    side = _one(t)
     alphas = NORM_POWER_ALPHAS if alphas is None else np.asarray(alphas, dtype=float)
     for alpha in alphas:
         if not 0.0 <= alpha <= 1.0:
             raise DomainViolationError(f"exponent grid must lie in [0, 1], got {alpha}")
-    return _norm_power_stack(_side(mt[None]), alphas, rtol, atol)[0]
+    return _norm_power_stack(side, alphas, rtol, atol)[0]
 
 
 def kittaneh_check(
@@ -629,10 +619,9 @@ def kittaneh_check(
 # ---------------------------------------------------------------------------
 # stacked kernels of the closed-form checks
 #
-# Each kernel takes the inputs of T trials (the SPD ones a _Pair that the
-# campaign builds once per block: norm_power its A half, kittaneh a
-# _TwoSidedPowers) and returns their T reports in order; the public check
-# above is the kernel on a stack of one. Every report is equal bit for
+# Each kernel takes the inputs of T trials (a _Pair; norm_power one _Side,
+# kittaneh a _TwoSidedPowers) and returns their T reports in order; the public
+# check above is the kernel on a stack of one. Every report is equal bit for
 # bit to the one the trial's own per-matrix evaluation gives: LAPACK and BLAS
 # see each matrix of a stacked eigh, eigvalsh, svd or matmul alone,
 # elementwise steps do not depend on the shape, and a step whose stacked form
@@ -649,40 +638,47 @@ def kittaneh_check(
 # (integrate_trials_checked).
 
 
-class _Pair(NamedTuple):
-    """The checked spectral view of T pairs A, B, (T, m, m) and (T, k, k)
-    stacks: the _side of A, then the _side of B. It demands no definiteness;
-    each chain checks what it needs of the spectra."""
+class _Side(NamedTuple):
+    """One side of a _Pair: a (T, n, n) stack as given, its check_symmetric_stack
+    part, and that part's spectra and bases from _eigh. Their column signs
+    cancel in every product but C = Qa' X Qb and dragomir's inverse excess,
+    which take _signed_columns of them."""
 
-    a: np.ndarray
-    ma: np.ndarray
-    la: np.ndarray
-    qa: np.ndarray
-    b: np.ndarray
-    mb: np.ndarray
-    lb: np.ndarray
-    qb: np.ndarray
+    m: np.ndarray
+    sym: np.ndarray
+    lam: np.ndarray
+    q: np.ndarray
+
+
+def _side(m: np.ndarray) -> _Side:
+    sym = check_symmetric_stack(m)
+    return _Side(m, sym, *_eigh(sym))
+
+
+def _one(m) -> _Side:
+    """The _Side of one matrix, raising what check_symmetric raises on it."""
+    return _side(check_matrix(m, square=True)[None])
+
+
+class _Pair(NamedTuple):
+    """The checked spectral view of T pairs A, B: the _Side of each. It
+    demands no definiteness; each chain checks what it needs of the spectra."""
+
+    a: _Side
+    b: _Side
 
     def take(self, rows) -> _Pair:
         """The view of the trials rows, a slice or an index array."""
-        return _Pair(*(x[rows] for x in self))
+        return _Pair(*(_Side(*(x[rows] for x in side)) for side in self))
 
 
-def _side(m: np.ndarray) -> tuple:
-    """A stack as given, its symmetric part as check_symmetric_stack gives
-    it, and that part's spectra and signed bases as _signed_eigh gives them."""
-    sym = check_symmetric_stack(m)
-    return (m, sym, *_signed_eigh(sym))
-
-
-def _pair(a: np.ndarray, b: np.ndarray) -> _Pair:
-    """The _Pair of stacks of A and B. Stacks of one shape are checked and
-    decomposed as one stack, each matrix as if alone: a block of one trial (a
-    replay) spends its time per call, and this makes one of each, not two."""
-    if a.ndim != 3 or a.shape != b.shape:
-        return _Pair(*_side(a), *_side(b))
-    both, t = _side(np.concatenate((a, b))), a.shape[0]
-    return _Pair(*(x[:t] for x in both), *(x[t:] for x in both))
+def _pair(a, b, side=_side) -> _Pair:
+    """The _Pair of stacks of A and B of one shape (with side=_one, of one A
+    and one B), A checked first."""
+    pair = _Pair(side(a), side(b))
+    if pair.a.sym.shape != pair.b.sym.shape:
+        raise DimMismatchError(f"shape mismatch {pair.a.sym.shape[1:]} vs {pair.b.sym.shape[1:]}")
+    return pair
 
 
 def _check_bridge(x_shape, a_shape, b_shape) -> None:
@@ -717,10 +713,10 @@ def _means_stack(a: np.ndarray, b: np.ndarray, rtol: float, atol: float) -> list
 
 def _det_ag_stack(pair: _Pair, alpha: float, rtol: float, atol: float) -> list[InequalityReport]:
     """det_ag_concavity_check on each trial of a _Pair: one eigh, of the mix."""
-    mix = alpha * pair.ma + (1.0 - alpha) * pair.mb
+    mix = alpha * pair.a.sym + (1.0 - alpha) * pair.b.sym
     _require_finite(mix)
     # the determinant is the product of eigh's eigenvalues, as det_pd takes it
-    lam = np.stack((pair.la, pair.lb, np.linalg.eigh(mix)[0]), axis=1)
+    lam = np.stack((pair.a.lam, pair.b.lam, np.linalg.eigh(mix)[0]), axis=1)
     if (lam[..., 0] <= 0.0).any():
         raise NotPositiveDefiniteError(f"matrix has eigenvalue {float(lam[..., 0].min())!r} <= 0")
     return [
@@ -732,11 +728,14 @@ def _det_ag_stack(pair: _Pair, alpha: float, rtol: float, atol: float) -> list[I
 def _am_gm_stack(pair: _Pair, nu: float, rtol: float) -> list[OrderChainReport]:
     """am_gm_loewner_check on each trial of a _Pair: the weighted geometric
     mean A^(1/2) (A^(-1/2) B A^(-1/2))^nu A^(1/2), from A's spectrum and one
-    eigh of the inner mix, then the Loewner comparison with (1-nu) A + nu B."""
-    ma, mb, lam, q = pair.ma, pair.mb, pair.la, pair.qa
-    for side, spectra in (("left", lam), ("right", pair.lb)):
-        if (spectra[:, 0] <= 0.0).any():
-            raise NotPositiveDefiniteError(f"{side} factor is not positive definite")
+    eigh of the inner mix, then the Loewner comparison with (1-nu) A + nu B.
+    B's definiteness is read from eigvalsh, as weighted_geometric_mean reads
+    it: on a B singular to rounding, eigh's smallest eigenvalue can differ."""
+    ma, mb, lam, q = pair.a.sym, pair.b.sym, pair.a.lam, pair.a.q
+    if (lam[:, 0] <= 0.0).any():
+        raise NotPositiveDefiniteError("left factor is not positive definite")
+    if (np.linalg.eigvalsh(mb)[:, 0] <= 0.0).any():
+        raise NotPositiveDefiniteError("right factor is not positive definite")
     root = np.sqrt(lam)
     inv_root = _apply_stack(q, 1.0 / root)
     inner = _sym(inv_root @ mb @ inv_root)
@@ -751,11 +750,11 @@ def _am_gm_stack(pair: _Pair, nu: float, rtol: float) -> list[OrderChainReport]:
 
 
 def _norm_power_stack(side, alphas: np.ndarray, rtol: float, atol: float) -> list[InequalityReport]:
-    """norm_power_check on the T of each trial of a _side, all exponents at
+    """norm_power_check on the T of each trial of a _Side, all exponents at
     once: the powers of every exponent from T's spectrum as one (T, m, n, n)
     stack, and one eigvalsh over T and its powers."""
-    _, mt, lam, q = side
-    powers = _power_stack(lam, q, alphas, mt)
+    mt = side.sym
+    powers = _power_stack(side.lam, side.q, alphas, mt)
     _require_finite(powers)
     eig = np.linalg.eigvalsh(np.concatenate((mt[:, None], powers), axis=1))
     norms = np.max(np.abs(eig), axis=-1).tolist()
@@ -1134,8 +1133,8 @@ def _f_of_power_product(pair: _Pair, rows, ts: np.ndarray, fn) -> np.ndarray:
     _Pair at the points ts: (trials, len(ts), n, n), with X = A^t given by
     its spectrum la^t and B^(1-t) at t = 0 by B as drawn."""
     p = pair.take(rows)
-    y = _power_stack(p.lb, p.qb, 1.0 - ts, p.b)
-    return _f_of_product(_spectrum_powers(p.la, ts), p.qa[:, None], y, fn)
+    y = _power_stack(p.b.lam, p.b.q, 1.0 - ts, p.b.m)
+    return _f_of_product(_spectrum_powers(p.a.lam, ts), p.a.q[:, None], y, fn)
 
 
 def _product_norms(pair: _Pair, f: FunctionSpec, spec: NormSpec, ts: np.ndarray) -> np.ndarray:
@@ -1145,14 +1144,14 @@ def _product_norms(pair: _Pair, f: FunctionSpec, spec: NormSpec, ts: np.ndarray)
     def block(sl, t: np.ndarray) -> np.ndarray:
         return norms_of_stack(_f_of_power_product(pair, sl, t, f.eval_array), spec)
 
-    return _curve_stack(block, pair.a.shape[0], ts, pair.a[0].size)
+    return _curve_stack(block, pair.a.m.shape[0], ts, pair.a.m[0].size)
 
 
 def op_gg_hh_general(f: FunctionSpec, pair, quad_n: int, rtol: float) -> list[OrderChainReport]:
     """The op_gg_hh chain on positive pairs that need not commute:
     log f(sqrt(AB)) <= int_0^1 log f(A^t B^(1-t)) dt <= (log f(A) + log f(B))/2."""
-    la, qa, lb, qb = pair.la, pair.qa, pair.lb, pair.qb
-    t1 = _sym(_f_of_product(la, qa, pair.b, lambda w: np.log(f.eval_array(np.sqrt(w)))))
+    (la, qa), (lb, qb) = ((side.lam, side.q) for side in pair)
+    t1 = _sym(_f_of_product(la, qa, pair.b.m, lambda w: np.log(f.eval_array(np.sqrt(w)))))
 
     def nodes(trials: np.ndarray, ts: np.ndarray) -> np.ndarray:
         return _sym(_f_of_power_product(pair, trials, ts, lambda w: np.log(f.eval_array(w))))
@@ -1167,9 +1166,9 @@ def op_ag_midpoint_general(
 ) -> list[OrderChainReport]:
     """The op_ag_midpoint chain on positive pairs that need not commute, the
     geometric mean of f(P) and f(Q) taken as sqrt(f(P) f(Q))."""
-    a, b, qa, qb = pair.a, pair.b, pair.qa, pair.qb
-    lm, qm = _signed_eigh(check_symmetric_stack(0.5 * (a + b)))
-    fla, flb, flm = (_f_of_spectrum(f, lam) for lam in (pair.la, pair.lb, lm))
+    a, b, qa, qb = pair.a.m, pair.b.m, pair.a.q, pair.b.q
+    lm, qm = _eigh(check_symmetric_stack(0.5 * (a + b)))
+    fla, flb, flm = (_f_of_spectrum(f, lam) for lam in (pair.a.lam, pair.b.lam, lm))
 
     def nodes(trials: np.ndarray, als: np.ndarray) -> np.ndarray:
         # P = al A + (1 - al) B and Q = al B + (1 - al) A, symmetrized as eigh
@@ -1208,7 +1207,7 @@ def norm_gg_general(
 ) -> list[ChainReport]:
     """The op_norm_gg chain of phi(u) = ||f(A^u B^(1-u))|| on positive pairs
     that need not commute."""
-    trials, n = pair.a.shape[:2]
+    trials, n = pair.a.m.shape[:2]
 
     def log_phi(rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
         vals = _product_norms(pair.take(rows), f, norm_spec, xs[0])
@@ -1226,7 +1225,8 @@ def trace_chain_general(
 ) -> list[ChainReport]:
     """The trace chains on positive pairs that need not commute, with
     tau(u) = tr(A^u B^(1-u)) = sum_ij la_i^u (qa_i . qb_j)^2 lb_j^(1-u)."""
-    a, b, la, qa, lb, qb = pair.a, pair.b, pair.la, pair.qa, pair.lb, pair.qb
+    a, b = pair.a.m, pair.b.m
+    (la, qa), (lb, qb) = ((side.lam, side.q) for side in pair)
     overlap = (np.swapaxes(qa, 1, 2) @ qb) ** 2
     pw = 2.0 if variant is TraceVariant.SQUARED else 1.0
 
@@ -1321,31 +1321,31 @@ class _TwoSidedPowers:
     which the norm family cannot see, for each trial of a _Pair and a checked
     (T, m, k) stack X (see of_one and of_stacks). Schatten-2 needs no product
     at all: |||A^s X B^t|||_2^2 = sum_ij la_i^(2s) C_ij^2 lb_j^(2t), one
-    matmul against C∘C (core2) per block of points. Like the view, it
-    demands no definiteness: the curves call require_positive_definite."""
+    matmul against C∘C (core2) per block of points. It demands no
+    definiteness: the curves call require_positive_definite."""
 
     def __init__(self, pair: _Pair, mx: np.ndarray):
         self.pair, self.mx = pair, mx
-        self.core = np.swapaxes(pair.qa, 1, 2) @ mx @ pair.qb
+        qa, qb = (_signed_columns(side.q) for side in pair)
+        self.core = np.swapaxes(qa, 1, 2) @ mx @ qb
         self.core2 = self.core * self.core
 
     @classmethod
     def of_one(cls, a, b, x) -> "_TwoSidedPowers":
         """A stack of one, from matrices checked one by one."""
-        ma, mb = check_symmetric(a), check_symmetric(b)
-        mx = check_matrix(x)
-        _check_bridge(mx.shape, ma.shape, mb.shape)
-        return cls(_pair(ma[None], mb[None]), mx[None])
+        pair, mx = _Pair(_one(a), _one(b)), check_matrix(x)
+        _check_bridge(mx.shape, pair.a.sym.shape[1:], pair.b.sym.shape[1:])
+        return cls(pair, mx[None])
 
     @classmethod
     def of_stacks(cls, pair: _Pair, x) -> "_TwoSidedPowers":
         """The trials of a _Pair and a stack of X, checked as of_one checks X."""
         _require_finite(x)
-        _check_bridge(x.shape[1:], pair.ma.shape[1:], pair.mb.shape[1:])
+        _check_bridge(x.shape[1:], pair.a.sym.shape[1:], pair.b.sym.shape[1:])
         return cls(pair, x)
 
     def require_positive_definite(self) -> None:
-        if (self.pair.la[:, 0] <= 0.0).any() or (self.pair.lb[:, 0] <= 0.0).any():
+        if any((side.lam[:, 0] <= 0.0).any() for side in self.pair):
             raise NotPositiveDefiniteError("fractional power base must be positive definite")
 
     def norms(self, ts: np.ndarray, second, spec: NormSpec, trials=slice(None)) -> np.ndarray:
@@ -1353,7 +1353,7 @@ class _TwoSidedPowers:
         trial that the slice or index array trials picks: shape (trials,
         len(ts))."""
         p = self.pair
-        la, lb, core, core2 = (x[trials] for x in (p.la, p.lb, self.core, self.core2))
+        la, lb, core, core2 = (x[trials] for x in (p.a.lam, p.b.lam, self.core, self.core2))
         m, k = core.shape[1:]
 
         def block(sl: slice, t: np.ndarray) -> np.ndarray:
@@ -1374,8 +1374,7 @@ class _TwoSidedPowers:
         one _power_stack per side, so exponents 0 and 1 incur no
         reconstruction noise, and a zero exponent skips its product."""
         sa, sb = (np.array(side, dtype=float) for side in zip(*pairs))
-        p = self.pair
-        left, right = _power_stack(p.la, p.qa, sa, p.ma), _power_stack(p.lb, p.qb, sb, p.mb)
+        left, right = (_power_stack(s.lam, s.q, t, s.sym) for s, t in zip(self.pair, (sa, sb)))
         out = []
         for k, (ta, tb) in enumerate(pairs):
             mx = self.mx if ta == 0.0 else left[:, k] @ self.mx

@@ -127,25 +127,31 @@ def eigh(s) -> SpectralDecomp:
     Column signs follow a fixed convention (the largest-magnitude entry of
     each eigenvector is nonnegative) so results are deterministic.
     """
-    lam, q = _signed_eigh(check_symmetric(s)[None])
-    lam, q = lam[0], q[0]
+    lam, q = _eigh(check_symmetric(s)[None])
+    lam, q = lam[0], _signed_columns(q)[0]
     q.flags.writeable = False
     lam.flags.writeable = False
     return SpectralDecomp(q=q, eigenvalues=lam)
 
 
-def _signed_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of each symmetric matrix of a (T, n, n)
-    stack, under eigh's column-sign convention."""
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh of a (T, n, n) stack, with the column signs LAPACK
+    gives: enough for any product in which they cancel, as in _apply_stack."""
     try:
-        lam, q = np.linalg.eigh(a)
+        return np.linalg.eigh(a)
     except np.linalg.LinAlgError as e:  # pragma: no cover - LAPACK rarely fails
         raise ConvergenceError(f"eigensolver did not converge: {e}") from e
+
+
+def _signed_columns(q: np.ndarray) -> np.ndarray:
+    """The (T, n, n) bases q under eigh's column-sign convention: the
+    largest-magnitude entry of each column (the first, on a tie) made
+    nonnegative."""
     # the entry of each column at the row of its largest magnitude
     rows = np.argmax(np.abs(q), axis=1)
     signs = np.sign(q[np.arange(q.shape[0])[:, None], rows, np.arange(q.shape[2])])
     signs[signs == 0.0] = 1.0
-    return lam, q * signs[:, None, :]
+    return q * signs[:, None, :]
 
 
 def _f_of_spectrum(f: FunctionSpec, lam: np.ndarray) -> np.ndarray:
@@ -290,19 +296,20 @@ def _power_stack(
     (..., len(ts), n, n), each equal bit for bit to power_from_decomp with
     its exponent alone (t = 0 the identity, t = 1 the original if given).
 
-    Every exponent is taken through the spectrum, and the rows at t = 0 and
-    t = 1 are then overwritten; each matrix of a stacked product is computed
-    alone, so the extra rows leave the others' bits."""
+    The other exponents are taken through the spectrum as one stack; each
+    matrix of a stacked product is computed alone, so their bits do not
+    depend on which exponents share the stack."""
     exact = ts == 0.0
     if original is not None:
         exact |= ts == 1.0
+    out = np.empty(lam.shape[:-1] + (ts.size,) + q.shape[-2:])
     if not exact.all():
         # the guard names the first negative exponent, as a loop over ts
         # would (an exact exponent is never negative, and the guard reads a
         # nonnegative one only as such)
         negative = ts[ts < 0.0]
         lam = _psd_spectrum(lam, negative.item(0) if negative.size else 0.0)
-    out = _apply_stack(q[..., None, :, :], _spectrum_powers(lam, ts))
+        out[..., ~exact, :, :] = _apply_stack(q[..., None, :, :], _spectrum_powers(lam, ts[~exact]))
     for k in np.flatnonzero(exact).tolist():
         out[..., k, :, :] = np.eye(lam.shape[-1]) if ts.item(k) == 0.0 else original
     return out

@@ -28,6 +28,9 @@ _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+# the same constants and the finalizer's shifts as uint64 scalars
+_GAMMA64, _MIX1_64, _MIX2_64 = (np.uint64(c) for c in (_GAMMA, _MIX1, _MIX2))
+_S27, _S30, _S31 = (np.uint64(s) for s in (27, 30, 31))
 
 # 2**-53, for mapping the top 53 bits of a word onto (0, 1]
 _U53 = 1.0 / 9007199254740992.0
@@ -88,14 +91,17 @@ class RandomStream:
             raise ValueError(f"block size must be nonnegative, got {k}")
         idx = np.arange(self._count + 1, self._count + k + 1, dtype=np.uint64)
         self._count += k
-        with np.errstate(over="ignore"):
-            if isinstance(self.seed, np.ndarray):
-                z = self.seed[:, None] + idx * np.uint64(_GAMMA)
-            else:
-                z = np.uint64(self.seed) + idx * np.uint64(_GAMMA)
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-            return z ^ (z >> np.uint64(31))
+        # uint64 array arithmetic wraps mod 2^64 without a warning, and runs
+        # in place wherever it can
+        seed = self.seed[:, None] if isinstance(self.seed, np.ndarray) else np.uint64(self.seed)
+        idx *= _GAMMA64
+        z = idx + seed
+        z ^= z >> _S30
+        z *= _MIX1_64
+        z ^= z >> _S27
+        z *= _MIX2_64
+        z ^= z >> _S31
+        return z
 
     def uniform(self, k: int) -> np.ndarray:
         """``k`` uniforms on (0, 1] from the top 53 bits of each word."""

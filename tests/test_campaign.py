@@ -1270,7 +1270,7 @@ def _plant_in_det_ag(seed, error):
     real = campaign._det_ag_stack
 
     def run(pair, *args):
-        if any(np.array_equal(m, planted) for m in pair.a):
+        if any(np.array_equal(m, planted) for m in pair.a.m):
             raise error("planted")
         return real(pair, *args)
 
@@ -1283,7 +1283,7 @@ def _plant_in_op_gg_hh_general(seed, error):
     real = campaign.op_gg_hh_general
 
     def run(f, pair, *args):
-        if any(np.array_equal(m, planted) for m in pair.a):
+        if any(np.array_equal(m, planted) for m in pair.a.m):
             raise error("planted")
         return real(f, pair, *args)
 
@@ -1391,20 +1391,22 @@ def test_each_shared_kind_is_what_its_runner_drew_alone(dim):
     def stream():
         return RandomStream(seeds)
 
-    # the SPD pair, then X, as one stream
+    # the SPD pair, then X, as one stream; A drawn alone is its first
     s = stream()
     pair = _spd_pair(s, dim)
     x = random_general(s, dim, dim)
-    assert _same_bits(campaign._Block(seeds, dim).spd[:2], pair)
+    assert _same_bits((campaign._Block(seeds, dim).a[0].m,), pair[:1])
+    assert _same_bits([side.m for side in campaign._Block(seeds, dim).pair], pair)
     assert _same_bits((campaign._Block(seeds, dim).two_sided.mx,), (x,))
     # the checked spectral view of A and B, and the view with X; each matrix
     # of the view has the bits of its trial's A or B checked and decomposed alone
     block = campaign._Block(seeds, dim)
     view = chains._pair(*pair)
-    assert _same_bits(block.pair, view)
+    assert block.pair.a is block.a[0]
+    assert _same_bits([*block.pair.a, *block.pair.b], [*view.a, *view.b])
     for t in range(len(seeds)):
         alone = (*chains._side(pair[0][t : t + 1]), *chains._side(pair[1][t : t + 1]))
-        assert _same_bits([m[t : t + 1] for m in view], alone)
+        assert _same_bits([m[t : t + 1] for m in (*view.a, *view.b)], alone)
     tp, ref = block.two_sided, chains._TwoSidedPowers.of_stacks(view, x)
     assert tp.pair is block.pair
     assert _same_bits((tp.mx, tp.core, tp.core2), (ref.mx, ref.core, ref.core2))
@@ -1426,14 +1428,14 @@ def test_a_shared_input_refuses_an_in_place_write():
     block = campaign._Block(seeds, 3)
     tp = block.two_sided
     arrays = [
-        block.log_pair, *block.interval, *block.commuting, *block.spd, *block.general,
-        *block.pair, tp.mx, tp.core, tp.core2,
+        block.log_pair, *block.interval, *block.commuting, *block.general, *block.pair.a,
+        *block.pair.b, block.a[1], block.b[1], tp.mx, tp.core, tp.core2,
     ]
     for m in arrays:
         with pytest.raises(ValueError):
             m[0] += 1.0
     with pytest.raises(ValueError):
-        block.spd[0].sort(axis=0)
+        block.a[0].m.sort(axis=0)
 
 
 def _count_draws(monkeypatch, names, failures=0):
@@ -1503,7 +1505,7 @@ def test_a_campaign_checks_and_decomposes_each_drawn_pair_once_per_block(ablatio
         drawn.append(("AB"[len(drawn) % 2], {x.tobytes() for x in both}))
         return m
 
-    # the calls of check_symmetric_stack and _signed_eigh that take A or B
+    # the calls of check_symmetric_stack and _eigh that take A or B
     calls = dict.fromkeys([(kind, name) for kind in ("check", "eigh") for name in "AB"], 0)
 
     def counted(kind, real):
@@ -1517,7 +1519,7 @@ def test_a_campaign_checks_and_decomposes_each_drawn_pair_once_per_block(ablatio
         return run
 
     monkeypatch.setattr(campaign, "random_spd", spd)
-    for name, kind in (("check_symmetric_stack", "check"), ("_signed_eigh", "eigh")):
+    for name, kind in (("check_symmetric_stack", "check"), ("_eigh", "eigh")):
         monkeypatch.setattr(chains, name, counted(kind, getattr(chains, name)))
     ids = select_theorems("all", ablation)
     cfg = CampaignConfig(theorem_ids=ids, trials=5, dims=(2, 3), master_seed=8, ablation=ablation)

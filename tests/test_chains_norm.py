@@ -21,7 +21,7 @@ from hhverify import (
     kittaneh_check,
     uin_chain,
 )
-from hhverify.chains import _pair, _TwoSidedPowers
+from hhverify.chains import _Pair, _side, _TwoSidedPowers
 from hhverify.errors import DegenerateIntervalError
 from hhverify.norms import norm, norms_of_stack, parse_norm
 from hhverify.sampler import RandomStream, random_commuting_pair, random_spd
@@ -128,14 +128,14 @@ def _two_sided(stream, m, k, trials=3):
     a = np.stack([random_spd(stream, m, 0.1, 10.0) for _ in range(trials)])
     b = np.stack([random_spd(stream, k, 0.1, 10.0) for _ in range(trials)])
     x = np.asarray(stream.gaussian(trials * m * k)).reshape(trials, m, k)
-    return _TwoSidedPowers.of_stacks(_pair(a, b), x)
+    return _TwoSidedPowers.of_stacks(_Pair(_side(a), _side(b)), x)
 
 
 def _materialized_norms(tp, ts, second, spec):
     """The norm of every diag(la^t) C diag(lb^second(t)) of tp, formed as a
     (T, P, m, k) stack and taken by norms_of_stack."""
-    left = np.power(tp.pair.la[:, None, :], ts[:, None])
-    right = np.power(tp.pair.lb[:, None, :], second(ts)[:, None])
+    left = np.power(tp.pair.a.lam[:, None, :], ts[:, None])
+    right = np.power(tp.pair.b.lam[:, None, :], second(ts)[:, None])
     prods = left[..., None] * tp.core[:, None] * right[..., None, :]
     m, k = tp.core.shape[1:]
     return norms_of_stack(prods.reshape(-1, m, k), spec).reshape(prods.shape[:2])

@@ -28,9 +28,11 @@ from hhverify import chains
 from hhverify.chains import DRAGOMIR_TERM_NAMES, HH_NODES, HH_TERM_NAMES, _hh_stack
 from hhverify.errors import (
     DegenerateIntervalError,
+    NonFiniteInputError,
     NonPositiveInputError,
     NotPositiveDefiniteError,
 )
+from hhverify.linalg import weighted_geometric_mean
 from hhverify.sampler import RandomStream, random_orthogonal, random_spd
 
 
@@ -419,3 +421,23 @@ def test_semidefinite_and_singular_inputs_keep_their_outcomes():
         am_gm_loewner_check(singular, np.eye(2), 0.3)
     with pytest.raises(NotPositiveDefiniteError, match="^right factor is not positive definite$"):
         am_gm_loewner_check(np.eye(2), singular, 0.3)
+
+
+def test_am_gm_refuses_a_singular_b_as_weighted_geometric_mean_does():
+    # B = G G^T of a 3x2 G is singular to rounding: eigh and eigvalsh round
+    # its smallest eigenvalue to either sign, and not always to the same one
+    def refused(check):
+        try:
+            with np.errstate(invalid="ignore"):
+                check()
+        except NotPositiveDefiniteError as e:
+            return str(e) == "right factor is not positive definite"
+        except NonFiniteInputError:  # past the check: B^0.3 is NaN
+            pass
+        return False
+
+    for seed in range(20):
+        g = RandomStream(seed).gaussian(6).reshape(3, 2)
+        b = g @ g.T
+        want = refused(lambda: weighted_geometric_mean(np.eye(3), b, 0.3))
+        assert refused(lambda: am_gm_loewner_check(np.eye(3), b, 0.3)) == want, seed
