@@ -27,6 +27,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -1093,9 +1094,11 @@ def _trace_reports(
 # ---------------------------------------------------------------------------
 # the ablations: the chains above on positive pairs that need not commute, and
 # on matrices that need not be positive. f of a product XY of two positives
-# goes through eigh of a symmetric matrix similar to it (_f_of_product); only
-# the general matrices of the ablated kittaneh go through eig. Like the
-# kernels above, each takes (T, n, n) stacks and returns T reports.
+# goes through eigh of a symmetric matrix similar to it: in A's eigenbasis
+# for the powers A^s B^r (_f_of_power_product), in the standard basis for
+# op_ag_midpoint's f(P) f(Q) (_f_of_product). Only the general matrices of
+# the ablated kittaneh go through eig. Like the kernels above, each takes
+# (T, n, n) stacks and returns T reports.
 
 
 def _eig_function(m: np.ndarray, fn) -> np.ndarray:
@@ -1128,36 +1131,63 @@ def _f_of_product(xl: np.ndarray, xq: np.ndarray, y: np.ndarray, fn) -> np.ndarr
     return left @ (np.swapaxes(v, -1, -2) @ ((xq / root) @ xt))
 
 
-def _f_of_power_product(pair: _Pair, rows, ts: np.ndarray, fn) -> np.ndarray:
-    """fn(A^t B^(1-t)) of the trials rows (a slice or an index array) of a
-    _Pair at the points ts: (trials, len(ts), n, n), with X = A^t given by
-    its spectrum la^t and B^(1-t) at t = 0 by B as drawn."""
-    p = pair.take(rows)
-    y = _power_stack(p.b.lam, p.b.q, 1.0 - ts, p.b.m)
-    return _f_of_product(_spectrum_powers(p.a.lam, ts), p.a.q[:, None], y, fn)
+def _basis_overlap(pair: _Pair, rows=slice(None)) -> np.ndarray:
+    """C = Qa' Qb of the trials rows (a slice or an index array) of a _Pair:
+    B's eigenbasis in A's, (trials, n, n)."""
+    return np.swapaxes(pair.a.q[rows], 1, 2) @ pair.b.q[rows]
+
+
+def _f_of_power_product(pair: _Pair, rows, ss: np.ndarray, rs: np.ndarray, fn) -> np.ndarray:
+    """Qa' fn(A^s B^r) Qa, fn of A^s B^r in the eigenbasis Qa of A, of the
+    trials rows (a slice or an index array) of a _Pair of positive A, B at
+    the exponent pairs (s, r) of the 1-d arrays ss and rs: (trials, len(ss),
+    n, n). XY = A^s B^r is similar to X^(1/2) Y X^(1/2), which is Qa G G' Qa'
+    with G = diag(la^(s/2)) C diag(lb^(r/2)) and C = Qa' Qb; so with (mu, W)
+    from one stacked eigh of G G', the result is
+    diag(la^(s/2)) W diag(fn(mu)) W' diag(la^(-s/2))."""
+    half = _spectrum_powers(pair.a.lam[rows], 0.5 * ss)[..., :, None]
+    g = _basis_overlap(pair, rows)[:, None] * half
+    g *= _spectrum_powers(pair.b.lam[rows], 0.5 * rs)[..., None, :]
+    mu, w = np.linalg.eigh(g @ np.swapaxes(g, -1, -2))
+    # a NaN in mu, which eigh returns for a matrix that is not finite, fails too
+    if not ((half > 0.0).all() and (mu > 0.0).all()):
+        raise DomainViolationError("X, or the spectrum of XY, is not positive")
+    # G's buffer takes the left factor, and W' the right one in place
+    left = np.multiply(w, half, out=g)
+    left *= fn(mu)[..., None, :]
+    right = np.swapaxes(w, -1, -2)
+    right /= np.swapaxes(half, -1, -2)
+    return left @ right
 
 
 def _product_norms(pair: _Pair, f: FunctionSpec, spec: NormSpec, ts: np.ndarray) -> np.ndarray:
     """||f(A^t B^(1-t))|| of each trial of a _Pair at the points ts, (T,
-    len(ts)), in blocks of _curve_stack."""
+    len(ts)), in blocks of _curve_stack. Every norm is unitarily invariant,
+    so the products are normed in A's eigenbasis."""
 
     def block(sl, t: np.ndarray) -> np.ndarray:
-        return norms_of_stack(_f_of_power_product(pair, sl, t, f.eval_array), spec)
+        return norms_of_stack(_f_of_power_product(pair, sl, t, 1.0 - t, f.eval_array), spec)
 
     return _curve_stack(block, pair.a.m.shape[0], ts, pair.a.m[0].size)
 
 
 def op_gg_hh_general(f: FunctionSpec, pair, quad_n: int, rtol: float) -> list[OrderChainReport]:
     """The op_gg_hh chain on positive pairs that need not commute:
-    log f(sqrt(AB)) <= int_0^1 log f(A^t B^(1-t)) dt <= (log f(A) + log f(B))/2."""
-    (la, qa), (lb, qb) = ((side.lam, side.q) for side in pair)
-    t1 = _sym(_f_of_product(la, qa, pair.b.m, lambda w: np.log(f.eval_array(np.sqrt(w)))))
+    log f(sqrt(AB)) <= int_0^1 log f(A^t B^(1-t)) dt <= (log f(A) + log f(B))/2,
+    each term in the eigenbasis Qa of A (t -> Qa' t Qa), which leaves every
+    Loewner verdict as it is."""
+
+    def log_f(w: np.ndarray) -> np.ndarray:
+        return np.log(f.eval_array(w))
+
+    one = np.ones(1)
+    t1 = _sym(_f_of_power_product(pair, slice(None), one, one, lambda w: log_f(np.sqrt(w)))[:, 0])
 
     def nodes(trials: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        return _sym(_f_of_power_product(pair, trials, ts, lambda w: np.log(f.eval_array(w))))
+        return _sym(_f_of_power_product(pair, trials, ts, 1.0 - ts, log_f))
 
-    logs = _apply_stack(np.stack((qa, qb)), np.log(f.eval_array(np.stack((la, lb)))))
-    t3 = 0.5 * (logs[0] + logs[1])
+    diag = np.eye(pair.a.lam.shape[1]) * log_f(pair.a.lam)[:, None, :]
+    t3 = 0.5 * (diag + _apply_stack(_basis_overlap(pair), log_f(pair.b.lam)))
     return _general_order_chain("op_gg_hh", GG_HH_TERM_NAMES, t1, nodes, t3, quad_n, rtol)
 
 
@@ -1226,8 +1256,8 @@ def trace_chain_general(
     """The trace chains on positive pairs that need not commute, with
     tau(u) = tr(A^u B^(1-u)) = sum_ij la_i^u (qa_i . qb_j)^2 lb_j^(1-u)."""
     a, b = pair.a.m, pair.b.m
-    (la, qa), (lb, qb) = ((side.lam, side.q) for side in pair)
-    overlap = (np.swapaxes(qa, 1, 2) @ qb) ** 2
+    la, qa, lb = pair.a.lam, pair.a.q, pair.b.lam
+    overlap = _basis_overlap(pair) ** 2
     pw = 2.0 if variant is TraceVariant.SQUARED else 1.0
 
     def tau(u: float) -> list[float]:
@@ -1322,13 +1352,24 @@ class _TwoSidedPowers:
     (T, m, k) stack X (see of_one and of_stacks). Schatten-2 needs no product
     at all: |||A^s X B^t|||_2^2 = sum_ij la_i^(2s) C_ij^2 lb_j^(2t), one
     matmul against C∘C (core2) per block of points. It demands no
-    definiteness: the curves call require_positive_definite."""
+    definiteness: the curves call require_positive_definite. C and C∘C are
+    formed on first use, read-only: kittaneh reads neither."""
 
     def __init__(self, pair: _Pair, mx: np.ndarray):
         self.pair, self.mx = pair, mx
-        qa, qb = (_signed_columns(side.q) for side in pair)
-        self.core = np.swapaxes(qa, 1, 2) @ mx @ qb
-        self.core2 = self.core * self.core
+
+    @cached_property
+    def core(self) -> np.ndarray:
+        qa, qb = (_signed_columns(side.q) for side in self.pair)
+        core = np.swapaxes(qa, 1, 2) @ self.mx @ qb
+        core.flags.writeable = False
+        return core
+
+    @cached_property
+    def core2(self) -> np.ndarray:
+        core2 = self.core * self.core
+        core2.flags.writeable = False
+        return core2
 
     @classmethod
     def of_one(cls, a, b, x) -> "_TwoSidedPowers":

@@ -7,9 +7,10 @@ values, which is the invariance the checks in this package rely on.
 
 This module alone decides how a norm is taken: one gauge (_gauge_rows), one
 Frobenius rule (_frobenius_rows, which the quadrature's doubling check also
-uses) and one kernel for stacks of matrices (norms_of_stack, which norm()
-runs on one matrix). Each gives a row or matrix the bits it has alone, in a
-stack of any height. Other modules ask a NormSpec only is_frobenius and
+uses), one operator-norm rule for real matrices (_operator_norms) and one
+kernel for stacks of matrices (norms_of_stack, which norm() runs on one
+matrix). Each gives a row or matrix the bits it has alone, in a stack of
+any height. Other modules ask a NormSpec only is_frobenius and
 is_max_type.
 """
 
@@ -137,20 +138,59 @@ def norm(m, spec: NormSpec) -> float:
 def norms_of_stack(stack: np.ndarray, spec: NormSpec) -> np.ndarray:
     """Norm of every matrix of a (..., m, n) stack, of shape (...).
 
-    Schatten-2 of a real stack is the Frobenius norm of each matrix; the rest
-    go through one batched singular value decomposition and the gauge. Every
-    matrix gets the bits it has alone.
+    Schatten-2 of a real stack is the Frobenius norm of each matrix, and the
+    operator norm of a real stack comes from a Gram matrix (_operator_norms);
+    the rest go through one batched singular value decomposition and the
+    gauge. A matrix with an entry that is not finite has norm NaN, and LAPACK
+    is not given it: it prints to stdout on such input. Every matrix gets the
+    bits it has alone.
     """
     if stack.ndim < 2:
         raise DimMismatchError(f"expected a (..., m, n) stack, got shape {stack.shape}")
     if spec.is_frobenius and not np.iscomplexobj(stack):
         return _frobenius_rows(stack.reshape(stack.shape[:-2] + (-1,)))
+    m, k = stack.shape[-2:]
+    flat = stack.reshape(-1, m, k)
+    # the largest |entry| of each matrix, NaN or inf where an entry is not
+    # finite, down the columns of the C-ordered transpose as in
+    # norms_from_eig_rows
+    peak = np.abs(flat.reshape(-1, m * k).T, order="C").max(axis=0)
+    finite = np.isfinite(peak)
+    if finite.all():
+        return _finite_norms(flat, peak, spec).reshape(stack.shape[:-2])
+    out = np.full(peak.shape, np.nan)
+    if finite.any():
+        out[finite] = _finite_norms(flat[finite], peak[finite], spec)
+    return out.reshape(stack.shape[:-2])
+
+
+def _finite_norms(flat: np.ndarray, peak: np.ndarray, spec: NormSpec) -> np.ndarray:
+    """The norms of a finite (N, m, k) stack whose largest |entries| are peak."""
+    if spec == NormSpec.opnorm() and not np.iscomplexobj(flat):
+        return _operator_norms(flat, peak)
     try:
-        s = np.linalg.svd(stack, compute_uv=False)
+        s = np.linalg.svd(flat, compute_uv=False)
     except np.linalg.LinAlgError as e:  # pragma: no cover
         raise ConvergenceError(f"singular value computation failed: {e}") from e
-    rows = np.maximum(s, 0.0).reshape(-1, s.shape[-1])
-    return _gauge_rows(rows, spec).reshape(s.shape[:-1])
+    return _gauge_rows(np.maximum(s, 0.0), spec)
+
+
+def _operator_norms(flat: np.ndarray, peak: np.ndarray) -> np.ndarray:
+    """The operator norm of each matrix of a real (N, m, k) stack, sqrt of
+    the largest eigenvalue of the Gram matrix of its smaller side, from one
+    eigvalsh. Each matrix is first scaled by 2^-x, x the binary exponent of
+    its largest |entry| (peak), so that its Gram can neither overflow nor
+    underflow; a power of two rounds no entry but those it takes below the
+    normal range. The norm is scaled back by 2^x."""
+    x = np.frexp(peak)[1]
+    scaled = np.ldexp(flat, -x[:, None, None])
+    tr = np.swapaxes(scaled, 1, 2)
+    gram = scaled @ tr if flat.shape[1] <= flat.shape[2] else tr @ scaled
+    try:
+        top = np.linalg.eigvalsh(gram)[:, -1]
+    except np.linalg.LinAlgError as e:  # pragma: no cover
+        raise ConvergenceError(f"eigenvalue computation failed: {e}") from e
+    return np.ldexp(np.sqrt(np.maximum(top, 0.0)), x)
 
 
 def norm_from_eigs(eigs: np.ndarray, spec: NormSpec) -> float:

@@ -528,6 +528,28 @@ def _ref_f_of_product(xl, xq, y, fn):
     return ((half @ v) * fn(mu)[..., None, :]) @ (np.swapaxes(v, -1, -2) @ inv_half)
 
 
+def _ref_power_products(a, b, ss, rs, fn):
+    """Qa' fn(A^s B^r) Qa at each exponent pair (s, r) of the 1-d arrays ss
+    and rs, for one pair A, B restated from eigh of each: A^s B^r is similar
+    to A^(s/2) B^r A^(s/2) = Qa G G' Qa' with G = diag(la^(s/2)) Qa'Qb
+    diag(lb^(r/2)), so it is diag(la^(s/2)) W diag(fn(mu)) W' diag(la^(-s/2))
+    in A's basis, with (mu, W) from eigh of G G'."""
+    (la, qa), (lb, qb) = (np.linalg.eigh(check_symmetric(m)) for m in (a, b))
+    half = _spectrum_powers(la, 0.5 * ss)
+    g = (qa.T @ qb) * half[:, :, None] * _spectrum_powers(lb, 0.5 * rs)[:, None, :]
+    mu, w = np.linalg.eigh(g @ np.swapaxes(g, 1, 2))
+    if not ((half > 0.0).all() and (mu > 0.0).all()):
+        raise DomainViolationError("A^s, or the spectrum of A^s B^r, is not positive")
+    return (w * half[:, :, None] * fn(mu)[:, None, :]) @ (np.swapaxes(w, 1, 2) / half[:, None, :])
+
+
+def _ref_mean_of_logs(a, b, log_f):
+    """(log f(A) + log f(B))/2 in the eigenbasis of A, from eigh of each."""
+    (la, qa), (lb, qb) = (np.linalg.eigh(check_symmetric(m)) for m in (a, b))
+    c = qa.T @ qb
+    return 0.5 * (np.diag(log_f(la)) + _ref_sym((c * log_f(lb)) @ c.T))
+
+
 # what a per-node reference makes an unreliable trial
 _REF_UNRELIABLE = (np.linalg.LinAlgError, DomainViolationError, NonFiniteSampleError)
 
@@ -564,35 +586,31 @@ def _ref_integrate_checked(node, n):
     return integrate_stack_checked(lambda ts: np.stack([node(float(t)) for t in ts]), 0.0, 1.0, n)
 
 
-def _ref_phi(da, db, a, b, f, spec, t):
-    m = _ref_f_of_product(
-        np.power(da.eigenvalues, t), da.q, power_from_decomp(db, 1.0 - t, b), f.eval_array
-    )
+def _ref_phi(a, b, f, spec, t):
+    """||f(A^t B^(1-t))|| at one node t, normed in A's basis."""
+    m = _ref_power_products(a, b, np.array([t]), np.array([1.0 - t]), f.eval_array)[0]
     return float(norms_of_stack(m, spec))
 
 
-def _ref_log_f_of_sym(d, f):
-    return d.apply(np.log(f.eval_array(d.eigenvalues)))
-
-
 def _ref_op_gg_hh(stream, dim, p):
+    """The op_gg_hh chain of one trial, one node at a time, in A's basis."""
     a, b = _spd_pair(stream, dim)
-    da, db = eigh(a), eigh(b)
+
+    def log_f(w):
+        return np.log(p.f.eval_array(w))
+
+    one = np.ones(1)
     try:
-        t1 = _ref_sym(_ref_f_of_product(
-            da.eigenvalues, da.q, b, lambda w: np.log(p.f.eval_array(np.sqrt(w)))
-        ))
+        t1 = _ref_sym(_ref_power_products(a, b, one, one, lambda w: log_f(np.sqrt(w)))[0])
 
         def node(t):
-            y = power_from_decomp(db, 1.0 - t, b)
-            return _ref_sym(_ref_f_of_product(
-                np.power(da.eigenvalues, t), da.q, y, lambda w: np.log(p.f.eval_array(w))
-            ))
+            ss, rs = np.array([t]), np.array([1.0 - t])
+            return _ref_sym(_ref_power_products(a, b, ss, rs, log_f)[0])
 
         t2, ok = _ref_integrate_checked(node, p.quad_n)
     except _REF_UNRELIABLE:
         return _unreliable("op_gg_hh")
-    t3 = 0.5 * (_ref_log_f_of_sym(da, p.f) + _ref_log_f_of_sym(db, p.f))
+    t3 = _ref_mean_of_logs(a, b, log_f)
     return _ref_order_report_from_matrices(
         "op_gg_hh", GG_HH_TERM_NAMES, (t1, t2, t3), p.rtol, quad_reliable=ok, hypothesis_ok=False
     )
@@ -622,14 +640,13 @@ def _ref_op_ag_midpoint(stream, dim, p):
 
 def _ref_norm_gg(theorem_id, stream, dim, p):
     a, b = _spd_pair(stream, dim)
-    da, db = eigh(a), eigh(b)
     try:
-        anchors = [_ref_phi(da, db, a, b, p.f, p.norm, u) for u in (0.0, 0.25, 0.5, 0.75, 1.0)]
+        anchors = [_ref_phi(a, b, p.f, p.norm, u) for u in (0.0, 0.25, 0.5, 0.75, 1.0)]
         if min(anchors) <= 0.0:
             return _unreliable(theorem_id)
 
         def g(ts):
-            return np.array([math.log(_ref_phi(da, db, a, b, p.f, p.norm, float(t))) for t in ts])
+            return np.array([math.log(_ref_phi(a, b, p.f, p.norm, float(t))) for t in ts])
 
         integral, ok = integrate_scalar_checked(g, 0.0, 1.0, p.quad_n)
     except _REF_UNRELIABLE:
@@ -649,11 +666,10 @@ def _ref_norm_gg(theorem_id, stream, dim, p):
 
 def _ref_phi_operator(stream, dim, p):
     a, b = _spd_pair(stream, dim)
-    da, db = eigh(a), eigh(b)
     m = DEFAULT_GRID_N * DEFAULT_GRID_N
     ts = np.arange(m + 1) / m
     try:
-        vals = np.array([_ref_phi(da, db, a, b, p.f, p.norm, float(t)) for t in ts])
+        vals = np.array([_ref_phi(a, b, p.f, p.norm, float(t)) for t in ts])
     except _REF_UNRELIABLE:
         return _unreliable("phi_operator")
     if not (np.isfinite(vals).all() and (vals > 0.0).all()):
@@ -725,6 +741,25 @@ def test_f_of_product_refuses_any_bad_matrix_in_a_stack():
         chains._f_of_product(singular, np.eye(4), y4, np.sqrt)
 
 
+def test_power_products_are_f_of_the_product_in_a_basis():
+    stream = RandomStream(derive_trial_seed(21, 4, 0))
+    a, b = (np.stack([random_spd(stream, 4) for _ in range(3)]) for _ in range(2))
+    pair = chains._pair(a, b)
+    ss, rs = np.array([0.0, 0.3, 1.0, 1.0]), np.array([1.0, 0.7, 0.0, 1.0])
+    got = chains._f_of_power_product(pair, slice(None), ss, rs, np.sqrt)
+    for t in range(3):
+        qa = pair.a.q[t]
+        want = _eig_power_products(a[t], b[t], ss, rs, np.sqrt)
+        np.testing.assert_allclose(qa @ got[t] @ qa.T, want, rtol=0.0, atol=1e-12)
+    # the trials of an index array have their bits in the whole stack
+    rows = np.array([2, 0])
+    assert _same_bits((chains._f_of_power_product(pair, rows, ss, rs, np.sqrt),), (got[rows],))
+    # A^s that is not positive in one trial of the stack
+    bad = chains._pair(np.stack((a[0], -a[1], a[2])), b)
+    with pytest.raises(DomainViolationError, match="X, or the spectrum of XY, is not positive"):
+        chains._f_of_power_product(bad, slice(None), np.array([2.0]), np.array([1.0]), np.sqrt)
+
+
 def test_eig_function_gives_each_matrix_of_a_stack_its_bits_alone():
     # eigenvalues 2 +- 1e-10i make eig return the whole stack as complex, and
     # the principal powers of the ablated kittaneh then take the matrices
@@ -743,7 +778,7 @@ def test_eig_function_gives_each_matrix_of_a_stack_its_bits_alone():
 
 @pytest.mark.parametrize("tid", ["op_gg_hh", "op_ag_midpoint", "op_norm_gg", "phi_operator"])
 def test_one_bad_node_makes_the_nc_trial_unreliable(tid, monkeypatch):
-    real_f_of_product = chains._f_of_product
+    real_f_of_product, real_power_product = chains._f_of_product, chains._f_of_power_product
 
     def one_bad_node(xl, xq, y, fn):
         if y.ndim == 4:  # the points of a curve, not an end term
@@ -751,7 +786,14 @@ def test_one_bad_node_makes_the_nc_trial_unreliable(tid, monkeypatch):
             y[:, min(3, y.shape[1] - 1)] *= -1.0  # a negative definite Y at one point
         return real_f_of_product(xl, xq, y, fn)
 
+    def one_bad_power(pair, rows, ss, rs, fn):
+        if ss.size > 1:  # the points of a curve, not an end term
+            ss = ss.copy()
+            ss[min(3, ss.size - 1)] = np.nan  # A^s is not positive at one point
+        return real_power_product(pair, rows, ss, rs, fn)
+
     monkeypatch.setattr(chains, "_f_of_product", one_bad_node)
+    monkeypatch.setattr(chains, "_f_of_power_product", one_bad_power)
     params = resolve_params(tid, CampaignConfig(ablation=frozenset({DROP_COMMUTATIVITY})))
     outcome = run_trial(tid, derive_trial_seed(3, 3, 0), 3, params)
     assert not outcome.quad_reliable
@@ -808,6 +850,11 @@ def _pt_general_apply(m, fn):
 class _Route(NamedTuple):
     # fn(XY) from the spectrum xl and basis xq of X, and Y
     product: Callable
+    # fn(A^s B^r) from A and B at each (s, r) of two 1-d arrays, in the
+    # route's basis
+    power_products: Callable
+    # (log f(A) + log f(B))/2 from A, B and log f, in the route's basis
+    mean_of_logs: Callable
     # the checked integral of a matrix curve on [0, 1]
     integrate: Callable
     # the spectrum of AB from eigh(A), A and B
@@ -819,23 +866,37 @@ def _similar_ab_spectrum(da, a, b):
     return np.linalg.eigvalsh(_ref_sym(half @ b @ half))
 
 
-_SIMILAR = _Route(_ref_f_of_product, integrate_stack_checked, _similar_ab_spectrum)
+def _eig_power_products(a, b, ss, rs, fn):
+    da, db = eigh(a), eigh(b)
+    xy = _apply_stack(da.q, _spectrum_powers(da.eigenvalues, ss)) @ _power_stack(
+        db.eigenvalues, db.q, rs, b
+    )
+    return _pt_general_apply(xy, fn)
+
+
+def _eig_mean_of_logs(a, b, log_f):
+    da, db = eigh(a), eigh(b)
+    return 0.5 * (da.apply(log_f(da.eigenvalues)) + db.apply(log_f(db.eigenvalues)))
+
+
+# the chains' routes in A's eigenbasis (bit for bit), and the eig route in the
+# standard basis
+_SIMILAR = _Route(
+    _ref_f_of_product, _ref_power_products, _ref_mean_of_logs, integrate_stack_checked,
+    _similar_ab_spectrum,
+)
 _EIG = _Route(
     lambda xl, xq, y, fn: _pt_general_apply(_apply_stack(xq, xl) @ y, fn),
+    _eig_power_products,
+    _eig_mean_of_logs,
     integrate_matrix_checked,
     lambda da, a, b: np.linalg.eigvals(a @ b).real,
 )
 
 
-def _pt_power_products(da, db, b, ts, fn, route):
-    """fn(A^t B^(1-t)) at each t of ts."""
-    xl = _spectrum_powers(da.eigenvalues, ts)
-    return route.product(xl, da.q, _power_stack(db.eigenvalues, db.q, 1.0 - ts, b), fn)
-
-
-def _pt_phi(da, db, b, f, spec, ts, route):
+def _pt_phi(a, b, f, spec, ts, route):
     def block(t):
-        return norms_of_stack(_pt_power_products(da, db, b, t, f.eval_array, route), spec)
+        return norms_of_stack(route.power_products(a, b, t, 1.0 - t, f.eval_array), spec)
 
     return _pt_over_nodes(block, ts, b.size)
 
@@ -849,15 +910,17 @@ def _pt_order_chain(tid, names, t1, nodes, t3, p, route):
 
 def _pt_op_gg_hh(tid, stream, dim, p, route=_SIMILAR):
     a, b = _spd_pair(stream, dim)
-    da, db = eigh(a), eigh(b)
-    t1 = _ref_sym(route.product(
-        da.eigenvalues, da.q, b, lambda w: np.log(p.f.eval_array(np.sqrt(w)))
-    ))
+
+    def log_f(w):
+        return np.log(p.f.eval_array(w))
+
+    one = np.ones(1)
+    t1 = _ref_sym(route.power_products(a, b, one, one, lambda w: log_f(np.sqrt(w)))[0])
 
     def nodes(ts):
-        return _sym(_pt_power_products(da, db, b, ts, lambda w: np.log(p.f.eval_array(w)), route))
+        return _sym(route.power_products(a, b, ts, 1.0 - ts, log_f))
 
-    t3 = 0.5 * (_ref_log_f_of_sym(da, p.f) + _ref_log_f_of_sym(db, p.f))
+    t3 = route.mean_of_logs(a, b, log_f)
     return _pt_order_chain(tid, GG_HH_TERM_NAMES, t1, nodes, t3, p, route)
 
 
@@ -881,12 +944,11 @@ def _pt_op_ag_midpoint(tid, stream, dim, p, route=_SIMILAR):
 
 def _pt_norm_gg(tid, stream, dim, p, route=_SIMILAR):
     a, b = _spd_pair(stream, dim)
-    da, db = eigh(a), eigh(b)
 
     def log_phi(ts):
-        return np.array([math.log(v) for v in _pt_phi(da, db, b, p.f, p.norm, ts, route).tolist()])
+        return np.array([math.log(v) for v in _pt_phi(a, b, p.f, p.norm, ts, route).tolist()])
 
-    anchors = _pt_phi(da, db, b, p.f, p.norm, np.array(HH_NODES), route).tolist()
+    anchors = _pt_phi(a, b, p.f, p.norm, np.array(HH_NODES), route).tolist()
     if (np.asarray(anchors) <= 0.0).any():
         raise DomainViolationError("norm curve is not strictly positive")
     pieces = [integrate_stack_checked(log_phi, 0.0, 1.0, p.quad_n)]
@@ -898,7 +960,7 @@ def _pt_norm_gg(tid, stream, dim, p, route=_SIMILAR):
 
 def _pt_phi_operator(tid, stream, dim, p, route=_SIMILAR):
     a, b = _spd_pair(stream, dim)
-    vals = _pt_phi(eigh(a), eigh(b), b, p.f, p.norm, _REF_TS, route)
+    vals = _pt_phi(a, b, p.f, p.norm, _REF_TS, route)
     return _ref_witness(tid, vals, _REF_TS, hypothesis_ok=False)
 
 
@@ -1062,6 +1124,11 @@ def _eig_oracle_errors(fn, trials_per_dim, monkeypatch):
                     error = abs(got.verdict.slack - want.verdict.slack)
                 elif tid in ("op_gg_hh", "op_ag_midpoint"):
                     new, old = terms
+                    if tid == "op_gg_hh":
+                        # the chain's terms are in A's eigenbasis
+                        a = _spd_pair(RandomStream(seed), dim)[0]
+                        qa = np.linalg.eigh(check_symmetric(a))[1]
+                        new = qa @ new @ qa.T
                     radius = np.abs(np.linalg.eigvalsh(old)).max()
                     error = np.abs(new - old).max() / max(1.0, radius)
                 else:
@@ -2070,14 +2137,15 @@ def test_no_curve_block_exceeds_the_entry_budget(monkeypatch):
     # A^t B^(1-t) is under the budget, and op_gg_hh integrates (R, N, n, n)
     # blocks of R whole trials (one trial alone at dim 40)
     applied = []
-    real_f_of_product = chains._f_of_product
+    real_power_product = chains._f_of_power_product
 
-    def f_of_product(xl, xq, y, fn):
-        if y.ndim == 4:  # the points of a curve, not an end term
-            applied.append(y.size)
-        return real_f_of_product(xl, xq, y, fn)
+    def f_of_power_product(pair, rows, ss, rs, fn):
+        out = real_power_product(pair, rows, ss, rs, fn)
+        if ss.size > 1:  # the points of a curve, not an end term
+            applied.append(out.size)
+        return out
 
-    monkeypatch.setattr(chains, "_f_of_product", f_of_product)
+    monkeypatch.setattr(chains, "_f_of_power_product", f_of_power_product)
     shapes = []
 
     def matrix_samples(g, a, b, n):

@@ -308,21 +308,41 @@ def test_demo_of_a_trial_whose_doubling_check_fails_has_no_verdict(capsys):
     assert payload["quad_reliable"] is False and payload["passed"] is True
 
 
-def test_extreme_function_campaign_prints_no_runtime_warnings():
-    argv = [
-        "verify", "--theorem", "op_gg_hh,phi_operator", "--fn", "exp:100",
-        "--trials", "5", "--dim", "2,3",
-    ]
+def _run_module(argv):
+    """`python -m hhverify argv` in a child process, its stdout and stderr
+    captured at the file descriptors, where native code writes too."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "hhverify", *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def test_extreme_function_campaign_prints_no_runtime_warnings():
+    proc = _run_module([
+        "verify", "--theorem", "op_gg_hh,phi_operator", "--fn", "exp:100",
+        "--trials", "5", "--dim", "2,3",
+    ])
     assert proc.returncode == 3
     assert "exit code 3" in proc.stdout
     assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_norms_of_overflowed_products_print_nothing_from_lapack():
+    # under exp:100 the ablated products overflow; LAPACK's svd, given a
+    # matrix that is not finite, writes "** On entry to DLASCL parameter
+    # number 4 had an illegal value" to fd 1. Such a matrix has norm NaN, and
+    # every trial is still unreliable
+    proc = _run_module([
+        "verify", "--theorem", "phi_operator,op_norm_gg", "--norm", "schatten:3",
+        "--fn", "exp:100", "--ablation", "DROP_COMMUTATIVITY", "--trials", "5", "--dim", "3",
+    ])
+    assert proc.returncode == 3
+    assert "On entry to" not in proc.stdout and "DLASCL" not in proc.stdout
+    assert "total: 10 trials, 0 theorems with genuine violations, 100.00% unreliable" in proc.stdout
+    assert proc.stdout.startswith("hhverify ")
 
 
 def test_repeated_dimension_is_a_configuration_error(capsys):
@@ -389,13 +409,7 @@ def _in_process(argv, capsys):
 
 
 def _stand_alone(argv):
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "hhverify", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = _run_module(argv)
     return proc.returncode, _wall_free(proc.stdout), proc.stderr
 
 

@@ -175,6 +175,55 @@ def test_a_complex_stack_takes_schatten_two_from_its_singular_values():
     np.testing.assert_allclose(got, [np.linalg.norm(m) for m in stack], rtol=1e-14)
 
 
+def _opnorm_cases():
+    """Real stacks for the operator-norm rule: square, wide and tall, rank
+    one and with a repeated row, zero, and scaled to 1e200 and 1e-200, where
+    an unscaled Gram overflows or underflows."""
+    rng = np.random.default_rng(13)
+    for m, k in [(1, 1), (2, 2), (3, 3), (5, 5), (8, 8), (3, 7), (1, 6), (7, 3), (6, 1)]:
+        stack = rng.normal(size=(300, m, k)) * np.exp(rng.normal(size=(300, 1, 1)))
+        yield stack
+        yield rng.normal(size=(50, m, 1)) @ rng.normal(size=(50, 1, k))
+        yield np.concatenate((stack[:50, :1], stack[:50, :1], stack[:50, 2:]), axis=1)
+        yield np.zeros((3, m, k))
+        for scale in (1e200, 1e-200):
+            yield stack[:50] * scale
+
+
+def test_the_operator_norm_rule_matches_svd():
+    for stack in _opnorm_cases():
+        got = norms_of_stack(stack, NormSpec.opnorm())
+        want = np.linalg.svd(stack, compute_uv=False)[:, 0]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        assert (got[want == 0.0] == 0.0).all()
+        # each matrix has the bits it has alone
+        assert got.tolist() == [norm(m, NormSpec.opnorm()) for m in stack]
+
+
+def test_a_complex_stack_takes_the_operator_norm_from_svd():
+    rng = np.random.default_rng(14)
+    for m, k in [(3, 3), (2, 5), (5, 2)]:
+        stack = rng.normal(size=(40, m, k)) + 1j * rng.normal(size=(40, m, k))
+        got = norms_of_stack(stack, NormSpec.opnorm())
+        assert got.tolist() == np.linalg.svd(stack, compute_uv=False)[:, 0].tolist()
+
+
+def test_a_matrix_that_is_not_finite_has_norm_nan():
+    rng = np.random.default_rng(15)
+    stack = rng.normal(size=(6, 3, 4))
+    stack[1, 0, 2], stack[4, 2, 2] = np.inf, np.nan
+    good = [0, 2, 3, 5]
+    for stack in (stack, stack * (1.0 + 1j)):
+        for text in _BIT_SPECS:
+            spec = parse_norm(text)
+            if spec.is_frobenius and not np.iscomplexobj(stack):
+                continue
+            got = norms_of_stack(stack, spec)
+            assert np.isnan(got[[1, 4]]).all(), text
+            assert got[good].tolist() == norms_of_stack(stack[good], spec).tolist(), text
+        assert np.isnan(norms_of_stack(stack[[1, 4]], NormSpec.opnorm())).all()
+
+
 def test_norms_from_eig_rows_matches_materialized():
     # rows of eigenvalues of symmetric matrices: norm comes from |eigs|
     rng = np.random.default_rng(6)
