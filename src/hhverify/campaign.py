@@ -15,7 +15,7 @@ decomposed, the X drawn after them, the general matrices) is drawn once per
 block, read-only, and dropped with the block. Every id's outcomes are folded
 in trial order.
 
-Accounting: a trial that cannot be judged (quadrature doubling failed, or
+Accounting: a trial that cannot be judged (its Gauss-Kronrod check failed, or
 run_trial caught one of the errors that mean it) is unreliable: excluded from
 pass/fail and counted separately.
 Failing trials flip the campaign exit code to 1 only when the hypotheses were
@@ -465,7 +465,7 @@ class CampaignConfig:
             raise ConfigError(f"atol must be positive, got {self.atol}")
         if not (0.0 <= self.nu <= 1.0):
             raise ConfigError(f"nu must lie in [0, 1], got {self.nu}")
-        # the doubling check integrates again with 2 * quad_n nodes
+        # the Gauss-Kronrod check takes a rule of 2 * quad_n + 1 nodes
         if not 1 <= self.quad_n <= MAX_NODES // 2:
             raise ConfigError(f"quad_n must lie in [1, {MAX_NODES // 2}], got {self.quad_n}")
         for flag in self.ablation:

@@ -4,8 +4,8 @@ Real-valued chains produce a ChainReport (ordered term values plus pairwise
 margins); operator-valued chains produce an OrderChainReport (pairwise Loewner
 comparisons). Hypothesis grid tests are advisory: when one fails the chain is
 still evaluated and the report carries hypothesis_ok=False, so deliberate
-ablation runs remain expressible. Quadrature doubling failures likewise mark
-the report unreliable instead of failing it.
+ablation runs remain expressible. Failed Gauss-Kronrod checks of the
+quadrature likewise mark the report unreliable instead of failing it.
 
 One rule (_order_verdicts) decides every Loewner link, from the smallest
 eigenvalue of the difference and the spectral radii of the two terms; one
@@ -194,8 +194,8 @@ def _inequality_report(
 
 def _hh_stack(anchors, log_curve, lo, hi, quad_n: int, node_entries: int, cuts=None, spans=None):
     """The five Hermite-Hadamard terms of the log-convex curve v of each of T
-    trials on [lo[t], hi[t]], and whether its integral passed the doubling
-    check.
+    trials on [lo[t], hi[t]], and whether its integral passed the
+    Gauss-Kronrod check.
 
     ``anchors[t]`` are trial t's v at lo, q1, mid, q2 and hi (q1, q2 the
     quarter points). Its interval is cut at the interior points cuts[t], if
@@ -668,10 +668,6 @@ class _Pair(NamedTuple):
     a: _Side
     b: _Side
 
-    def take(self, rows) -> _Pair:
-        """The view of the trials rows, a slice or an index array."""
-        return _Pair(*(_Side(*(x[rows] for x in side)) for side in self))
-
 
 def _pair(a, b, side=_side) -> _Pair:
     """The _Pair of stacks of A and B of one shape (with side=_one, of one A
@@ -907,7 +903,7 @@ def _eig_crossings(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
     The log-curves are affine in u, so crossings are exact. Between
     consecutive crossings the sorted order of the curves is constant, which
     makes max-type norms (operator, Ky Fan) smooth on each segment; Gauss
-    nodes that never straddle a kink keep the doubling check meaningful.
+    nodes that never straddle a kink keep the Gauss-Kronrod check meaningful.
     """
     la, lb = np.log(av), np.log(bv)
     slopes = la - lb
@@ -1160,15 +1156,19 @@ def _f_of_power_product(pair: _Pair, rows, ss: np.ndarray, rs: np.ndarray, fn) -
     return left @ right
 
 
-def _product_norms(pair: _Pair, f: FunctionSpec, spec: NormSpec, ts: np.ndarray) -> np.ndarray:
-    """||f(A^t B^(1-t))|| of each trial of a _Pair at the points ts, (T,
-    len(ts)), in blocks of _curve_stack. Every norm is unitarily invariant,
-    so the products are normed in A's eigenbasis."""
+def _product_norms(
+    pair: _Pair, f: FunctionSpec, spec: NormSpec, ts: np.ndarray, rows=None
+) -> np.ndarray:
+    """||f(A^t B^(1-t))|| of the trials rows (an index array, default every
+    trial) of a _Pair at the points ts, (len(rows), len(ts)), in blocks of
+    _curve_stack. Every norm is unitarily invariant, so the products are
+    normed in A's eigenbasis."""
+    rows = np.arange(pair.a.m.shape[0]) if rows is None else rows
 
     def block(sl, t: np.ndarray) -> np.ndarray:
-        return norms_of_stack(_f_of_power_product(pair, sl, t, 1.0 - t, f.eval_array), spec)
+        return norms_of_stack(_f_of_power_product(pair, rows[sl], t, 1.0 - t, f.eval_array), spec)
 
-    return _curve_stack(block, pair.a.m.shape[0], ts, pair.a.m[0].size)
+    return _curve_stack(block, rows.size, ts, pair.a.m[0].size)
 
 
 def op_gg_hh_general(f: FunctionSpec, pair, quad_n: int, rtol: float) -> list[OrderChainReport]:
@@ -1240,9 +1240,9 @@ def norm_gg_general(
     trials, n = pair.a.m.shape[:2]
 
     def log_phi(rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        vals = _product_norms(pair.take(rows), f, norm_spec, xs[0])
+        vals = _product_norms(pair, f, norm_spec, xs[0], rows)
         # math.log, not np.log: the two can differ in the last bit
-        return np.array([math.log(v) for v in vals.ravel().tolist()]).reshape(vals.shape)
+        return np.array(list(map(math.log, vals.ravel().tolist()))).reshape(vals.shape)
 
     anchors = _product_norms(pair, f, norm_spec, np.array(HH_NODES)).tolist()
     return _curve_reports(

@@ -6,8 +6,8 @@ operator norm), the Ky Fan k-norms, and the named aliases ``opnorm`` and
 values, which is the invariance the checks in this package rely on.
 
 This module alone decides how a norm is taken: one gauge (_gauge_rows), one
-Frobenius rule (_frobenius_rows, which the quadrature's doubling check also
-uses), one operator-norm rule for real matrices (_operator_norms) and one
+Frobenius rule (_frobenius_rows, which the quadrature's Gauss-Kronrod check
+also uses), one operator-norm rule for real matrices (_operator_norms) and one
 kernel for stacks of matrices (norms_of_stack, which norm() runs on one
 matrix). Each gives a row or matrix the bits it has alone, in a stack of
 any height. Other modules ask a NormSpec only is_frobenius and

@@ -5,16 +5,17 @@ recurrence (no library quadrature is used here; the test suite cross-checks
 against an independent implementation). Rules are cached per node count.
 
 Every integral that feeds a reported chain term goes through the ``*_checked``
-variants, which re-integrate at twice the node count and flag the result as
-unreliable when the two values disagree beyond ``DOUBLING_TOL``; unreliable
-chains are counted separately rather than failed. The two values are
-compared in the Frobenius norm, taken by the one rule of norms.py
-(_frobenius_rows).
+variants, whose Gauss-Kronrod check compares the n-node value with the
+(2n + 1)-node Kronrod value of the same integrand (kronrod_rule: the n
+Gauss nodes and n + 1 more) and flags the result as unreliable when the two
+disagree beyond ``DOUBLING_TOL``; unreliable chains are counted separately
+rather than failed. The two values are compared in the Frobenius norm,
+taken by the one rule of norms.py (_frobenius_rows).
 
 One integrator serves every chain: integrate_trials_checked integrates T
 rows, cuts them itself into blocks under functions.STACK_ENTRIES, and
-contracts and doubling-checks each block with one batched matmul, which
-gives every row the bits it has alone. No chain calls integrate_scalar,
+contracts and Gauss-Kronrod checks each block with batched matmuls, which
+give every row the bits it has alone. No chain calls integrate_scalar,
 integrate_matrix or the other *_checked variants (integrate_stack_checked is
 integrate_trials_checked on one row); they stay because
 perfbench/tracer.py traces them.
@@ -34,7 +35,8 @@ from .norms import _frobenius_rows
 
 MAX_NODES = 512
 
-# |I(n) - I(2n)| <= DOUBLING_TOL * (1 + |I(n)|) or the chain is marked unreliable
+# the Gauss-Kronrod check: |G_n - K_2n+1| <= DOUBLING_TOL * (1 + |G_n|) or the
+# chain is marked unreliable
 DOUBLING_TOL = 1e-9
 
 
@@ -88,19 +90,63 @@ def gl_rule(n: int) -> QuadratureRule:
     return QuadratureRule(n=n, nodes=x, weights=w)
 
 
-def _mapped_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    rule = gl_rule(n)
+@lru_cache(maxsize=None)
+def kronrod_rule(n: int) -> tuple[QuadratureRule, QuadratureRule]:
+    """The Gauss-Kronrod extension of gl_rule(n), 1 <= n <= MAX_NODES // 2:
+    the Kronrod weights of the n Gauss nodes, and the n + 1 nodes it adds
+    with their weights. Together they integrate degree 3n + 1 exactly.
+
+    Laurie's algorithm (Math. Comp. 66, 1997) on the Legendre recurrence
+    a_k = 0, b_0 = 2, b_k = k^2 / (4k^2 - 1) completes the (2n + 1)-square
+    Jacobi-Kronrod matrix; its a_k stay 0. Its ascending eigenvalues are the
+    nodes, the Gauss ones at odd places, and 2 v_0^2 of each eigenvector v
+    the weights, symmetrized as in gl_rule.
+    """
+    if not isinstance(n, int) or n < 1 or n > MAX_NODES // 2:
+        raise NodeCountError(f"node count must be an integer in [1, {MAX_NODES // 2}], got {n}")
+
+    known = (3 * n + 1) // 2
+    b = [2.0] + [k * k / (4.0 * k * k - 1.0) for k in range(1, known + 1)]
+    b += [0.0] * (2 * n - known)
+    s, t = [0.0] * (n // 2 + 2), [0.0] * (n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        u = 0.0
+        for k in range((m + 1) // 2, -1, -1):
+            u += b[k + n + 1] * s[k] - b[m - k] * s[k + 1]
+            s[k + 1] = u
+        s, t = t, s
+    s[1:] = s[:-1]
+    for m in range(n - 1, 2 * n - 2):
+        u = 0.0
+        for k in range(m + 1 - n, (m - 1) // 2 + 1):
+            j = n - 1 - m + k
+            u += b[m - k] * s[j + 2] - b[k + n + 1] * s[j + 1]
+            s[j + 1] = u
+        if m % 2:
+            b[(m + 1) // 2 + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+
+    x, v = np.linalg.eigh(np.diag(np.sqrt(b[1:]), -1))  # eigh reads the lower triangle
+    w = 2.0 * v[0] ** 2
+    x = 0.5 * (x - x[::-1])
+    w = 0.5 * (w + w[::-1])
+    x.flags.writeable = w.flags.writeable = False
+    return QuadratureRule(n, x[1::2], w[1::2]), QuadratureRule(n + 1, x[::2], w[::2])
+
+
+def _mapped_nodes(a: float, b: float, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * rule.nodes, half * rule.weights
 
 
-def _samples(g: Callable[[np.ndarray], np.ndarray], a, b, n: int):
-    """Weights and samples of ``g`` on the n-node rule of [a, b]: ``g`` takes
+def _samples(g: Callable[[np.ndarray], np.ndarray], a, b, rule: QuadratureRule):
+    """Weights and samples of ``g`` on the nodes of the rule on [a, b]: ``g`` takes
     the node array and returns its samples stacked on the leading axes of
     the nodes. For (T, 1) columns of endpoints a and b the nodes and weights
-    are (T, n), one row per interval. A non-finite sample is an error that
+    are (T, N), one row per interval. A non-finite sample is an error that
     names its first node."""
-    xs, ws = _mapped_nodes(a, b, n)
+    xs, ws = _mapped_nodes(a, b, rule)
     samples = np.asarray(g(xs), dtype=float)
     if samples.shape[: xs.ndim] != xs.shape:
         raise DimMismatchError(
@@ -113,19 +159,21 @@ def _samples(g: Callable[[np.ndarray], np.ndarray], a, b, n: int):
 
 
 def _agrees(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """The doubling check of each row of the (R, ...) n- and 2n-node results:
-    the Frobenius norm of the difference is at most DOUBLING_TOL times 1 +
-    that of the n-node result."""
+    """The Gauss-Kronrod check of each row of the (R, ...) n-node Gauss and
+    (2n + 1)-node Kronrod results: the Frobenius norm of the difference is at
+    most DOUBLING_TOL times 1 + that of the Gauss result."""
     rows = v1.shape[0]
     diff = _frobenius_rows((v1 - v2).reshape(rows, -1))
     return diff <= DOUBLING_TOL * (1.0 + _frobenius_rows(v1.reshape(rows, -1)))
 
 
 def _checked(integrate, g, a: float, b: float, n: int):
-    """``integrate`` at n nodes, and whether it agrees with 2n nodes (n at most
-    MAX_NODES // 2)."""
+    """``integrate`` at n nodes, and whether it agrees with the Kronrod value
+    (n at most MAX_NODES // 2)."""
     v1 = integrate(g, a, b, n)
-    v2 = integrate(g, a, b, 2 * n)
+    if a == b:
+        return v1, True
+    v2 = sum(np.tensordot(*_samples(g, a, b, rule), axes=(0, 0)) for rule in kronrod_rule(n))
     return v1, bool(_agrees(np.asarray(v1)[None], np.asarray(v2)[None])[0])
 
 
@@ -137,7 +185,7 @@ def integrate_scalar(g: Callable[[np.ndarray], np.ndarray], a: float, b: float, 
     """
     if a == b:
         return 0.0
-    ws, vals = _samples(g, a, b, n)
+    ws, vals = _samples(g, a, b, gl_rule(n))
     if vals.ndim != 1:
         raise DimMismatchError(f"scalar integrand returned shape {vals.shape}")
     return float(ws @ vals)
@@ -155,7 +203,7 @@ def integrate_matrix(
     """
     if a == b:
         return np.zeros(np.asarray(g(np.asarray([a])), dtype=float).shape[1:])
-    ws, samples = _samples(g, a, b, n)
+    ws, samples = _samples(g, a, b, gl_rule(n))
     total = np.zeros(samples.shape[1:])
     for w, sample in zip(ws, samples):
         total += w * sample
@@ -165,14 +213,14 @@ def integrate_matrix(
 def integrate_scalar_checked(
     g: Callable[[np.ndarray], np.ndarray], a: float, b: float, n: int = 64
 ) -> tuple[float, bool]:
-    """Integral plus a doubling-check reliability flag."""
+    """Integral plus a Gauss-Kronrod reliability flag."""
     return _checked(integrate_scalar, g, a, b, n)
 
 
 def integrate_matrix_checked(
     g: Callable[[np.ndarray], np.ndarray], a: float, b: float, n: int = 64
 ) -> tuple[np.ndarray, bool]:
-    """Matrix integral plus a doubling-check flag (Frobenius comparison)."""
+    """Matrix integral plus a Gauss-Kronrod flag (Frobenius comparison)."""
     return _checked(integrate_matrix, g, a, b, n)
 
 
@@ -196,12 +244,12 @@ def integrate_stack_checked(
     return value, ok
 
 
-def _integrate_trials(g, a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    ws, samples = _samples(g, a, b, n)
-    # one (1, n) . (n, k) product per row, on its contiguous slice: the bits of
+def _contract(ws: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """The (R, ...) integrals of the (R, N, ...) samples on the (R, N) weights."""
+    # one (1, N) . (N, k) product per row, on its contiguous slice: the bits of
     # np.tensordot(w, s, axes=(0, 0)) on the row alone; a single contraction
     # over the whole stack, or a strided slice, can round differently
-    flat = np.ascontiguousarray(samples).reshape(samples.shape[0], n, -1)
+    flat = np.ascontiguousarray(samples).reshape(samples.shape[0], ws.shape[1], -1)
     return np.matmul(ws[:, None, :], flat).reshape(samples.shape[:1] + samples.shape[2:])
 
 
@@ -209,21 +257,28 @@ def integrate_trials_checked(
     g: Callable[[slice, np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray, n: int = 64,
     node_entries: int = 1,
 ) -> tuple[np.ndarray, list[bool]]:
-    """The (T, ...) integrals of T integrands, on the intervals [a[t], b[t]]
-    of two (T,) arrays with a < b, and their doubling flags.
+    """The (T, ...) n-node integrals of T integrands, on the intervals
+    [a[t], b[t]] of two (T,) arrays with a < b, and their Gauss-Kronrod flags.
 
-    ``g(sl, xs)`` maps the (R, n) nodes xs of the rows sl to the (R, n, ...)
-    stack of their samples, node_entries entries per node. The rows are
-    taken in blocks of whole rows of at most STACK_ENTRIES entries at 2n
-    nodes (one row when a row alone holds more), and every row is
-    contracted and checked as if alone, so a row's integral and flag have
-    the same bits in any block, a block of one included.
+    ``g(sl, xs)`` maps the (R, N) nodes xs of the rows sl to the (R, N, ...)
+    stack of their samples, node_entries entries per node: N = n at the Gauss
+    nodes, whose samples give the integral and then the Kronrod value's first
+    part, then N = n + 1 at the Kronrod nodes. The rows are taken in blocks
+    of whole rows of at most STACK_ENTRIES entries at n + 1 nodes (one row
+    when a row alone holds more), and every row is contracted and checked as
+    if alone, so a row's integral and flag have the same bits in any block, a
+    block of one included.
     """
+    k_gauss, k_extra = kronrod_rule(n)
+    gauss = gl_rule(n)
     values, flags = [], []
-    for sl in _blocks(a.shape[0], 2 * n * node_entries):
+    for sl in _blocks(a.shape[0], (n + 1) * node_entries):
         lo, hi = a[sl, None], b[sl, None]
-        v1 = _integrate_trials(lambda xs: g(sl, xs), lo, hi, n)
-        v2 = _integrate_trials(lambda xs: g(sl, xs), lo, hi, 2 * n)
+        ws, samples = _samples(lambda xs: g(sl, xs), lo, hi, gauss)
+        v1 = _contract(ws, samples)
+        v2 = _contract(_mapped_nodes(lo, hi, k_gauss)[1], samples)
+        del ws, samples
+        v2 += _contract(*_samples(lambda xs: g(sl, xs), lo, hi, k_extra))
         values.append(v1)
         flags += _agrees(v1, v2).tolist()
     return np.concatenate(values), flags

@@ -378,7 +378,7 @@ def test_criterion_6_numerical_kernels():
         resid = float(np.linalg.norm(d.reconstruct() - m))
         assert resid <= 1e-10 * max(1.0, float(np.linalg.norm(m)))
 
-    # every chain integrand passes the Gauss-Legendre doubling check
+    # every chain integrand passes the Gauss-Kronrod check
     cfg = CampaignConfig()
     integral_ids = (
         "scalar_ag",
@@ -422,7 +422,7 @@ def test_criterion_6_numerical_kernels():
             assert abs(norm(u @ m @ v.T, spec) - base) <= 1e-10 * max(1.0, base)
             assert abs(norm(u @ m @ u.T, spec) - base) <= 1e-10 * max(1.0, base)
     print(
-        "CRITERION 6: PASS - eigh residual <= 1e-10 on 10^4 matrices, GL doubling "
+        "CRITERION 6: PASS - eigh residual <= 1e-10 on 10^4 matrices, Gauss-Kronrod "
         "<= 1e-9 on all chain integrands, unitary invariance <= 1e-10"
     )
 

@@ -582,7 +582,7 @@ def _ref_order_report_from_matrices(
 
 def _ref_integrate_checked(node, n):
     """The [0, 1] integral of node(t), sampled one node at a time, and its
-    doubling flag."""
+    Gauss-Kronrod flag."""
     return integrate_stack_checked(lambda ts: np.stack([node(float(t)) for t in ts]), 0.0, 1.0, n)
 
 
@@ -1205,7 +1205,7 @@ def _ref_dragomir(f, ma, mb, quad_n):
     """The quadrature oracle of one dragomir trial: its six terms, f of each
     anchor through eigh and matrix_function and each segment integral by
     Gauss-Legendre quadrature through its own integrate_stack_checked
-    call, and whether both integrals passed the doubling check."""
+    call, and whether both integrals passed the Gauss-Kronrod check."""
     ma, mb = check_symmetric(ma), check_symmetric(mb)
 
     def f_of(m):
@@ -2104,7 +2104,7 @@ def test_no_curve_block_exceeds_the_entry_budget(monkeypatch):
         seeds = [derive_trial_seed(8, dim, t) for t in range(6)]
         list(_outcomes("op_norm_gg", seeds, dim, params))
     assert sizes and max(sizes) <= STACK_ENTRIES
-    # a block holds more than one piece at 2 * quad_n nodes where they fit
+    # a block holds more than one piece where they fit
     assert max(sizes) > 2 * params.quad_n * 8
     # the quadrature sample blocks, which integrate_trials_checked cuts
     blocks = []

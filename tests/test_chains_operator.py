@@ -174,7 +174,7 @@ def test_crossings_match_the_pairwise_loop_bit_for_bit():
 
 def test_norm_gg_kinked_curve_stays_reliable():
     # the max-norm curve has a kink at the crossing; segmented quadrature
-    # must still satisfy its own doubling check
+    # must still satisfy its own Gauss-Kronrod check
     for spec in (NormSpec.opnorm(), NormSpec.kyfan(1)):
         rep = operator_norm_gg_chain(FunctionSpec.exp(), CROSSED, spec)
         assert rep.quad_reliable and rep.passed

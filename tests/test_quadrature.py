@@ -1,4 +1,5 @@
-"""Gauss-Legendre rule correctness and the doubling reliability check."""
+"""Gauss-Legendre and Gauss-Kronrod rule correctness and the Gauss-Kronrod
+reliability check."""
 
 import math
 import re
@@ -23,10 +24,11 @@ from hhverify.quadrature import (
     DOUBLING_TOL,
     MAX_NODES,
     _agrees,
-    _integrate_trials,
+    _contract,
     _mapped_nodes,
     integrate_stack_checked,
     integrate_trials_checked,
+    kronrod_rule,
 )
 
 
@@ -78,6 +80,87 @@ def test_node_count_validation(bad):
         gl_rule(bad)
 
 
+# QUADPACK's qk15 and qk21 (Piessens et al. 1983): the Kronrod nodes xgk and
+# weights wgk of the 7- and 10-point Gauss rules, from x = 1 down to x = 0
+_QUADPACK_GK = {
+    7: (
+        [
+            0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+            0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+            0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+            0.207784955007898467600689403773245, 0.0,
+        ],
+        [
+            0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+            0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+            0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+            0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+        ],
+    ),
+    10: (
+        [
+            0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+            0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+            0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+            0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+            0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0,
+        ],
+        [
+            0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+            0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+            0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+            0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+            0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+            0.149445554002916905664936468389821,
+        ],
+    ),
+}
+
+
+def _kronrod_all(n):
+    """The 2n + 1 nodes and weights of kronrod_rule(n), ascending."""
+    gauss, extra = kronrod_rule(n)
+    x, w = np.empty(2 * n + 1), np.empty(2 * n + 1)
+    x[1::2], w[1::2], x[::2], w[::2] = gauss.nodes, gauss.weights, extra.nodes, extra.weights
+    return x, w
+
+
+@pytest.mark.parametrize("n", sorted(_QUADPACK_GK))
+def test_kronrod_rule_matches_quadpack(n):
+    xgk, wgk = _QUADPACK_GK[n]
+    x, w = _kronrod_all(n)
+    np.testing.assert_allclose(-x[: n + 1], xgk, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(x[n:], xgk[::-1], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(w[: n + 1], wgk, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(w[n:], wgk[::-1], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [*range(1, 12), 17, 64, 256])
+def test_kronrod_rule_is_exact_to_degree_3n_plus_1(n):
+    x, w = _kronrod_all(n)
+    for d in range(3 * n + 2):
+        exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+        assert abs(float(w @ x**d) - exact) <= 1e-14, (n, d)
+
+
+@pytest.mark.parametrize("n", [*range(1, 12), 17, 64, 256])
+def test_kronrod_rule_extends_the_gauss_rule(n):
+    gauss, extra = kronrod_rule(n)
+    assert (gauss.n, extra.n) == (n, n + 1)
+    np.testing.assert_allclose(gauss.nodes, gl_rule(n).nodes, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(extra.nodes, -extra.nodes[::-1])
+    assert gauss.weights.min() > 0.0 and extra.weights.min() > 0.0
+    assert extra.nodes.min() > -1.0 and extra.nodes.max() < 1.0
+    with pytest.raises(ValueError):
+        extra.nodes[0] = 0.0
+
+
+@pytest.mark.parametrize("bad", [0, -3, MAX_NODES // 2 + 1, 2.5])
+def test_kronrod_node_count_validation(bad):
+    with pytest.raises(NodeCountError):
+        kronrod_rule(bad)
+
+
 def test_scalar_integral_exponential():
     val = integrate_scalar(np.exp, 0.0, 2.0, 32)
     assert abs(val - (math.e**2 - 1.0)) <= 1e-12
@@ -112,14 +195,14 @@ def test_checked_smooth_integrand_is_reliable():
 
 
 def test_checked_kinked_integrand_is_flagged():
-    # |x| has a kink at 0: GL doubling cannot settle below 1e-9
+    # |x| has a kink at 0: the Gauss and Kronrod values cannot agree to 1e-9
     _, ok = integrate_scalar_checked(np.abs, -1.0, 1.0, 32)
     assert not ok
 
 
-def test_doubling_check_compares_n_with_exactly_2n_nodes():
-    # the kink at 1/3 defeats every rule up to 256 nodes; a 2n capped at
-    # MAX_NODES would compare the 512-node rule with itself and pass it
+def test_kronrod_check_flags_a_kink_up_to_the_largest_rule():
+    # the kink at 1/3 defeats every Gauss-Kronrod pair up to n = 256, whose
+    # Kronrod rule has 513 nodes; n beyond MAX_NODES // 2 is refused
     def g(t):
         return np.exp(np.abs(t - 1.0 / 3.0))
 
@@ -132,7 +215,7 @@ def test_doubling_check_compares_n_with_exactly_2n_nodes():
 def test_matrix_integral_adds_nodes_in_order_and_names_a_bad_node():
     rng = np.random.default_rng(4)
     samples = rng.standard_normal((40, 3, 3))
-    xs, ws = _mapped_nodes(0.0, 1.0, 40)
+    xs, ws = _mapped_nodes(0.0, 1.0, gl_rule(40))
     want = np.zeros((3, 3))
     for w, sample in zip(ws, samples):
         want += w * sample
@@ -211,19 +294,19 @@ def test_trial_integrator_matches_one_trial_at_a_time(kind, trials, n, monkeypat
     c = rng.uniform(-1.0, 1.0, trials)
     mid = 0.5 * (a + b)
 
-    def kinked(ts, c, m):  # a kink inside each interval fails the doubling check
+    def kinked(ts, c, m):  # a kink inside each interval fails the Gauss-Kronrod check
         v, k = g(ts, c), np.abs(ts - m - 0.1 * c)
         return v + k.reshape(k.shape + (1,) * (v.ndim - k.ndim))
 
-    # the rows come in blocks of at most STACK_ENTRIES entries at 2n nodes
-    per_block = STACK_ENTRIES // (2 * n * node_entries)
+    # the rows come in blocks of at most STACK_ENTRIES entries at n + 1 nodes
+    per_block = STACK_ENTRIES // ((n + 1) * node_entries)
     blocks = [min(per_block, trials - k) for k in range(0, trials, per_block)]
     rows = []
     real_samples = quadrature._samples
 
-    def samples(g, a, b, n):
+    def samples(g, a, b, rule):
         rows.append(a.shape[0])
-        return real_samples(g, a, b, n)
+        return real_samples(g, a, b, rule)
 
     monkeypatch.setattr(quadrature, "_samples", samples)
     for integrand in (lambda ts, c, m: g(ts, c), kinked):
@@ -231,7 +314,7 @@ def test_trial_integrator_matches_one_trial_at_a_time(kind, trials, n, monkeypat
         values, flags = integrate_trials_checked(
             lambda sl, ts: integrand(ts, c[sl, None], mid[sl, None]), a, b, n, node_entries
         )
-        assert rows == [r for r in blocks for _ in (n, 2 * n)]
+        assert rows == [r for r in blocks for _ in (n, n + 1)]
         assert len(values) == len(flags) == trials
         for t in range(trials):
             want, ok = integrate_stack_checked(
@@ -242,6 +325,26 @@ def test_trial_integrator_matches_one_trial_at_a_time(kind, trials, n, monkeypat
             assert values[t].tobytes() == want.tobytes(), (kind, trials, n, t)
             assert flags[t] == ok
     assert not all(flags)
+
+
+@pytest.mark.parametrize("n", [1, 8, 64, MAX_NODES // 2])
+def test_trial_integrator_samples_n_gauss_then_n_plus_1_kronrod_nodes(n, monkeypatch):
+    # the Gauss samples serve the integral and the Kronrod value: 2n + 1
+    # integrand nodes per row in all, not n + 2n
+    calls = []
+    real_samples = quadrature._samples
+
+    def samples(g, a, b, rule):
+        def counted(xs):
+            calls.append(xs.shape)
+            return g(xs)
+
+        return real_samples(counted, a, b, rule)
+
+    monkeypatch.setattr(quadrature, "_samples", samples)
+    a = np.linspace(0.0, 1.0, 5)
+    integrate_trials_checked(lambda sl, ts: np.exp(ts), a, a + 1.0, n)
+    assert calls == [(5, n), (5, n + 1)]
 
 
 def test_trial_integrator_refuses_a_non_finite_sample_and_a_wrong_shape():
@@ -271,8 +374,8 @@ def test_batched_contraction_is_tensordot_bit_for_bit():
                 ) * rng.uniform(0.0, 1e3)
                 a = rng.uniform(-2.0, 1.0, (trials, 1))
                 b = a + rng.uniform(0.01, 3.0, (trials, 1))
-                got = _integrate_trials(lambda xs: s, a, b, n)
-                ws = _mapped_nodes(a, b, n)[1]
+                ws = _mapped_nodes(a, b, gl_rule(n))[1]
+                got = _contract(ws, s)
                 assert got.shape == (trials,) + shape
                 for t in range(trials):
                     want = np.tensordot(ws[t], s[t], axes=(0, 0))
