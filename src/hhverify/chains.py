@@ -13,7 +13,7 @@ cutter (_curve_stack) splits curve points under functions.STACK_ENTRIES, and
 quadrature.integrate_trials_checked alone cuts stacks of integrand rows.
 
 No chain takes a norm itself: norms.norms_of_stack and norms_from_eig_rows
-do, and a chain asks a NormSpec only is_frobenius and is_max_type. Each
+do, and a chain asks a NormSpec only is_frobenius, is_max_type and top_k. Each
 curve ||f(A^t B^(1-t))|| has one evaluator: _commuting_norms for a commuting
 pair, _product_norms for one that need not commute. |||A^s X B^t||| has
 _TwoSidedPowers.norms for its integrand and witness, and
@@ -198,7 +198,8 @@ def _hh_stack(anchors, log_curve, lo, hi, quad_n: int, node_entries: int, cuts=N
     Gauss-Kronrod check.
 
     ``anchors[t]`` are trial t's v at lo, q1, mid, q2 and hi (q1, q2 the
-    quarter points). Its interval is cut at the interior points cuts[t], if
+    quarter points). Its interval is cut at the interior points of row t of
+    cuts, a (T, P) array ascending in each row with NaN for no cut, if
     given, and every piece is one row of integrate_trials_checked:
     ``log_curve(rows, xs)`` maps the (R, N) nodes xs of R pieces, of the
     trials rows, to their samples of log v, node_entries entries per node.
@@ -212,10 +213,12 @@ def _hh_stack(anchors, log_curve, lo, hi, quad_n: int, node_entries: int, cuts=N
     if cuts is None:
         rows, starts, ends = np.arange(trials), lo, hi
     else:
-        rows = np.repeat(np.arange(trials), [c.size + 1 for c in cuts])
-        edges = [np.concatenate(([x], c, [y])) for x, y, c in zip(lo.tolist(), hi.tolist(), cuts)]
-        starts = np.concatenate([e[:-1] for e in edges])
-        ends = np.concatenate([e[1:] for e in edges])
+        # row-major order: a trial's pieces start at lo and its cuts, and
+        # end at its cuts and hi, left to right
+        cut, one = ~np.isnan(cuts), np.ones((trials, 1), dtype=bool)
+        rows = np.nonzero(np.concatenate((cut, one), axis=1))[0]
+        starts = np.concatenate((lo[:, None], cuts), axis=1)[np.concatenate((one, cut), axis=1)]
+        ends = np.concatenate((cuts, hi[:, None]), axis=1)[np.concatenate((cut, one), axis=1)]
     pieces, flags = integrate_trials_checked(
         lambda sl, xs: log_curve(rows[sl], xs), starts, ends, quad_n, node_entries
     )
@@ -897,21 +900,35 @@ def _commuting_order_stack(
     return _order_reports(theorem_id, names, (v1, v2, v3), rtol, reliable, holds)
 
 
-def _eig_crossings(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
-    """Interior u where two eigenvalue curves a_i^u b_i^(1-u) coincide.
+def _norm_kinks(f: FunctionSpec, spec: NormSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Where ||f(A^u B^(1-u))|| under the max-type norm spec can kink, for
+    each commuting pair given by the spectra a[t], b[t] of two (T, n)
+    stacks: a (T, P) array, ascending in each row, NaN for no cut.
 
-    The log-curves are affine in u, so crossings are exact. Between
-    consecutive crossings the sorted order of the curves is constant, which
-    makes max-type norms (operator, Ky Fan) smooth on each segment; Gauss
-    nodes that never straddle a kink keep the Gauss-Kronrod check meaningful.
+    The eigenvalue curves a_i^u b_i^(1-u) are log-affine in u, so two cross
+    at most once, at an exact u; the interior crossings of a trial, each
+    once, are its candidates. Every f of the grammar is monotone on
+    (0, inf), so between two candidates the order of the |f| of the curves
+    is fixed, and with it the branches spec reads (the largest spec.top_k).
+    A candidate is kept where those differ between the midpoints of the
+    pieces on its two sides: between kept cuts the norm is one smooth sum
+    of branches, and Gauss nodes that never straddle a kink keep the
+    Gauss-Kronrod check meaningful.
     """
-    la, lb = np.log(av), np.log(bv)
+    la, lb = np.log(a), np.log(b)
     slopes = la - lb
-    i, j = np.triu_indices(la.size, 1)  # every pair i < j
-    ds = slopes[i] - slopes[j]
-    apart = ds != 0.0  # parallel curves never cross
-    u = (lb[j][apart] - lb[i][apart]) / ds[apart]
-    return np.unique(u[(1e-12 < u) & (u < 1.0 - 1e-12)])
+    i, j = np.triu_indices(a.shape[1], 1)  # every pair i < j
+    with np.errstate(divide="ignore", invalid="ignore"):  # parallel curves never cross
+        u = (lb[:, j] - lb[:, i]) / (slopes[:, i] - slopes[:, j])
+    u = np.sort(np.where((1e-12 < u) & (u < 1.0 - 1e-12), u, np.nan), axis=1)
+    u[:, 1:][u[:, 1:] == u[:, :-1]] = np.nan  # a crossing of several pairs
+    u = np.sort(u, axis=1)
+    lo, hi = np.zeros((len(u), 1)), np.ones((len(u), 1))
+    edges = np.concatenate((lo, np.where(np.isnan(u), 1.0, u), hi), axis=1)
+    t = (0.5 * (edges[:, :-1] + edges[:, 1:]))[..., None]
+    vals = np.abs(f.eval_array(np.power(a[:, None], t) * np.power(b[:, None], 1.0 - t)))
+    top = np.sort(np.argsort(-vals, axis=2, kind="stable")[..., : spec.top_k], axis=2)
+    return np.where((top[:, 1:] != top[:, :-1]).any(axis=2), u, np.nan)
 
 
 def operator_norm_gg_chain(
@@ -945,14 +962,13 @@ def _norm_gg_stack(
     """operator_norm_gg_chain of each commuting pair, given by its spectra
     a[t], b[t] of two (T, n) stacks: the anchors of every trial from one
     _commuting_norms, and the chain of every trial from one _hh_stack, which
-    cuts the interval of each trial at the kinks of its curve."""
+    cuts the interval of each trial at the _norm_kinks of its curve."""
     holds = _commuting_prelude(f, a, b, True, check_hypothesis)
     # one point at a time: a power by one shared exponent takes numpy's fast
     # paths (0.5 is a square root), which a row of exponents does not
     points = [np.array([u]) for u in HH_NODES]
     anchors = np.concatenate([_commuting_norms(f, a, b, norm_spec, u) for u in points], axis=1)
-    # max-type norms sort the branches, so kinks sit at branch crossings
-    cuts = [_eig_crossings(av, bv) for av, bv in zip(a, b)] if norm_spec.is_max_type else None
+    cuts = _norm_kinks(f, norm_spec, a, b) if norm_spec.is_max_type else None
 
     def log_phi(rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
         vals = _commuting_norms(f, a[rows], b[rows], norm_spec, xs)

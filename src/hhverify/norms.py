@@ -10,8 +10,8 @@ Frobenius rule (_frobenius_rows, which the quadrature's Gauss-Kronrod check
 also uses), one operator-norm rule for real matrices (_operator_norms) and one
 kernel for stacks of matrices (norms_of_stack, which norm() runs on one
 matrix). Each gives a row or matrix the bits it has alone, in a stack of
-any height. Other modules ask a NormSpec only is_frobenius and
-is_max_type.
+any height. Other modules ask a NormSpec only is_frobenius, is_max_type
+and top_k.
 """
 
 from __future__ import annotations
@@ -71,8 +71,14 @@ class NormSpec:
     @property
     def is_max_type(self) -> bool:
         """The operator norm and the Ky Fan norms: they pick the largest
-        singular values, so a norm curve kinks where two of them cross."""
+        singular values, so a norm curve kinks where the picked ones change."""
         return self.kind == "kyfan" or self.params[0] == math.inf
+
+    @property
+    def top_k(self) -> int:
+        """How many largest singular values a max-type norm sums: k for
+        Ky Fan k, 1 for the operator norm."""
+        return self.params[0] if self.kind == "kyfan" else 1
 
     def describe(self) -> str:
         if self.kind == "kyfan":

@@ -1787,6 +1787,28 @@ def _ref_hh(anchors, pieces, span):
     return terms, reliable
 
 
+def _ref_kinks(f, spec, av, bv):
+    """The crossings of one trial's eigenvalue curves, pair by pair, where
+    the branches spec reads from f (the top spec.top_k of |f|, ties to the
+    lower index) differ between the midpoints of the pieces on either side."""
+    la, lb = np.log(av), np.log(bv)
+    slopes = la - lb
+    crossings = set()
+    for i in range(av.size):
+        for j in range(i + 1, av.size):
+            if slopes[i] != slopes[j]:
+                u = (lb[j] - lb[i]) / (slopes[i] - slopes[j])
+                if 1e-12 < u < 1.0 - 1e-12:
+                    crossings.add(float(u))
+    edges = [0.0, *sorted(crossings), 1.0]
+    mids = np.array([0.5 * (x + y) for x, y in zip(edges[:-1], edges[1:])])
+    vals = np.abs(f.eval_array(
+        np.power(av[None, :], mids[:, None]) * np.power(bv[None, :], (1.0 - mids)[:, None])
+    ))
+    reads = [sorted(sorted(range(av.size), key=lambda k: -v[k])[: spec.top_k]) for v in vals]
+    return [u for u, left, right in zip(edges[1:-1], reads[:-1], reads[1:]) if left != right]
+
+
 def _ref_norm_gg_commuting(tid, stream, dim, p):
     av, bv, lo, hi = _ref_pair(stream, dim, p)
     hypothesis_ok = True
@@ -1811,7 +1833,7 @@ def _ref_norm_gg_commuting(tid, stream, dim, p):
         raise DomainViolationError("norm curve is not strictly positive")
     edges = [0.0, 1.0]
     if p.norm.is_max_type:
-        edges[1:1] = chains._eig_crossings(av, bv)
+        edges[1:1] = _ref_kinks(p.f, p.norm, av, bv)
     pieces = [
         integrate_stack_checked(log_phi, float(x), float(y), p.quad_n)
         for x, y in zip(edges[:-1], edges[1:])
@@ -1939,6 +1961,8 @@ def _curve_variants(tid):
         out += [dict(norm=parse_norm(t)) for t in _WITNESS_NORMS]
     if tid == "op_norm_gg":
         out += [dict(function=parse_function("power:3"))]
+        # a decreasing f reads the lower envelope of the eigenvalue curves
+        out += [dict(function=parse_function("inverse"), norm=parse_norm("opnorm"))]
     if tid in ("uin_symmetric", "uin_end_right"):
         out += [dict(nu=0.7)]
     if campaign.THEOREMS[tid].convexity_guard:

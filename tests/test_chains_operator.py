@@ -25,9 +25,11 @@ from hhverify.chains import (
     TRACE_SQRT_TERM_NAMES,
     TRACE_SQUARED_TERM_NAMES,
     Comparison,
-    _eig_crossings,
+    _norm_kinks,
 )
+from hhverify.functions import parse_function
 from hhverify.linalg import loewner_compare
+from hhverify.norms import parse_norm
 from hhverify.sampler import RandomStream, random_commuting_pair, random_orthogonal
 
 
@@ -136,15 +138,22 @@ def test_norm_gg_exp_opnorm_fixture():
         assert abs(math.log(got) - want) < 1e-10, (math.log(got), want)
 
 
+def _kinks(f, spec, av, bv):
+    """_norm_kinks of one pair of spectra, without its NaN padding."""
+    row = _norm_kinks(f, spec, np.asarray(av, float)[None], np.asarray(bv, float)[None])[0]
+    return row[~np.isnan(row)]
+
+
 def test_norm_gg_crossing_detection():
-    cuts = _eig_crossings(np.array([1.0, 2.0]), np.array([2.0, 1.0]))
+    cuts = _kinks(FunctionSpec.exp(), NormSpec.opnorm(), [1.0, 2.0], [2.0, 1.0])
     np.testing.assert_allclose(cuts, [0.5], atol=1e-15)
     # parallel log-curves never cross
-    assert _eig_crossings(np.array([1.0, 2.0]), np.array([2.0, 4.0])).size == 0
+    assert _kinks(FunctionSpec.exp(), NormSpec.opnorm(), [1.0, 2.0], [2.0, 4.0]).size == 0
 
 
 def _loop_crossings(av, bv):
-    """The pairwise loop _eig_crossings replaced."""
+    """Every interior crossing of two eigenvalue curves, once: the pairwise
+    loop the candidates of _norm_kinks must match bit for bit."""
     la, lb = np.log(av), np.log(bv)
     slopes = la - lb
     cuts = []
@@ -159,6 +168,49 @@ def _loop_crossings(av, bv):
     return np.unique(np.asarray(cuts, dtype=float))
 
 
+def _active(f, spec, av, bv, us):
+    """The sorted indices of the branches spec reads from f(a^u b^(1-u)) at
+    each point of us: the largest |f| (the operator norm), or the top k
+    (Ky Fan k), ties to the lower index."""
+    vals = np.abs(f.eval_array(np.power(av, us[:, None]) * np.power(bv, 1.0 - us[:, None])))
+    return np.sort(np.argsort(-vals, axis=1, kind="stable")[:, : spec.top_k], axis=1)
+
+
+# three log-affine branches (logs base 2 of a^u b^(1-u)): 3u, 3 - 3u and
+# 3u - 1. The first two cross at u = 1/2 on top; the last two cross at
+# u = 2/3 below the top, on the lower envelope; the first and last are
+# parallel and never cross
+THREE = ([8.0, 1.0, 4.0], [1.0, 8.0, 0.5])
+
+
+@pytest.mark.parametrize(
+    "fn, norm, want",
+    [
+        ("exp:1", "opnorm", [0.5]),  # the crossing below the top is dropped
+        ("inverse", "opnorm", [2.0 / 3.0]),  # 1/x reads the lower envelope
+        ("exp:1", "kyfan:2", [2.0 / 3.0]),  # only ranks 2 and 3 swap there
+        ("inverse", "kyfan:2", [0.5]),
+        ("power:0", "opnorm", []),  # a constant f never kinks
+        ("power:0", "kyfan:2", []),
+        ("exp:1", "kyfan:3", []),  # every branch, always
+    ],
+)
+def test_norm_kinks_keep_only_the_crossings_where_the_read_branches_change(fn, norm, want):
+    f, spec = parse_function(fn), parse_norm(norm)
+    got = _kinks(f, spec, *THREE)
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+    assert np.isin(got, _loop_crossings(*map(np.array, THREE))).all()
+    assert _loop_crossings(*map(np.array, THREE)).size == 2
+
+
+def test_norm_kinks_of_one_branch_and_of_parallel_branches_are_empty():
+    for fn in (FunctionSpec.exp(), FunctionSpec.inverse()):
+        for spec in (NormSpec.opnorm(), NormSpec.kyfan(1), NormSpec.kyfan(2)):
+            assert _kinks(fn, spec, [3.0], [0.2]).size == 0
+            assert _kinks(fn, spec, [1.0, 2.0, 4.0], [2.0, 4.0, 8.0]).size == 0
+            assert _norm_kinks(fn, spec, np.full((4, 1), 2.0), np.ones((4, 1))).shape == (4, 0)
+
+
 def test_crossings_match_the_pairwise_loop_bit_for_bit():
     stream = RandomStream(41)
     cases = [stream.uniform(2 * n).reshape(2, n) * 10.0 for n in range(1, 18) for _ in range(5)]
@@ -166,10 +218,43 @@ def test_crossings_match_the_pairwise_loop_bit_for_bit():
     cases.append(np.array([[1.0, 2.0, 1.0, 2.0], [2.0, 1.0, 2.0, 1.0]]))
     cases.append(np.array([[1.0, 2.0], [2.0, 4.0]]))  # parallel
     for av, bv in cases:
-        got, want = _eig_crossings(av, bv), _loop_crossings(av, bv)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert np.array_equal(got, want)
-    np.testing.assert_array_equal(_eig_crossings(*cases[-2]), [0.5])
+        loop = _loop_crossings(av, bv)
+        for spec in (NormSpec.opnorm(), NormSpec.kyfan(2)):
+            got = _kinks(FunctionSpec.identity(), spec, av, bv)
+            assert got.dtype == loop.dtype and (np.diff(got) > 0.0).all()
+            assert np.isin(got, loop).all()
+    repeated = _kinks(FunctionSpec.identity(), NormSpec.opnorm(), *cases[-2])
+    np.testing.assert_array_equal(repeated, [0.5])
+
+
+def test_kept_cuts_leave_one_active_set_per_piece():
+    """Random spectra at dims 1-13, as one block per dim: every kept cut is
+    a crossing of the pairwise loop, bit for bit, the branches read change
+    across it, and they are the same at 64 points inside each piece between
+    kept cuts."""
+    stream = RandomStream(26)
+    fns = [FunctionSpec.exp(), FunctionSpec.inverse(), FunctionSpec.power(-2.0),
+           FunctionSpec.power(0.0), FunctionSpec.poly([1.0, 2.0, 0.5])]
+    specs = [NormSpec.opnorm(), NormSpec.kyfan(2), NormSpec.kyfan(3)]
+    inner = (np.arange(64) + 0.5) / 64
+    for dim in range(1, 14):
+        a = np.exp(stream.uniform(8 * dim).reshape(8, dim) * 4.6 - 2.3)
+        b = np.exp(stream.uniform(8 * dim).reshape(8, dim) * 4.6 - 2.3)
+        for f in fns:
+            for spec in specs:
+                kinks = _norm_kinks(f, spec, a, b)
+                for av, bv, row in zip(a, b, kinks):
+                    cuts = row[~np.isnan(row)]
+                    assert np.isin(cuts, _loop_crossings(av, bv)).all()
+                    edges = np.concatenate(([0.0], cuts, [1.0]))
+                    sets = [
+                        _active(f, spec, av, bv, x + (y - x) * inner)
+                        for x, y in zip(edges[:-1], edges[1:])
+                    ]
+                    for piece in sets:
+                        assert (piece == piece[0]).all(), (dim, f.describe(), spec.describe())
+                    for left, right in zip(sets[:-1], sets[1:]):
+                        assert (left[-1] != right[0]).any()
 
 
 def test_norm_gg_kinked_curve_stays_reliable():

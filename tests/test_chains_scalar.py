@@ -163,7 +163,7 @@ def test_hh_stack_integrates_piecewise_across_a_kink():
     def log_v(ts):
         return np.abs(ts - 0.5)
 
-    terms, reliable = _hh_one(anchors, log_v, 64, cuts=[np.array([0.5])])
+    terms, reliable = _hh_one(anchors, log_v, 64, cuts=np.array([[0.5]]))
     assert reliable
     assert terms[2] == pytest.approx(math.exp(0.25), rel=1e-14)
     _, reliable = _hh_one(anchors, log_v, 64)

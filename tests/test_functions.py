@@ -93,6 +93,36 @@ def test_parse_function_round_trip():
     assert parse_function("exp").params == (1.0,)
 
 
+# one strategy per constructor of the grammar; the guard below fails for a
+# constructor that has none
+_KIND_SPECS = {
+    "exp": st.floats(1e-3, 1e3).map(FunctionSpec.exp),
+    "power": st.floats(-8.0, 8.0).map(FunctionSpec.power),
+    "poly": st.lists(st.floats(0.0, 1e3), min_size=1, max_size=6)
+    .filter(any)
+    .map(FunctionSpec.poly),
+    "inverse": st.just(FunctionSpec.inverse()),
+    "identity": st.just(FunctionSpec.identity()),
+}
+
+
+def test_every_kind_of_the_grammar_has_a_monotonicity_guard():
+    constructors = {k for k, v in vars(FunctionSpec).items() if isinstance(v, classmethod)}
+    assert constructors == set(_KIND_SPECS)
+
+
+@given(st.one_of(*_KIND_SPECS.values()))
+def test_every_kind_is_monotone_on_the_positive_axis(f):
+    """chains._norm_kinks cuts a norm curve only where the branches the norm
+    reads change, which holds when f keeps or reverses the order of the
+    positive eigenvalues: every f must be monotone on (0, inf)."""
+    xs = np.logspace(-12.0, 12.0, 4001)
+    with np.errstate(over="ignore"):
+        vals = f.eval_array(xs)
+    left, right = vals[:-1], vals[1:]
+    assert (left <= right).all() or (left >= right).all(), f.describe()
+
+
 @pytest.mark.parametrize("bad", ["", "exp:x", "power:", "poly:", "poly:1,-1", "banana", "inverse:2"])
 def test_parse_function_rejects(bad):
     with pytest.raises(ConfigError):
