@@ -70,16 +70,16 @@ from .chains import (
 )
 from .errors import ConfigError, ConvergenceError, DomainViolationError, NonFiniteSampleError
 from .functions import ConvexityVerdict, FunctionSpec, exact_g
-from .linalg import MAX_DIM, check_commuting_stack
+from .linalg import MAX_DIM
 from .norms import NormSpec
 from .quadrature import MAX_NODES
 from .sampler import (
     RandomStream,
     _log_uniform,
+    commuting_spectra,
     derive_trial_seed,
     random_general,
     random_spd,
-    random_commuting_pair,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -143,14 +143,6 @@ def _scalar_interval(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _commuting_spectra(stream: RandomStream, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The spectra of a block's commuting pairs, checked as CommutingPair
-    checks each pair."""
-    q, a, b = random_commuting_pair(stream, dim, SPD_LO, SPD_HI)
-    check_commuting_stack(q, a, b)
-    return a, b
-
-
 def _read_only(value):
     """value, with every array it holds (the items of a tuple, the attributes
     of a _TwoSidedPowers) marked read-only, so that a chain that writes into
@@ -192,8 +184,8 @@ class _Block:
 
     @cached_property
     def commuting(self) -> tuple[np.ndarray, np.ndarray]:
-        """The spectra of commuting pairs, checked."""
-        return _read_only(_commuting_spectra(RandomStream(self.seeds), self.dim))
+        """The spectra of commuting pairs; no runner reads their basis, so it is not drawn."""
+        return _read_only(commuting_spectra(RandomStream(self.seeds), self.dim, SPD_LO, SPD_HI))
 
     def _spd_side(self, state: np.ndarray) -> tuple[_Side, np.ndarray]:
         """The _Side of a random_spd drawn from the block's stream at state,

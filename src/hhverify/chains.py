@@ -7,9 +7,11 @@ still evaluated and the report carries hypothesis_ok=False, so deliberate
 ablation runs remain expressible. Failed Gauss-Kronrod checks of the
 quadrature likewise mark the report unreliable instead of failing it.
 
-One rule (_order_verdicts) decides every Loewner link, from the smallest
-eigenvalue of the difference and the spectral radii of the two terms; one
-cutter (_curve_stack) splits curve points under functions.STACK_ENTRIES, and
+One rule decides each kind of verdict, for a block of trials at once:
+_order_verdicts every Loewner link, from the smallest eigenvalue of the
+difference and the spectral radii of the two terms, _chain_reports every
+real chain, and _inequality_reports every two-sided inequality. One cutter
+(_curve_stack) splits curve points under functions.STACK_ENTRIES, and
 quadrature.integrate_trials_checked alone cuts stacks of integrand rows.
 
 No chain takes a norm itself: norms.norms_of_stack and norms_from_eig_rows
@@ -145,51 +147,54 @@ class InequalityReport:
         return self.margin
 
 
-def _chain_report(
-    theorem_id: str,
-    names: tuple[str, ...],
-    values,
-    rtol: float,
-    atol: float,
-    quad_reliable: bool = True,
-    hypothesis_ok: bool = True,
-) -> ChainReport:
-    vals = tuple(float(v) for v in values)
-    if not all(math.isfinite(v) for v in vals):
-        raise DomainViolationError(f"{theorem_id}: non-finite chain term in {vals}")
-    margins = tuple(vals[i + 1] - vals[i] for i in range(len(vals) - 1))
-    tol = rtol * max(1.0, max(abs(v) for v in vals)) + atol
-    return ChainReport(
-        theorem_id=theorem_id,
-        term_names=names,
-        term_values=vals,
-        margins=margins,
-        passed=all(m >= -tol for m in margins),
-        quad_reliable=quad_reliable,
-        hypothesis_ok=hypothesis_ok,
-    )
+def _chain_reports(
+    theorem_id: str, names: tuple[str, ...], rows, rtol: float, atol: float, quad_reliable=None,
+    hypothesis_ok=None,
+) -> list[ChainReport]:
+    """The ChainReport of each of T trials from its row of the (T, len(names))
+    term values rows, with the T flags of quad_reliable and hypothesis_ok
+    (None: all True). A trial passes when every margin is at least
+    -(rtol * max(1, max|T|) + atol). Each step is the IEEE operation a trial
+    alone takes, so a trial's report does not depend on its block; a
+    non-finite term in any trial raises."""
+    terms = np.array(rows, dtype=float)
+    finite = np.isfinite(terms).all(axis=1)
+    if not finite.all():
+        bad = tuple(terms[np.argmin(finite)].tolist())
+        raise DomainViolationError(f"{theorem_id}: non-finite chain term in {bad}")
+    with np.errstate(all="ignore"):  # Python floats overflow without a warning
+        margins = terms[:, 1:] - terms[:, :-1]
+        tol = rtol * np.maximum(1.0, np.abs(terms).max(axis=1)) + atol
+        passed = (margins >= -tol[:, None]).all(axis=1)
+    every = [True] * len(terms)
+    return [
+        ChainReport(theorem_id, names, tuple(v), tuple(m), p, r, h)
+        for v, m, p, r, h in zip(
+            terms.tolist(), margins.tolist(), passed.tolist(),
+            every if quad_reliable is None else quad_reliable,
+            every if hypothesis_ok is None else hypothesis_ok,
+        )
+    ]
 
 
-def _inequality_report(
-    theorem_id: str,
-    lhs: float,
-    rhs: float,
-    rtol: float,
-    atol: float,
-    quad_reliable: bool = True,
-    hypothesis_ok: bool = True,
-) -> InequalityReport:
-    margin = rhs - lhs
-    scale = max(1.0, abs(lhs), abs(rhs))
-    return InequalityReport(
-        theorem_id=theorem_id,
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        passed=margin >= -(rtol * scale + atol),
-        quad_reliable=quad_reliable,
-        hypothesis_ok=hypothesis_ok,
-    )
+_chain_report = _chain_reports  # the name perfbench/tracer.py traces it under
+
+
+def _inequality_reports(
+    theorem_id: str, lhs, rhs, rtol: float, atol: float, hypothesis_ok: bool = True
+) -> list[InequalityReport]:
+    """The InequalityReport lhs[t] <= rhs[t] of each of T trials: it passes
+    when rhs - lhs >= -(rtol * max(1, |lhs|, |rhs|) + atol), taken as a trial
+    alone takes it. A NaN side fails, whatever the scale."""
+    lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
+    with np.errstate(all="ignore"):  # inf - inf is NaN, as in Python, without a warning
+        margin = rhs - lhs
+        tol = rtol * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs))) + atol
+        passed = margin >= -tol
+    return [
+        InequalityReport(theorem_id, x, y, m, p, hypothesis_ok=hypothesis_ok)
+        for x, y, m, p in zip(lhs.tolist(), rhs.tolist(), margin.tolist(), passed.tolist())
+    ]
 
 
 def _hh_stack(anchors, log_curve, lo, hi, quad_n: int, node_entries: int, cuts=None, spans=None):
@@ -397,13 +402,9 @@ def _scalar_hh_stack(
 
     anchors = f.eval_array(np.array((a, q1, mid, q2, b))).T.tolist()
     terms, reliable = _hh_stack(anchors, log_f, a, b, quad_n, 1, spans=spans)
-    return [
-        _chain_report(
-            "scalar_gg" if gg else "scalar_ag", HH_TERM_NAMES, terms[t], rtol, atol,
-            quad_reliable=reliable[t], hypothesis_ok=holds[t],
-        )
-        for t in range(a.shape[0])
-    ]
+    return _chain_reports(
+        "scalar_gg" if gg else "scalar_ag", HH_TERM_NAMES, terms, rtol, atol, reliable, holds
+    )
 
 
 def scalar_mean_chain_report(
@@ -628,9 +629,10 @@ def kittaneh_check(
 # check above is the kernel on a stack of one. Every report is equal bit for
 # bit to the one the trial's own per-matrix evaluation gives: LAPACK and BLAS
 # see each matrix of a stacked eigh, eigvalsh, svd or matmul alone,
-# elementwise steps do not depend on the shape, and a step whose stacked form
-# could round differently (math.log, the ** of Python floats, the report's
-# own arithmetic) runs once per trial on the (T,) results. A kernel raises
+# elementwise steps do not depend on the shape (the report rules
+# _chain_reports and _inequality_reports are elementwise), and a step whose
+# stacked form could round differently (math.log, math.exp, the ** of Python
+# floats) runs once per trial on the (T,) results. A kernel raises
 # whenever one of its trials alone would; the campaign then re-runs the
 # block one trial at a time.
 #
@@ -706,9 +708,7 @@ def _means_stack(a: np.ndarray, b: np.ndarray, rtol: float, atol: float) -> list
     rows = np.stack((lo, np.sqrt(a * b), log_mean, 0.5 * (a + b), hi), axis=1)
     tie = a == b  # L(a, a) = a by continuity, and so are the other four
     rows[tie] = a[tie, None]
-    return [
-        _chain_report("scalar_means", MEAN_CHAIN_NAMES, row, rtol, atol) for row in rows.tolist()
-    ]
+    return _chain_reports("scalar_means", MEAN_CHAIN_NAMES, rows, rtol, atol)
 
 
 def _det_ag_stack(pair: _Pair, alpha: float, rtol: float, atol: float) -> list[InequalityReport]:
@@ -719,10 +719,9 @@ def _det_ag_stack(pair: _Pair, alpha: float, rtol: float, atol: float) -> list[I
     lam = np.stack((pair.a.lam, pair.b.lam, np.linalg.eigh(mix)[0]), axis=1)
     if (lam[..., 0] <= 0.0).any():
         raise NotPositiveDefiniteError(f"matrix has eigenvalue {float(lam[..., 0].min())!r} <= 0")
-    return [
-        _inequality_report("det_ag", da**alpha * db ** (1.0 - alpha), dm, rtol, atol)
-        for da, db, dm in np.prod(lam, axis=-1).tolist()
-    ]
+    da, db, dm = np.prod(lam, axis=-1).T.tolist()
+    lhs = [x**alpha * y ** (1.0 - alpha) for x, y in zip(da, db)]
+    return _inequality_reports("det_ag", lhs, dm, rtol, atol)
 
 
 def _am_gm_stack(pair: _Pair, nu: float, rtol: float) -> list[OrderChainReport]:
@@ -757,16 +756,16 @@ def _norm_power_stack(side, alphas: np.ndarray, rtol: float, atol: float) -> lis
     powers = _power_stack(side.lam, side.q, alphas, mt)
     _require_finite(powers)
     eig = np.linalg.eigvalsh(np.concatenate((mt[:, None], powers), axis=1))
-    norms = np.max(np.abs(eig), axis=-1).tolist()
-    reports = []
-    for base, *powered in norms:
-        worst = (math.inf, 0.0, 0.0)
+    worst = []
+    for base, *powered in np.max(np.abs(eig), axis=-1).tolist():
+        trial = (math.inf, 0.0, 0.0)
         for alpha, lhs in zip(alphas.tolist(), powered):
             rhs = base**alpha
-            if rhs - lhs < worst[0]:
-                worst = (rhs - lhs, lhs, rhs)
-        reports.append(_inequality_report("norm_power", worst[1], worst[2], rtol, atol))
-    return reports
+            if rhs - lhs < trial[0]:
+                trial = (rhs - lhs, lhs, rhs)
+        worst.append(trial)
+    _, lhs, rhs = zip(*worst)
+    return _inequality_reports("norm_power", lhs, rhs, rtol, atol)
 
 
 def _kittaneh_stack(
@@ -776,10 +775,9 @@ def _kittaneh_stack(
     and XB from one direct, and their norms from one stacked call."""
     trio = tp.direct([(nu, 1.0 - nu), (1.0, 0.0), (0.0, 1.0)])
     _require_finite(trio)
-    return [
-        _inequality_report("kittaneh", lhs, ax**nu * xb ** (1.0 - nu), rtol, atol)
-        for lhs, ax, xb in norms_of_stack(trio, norm_spec).tolist()
-    ]
+    lhs, ax, xb = norms_of_stack(trio, norm_spec).T.tolist()
+    rhs = [u**nu * v ** (1.0 - nu) for u, v in zip(ax, xb)]
+    return _inequality_reports("kittaneh", lhs, rhs, rtol, atol)
 
 
 # ---------------------------------------------------------------------------
@@ -1007,10 +1005,7 @@ def _curve_reports(
     terms, reliable = _hh_stack(
         anchors, log_curve, np.full(trials, lo), np.full(trials, hi), quad_n, node_entries, cuts
     )
-    return [
-        _chain_report(theorem_id, HH_TERM_NAMES, v, rtol, atol, quad_reliable=ok, hypothesis_ok=h)
-        for v, ok, h in zip(terms, reliable, holds)
-    ]
+    return _chain_reports(theorem_id, HH_TERM_NAMES, terms, rtol, atol, reliable, holds)
 
 
 class TraceVariant(enum.Enum):
@@ -1092,15 +1087,12 @@ def _trace_reports(
         list(zip(*(tau(u) for u in HH_NODES))), log_tau, np.zeros(trials), np.ones(trials),
         quad_n, node_entries,
     )
-    return [
-        _chain_report(
-            "trace_sqrt" if sqrt else "trace_squared",
-            TRACE_SQRT_TERM_NAMES if sqrt else TRACE_SQUARED_TERM_NAMES,
-            end + v[1:] if sqrt else v[:4] + (end,),
-            rtol, atol, quad_reliable=ok, hypothesis_ok=hypothesis_ok,
-        )
-        for v, ok, end in zip(terms, reliable, ends)
-    ]
+    return _chain_reports(
+        "trace_sqrt" if sqrt else "trace_squared",
+        TRACE_SQRT_TERM_NAMES if sqrt else TRACE_SQUARED_TERM_NAMES,
+        [end + v[1:] if sqrt else v[:4] + (end,) for v, end in zip(terms, ends)],
+        rtol, atol, reliable, [hypothesis_ok] * trials,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1257,6 +1249,8 @@ def norm_gg_general(
 
     def log_phi(rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
         vals = _product_norms(pair, f, norm_spec, xs[0], rows)
+        if not (np.isfinite(vals).all() and (vals > 0.0).all()):
+            raise DomainViolationError(f"{theorem_id}: norm curve is not strictly positive")
         # math.log, not np.log: the two can differ in the last bit
         return np.array(list(map(math.log, vals.ravel().tolist()))).reshape(vals.shape)
 
@@ -1305,11 +1299,9 @@ def det_ag_indefinite(a, b, nu: float, rtol: float, atol: float) -> list[Inequal
     |det| on the left: |det A|^nu |det B|^(1-nu) <= det(nu A + (1-nu) B)."""
     a, b = _sym(a), _sym(b)
     lam = np.linalg.eigvalsh(np.stack((a, b, nu * a + (1.0 - nu) * b)))
-    dets = (np.prod(m, axis=1).tolist() for m in (np.abs(lam[0]), np.abs(lam[1]), lam[2]))
-    return [
-        _inequality_report("det_ag", da**nu * db ** (1.0 - nu), dm, rtol, atol, hypothesis_ok=False)
-        for da, db, dm in zip(*dets)
-    ]
+    da, db, dm = (np.prod(m, axis=1).tolist() for m in (np.abs(lam[0]), np.abs(lam[1]), lam[2]))
+    lhs = [x**nu * y ** (1.0 - nu) for x, y in zip(da, db)]
+    return _inequality_reports("det_ag", lhs, dm, rtol, atol, hypothesis_ok=False)
 
 
 def kittaneh_general(
@@ -1322,13 +1314,9 @@ def kittaneh_general(
     lhs = norms_of_stack(left @ x @ right, norm_spec)
     if not np.isfinite(lhs).all():
         raise DomainViolationError("kittaneh: the left side is not finite")
-    sides = zip(lhs.tolist(), *(norms_of_stack(m, norm_spec).tolist() for m in (a @ x, x @ b)))
-    return [
-        _inequality_report(
-            "kittaneh", norm, ax**nu * xb ** (1.0 - nu), rtol, atol, hypothesis_ok=False
-        )
-        for norm, ax, xb in sides
-    ]
+    ax, xb = (norms_of_stack(m, norm_spec).tolist() for m in (a @ x, x @ b))
+    rhs = [u**nu * v ** (1.0 - nu) for u, v in zip(ax, xb)]
+    return _inequality_reports("kittaneh", lhs, rhs, rtol, atol, hypothesis_ok=False)
 
 
 # ---------------------------------------------------------------------------

@@ -373,29 +373,6 @@ class CommutingPair:
         return _apply_stack(self.q, values)
 
 
-def check_commuting_stack(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-    """CommutingPair's checks on each pair (q[t], a[t], b[t]) of a (T, n, n)
-    stack of bases and two (T, n) stacks of spectra; raises what
-    CommutingPair raises on the first pair that fails.
-
-    A stack whose bases are all orthogonal to 0.5e-10 in every entry of
-    q^T q - I, which keeps the Frobenius residual well under 1e-10 n, and
-    whose spectra are all positive and finite passes at once; any other
-    stack is checked one pair at a time.
-    """
-    n = q.shape[-1]
-    if q.ndim == 3 and 1 <= n == q.shape[1] <= MAX_DIM and a.shape == b.shape == q.shape[:2]:
-        spectra = np.concatenate((a, b), axis=1)
-        # comparisons with NaN are false, so a NaN fails each bound
-        if (
-            np.abs(np.swapaxes(q, 1, 2) @ q - np.eye(n)).max() <= 0.5e-10
-            and ((spectra > 0.0) & (spectra < np.inf)).all()
-        ):
-            return
-    for k in range(q.shape[0]):
-        CommutingPair(q[k], a[k], b[k])
-
-
 def commuting_weighted_product(pair: CommutingPair, t: float) -> np.ndarray:
     """A^t B^(1-t) for a commuting pair: q diag(a^t b^(1-t)) q^T."""
     if not math.isfinite(t):

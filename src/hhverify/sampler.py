@@ -172,3 +172,11 @@ def random_commuting_pair(stream: RandomStream, n: int, lo: float = 0.1, hi: flo
     a = _log_uniform(stream, n, lo, hi)
     b = _log_uniform(stream, n, lo, hi)
     return q, a, b
+
+
+def commuting_spectra(stream: RandomStream, n: int, lo: float = 0.1, hi: float = 10.0):
+    """The spectra ``(a, b)`` of random_commuting_pair without its basis: the
+    basis's words (the 2*ceil(n*n/2) uniforms of its gaussians) are skipped,
+    not transformed, so a and b have the same bits."""
+    stream.u64(2 * ((n * n + 1) // 2))
+    return _log_uniform(stream, n, lo, hi), _log_uniform(stream, n, lo, hi)

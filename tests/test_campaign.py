@@ -42,10 +42,11 @@ from hhverify.chains import (
     HH_TERM_NAMES,
     TRACE_SQRT_TERM_NAMES,
     TRACE_SQUARED_TERM_NAMES,
+    ChainReport,
     InequalityReport,
     UinVariant,
-    _chain_report,
-    _inequality_report,
+    _chain_reports,
+    _inequality_reports,
 )
 from hhverify.errors import (
     ConvergenceError,
@@ -112,6 +113,43 @@ def _spd_pair(stream, dim):
     """The SPD pair a trial draws: two random_spd from its stream."""
     lo, hi = campaign.SPD_LO, campaign.SPD_HI
     return random_spd(stream, dim, lo, hi), random_spd(stream, dim, lo, hi)
+
+
+# the report rules of one trial, as Python floats: the reference of the block
+# builders chains._chain_reports and chains._inequality_reports
+
+
+def _chain_report(
+    theorem_id, names, values, rtol, atol, quad_reliable=True, hypothesis_ok=True
+):
+    vals = tuple(float(v) for v in values)
+    if not all(math.isfinite(v) for v in vals):
+        raise DomainViolationError(f"{theorem_id}: non-finite chain term in {vals}")
+    margins = tuple(vals[i + 1] - vals[i] for i in range(len(vals) - 1))
+    tol = rtol * max(1.0, max(abs(v) for v in vals)) + atol
+    return ChainReport(
+        theorem_id=theorem_id,
+        term_names=names,
+        term_values=vals,
+        margins=margins,
+        passed=all(m >= -tol for m in margins),
+        quad_reliable=quad_reliable,
+        hypothesis_ok=hypothesis_ok,
+    )
+
+
+def _inequality_report(theorem_id, lhs, rhs, rtol, atol, quad_reliable=True, hypothesis_ok=True):
+    margin = rhs - lhs
+    scale = max(1.0, abs(lhs), abs(rhs))
+    return InequalityReport(
+        theorem_id=theorem_id,
+        lhs=lhs,
+        rhs=rhs,
+        margin=margin,
+        passed=margin >= -(rtol * scale + atol),
+        quad_reliable=quad_reliable,
+        hypothesis_ok=hypothesis_ok,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1528,13 +1566,13 @@ def test_a_draw_that_raises_is_not_kept(monkeypatch):
     seeds = np.array([derive_trial_seed(6, 3, t) for t in range(4)], dtype=np.uint64)
     fresh = campaign._Block(seeds, 3)
     want_commuting, want_x = fresh.commuting, fresh.two_sided.mx
-    calls = _count_draws(monkeypatch, ("_commuting_spectra", "random_general"), failures=1)
+    calls = _count_draws(monkeypatch, ("commuting_spectra", "random_general"), failures=1)
     block = campaign._Block(seeds, 3)
     with pytest.raises(DomainViolationError):
         block.commuting
     assert _same_bits(block.commuting, want_commuting)
     block.commuting  # kept now: no third draw
-    assert calls["_commuting_spectra"] == 2
+    assert calls["commuting_spectra"] == 2
     # the pair stays kept when the X after it raises, and X is drawn again
     pair = block.pair
     with pytest.raises(DomainViolationError):
@@ -1544,7 +1582,7 @@ def test_a_draw_that_raises_is_not_kept(monkeypatch):
 
 
 def test_a_campaign_draws_each_kind_once_per_block(monkeypatch):
-    counts = _count_draws(monkeypatch, ("_log_uniform", "_commuting_spectra", "random_spd"))
+    counts = _count_draws(monkeypatch, ("_log_uniform", "commuting_spectra", "random_spd"))
     of_stacks = []
     real_two_sided = chains._TwoSidedPowers.of_stacks.__func__
     monkeypatch.setattr(
@@ -1554,7 +1592,7 @@ def test_a_campaign_draws_each_kind_once_per_block(monkeypatch):
     report = run_campaign(CampaignConfig(trials=5, dims=(2, 3), master_seed=8))
     assert report.exit_code == 0
     # one block per dim; random_spd draws A and B
-    assert counts == {"_log_uniform": 2, "_commuting_spectra": 2, "random_spd": 4}
+    assert counts == {"_log_uniform": 2, "commuting_spectra": 2, "random_spd": 4}
     assert len(of_stacks) == 2
 
 
@@ -2008,7 +2046,7 @@ def test_a_trial_that_raises_in_a_scan_block_ends_unreliable(tid, monkeypatch):
     elif tid.startswith(("phi_s", "phi_d", "uin_")):
         draw = "random_spd"
     else:
-        draw = "_commuting_spectra"
+        draw = "commuting_spectra"
     params = resolve_params(tid, CampaignConfig())
     seeds = [derive_trial_seed(4, 3, t) for t in range(12)]
     want = [outcome_to_dict(o) for o in _outcomes(tid, seeds, 3, params)]
@@ -2192,3 +2230,114 @@ def test_no_curve_block_exceeds_the_entry_budget(monkeypatch):
                 sizes = [math.prod(shape) for shape in shapes]
                 assert all(r == 1 or size <= STACK_ENTRIES for r, size in zip(rows, sizes))
                 assert (max(rows) > 1) == (dim == 8), dim
+
+
+# ---------------------------------------------------------------------------
+# the block-wide report rules against the per-trial rules they replace
+
+
+def _chain_rows(trials):
+    """(trials, 5) chain rows: a random walk of log-uniform terms of both
+    signs, with tied neighbours, and flags."""
+    rng = np.random.default_rng(27)
+    steps = rng.choice([-1.0, 1.0], (trials, 5)) * 10.0 ** rng.uniform(-14, 3, (trials, 5))
+    rows = np.cumsum(steps, axis=1)
+    rows[::3, 2] = rows[::3, 1]
+    rows[::4] = rows[::4, :1]
+    return rows, rng.random(trials) < 0.7, rng.random(trials) < 0.5
+
+
+def _assert_python_scalars(report):
+    for value in (
+        *getattr(report, "term_values", ()), *getattr(report, "margins", ()),
+        *(getattr(report, side) for side in ("lhs", "rhs", "margin") if hasattr(report, side)),
+    ):
+        assert type(value) is float
+    assert all(type(b) is bool for b in (report.passed, report.quad_reliable, report.hypothesis_ok))
+
+
+def test_chain_reports_give_each_trial_its_per_trial_report():
+    rows, reliable, holds = _chain_rows(40)
+    reliable, holds = reliable.tolist(), holds.tolist()
+    block = _chain_reports("x", HH_TERM_NAMES, rows, 1e-8, 1e-12, reliable, holds)
+    assert len(block) == 40 and not all(r.passed for r in block) and any(r.passed for r in block)
+    for t, report in enumerate(block):
+        alone = _chain_reports(
+            "x", HH_TERM_NAMES, rows[t : t + 1], 1e-8, 1e-12, reliable[t : t + 1], holds[t : t + 1]
+        )
+        ref = _chain_report(
+            "x", HH_TERM_NAMES, rows[t].tolist(), 1e-8, 1e-12, quad_reliable=reliable[t],
+            hypothesis_ok=holds[t],
+        )
+        assert alone == [report] and report == ref
+        _assert_python_scalars(report)
+    # no flags: every trial reliable and its hypothesis intact
+    flags = _chain_reports("x", HH_TERM_NAMES, rows, 1e-8, 1e-12)
+    assert [r.quad_reliable and r.hypothesis_ok for r in flags] == [True] * 40
+
+
+def test_chain_reports_at_the_tolerance_and_with_tied_margins():
+    # rtol = atol = 1/4: a term of 2 gives the tolerance 3/4 exactly
+    below = float(np.nextafter(1.25, 0.0))
+    rows = [
+        (2.0, 1.25, 0.5), (2.0, below, 0.5), (3.0, 3.0, 3.0), (2.0, 2.0, 1.25), (0.5, 0.5, below)
+    ]
+    got = _chain_reports("x", ("p", "q", "r"), rows, 0.25, 0.25)
+    assert [r.passed for r in got] == [True, False, True, True, True]
+    assert got[0].margins == (-0.75, -0.75) and got[2].margins == (0.0, 0.0)
+    assert got == [_chain_report("x", ("p", "q", "r"), row, 0.25, 0.25) for row in rows]
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_chain_reports_refuse_a_block_with_a_non_finite_term(bad):
+    rows, _, _ = _chain_rows(40)
+    rows[17, 3] = bad
+    with pytest.raises(DomainViolationError, match="non-finite chain term"):
+        _chain_reports("x", HH_TERM_NAMES, rows, 1e-8, 1e-12)
+    with pytest.raises(DomainViolationError) as alone:
+        _chain_reports("x", HH_TERM_NAMES, rows[17:18], 1e-8, 1e-12)
+    with pytest.raises(DomainViolationError) as ref:
+        _chain_report("x", HH_TERM_NAMES, rows[17].tolist(), 1e-8, 1e-12)
+    assert str(alone.value) == str(ref.value)
+
+
+def test_inequality_reports_give_each_trial_its_per_trial_report():
+    sides = [-math.inf, -3.0, -1.0, -0.0, 0.0, 1e-13, 1.0, 1.25, 2.0, 1e300, math.inf, math.nan]
+    lhs, rhs = (list(x) for x in zip(*[(x, y) for x in sides for y in sides]))
+    for rtol, atol, hyp in ((1e-8, 1e-12, True), (0.25, 0.25, False)):
+        block = _inequality_reports("x", lhs, rhs, rtol, atol, hypothesis_ok=hyp)
+        assert len(block) == len(lhs)
+        for x, y, report in zip(lhs, rhs, block):
+            ref = _inequality_report("x", x, y, rtol, atol, hypothesis_ok=hyp)
+            assert repr(_inequality_reports("x", [x], [y], rtol, atol, hyp)) == repr([report])
+            assert repr(report) == repr(ref)
+            _assert_python_scalars(report)
+            if math.isnan(x) or math.isnan(y):
+                assert not report.passed
+    # the margin exactly at the tolerance passes, one ulp below it fails
+    below = float(np.nextafter(1.25, 0.0))
+    edge = _inequality_reports("x", [2.0, 2.0], [1.25, below], 0.25, 0.25)
+    assert [r.passed for r in edge] == [True, False]
+
+
+def test_a_non_finite_chain_term_in_a_block_leaves_only_its_trial_unreliable(monkeypatch):
+    params = resolve_params("scalar_ag", CampaignConfig())
+    seeds = [derive_trial_seed(5, 3, t) for t in range(12)]
+    want = [outcome_to_dict(o) for o in _outcomes("scalar_ag", seeds, 3, params)]
+    planted_lo = campaign._Block(np.array(seeds, dtype=np.uint64), 3).interval[0][7]
+    real_hh_stack = chains._hh_stack
+    blocks = []
+
+    def hh_stack(anchors, log_curve, lo, hi, *args, **kwargs):
+        terms, reliable = real_hh_stack(anchors, log_curve, lo, hi, *args, **kwargs)
+        blocks.append(len(terms))
+        terms = [(math.inf, *v[1:]) if x == planted_lo else v for v, x in zip(terms, lo.tolist())]
+        return terms, reliable
+
+    monkeypatch.setattr(chains, "_hh_stack", hh_stack)
+    got = _outcomes("scalar_ag", seeds, 3, params)
+    # the block raises, and its trials run again one at a time
+    assert blocks == [12] + [1] * 12
+    assert [o.quad_reliable for o in got] == [t != 7 for t in range(12)]
+    assert [outcome_to_dict(o) for k, o in enumerate(got) if k != 7] == want[:7] + want[8:]
+    assert outcome_to_dict(got[7]) == outcome_to_dict(_unreliable("scalar_ag"))

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import hhverify
 from hhverify import CampaignConfig, run_campaign
 from hhverify.campaign import DROP_POSITIVITY, derive_trial_seed
 from hhverify.cli import main
@@ -211,6 +212,12 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.startswith("hhverify ")
 
 
+def test_pyproject_version_is_the_package_version():
+    # a regex, not tomllib, which Python 3.10 lacks
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.findall(r'^version = "([^"]+)"$', text, re.M) == [hhverify.__version__]
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -328,6 +335,22 @@ def test_extreme_function_campaign_prints_no_runtime_warnings():
     assert proc.returncode == 3
     assert "exit code 3" in proc.stdout
     assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_an_ablated_norm_curve_that_underflows_to_zero_is_unreliable_not_a_crash():
+    # under power:-1000 the norms of the ablated curve of trial 28 at dim 2
+    # underflow to 0, whose log is undefined: the trial cannot be judged
+    flags = ["--ablation", "DROP_COMMUTATIVITY", "--fn", "power:-1000", "--dim", "2"]
+    proc = _run_module(["verify", "--theorem", "op_norm_gg,exp_norm", *flags, "--trials", "29"])
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 3
+    assert re.search(r"^op_norm_gg +29 +1 +0 +28 ", proc.stdout, re.M)
+    seed = derive_trial_seed(0, 2, 28)
+    assert seed == 8566339557522235370
+    proc = _run_module(["demo", "--theorem", "op_norm_gg", *flags, "--seed", str(seed)])
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 1
+    assert "status: passed=n/a quad_reliable=no hypothesis_ok=no" in proc.stdout
 
 
 def test_norms_of_overflowed_products_print_nothing_from_lapack():

@@ -13,9 +13,11 @@ from hhverify import (
     random_spd,
     splitmix64,
 )
+from hhverify.sampler import commuting_spectra
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_BLOCK_SEEDS = [derive_trial_seed(27, 5, t) for t in range(5)]
 
 
 def _reference_splitmix64(x):
@@ -141,6 +143,18 @@ def test_log_uniform_rejects_bad_ranges():
         _log_uniform(RandomStream(0), 3, 2.0, 1.0)
     with pytest.raises(BadRangeError):
         _log_uniform(RandomStream(0), 3, 1.0, float("inf"))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("seed", [42, np.array(_BLOCK_SEEDS, dtype=np.uint64)])
+def test_commuting_spectra_skip_the_basis_of_random_commuting_pair(n, seed):
+    # an odd n*n pads Box-Muller's last pair: the skip covers that word too
+    full, bare = RandomStream(seed), RandomStream(seed)
+    _, a, b = random_commuting_pair(full, n, 0.1, 10.0)
+    sa, sb = commuting_spectra(bare, n, 0.1, 10.0)
+    for want, got in ((a, sa), (b, sb)):
+        assert want.tobytes() == got.tobytes()
+    assert np.array_equal(full.u64(3), bare.u64(3))
 
 
 def test_commuting_fixture_frozen():
