@@ -6,7 +6,7 @@ matrices: every chain is evaluated term by term, adjacent terms are compared
 under explicit tolerances, and each trial is replayable from its seed.
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .errors import (
     AsymmetricInputError,

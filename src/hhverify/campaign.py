@@ -34,6 +34,7 @@ import numpy as np
 
 from . import __version__
 from .chains import (
+    DEFAULT_QUAD_N,
     NORM_POWER_ALPHAS,
     ChainReport,
     InequalityReport,
@@ -437,7 +438,7 @@ class CampaignConfig:
     atol: float = 1e-12
     norm: NormSpec | None = None
     nu: float = 0.3
-    quad_n: int = 64
+    quad_n: int = DEFAULT_QUAD_N
     function: FunctionSpec | None = None
     ablation: frozenset[str] = frozenset()
 

@@ -73,7 +73,7 @@ from .quadrature import integrate_trials_checked
 
 DEFAULT_RTOL = 1e-8
 DEFAULT_ATOL = 1e-12
-DEFAULT_QUAD_N = 64
+DEFAULT_QUAD_N = 32
 
 # term names shared by every five-term Hermite-Hadamard style chain
 HH_TERM_NAMES = (
@@ -595,6 +595,8 @@ def norm_power_check(
     """
     side = _one(t)
     alphas = NORM_POWER_ALPHAS if alphas is None else np.asarray(alphas, dtype=float)
+    if alphas.size == 0:  # an empty grid would check nothing and pass
+        raise ConfigError("exponent grid must not be empty")
     for alpha in alphas:
         if not 0.0 <= alpha <= 1.0:
             raise DomainViolationError(f"exponent grid must lie in [0, 1], got {alpha}")
@@ -1226,8 +1228,9 @@ def _general_order_chain(theorem_id: str, names, t1, nodes, t3, quad_n: int, rto
     """The Loewner chain t1 <= int_0^1 nodes(trials, t) dt <= t3 of each trial,
     nodes(trials, t) the (len(trials), len(t), n, n) values of the trials of
     an index array. Every trial's integral is one row of
-    integrate_trials_checked, and the rows share the interval, so the nodes
-    of the first row are every row's."""
+    integrate_trials_checked, and the rows share the interval, as do the
+    bisected halves of one call, so the nodes of the first row are every
+    row's."""
     trials, n = t1.shape[:2]
 
     def samples(sl: slice, xs: np.ndarray) -> np.ndarray:
@@ -1244,7 +1247,10 @@ def norm_gg_general(
     rtol: float, atol: float,
 ) -> list[ChainReport]:
     """The op_norm_gg chain of phi(u) = ||f(A^u B^(1-u))|| on positive pairs
-    that need not commute."""
+    that need not commute, integrated over [0, 1] without cuts: the
+    quadrature bisects the pieces that hold a kink, and the rows of each of
+    its calls share one interval, so the curve is taken at the nodes of the
+    first."""
     trials, n = pair.a.m.shape[:2]
 
     def log_phi(rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -1588,7 +1594,8 @@ def _uin_stack(
 ) -> list[ChainReport]:
     """uin_chain of each trial of tp: the anchors of every trial from one
     materialized stack, and the chain of every trial from one _hh_stack. The
-    trials share the interval, so their quadrature nodes are the same bits,
+    trials share the interval, and so do the bisected halves of one call of
+    integrate_trials_checked, so their quadrature nodes are the same bits,
     and the curve is taken at the nodes of the first."""
     tp.require_positive_definite()
     lo, hi = _uin_interval(variant, nu)

@@ -29,9 +29,11 @@ from .campaign import (
     serialize_report,
     _json_value,
 )
+from .chains import DEFAULT_QUAD_N
 from .errors import ConfigError, UnknownTheoremError, VerificationError
 from .functions import parse_function
 from .norms import parse_norm
+from .quadrature import BISECT_DEPTH
 
 
 def _read_config_file(path: str) -> dict[str, tuple[str, int]]:
@@ -122,7 +124,11 @@ _OPTIONS = {
     "norm": ("norm", _to_norm, "schatten:p | opnorm | tracenorm | kyfan:k"),
     "nu": ("nu", _to_float, "weight parameter in [0, 1]"),
     "fn": ("function", _to_fn, "exp:c | power:r | poly:c0,c1,... | inverse | identity"),
-    "quad-n": ("quad_n", _to_int, "quadrature node count"),
+    "quad-n": (
+        "quad_n", _to_int,
+        "Gauss nodes n of the adaptive Gauss-Kronrod rule, 2n + 1 nodes per piece, a"
+        f" failing piece halved up to {BISECT_DEPTH} times (default {DEFAULT_QUAD_N})",
+    ),
     "ablation": ("ablation", _to_ablation, "comma list of DROP_* flags"),
     "out": (None, lambda text, where: text, "write the JSON report to this file"),
 }

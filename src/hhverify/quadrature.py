@@ -1,24 +1,29 @@
-"""Gauss-Legendre quadrature for chain integrals.
+"""Adaptive Gauss-Kronrod quadrature for chain integrals.
 
-Nodes are Legendre roots found by Newton iteration on the three-term
-recurrence (no library quadrature is used here; the test suite cross-checks
-against an independent implementation). Rules are cached per node count.
+Gauss-Legendre nodes are Legendre roots found by Newton iteration on the
+three-term recurrence, and kronrod_rule extends them by Laurie's algorithm
+(no library quadrature is used here; the test suite cross-checks against an
+independent implementation). Rules are cached per node count.
 
-Every integral that feeds a reported chain term goes through the ``*_checked``
-variants, whose Gauss-Kronrod check compares the n-node value with the
-(2n + 1)-node Kronrod value of the same integrand (kronrod_rule: the n
-Gauss nodes and n + 1 more) and flags the result as unreliable when the two
-disagree beyond ``DOUBLING_TOL``; unreliable chains are counted separately
-rather than failed. The two values are compared in the Frobenius norm,
-taken by the one rule of norms.py (_frobenius_rows).
+Every integral that feeds a reported chain term goes through
+integrate_trials_checked, in the way of QUADPACK's adaptive rules (Piessens
+et al. 1983): each piece is sampled at the n Gauss nodes and the n + 1 nodes
+kronrod_rule adds, 2n + 1 in all (65 at the default n = 32 of
+chains.DEFAULT_QUAD_N), and its value is the (2n + 1)-node Kronrod sum. The
+Gauss-Kronrod check compares that with the n-node Gauss value, in the
+Frobenius norm of norms.py (_frobenius_rows); a piece whose two values
+differ beyond DOUBLING_TOL is integrated again as its two halves, down to
+BISECT_DEPTH, so a row ends as at most 2 ** BISECT_DEPTH leaves. A row that
+still fails there is flagged unreliable, and unreliable chains are counted
+separately rather than failed.
 
 One integrator serves every chain: integrate_trials_checked integrates T
 rows, cuts them itself into blocks under functions.STACK_ENTRIES, and
-contracts and Gauss-Kronrod checks each block with batched matmuls, which
-give every row the bits it has alone. No chain calls integrate_scalar,
-integrate_matrix or the other *_checked variants (integrate_stack_checked is
-integrate_trials_checked on one row); they stay because
-perfbench/tracer.py traces them.
+contracts and checks each block with batched matmuls, which give every row
+the bits it has alone, bisected or not. No chain calls integrate_scalar,
+integrate_matrix or the other *_checked variants (those are
+integrate_trials_checked on one row); they stay because perfbench/tracer.py
+traces them.
 """
 
 from __future__ import annotations
@@ -36,8 +41,10 @@ from .norms import _frobenius_rows
 MAX_NODES = 512
 
 # the Gauss-Kronrod check: |G_n - K_2n+1| <= DOUBLING_TOL * (1 + |G_n|) or the
-# chain is marked unreliable
+# piece is bisected, and at BISECT_DEPTH the chain is marked unreliable
 DOUBLING_TOL = 1e-9
+# how often a failing piece is halved: at most 2 ** BISECT_DEPTH leaves per row
+BISECT_DEPTH = 10
 
 
 @dataclass(frozen=True)
@@ -167,16 +174,6 @@ def _agrees(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     return diff <= DOUBLING_TOL * (1.0 + _frobenius_rows(v1.reshape(rows, -1)))
 
 
-def _checked(integrate, g, a: float, b: float, n: int):
-    """``integrate`` at n nodes, and whether it agrees with the Kronrod value
-    (n at most MAX_NODES // 2)."""
-    v1 = integrate(g, a, b, n)
-    if a == b:
-        return v1, True
-    v2 = sum(np.tensordot(*_samples(g, a, b, rule), axes=(0, 0)) for rule in kronrod_rule(n))
-    return v1, bool(_agrees(np.asarray(v1)[None], np.asarray(v2)[None])[0])
-
-
 def integrate_scalar(g: Callable[[np.ndarray], np.ndarray], a: float, b: float, n: int = 64) -> float:
     """Integral of ``g`` over [a, b]; ``g`` must accept a node array.
 
@@ -213,15 +210,18 @@ def integrate_matrix(
 def integrate_scalar_checked(
     g: Callable[[np.ndarray], np.ndarray], a: float, b: float, n: int = 64
 ) -> tuple[float, bool]:
-    """Integral plus a Gauss-Kronrod reliability flag."""
-    return _checked(integrate_scalar, g, a, b, n)
+    """integrate_stack_checked of a scalar integrand, as a float."""
+    value, ok = integrate_stack_checked(g, a, b, n)
+    if value.ndim:
+        raise DimMismatchError(f"scalar integrand returned samples of shape {value.shape}")
+    return float(value), ok
 
 
 def integrate_matrix_checked(
     g: Callable[[np.ndarray], np.ndarray], a: float, b: float, n: int = 64
 ) -> tuple[np.ndarray, bool]:
-    """Matrix integral plus a Gauss-Kronrod flag (Frobenius comparison)."""
-    return _checked(integrate_matrix, g, a, b, n)
+    """integrate_stack_checked of a matrix integrand (Frobenius comparison)."""
+    return integrate_stack_checked(g, a, b, n)
 
 
 def integrate_stack_checked(
@@ -230,9 +230,10 @@ def integrate_stack_checked(
     """Integral of a vectorized integrand returning one stacked sample block.
 
     ``g`` takes the full node array and returns an array whose leading axis
-    indexes nodes; the result is the weight-contracted sample (scalar shape
-    () for scalar integrands, (k,) for vector ones, (m, m) for matrices).
-    It is integrate_trials_checked on one row. Degenerate intervals
+    indexes nodes; the result has the shape of one sample (() for scalar
+    integrands, (k,) for vector ones, (m, m) for matrices). It is
+    integrate_trials_checked on one row: the Kronrod value, bisected where
+    the Gauss-Kronrod check fails, and its flag. Degenerate intervals
     integrate to a zero block probed from ``g``.
     """
     if a == b:
@@ -254,31 +255,58 @@ def _contract(ws: np.ndarray, samples: np.ndarray) -> np.ndarray:
 
 
 def integrate_trials_checked(
-    g: Callable[[slice, np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray, n: int = 64,
-    node_entries: int = 1,
+    g: Callable[[slice | np.ndarray, np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray,
+    n: int = 64, node_entries: int = 1,
 ) -> tuple[np.ndarray, list[bool]]:
-    """The (T, ...) n-node integrals of T integrands, on the intervals
-    [a[t], b[t]] of two (T,) arrays with a < b, and their Gauss-Kronrod flags.
+    """The (T, ...) integrals of T integrands, on the intervals [a[t], b[t]]
+    of two (T,) arrays with a < b, and their Gauss-Kronrod flags.
 
-    ``g(sl, xs)`` maps the (R, N) nodes xs of the rows sl to the (R, N, ...)
-    stack of their samples, node_entries entries per node: N = n at the Gauss
-    nodes, whose samples give the integral and then the Kronrod value's first
-    part, then N = n + 1 at the Kronrod nodes. The rows are taken in blocks
-    of whole rows of at most STACK_ENTRIES entries at n + 1 nodes (one row
-    when a row alone holds more), and every row is contracted and checked as
-    if alone, so a row's integral and flag have the same bits in any block, a
-    block of one included.
+    ``g(rows, xs)`` maps the (R, N) nodes xs of the rows ``rows`` (a slice,
+    or an index array once a row is bisected) to the (R, N, ...) stack of
+    their samples, node_entries entries per node: N = n at the Gauss nodes,
+    whose samples give the Gauss value and then the Kronrod value's first
+    part, then N = n + 1 at the Kronrod nodes. A row's value is its
+    (2n + 1)-node Kronrod value. A row whose check fails is integrated again
+    as its two halves, all failing rows' left halves in one call and their
+    right halves in another, down to BISECT_DEPTH; its value is then the sum
+    of its halves' values and its flag whether both halves pass. The rows
+    of one call all share their interval if the rows given do.
+
+    Each call takes its rows in blocks of whole rows of at most
+    STACK_ENTRIES entries at n + 1 nodes (one row when a row alone holds
+    more), and every row is contracted and checked as if alone, so a row's
+    integral and flag have the same bits in any block, a block of one
+    included, whatever the other rows bisect.
     """
+    values, flags = _integrate_rows(g, None, a, b, n, node_entries, BISECT_DEPTH)
+    return values, flags.tolist()
+
+
+def _integrate_rows(g, rows, a, b, n: int, node_entries: int, depth: int):
+    """integrate_trials_checked of the rows ``rows`` of g (None: all of a
+    and b, passed to g as slices) on [a, b], bisecting to ``depth``; the
+    flags as a bool array."""
     k_gauss, k_extra = kronrod_rule(n)
     gauss = gl_rule(n)
     values, flags = [], []
     for sl in _blocks(a.shape[0], (n + 1) * node_entries):
+        sel = sl if rows is None else rows[sl]
         lo, hi = a[sl, None], b[sl, None]
-        ws, samples = _samples(lambda xs: g(sl, xs), lo, hi, gauss)
+        ws, samples = _samples(lambda xs: g(sel, xs), lo, hi, gauss)
         v1 = _contract(ws, samples)
         v2 = _contract(_mapped_nodes(lo, hi, k_gauss)[1], samples)
         del ws, samples
-        v2 += _contract(*_samples(lambda xs: g(sl, xs), lo, hi, k_extra))
-        values.append(v1)
-        flags += _agrees(v1, v2).tolist()
-    return np.concatenate(values), flags
+        v2 += _contract(*_samples(lambda xs: g(sel, xs), lo, hi, k_extra))
+        values.append(v2)
+        flags.append(_agrees(v1, v2))
+    values, flags = np.concatenate(values), np.concatenate(flags)
+    bad = np.flatnonzero(~flags)
+    if depth and bad.size:
+        sub = bad if rows is None else rows[bad]
+        lo, hi = a[bad], b[bad]
+        mid = 0.5 * (lo + hi)
+        left, left_ok = _integrate_rows(g, sub, lo, mid, n, node_entries, depth - 1)
+        right, right_ok = _integrate_rows(g, sub, mid, hi, n, node_entries, depth - 1)
+        values[bad] = left + right
+        flags[bad] = left_ok & right_ok
+    return values, flags

@@ -529,7 +529,7 @@ def test_repro_command_round_trip():
     cmd = repro_command("scalar_ag", st, cfg)
     assert cmd == (
         f"hhverify demo --theorem scalar_ag --seed {st.worst_trial_seed} "
-        f"--dim {st.worst_dim} --nu 0.3 --quad-n 64"
+        f"--dim {st.worst_dim} --nu 0.3 --quad-n 32"
     )
     abl = CampaignConfig(
         theorem_ids=("det_ag",),
@@ -2025,13 +2025,15 @@ def test_curve_rows_match_the_per_trial_code_under_every_variant(tid):
 @pytest.mark.parametrize("tid", ["phi_sandwich", "uin_full"])
 def test_a_one_point_block_replays_bit_for_bit(tid):
     """At dim 41 a block holds STACK_ENTRIES // 41^2 = 9 points, so the 1,090
-    points of the scan and the 64 nodes of the quadrature each end in a
-    block of one point, whose Schatten-2 matmul takes another BLAS route
-    (gemv) than the blocks of nine: a trial replays with the same blocks."""
+    points of the scan and the 64 Gauss nodes of the quadrature at --quad-n
+    64 each end in a block of one point, whose Schatten-2 matmul takes
+    another BLAS route (gemv) than the blocks of nine: a trial replays with
+    the same blocks. (No per-block size makes a one-point block of both
+    1,090 and the default 32 or 33 nodes.)"""
     dim = 41
     per_block = STACK_ENTRIES // dim**2
     assert per_block == 9
-    params = resolve_params(tid, CampaignConfig())
+    params = resolve_params(tid, CampaignConfig(quad_n=64))
     assert (DEFAULT_GRID_N**2 + 1) % per_block == 1 and params.quad_n % per_block == 1
     assert params.norm == parse_norm("schatten:2")
     seeds = [derive_trial_seed(2020, dim, t) for t in range(3)]

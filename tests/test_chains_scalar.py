@@ -24,7 +24,7 @@ from hhverify import (
     scalar_hh_chain,
     scalar_mean_chain_report,
 )
-from hhverify import chains
+from hhverify import chains, quadrature
 from hhverify.chains import DRAGOMIR_TERM_NAMES, HH_NODES, HH_TERM_NAMES, _hh_stack
 from hhverify.errors import (
     DegenerateIntervalError,
@@ -156,7 +156,7 @@ def test_hh_stack_closed_form():
     np.testing.assert_allclose(terms, want, rtol=1e-14)
 
 
-def test_hh_stack_integrates_piecewise_across_a_kink():
+def test_hh_stack_integrates_piecewise_across_a_kink(monkeypatch):
     # log v(t) = |t - 1/2|: smooth on either side of the kink, not across it
     anchors = tuple(math.exp(abs(t - 0.5)) for t in HH_NODES)
 
@@ -166,7 +166,32 @@ def test_hh_stack_integrates_piecewise_across_a_kink():
     terms, reliable = _hh_one(anchors, log_v, 64, cuts=np.array([[0.5]]))
     assert reliable
     assert terms[2] == pytest.approx(math.exp(0.25), rel=1e-14)
+    # without the cut the one piece fails the Gauss-Kronrod check, and a
+    # dyadic kink is a cut of the first bisection
+    bisected, reliable = _hh_one(anchors, log_v, 64)
+    assert reliable
+    assert bisected[2] == pytest.approx(math.exp(0.25), rel=1e-14)
+    monkeypatch.setattr(quadrature, "BISECT_DEPTH", 0)
     _, reliable = _hh_one(anchors, log_v, 64)
+    assert not reliable
+
+
+@pytest.mark.parametrize("quad_n", [chains.DEFAULT_QUAD_N, 64])
+def test_hh_stack_bisects_down_to_a_non_dyadic_kink(quad_n, monkeypatch):
+    # log v(t) = |t - 1/3|: no bisection point is the kink, so the piece that
+    # holds it is halved until its Gauss and Kronrod values agree. The check
+    # passes once they differ by under DOUBLING_TOL, and the Kronrod value
+    # is then within a fraction of that of the exact mean 5/18
+    anchors = tuple(math.exp(abs(t - 1.0 / 3.0)) for t in HH_NODES)
+
+    def log_v(ts):
+        return np.abs(ts - 1.0 / 3.0)
+
+    terms, reliable = _hh_one(anchors, log_v, quad_n)
+    assert reliable
+    assert abs(math.log(terms[2]) - 5.0 / 18.0) <= quadrature.DOUBLING_TOL
+    monkeypatch.setattr(quadrature, "BISECT_DEPTH", 0)
+    _, reliable = _hh_one(anchors, log_v, quad_n)
     assert not reliable
 
 
@@ -371,6 +396,13 @@ def test_norm_power_random_spd():
 def test_norm_power_alpha_validation():
     with pytest.raises(DomainViolationError):
         norm_power_check(np.eye(2), alphas=np.array([0.5, 1.5]))
+
+
+def test_norm_power_refuses_an_empty_exponent_grid():
+    # an empty grid checks nothing: it used to pass with lhs = rhs = margin = 0
+    for empty in ([], np.array([])):
+        with pytest.raises(ConfigError, match="empty"):
+            norm_power_check(np.eye(2) * 3.0, alphas=empty)
 
 
 def test_kittaneh_equality_at_identity():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import hhverify
-from hhverify import CampaignConfig, run_campaign
+from hhverify import CampaignConfig, quadrature, run_campaign
 from hhverify.campaign import DROP_POSITIVITY, derive_trial_seed
 from hhverify.cli import main
 
@@ -299,9 +299,11 @@ def test_demo_replays_an_extreme_function_trial_as_unreliable(capsys):
     assert payload["quad_reliable"] is False and payload["passed"] is False
 
 
-def test_demo_of_a_trial_whose_doubling_check_fails_has_no_verdict(capsys):
+def test_demo_of_a_trial_whose_doubling_check_fails_has_no_verdict(capsys, monkeypatch):
     # trial 6 at dim 3 of `verify --theorem op_norm_gg --ablation
-    # DROP_COMMUTATIVITY`: its chain holds, but its quadrature is unreliable
+    # DROP_COMMUTATIVITY`: its chain holds, but without bisection its
+    # quadrature is unreliable at a kink of the curve
+    monkeypatch.setattr(quadrature, "BISECT_DEPTH", 0)
     seed = derive_trial_seed(0, 3, 6)
     argv = [
         "demo", "--theorem", "op_norm_gg", "--ablation", "DROP_COMMUTATIVITY",
@@ -313,6 +315,32 @@ def test_demo_of_a_trial_whose_doubling_check_fails_has_no_verdict(capsys):
     payload = _demo_json(out)
     # the JSON keeps the chain's own verdict
     assert payload["quad_reliable"] is False and payload["passed"] is True
+
+
+# two campaigns whose norm curves kink inside a piece: the ablated
+# op_norm_gg / exp_norm curves, integrated over [0, 1] without cuts, and the
+# uin_* sandwich curves under the operator norm
+_KINK_REPROS = {
+    "nc_norm_gg": "--theorem op_norm_gg,exp_norm --ablation DROP_COMMUTATIVITY --trials 10",
+    "uin_opnorm": (
+        "--theorem uin_symmetric,uin_end_left,uin_end_right,uin_full,uin_diagonal"
+        " --norm opnorm --nu 0.7 --trials 40"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KINK_REPROS))
+def test_kink_repros_exit_0_with_no_unreliable_trial(name, tmp_path, monkeypatch, capsys):
+    # bisection resolves every kinked piece; the unbisected rule leaves over
+    # 1% of the trials unreliable, which exits 3
+    out = tmp_path / "report.json"
+    argv = ["verify", *_KINK_REPROS[name].split(), "--out", str(out)]
+    assert main(argv) == 0
+    stats = json.loads(out.read_text())["theorems"].values()
+    assert sum(s["unreliable_count"] for s in stats) == 0
+    monkeypatch.setattr(quadrature, "BISECT_DEPTH", 0)
+    assert main(argv) == 3
+    capsys.readouterr()
 
 
 def _run_module(argv):

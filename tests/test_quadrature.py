@@ -1,5 +1,5 @@
-"""Gauss-Legendre and Gauss-Kronrod rule correctness and the Gauss-Kronrod
-reliability check."""
+"""Gauss-Legendre and Gauss-Kronrod rule correctness, the Gauss-Kronrod
+reliability check, and the bisection of the pieces that fail it."""
 
 import math
 import re
@@ -21,6 +21,7 @@ from hhverify.errors import DimMismatchError
 from hhverify.functions import STACK_ENTRIES
 from hhverify.norms import _frobenius_rows
 from hhverify.quadrature import (
+    BISECT_DEPTH,
     DOUBLING_TOL,
     MAX_NODES,
     _agrees,
@@ -194,18 +195,30 @@ def test_checked_smooth_integrand_is_reliable():
     assert abs(val - math.sin(1.0)) <= 1e-13
 
 
-def test_checked_kinked_integrand_is_flagged():
-    # |x| has a kink at 0: the Gauss and Kronrod values cannot agree to 1e-9
+def test_checked_kinked_integrand_is_flagged(monkeypatch):
+    # |x| has a kink at 0: the Gauss and Kronrod values of the one piece
+    # cannot agree to 1e-9, and the first bisection cuts at the kink
+    val, ok = integrate_scalar_checked(np.abs, -1.0, 1.0, 32)
+    assert ok and abs(val - 1.0) <= 1e-15
+    monkeypatch.setattr(quadrature, "BISECT_DEPTH", 0)
     _, ok = integrate_scalar_checked(np.abs, -1.0, 1.0, 32)
     assert not ok
 
 
-def test_kronrod_check_flags_a_kink_up_to_the_largest_rule():
+def test_kronrod_check_flags_a_kink_up_to_the_largest_rule(monkeypatch):
     # the kink at 1/3 defeats every Gauss-Kronrod pair up to n = 256, whose
-    # Kronrod rule has 513 nodes; n beyond MAX_NODES // 2 is refused
+    # Kronrod rule has 513 nodes, until bisection isolates it; n beyond
+    # MAX_NODES // 2 is refused
     def g(t):
         return np.exp(np.abs(t - 1.0 / 3.0))
 
+    exact = math.exp(1.0 / 3.0) + math.exp(2.0 / 3.0) - 2.0
+    for n in (32, 64, 255, MAX_NODES // 2):
+        val, ok = integrate_stack_checked(g, 0.0, 1.0, n)
+        assert ok, n
+        if n <= 64:  # at n = 256 the two values agree on a piece both miss by 1e-8
+            assert abs(float(val) - exact) <= DOUBLING_TOL, n
+    monkeypatch.setattr(quadrature, "BISECT_DEPTH", 0)
     for n in (64, 255, MAX_NODES // 2):
         assert not integrate_stack_checked(g, 0.0, 1.0, n)[1], n
     with pytest.raises(NodeCountError):
@@ -225,10 +238,14 @@ def test_matrix_integral_adds_nodes_in_order_and_names_a_bad_node():
         integrate_matrix(lambda ts: samples, 0.0, 1.0, 40)
 
 
-def test_matrix_checked_flags_kink():
+def test_matrix_checked_flags_kink(monkeypatch):
     def g(ts):
         return np.stack([np.array([[abs(t - 0.3), 0.0], [0.0, 1.0]]) for t in ts])
 
+    val, ok = integrate_matrix_checked(g, 0.0, 1.0, 32)
+    assert ok
+    np.testing.assert_allclose(val, [[0.29, 0.0], [0.0, 1.0]], rtol=0, atol=DOUBLING_TOL)
+    monkeypatch.setattr(quadrature, "BISECT_DEPTH", 0)
     _, ok = integrate_matrix_checked(g, 0.0, 1.0, 32)
     assert not ok
 
@@ -294,13 +311,17 @@ def test_trial_integrator_matches_one_trial_at_a_time(kind, trials, n, monkeypat
     c = rng.uniform(-1.0, 1.0, trials)
     mid = 0.5 * (a + b)
 
-    def kinked(ts, c, m):  # a kink inside each interval fails the Gauss-Kronrod check
-        v, k = g(ts, c), np.abs(ts - m - 0.1 * c)
+    def kinked(ts, c, m, share=1.0):
+        # a kink inside each interval fails the Gauss-Kronrod check; with
+        # share < 1 only the rows of c < 2 share - 1 have one
+        v, k = g(ts, c), np.abs(ts - m - 0.1 * c) * (c < 2.0 * share - 1.0)
         return v + k.reshape(k.shape + (1,) * (v.ndim - k.ndim))
 
-    # the rows come in blocks of at most STACK_ENTRIES entries at n + 1 nodes
+    # the rows come in blocks of at most STACK_ENTRIES entries at n + 1 nodes;
+    # the rows that fail the check are sampled again, after all of them
     per_block = STACK_ENTRIES // ((n + 1) * node_entries)
     blocks = [min(per_block, trials - k) for k in range(0, trials, per_block)]
+    first = [r for r in blocks for _ in (n, n + 1)]
     rows = []
     real_samples = quadrature._samples
 
@@ -309,28 +330,33 @@ def test_trial_integrator_matches_one_trial_at_a_time(kind, trials, n, monkeypat
         return real_samples(g, a, b, rule)
 
     monkeypatch.setattr(quadrature, "_samples", samples)
-    for integrand in (lambda ts, c, m: g(ts, c), kinked):
-        rows.clear()
-        values, flags = integrate_trials_checked(
-            lambda sl, ts: integrand(ts, c[sl, None], mid[sl, None]), a, b, n, node_entries
-        )
-        assert rows == [r for r in blocks for _ in (n, n + 1)]
-        assert len(values) == len(flags) == trials
-        for t in range(trials):
-            want, ok = integrate_stack_checked(
-                lambda ts: integrand(ts, np.full(ts.shape, c[t]), np.full(ts.shape, mid[t])),
-                a[t], b[t], n,
+    for depth in (0, BISECT_DEPTH):
+        monkeypatch.setattr(quadrature, "BISECT_DEPTH", depth)
+        for integrand in (lambda ts, c, m: g(ts, c), lambda *x: kinked(*x, share=0.5), kinked):
+            rows.clear()
+            values, flags = integrate_trials_checked(
+                lambda sl, ts: integrand(ts, c[sl, None], mid[sl, None]), a, b, n, node_entries
             )
-            assert values[t].shape == want.shape
-            assert values[t].tobytes() == want.tobytes(), (kind, trials, n, t)
-            assert flags[t] == ok
-    assert not all(flags)
+            assert rows[: len(first)] == first and (depth or len(rows) == len(first))
+            assert len(values) == len(flags) == trials
+            for t in range(trials):
+                want, ok = integrate_stack_checked(
+                    lambda ts: integrand(ts, np.full(ts.shape, c[t]), np.full(ts.shape, mid[t])),
+                    a[t], b[t], n,
+                )
+                assert values[t].shape == want.shape
+                assert values[t].tobytes() == want.tobytes(), (kind, trials, n, depth, t)
+                assert flags[t] == ok
+        if not depth:
+            assert not all(flags)
 
 
 @pytest.mark.parametrize("n", [1, 8, 64, MAX_NODES // 2])
 def test_trial_integrator_samples_n_gauss_then_n_plus_1_kronrod_nodes(n, monkeypatch):
-    # the Gauss samples serve the integral and the Kronrod value: 2n + 1
-    # integrand nodes per row in all, not n + 2n
+    # the Gauss samples serve the Gauss value and the Kronrod value: 2n + 1
+    # integrand nodes per row in all, not n + 2n (n = 1 fails the check on
+    # exp, so the base rule is taken alone)
+    monkeypatch.setattr(quadrature, "BISECT_DEPTH", 0)
     calls = []
     real_samples = quadrature._samples
 
@@ -345,6 +371,21 @@ def test_trial_integrator_samples_n_gauss_then_n_plus_1_kronrod_nodes(n, monkeyp
     a = np.linspace(0.0, 1.0, 5)
     integrate_trials_checked(lambda sl, ts: np.exp(ts), a, a + 1.0, n)
     assert calls == [(5, n), (5, n + 1)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_trial_integrator_reports_the_kronrod_sum(n, monkeypatch):
+    # the (2n + 1)-node Kronrod sum, not the n-node Gauss value, whether the
+    # check passes or not (exp on [0, 1] fails it for these n)
+    monkeypatch.setattr(quadrature, "BISECT_DEPTH", 0)
+    gauss, extra = kronrod_rule(n)
+    x = np.concatenate((gauss.nodes, extra.nodes))
+    w = np.concatenate((gauss.weights, extra.weights))
+    want = 0.5 * float(w @ np.exp(0.5 + 0.5 * x))
+    gauss_value = 0.5 * float(gl_rule(n).weights @ np.exp(0.5 + 0.5 * gl_rule(n).nodes))
+    (value,), (ok,) = integrate_trials_checked(lambda sl, ts: np.exp(ts), np.zeros(1), np.ones(1), n)
+    assert abs(value - want) <= 1e-15 and not ok
+    assert abs(value - (math.e - 1.0)) < abs(gauss_value - (math.e - 1.0))
 
 
 def test_trial_integrator_refuses_a_non_finite_sample_and_a_wrong_shape():
