@@ -64,6 +64,7 @@ from .linalg import (
     _power_stack,
     _signed_columns,
     _spectrum_powers,
+    _stacked,
     _sym,
     check_matrix,
     check_symmetric_stack,
@@ -299,7 +300,7 @@ def _matrix_order_reports(
     spectra of every difference and every term from one stacked eigvalsh."""
     k = mats.shape[0]
     terms = check_symmetric_stack(mats.reshape((-1,) + mats.shape[2:])).reshape(mats.shape)
-    eig = np.linalg.eigvalsh(np.concatenate((terms[1:] - terms[:-1], terms)))
+    eig = _stacked(np.linalg.eigvalsh, np.concatenate((terms[1:] - terms[:-1], terms)))
     return _order_verdicts(
         theorem_id, names, eig[: k - 1, :, 0], np.abs(eig[k - 1 :]).max(axis=2),
         rtol, quad_reliable, hypothesis_ok,
@@ -718,7 +719,7 @@ def _det_ag_stack(pair: _Pair, alpha: float, rtol: float, atol: float) -> list[I
     mix = alpha * pair.a.sym + (1.0 - alpha) * pair.b.sym
     _require_finite(mix)
     # the determinant is the product of eigh's eigenvalues, as det_pd takes it
-    lam = np.stack((pair.a.lam, pair.b.lam, np.linalg.eigh(mix)[0]), axis=1)
+    lam = np.stack((pair.a.lam, pair.b.lam, _stacked(np.linalg.eigh, mix)[0]), axis=1)
     if (lam[..., 0] <= 0.0).any():
         raise NotPositiveDefiniteError(f"matrix has eigenvalue {float(lam[..., 0].min())!r} <= 0")
     da, db, dm = np.prod(lam, axis=-1).T.tolist()
@@ -735,13 +736,13 @@ def _am_gm_stack(pair: _Pair, nu: float, rtol: float) -> list[OrderChainReport]:
     ma, mb, lam, q = pair.a.sym, pair.b.sym, pair.a.lam, pair.a.q
     if (lam[:, 0] <= 0.0).any():
         raise NotPositiveDefiniteError("left factor is not positive definite")
-    if (np.linalg.eigvalsh(mb)[:, 0] <= 0.0).any():
+    if (_stacked(np.linalg.eigvalsh, mb)[:, 0] <= 0.0).any():
         raise NotPositiveDefiniteError("right factor is not positive definite")
     root = np.sqrt(lam)
     inv_root = _apply_stack(q, 1.0 / root)
     inner = _sym(inv_root @ mb @ inv_root)
     _require_finite(inner)
-    li, qi = np.linalg.eigh(inner)
+    li, qi = _stacked(np.linalg.eigh, inner)
     root = _apply_stack(q, root)
     gm = _sym(root @ _apply_stack(qi, np.power(li, nu)) @ root)
     am = (1.0 - nu) * ma + nu * mb
@@ -757,7 +758,7 @@ def _norm_power_stack(side, alphas: np.ndarray, rtol: float, atol: float) -> lis
     mt = side.sym
     powers = _power_stack(side.lam, side.q, alphas, mt)
     _require_finite(powers)
-    eig = np.linalg.eigvalsh(np.concatenate((mt[:, None], powers), axis=1))
+    eig = _stacked(np.linalg.eigvalsh, np.concatenate((mt[:, None], powers), axis=1))
     worst = []
     for base, *powered in np.max(np.abs(eig), axis=-1).tolist():
         trial = (math.inf, 0.0, 0.0)
@@ -1128,7 +1129,7 @@ def _f_of_product(xl: np.ndarray, xq: np.ndarray, y: np.ndarray, fn) -> np.ndarr
     root = np.sqrt(xl)[..., None, :]
     xt = np.swapaxes(xq, -1, -2)
     half = (xq * root) @ xt
-    mu, v = np.linalg.eigh(_sym(half @ y @ half))
+    mu, v = _stacked(np.linalg.eigh, _sym(half @ y @ half))
     # a NaN in mu, which eigh returns for a matrix that is not finite, fails too
     if not ((xl > 0.0).all() and (mu > 0.0).all()):
         raise DomainViolationError("X, or the spectrum of XY, is not positive")
@@ -1154,7 +1155,7 @@ def _f_of_power_product(pair: _Pair, rows, ss: np.ndarray, rs: np.ndarray, fn) -
     half = _spectrum_powers(pair.a.lam[rows], 0.5 * ss)[..., :, None]
     g = _basis_overlap(pair, rows)[:, None] * half
     g *= _spectrum_powers(pair.b.lam[rows], 0.5 * rs)[..., None, :]
-    mu, w = np.linalg.eigh(g @ np.swapaxes(g, -1, -2))
+    mu, w = _stacked(np.linalg.eigh, g @ np.swapaxes(g, -1, -2))
     # a NaN in mu, which eigh returns for a matrix that is not finite, fails too
     if not ((half > 0.0).all() and (mu > 0.0).all()):
         raise DomainViolationError("X, or the spectrum of XY, is not positive")
@@ -1214,7 +1215,8 @@ def op_ag_midpoint_general(
         # P = al A + (1 - al) B and Q = al B + (1 - al) A, symmetrized as eigh
         # symmetrizes them: the sampled A and B are not exactly symmetric
         t, x, y = als[:, None, None], a[trials, None], b[trials, None]
-        lam, q = np.linalg.eigh(_sym(np.stack((t * x + (1.0 - t) * y, t * y + (1.0 - t) * x))))
+        mixes = np.stack((t * x + (1.0 - t) * y, t * y + (1.0 - t) * x))
+        lam, q = _stacked(np.linalg.eigh, _sym(mixes))
         fl = _f_of_spectrum(f, lam)
         return _sym(_f_of_product(fl[0], q[0], _apply_stack(q[1], fl[1]), np.sqrt))
 
@@ -1292,7 +1294,7 @@ def trace_chain_general(
         # tr sqrt(AB) as the sum of the roots of the spectrum of A^(1/2) B
         # A^(1/2), which is similar to AB
         half = (qa * np.sqrt(la)[:, None, :]) @ np.swapaxes(qa, 1, 2)
-        w = np.linalg.eigvalsh(_sym(half @ b @ half))
+        w = _stacked(np.linalg.eigvalsh, _sym(half @ b @ half))
         if not (w > 0.0).all():
             raise DomainViolationError("trace_sqrt: the spectrum of AB is not positive")
         traces = np.trace(a @ b, axis1=1, axis2=2).tolist()
@@ -1304,7 +1306,7 @@ def det_ag_indefinite(a, b, nu: float, rtol: float, atol: float) -> list[Inequal
     """det_ag on the symmetric parts of A, B, which need not be positive, with
     |det| on the left: |det A|^nu |det B|^(1-nu) <= det(nu A + (1-nu) B)."""
     a, b = _sym(a), _sym(b)
-    lam = np.linalg.eigvalsh(np.stack((a, b, nu * a + (1.0 - nu) * b)))
+    lam = _stacked(np.linalg.eigvalsh, np.stack((a, b, nu * a + (1.0 - nu) * b)))
     da, db, dm = (np.prod(m, axis=1).tolist() for m in (np.abs(lam[0]), np.abs(lam[1]), lam[2]))
     lhs = [x**nu * y ** (1.0 - nu) for x, y in zip(da, db)]
     return _inequality_reports("det_ag", lhs, dm, rtol, atol, hypothesis_ok=False)

@@ -10,12 +10,18 @@ test suite against hand oracles.
 Every q diag(v) q^T is made by ``_apply_stack`` and every stacked PSD power
 by ``_power_stack``, for one matrix or a stack of them; the chains use them
 on stacks of trials.
+
+Every stacked eigh, eigvalsh and svd goes through ``_stacked``, which cuts a
+large stack into one part per CPU the process may run on and decomposes the
+parts at once; LAPACK takes each matrix alone, so the bits do not change.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,11 +140,99 @@ def eigh(s) -> SpectralDecomp:
     return SpectralDecomp(q=q, eigenvalues=lam)
 
 
+# stacks of at least this many matrix entries are cut into parts by _stacked
+SPLIT_MIN_ENTRIES = 4096
+
+# numpy's stacked decompositions that take each matrix of a stack alone, so
+# that a part of a stack gets the bits it gets in the whole. eig is not one:
+# it makes a whole stack complex for one complex spectrum
+_SPLITTABLE = (np.linalg.eigh, np.linalg.eigvalsh, np.linalg.svd)
+
+# the ThreadPoolExecutor of _stacked, made on first use under the lock
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _worker_count() -> int:
+    """Threads that decompose parts of a stack beside the calling thread: one
+    per CPU this process may run on, but one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) - 1
+    return (os.cpu_count() or 1) - 1  # pragma: no cover - not on Linux
+
+
+def _forget_pool() -> None:
+    """Drop the pool, and the lock, in a forked child: its copy of the pool
+    has no threads, and the lock may have been held by a thread of the
+    parent."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+def _executor(workers: int):
+    """The process's pool, made with workers threads on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            # imported here: a process that never cuts a stack never loads it
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(workers, thread_name_prefix="hhverify-lapack")
+        return _pool
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _stacked(routine, a: np.ndarray, **kw):
+    """routine(a, **kw), for routine numpy's eigh, eigvalsh or svd (or a
+    functools.wraps wrapper of one) and a (..., m, k) stack, with the bits
+    and the errors of the plain call.
+
+    A stack of at least SPLIT_MIN_ENTRIES entries is flattened and cut into
+    contiguous parts, one per CPU: the calling thread takes the first part
+    with routine, a process-wide thread pool the others with numpy's own
+    routine, which releases the GIL and sets its own errstate; so a wrapper
+    runs once, on the calling thread, and the pool runs no code but numpy's.
+    The error of the first part in stack order that fails is raised, only
+    after every part has finished. Smaller stacks, other routines, and a
+    process on one CPU get the plain call."""
+    if a.size < SPLIT_MIN_ENTRIES:  # first: most calls take this path
+        return routine(a, **kw)
+    own = routine if routine in _SPLITTABLE else getattr(routine, "__wrapped__", None)
+    workers = _worker_count() if own in _SPLITTABLE else 0
+    count = math.prod(a.shape[:-2])
+    parts = min(workers + 1, count)
+    if parts < 2:
+        return routine(a, **kw)
+    pool = _executor(workers)
+    flat = a.reshape((count,) + a.shape[-2:])
+    cuts = [count * k // parts for k in range(parts + 1)]
+    rest = [pool.submit(own, flat[lo:hi], **kw) for lo, hi in zip(cuts[1:-1], cuts[2:])]
+    try:
+        first = routine(flat[: cuts[1]], **kw)
+    finally:
+        for f in rest:
+            f.exception()  # waits for the part, and raises nothing
+    results = [first] + [f.result() for f in rest]
+    if isinstance(first, tuple):
+        return type(first)(*(_joined(a.shape[:-2], field) for field in zip(*results)))
+    return _joined(a.shape[:-2], results)
+
+
+def _joined(lead: tuple[int, ...], parts) -> np.ndarray:
+    """The parts of a flattened stack's result joined, with the stack's
+    leading axes lead."""
+    out = np.concatenate(parts)
+    return out.reshape(lead + out.shape[1:])
+
+
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """np.linalg.eigh of a (T, n, n) stack, with the column signs LAPACK
     gives: enough for any product in which they cancel, as in _apply_stack."""
     try:
-        return np.linalg.eigh(a)
+        return _stacked(np.linalg.eigh, a)
     except np.linalg.LinAlgError as e:  # pragma: no cover - LAPACK rarely fails
         raise ConvergenceError(f"eigensolver did not converge: {e}") from e
 

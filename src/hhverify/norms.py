@@ -30,7 +30,7 @@ from .errors import (
     SchattenOrderError,
 )
 from .functions import exact_g
-from .linalg import check_matrix
+from .linalg import _stacked, check_matrix
 
 
 @dataclass(frozen=True)
@@ -175,8 +175,8 @@ def _finite_norms(flat: np.ndarray, peak: np.ndarray, spec: NormSpec) -> np.ndar
     if spec == NormSpec.opnorm() and not np.iscomplexobj(flat):
         return _operator_norms(flat, peak)
     try:
-        s = np.linalg.svd(flat, compute_uv=False)
-    except np.linalg.LinAlgError as e:  # pragma: no cover
+        s = _stacked(np.linalg.svd, flat, compute_uv=False)
+    except np.linalg.LinAlgError as e:
         raise ConvergenceError(f"singular value computation failed: {e}") from e
     return _gauge_rows(np.maximum(s, 0.0), spec)
 
@@ -193,7 +193,7 @@ def _operator_norms(flat: np.ndarray, peak: np.ndarray) -> np.ndarray:
     tr = np.swapaxes(scaled, 1, 2)
     gram = scaled @ tr if flat.shape[1] <= flat.shape[2] else tr @ scaled
     try:
-        top = np.linalg.eigvalsh(gram)[:, -1]
+        top = _stacked(np.linalg.eigvalsh, gram)[:, -1]
     except np.linalg.LinAlgError as e:  # pragma: no cover
         raise ConvergenceError(f"eigenvalue computation failed: {e}") from e
     return np.ldexp(np.sqrt(np.maximum(top, 0.0)), x)

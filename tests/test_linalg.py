@@ -2,10 +2,16 @@
 matrix means, commuting pairs."""
 
 import math
+import os
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from hhverify import chains, linalg, norms
 from hhverify import (
     AsymmetricInputError,
     CommutingPair,
@@ -28,6 +34,7 @@ from hhverify import (
     weighted_geometric_mean,
 )
 from hhverify.errors import (
+    ConvergenceError,
     DimMismatchError,
     NonFiniteInputError,
     NotPositiveSemidefiniteError,
@@ -36,6 +43,7 @@ from hhverify.errors import (
 from hhverify.linalg import (
     MAX_DIM,
     _power_stack,
+    _stacked,
     check_matrix,
     check_symmetric,
     check_symmetric_stack,
@@ -326,3 +334,243 @@ def test_spectral_decomp_apply():
     doubled = d.apply(2.0 * d.eigenvalues)
     np.testing.assert_allclose(doubled, 2.0 * s, atol=1e-13)
     assert isinstance(d, SpectralDecomp)
+
+
+# ---------------------------------------------------------------------------
+# _stacked: large stacked decompositions cut into parts, one per CPU
+
+_SPLIT_ROUTINES = {
+    "eigh": (np.linalg.eigh, {}),
+    "eigvalsh": (np.linalg.eigvalsh, {}),
+    "svd": (np.linalg.svd, {"compute_uv": False}),
+}
+
+
+def _rule(n: int) -> int:
+    """The fewest n x n matrices that _stacked cuts into parts."""
+    return -(-linalg.SPLIT_MIN_ENTRIES // (n * n))
+
+
+@pytest.fixture
+def three_parts(monkeypatch):
+    """_stacked cuts a stack at the rule into three parts, on any machine."""
+    monkeypatch.setattr(linalg, "_worker_count", lambda: 2)
+
+
+def _first_part_sizes(routine):
+    """A wrapper of routine (its __wrapped__, as functools.wraps sets it),
+    and the list of the matrix counts it is called with: it runs on the
+    calling thread only."""
+    sizes = []
+
+    def first(a, **kw):
+        assert threading.current_thread() is threading.main_thread()
+        sizes.append(math.prod(a.shape[:-2]))
+        return routine(a, **kw)
+
+    first.__wrapped__ = routine
+    return first, sizes
+
+
+@pytest.mark.parametrize("name", sorted(_SPLIT_ROUTINES))
+@pytest.mark.parametrize("n", [1, 2, 8, 13])
+def test_stacked_gives_the_bits_of_the_plain_call(name, n, three_parts):
+    routine, kw = _SPLIT_ROUTINES[name]
+    rule = _rule(n)
+    rng = np.random.default_rng(n)
+    for count in (1, rule - 1, rule, rule + 1, 2 * rule + 1):
+        for lead in ((count,), (1, count), (count, 3)):
+            m = rng.normal(size=lead + (n, n))
+            if name != "svd":
+                m = m + np.swapaxes(m, -1, -2)
+            want = routine(m, **kw)
+            wrapped, sizes = _first_part_sizes(routine)
+            got = _stacked(wrapped, m, **kw)
+            assert type(got) is type(want)
+            fields = zip(*(r if isinstance(r, tuple) else (r,) for r in (got, want)))
+            assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in fields)
+            # the wrapper saw only the first of three parts, or all of a
+            # stack below the rule
+            whole = math.prod(lead)
+            assert sizes == [whole // 3 if whole >= rule else whole]
+
+
+def test_a_stack_below_the_rule_starts_no_thread(monkeypatch, three_parts):
+    monkeypatch.setattr(linalg, "_pool", None)
+    before = threading.active_count()
+    m = np.eye(2) + np.zeros((_rule(2) - 1, 1, 1))
+    _stacked(np.linalg.eigh, m)
+    _stacked(np.linalg.eig, m + np.zeros((3, 1, 1, 1)))  # eig is never split
+    assert threading.active_count() == before
+    assert linalg._pool is None
+
+
+def test_a_process_on_one_cpu_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(linalg, "_pool", None)
+    monkeypatch.setattr(linalg, "_worker_count", lambda: 0)
+    before = threading.active_count()
+    _stacked(np.linalg.eigvalsh, np.eye(2) + np.zeros((4 * _rule(2), 1, 1)))
+    assert threading.active_count() == before
+    assert linalg._pool is None
+
+
+class _RecordingPool(ThreadPoolExecutor):
+    """A thread pool that keeps the futures it was given."""
+
+    def __init__(self):
+        super().__init__(2)
+        self.futures = []
+
+    def submit(self, *args, **kwargs):
+        future = super().submit(*args, **kwargs)
+        self.futures.append(future)
+        return future
+
+
+@pytest.fixture
+def recording_pool(monkeypatch, three_parts):
+    pool = _RecordingPool()
+    monkeypatch.setattr(linalg, "_pool", pool)
+    yield pool
+    pool.shutdown()
+
+
+def _raised(fn, *args):
+    """(class, message) of what fn(*args) raises."""
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("fault", ["nan", "non_positive"])
+def test_a_split_power_product_fails_as_it_does_unsplit(fault, monkeypatch, recording_pool):
+    rng = np.random.default_rng(3)
+    trials = _rule(2) + 1
+    g = rng.normal(size=(2, trials, 2, 2))
+    a, b = g @ np.swapaxes(g, -1, -2) + 2.0 * np.eye(2)
+    # the last trial, in the last part: a NaN block into eigh, or a G G'
+    # whose spectrum eigh rounds to zero
+    b[-1] = -b[-1] if fault == "nan" else np.zeros((2, 2))
+    pair = chains._pair(a, 0.5 * (b + np.swapaxes(b, 1, 2)))
+    half = np.array([0.5])
+
+    def power_product():
+        # under the errstate a campaign runs its runners in
+        with np.errstate(all="ignore"):
+            return chains._f_of_power_product(pair, slice(None), half, half, np.sqrt)
+
+    split = _raised(power_product)
+    assert recording_pool.futures and all(f.done() for f in recording_pool.futures)
+    monkeypatch.setattr(linalg, "_worker_count", lambda: 0)
+    assert split == _raised(power_product)
+    assert split[0] is DomainViolationError
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", ["first", "middle", "last"])
+def test_a_split_lapack_failure_is_the_convergence_error_of_the_plain_call(
+    bad, monkeypatch, recording_pool
+):
+    rng = np.random.default_rng(4)
+    flat = rng.normal(size=(_rule(3) + 2, 3, 3))
+    flat[{"first": 0, "middle": flat.shape[0] // 2, "last": -1}[bad], 1, 1] = np.nan
+    peak = np.abs(flat).max(axis=(1, 2))
+    spec = norms.NormSpec.tracenorm()
+    split = _raised(norms._finite_norms, flat, peak, spec)
+    assert len(recording_pool.futures) == 2 and all(f.done() for f in recording_pool.futures)
+    monkeypatch.setattr(linalg, "_worker_count", lambda: 0)
+    assert split == _raised(norms._finite_norms, flat, peak, spec)
+    assert split[0] is ConvergenceError
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_split_stack_raises_the_first_failure_in_stack_order_after_every_part(
+    monkeypatch, recording_pool
+):
+    # each part fails with its smallest entry; the parts on the pool are slow,
+    # so the first part fails long before they finish
+    def smallest(a):
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.05)
+        if (a < 0.0).any():
+            raise np.linalg.LinAlgError(f"part from {a.min()}")
+        return a[..., 0]
+
+    monkeypatch.setattr(linalg, "_SPLITTABLE", (smallest,))
+    rule = _rule(2)
+    m = np.zeros((rule, 2, 2))
+    for k in range(rule):
+        m[k] = -k
+    with pytest.raises(np.linalg.LinAlgError, match=f"part from {-(rule // 3 - 1)}.0$"):
+        _stacked(smallest, m)
+    assert all(f.done() for f in recording_pool.futures)
+    m[: rule // 3] = 0.0  # the first part succeeds: the second one's error
+    with pytest.raises(np.linalg.LinAlgError, match=f"part from {-(2 * rule // 3 - 1)}.0$"):
+        _stacked(smallest, m)
+    assert all(f.done() for f in recording_pool.futures)
+
+
+def test_callers_on_many_threads_share_one_pool(monkeypatch, three_parts):
+    # eight callers at once on a fresh process state, ten times over: a lost
+    # update of the pool makes a second one
+    import concurrent.futures
+
+    made = []
+
+    class CountedPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
+    rng = np.random.default_rng(6)
+    stacks = [rng.normal(size=(_rule(3) + k, 3, 3)) for k in range(8)]
+    want = [np.linalg.eigvalsh(m) for m in stacks]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(10):
+            monkeypatch.setattr(linalg, "_pool", None)
+            got = [None] * len(stacks)
+            start = threading.Barrier(len(stacks))
+
+            def caller(k):
+                start.wait(timeout=60.0)
+                got[k] = _stacked(np.linalg.eigvalsh, stacks[k])
+
+            threads = [threading.Thread(target=caller, args=(k,)) for k in range(len(stacks))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+            assert not any(t.is_alive() for t in threads)
+            assert len(made) == round_ + 1
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    finally:
+        sys.setswitchinterval(interval)
+        for pool in made:
+            pool.shutdown()
+
+
+def test_a_forked_child_builds_its_own_pool(three_parts):
+    m = np.eye(2) + np.zeros((_rule(2), 1, 1))
+    want = np.linalg.eigvalsh(m)
+    assert np.array_equal(_stacked(np.linalg.eigvalsh, m), want)
+    assert linalg._pool is not None
+    pid = os.fork()
+    if pid == 0:  # the child: a new pool, and the same bits
+        code = 1
+        try:
+            fresh = linalg._pool is None
+            same = np.array_equal(_stacked(np.linalg.eigvalsh, m), want)
+            code = 0 if fresh and same and linalg._pool is not None else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60.0
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+    assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from hhverify import linalg
 from hhverify.cli import main
 
 REFERENCE_DIR = Path(__file__).parent / "data" / "reference"
@@ -56,6 +57,17 @@ def test_report_matches_reference_byte_for_byte(name, tmp_path, capsys):
     capsys.readouterr()
     assert code == REFERENCE_RUNS[name][1]
     assert out.read_bytes() == (REFERENCE_DIR / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+@pytest.mark.parametrize("name", sorted(REFERENCE_RUNS))
+def test_report_matches_reference_whatever_the_lapack_pool(
+    name, workers, tmp_path, capsys, monkeypatch
+):
+    # 0: every stacked decomposition a plain call; 2: the large ones cut into
+    # three parts, on any machine
+    monkeypatch.setattr(linalg, "_worker_count", lambda: workers)
+    test_report_matches_reference_byte_for_byte(name, tmp_path, capsys)
 
 
 if __name__ == "__main__":
