@@ -186,24 +186,26 @@ if hasattr(os, "register_at_fork"):
 
 
 def _stacked(routine, a: np.ndarray, **kw):
-    """routine(a, **kw), for routine numpy's eigh, eigvalsh or svd (or a
+    """routine(a, **kw), for routine one of _SPLITTABLE (or a
     functools.wraps wrapper of one) and a (..., m, k) stack, with the bits
     and the errors of the plain call.
 
     A stack of at least SPLIT_MIN_ENTRIES entries is flattened and cut into
-    contiguous parts, one per CPU: the calling thread takes the first part
-    with routine, a process-wide thread pool the others with numpy's own
-    routine, which releases the GIL and sets its own errstate; so a wrapper
-    runs once, on the calling thread, and the pool runs no code but numpy's.
-    The error of the first part in stack order that fails is raised, only
-    after every part has finished. Smaller stacks, other routines, and a
-    process on one CPU get the plain call."""
+    contiguous parts, one per CPU but never so many that a part holds less
+    than about half the rule: the calling thread takes the first part with
+    routine, a process-wide thread pool the others with numpy's own routine,
+    which releases the GIL and sets its own errstate; so a wrapper runs
+    once, on the calling thread, and the pool runs no code but numpy's. The
+    error of the first part in stack order that fails is raised, only after
+    every part has finished. Smaller stacks and a process on one CPU get the
+    plain call."""
     if a.size < SPLIT_MIN_ENTRIES:  # first: most calls take this path
         return routine(a, **kw)
-    own = routine if routine in _SPLITTABLE else getattr(routine, "__wrapped__", None)
-    workers = _worker_count() if own in _SPLITTABLE else 0
+    own = routine if routine in _SPLITTABLE else routine.__wrapped__
+    workers = _worker_count()
     count = math.prod(a.shape[:-2])
-    parts = min(workers + 1, count)
+    # a part smaller than half the rule costs more to hand off than it saves
+    parts = min(workers + 1, count, a.size // (SPLIT_MIN_ENTRIES // 2))
     if parts < 2:
         return routine(a, **kw)
     pool = _executor(workers)
@@ -216,8 +218,9 @@ def _stacked(routine, a: np.ndarray, **kw):
         for f in rest:
             f.exception()  # waits for the part, and raises nothing
     results = [first] + [f.result() for f in rest]
-    if isinstance(first, tuple):
-        return type(first)(*(_joined(a.shape[:-2], field) for field in zip(*results)))
+    if isinstance(first, tuple):  # numpy 2's named result, or numpy 1's plain tuple
+        fields = [_joined(a.shape[:-2], field) for field in zip(*results)]
+        return first._make(fields) if hasattr(first, "_make") else tuple(fields)
     return _joined(a.shape[:-2], results)
 
 

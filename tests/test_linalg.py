@@ -352,9 +352,18 @@ def _rule(n: int) -> int:
 
 
 @pytest.fixture
-def three_parts(monkeypatch):
-    """_stacked cuts a stack at the rule into three parts, on any machine."""
+def three_cpus(monkeypatch):
+    """_stacked cuts a stack into up to three parts, on any machine."""
     monkeypatch.setattr(linalg, "_worker_count", lambda: 2)
+
+
+def _parts(whole: int, n: int, cpus: int = 3) -> int:
+    """The parts _stacked cuts whole n x n matrices into on cpus CPUs: none
+    below the rule, and none that holds less than half the rule."""
+    entries = whole * n * n
+    if entries < linalg.SPLIT_MIN_ENTRIES:
+        return 1
+    return min(cpus, whole, entries // (linalg.SPLIT_MIN_ENTRIES // 2))
 
 
 def _first_part_sizes(routine):
@@ -374,7 +383,7 @@ def _first_part_sizes(routine):
 
 @pytest.mark.parametrize("name", sorted(_SPLIT_ROUTINES))
 @pytest.mark.parametrize("n", [1, 2, 8, 13])
-def test_stacked_gives_the_bits_of_the_plain_call(name, n, three_parts):
+def test_stacked_gives_the_bits_of_the_plain_call(name, n, three_cpus):
     routine, kw = _SPLIT_ROUTINES[name]
     rule = _rule(n)
     rng = np.random.default_rng(n)
@@ -389,20 +398,47 @@ def test_stacked_gives_the_bits_of_the_plain_call(name, n, three_parts):
             assert type(got) is type(want)
             fields = zip(*(r if isinstance(r, tuple) else (r,) for r in (got, want)))
             assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in fields)
-            # the wrapper saw only the first of three parts, or all of a
-            # stack below the rule
+            # the wrapper saw only the first part, or all of a stack below
+            # the rule
             whole = math.prod(lead)
-            assert sizes == [whole // 3 if whole >= rule else whole]
+            assert sizes == [whole // _parts(whole, n)]
 
 
-def test_a_stack_below_the_rule_starts_no_thread(monkeypatch, three_parts):
+def test_a_stack_below_the_rule_starts_no_thread(monkeypatch, three_cpus):
     monkeypatch.setattr(linalg, "_pool", None)
     before = threading.active_count()
     m = np.eye(2) + np.zeros((_rule(2) - 1, 1, 1))
     _stacked(np.linalg.eigh, m)
-    _stacked(np.linalg.eig, m + np.zeros((3, 1, 1, 1)))  # eig is never split
     assert threading.active_count() == before
     assert linalg._pool is None
+
+
+def test_no_part_holds_less_than_half_the_rule_on_many_cpus(monkeypatch, recording_pool):
+    # 64 CPUs: a stack at the rule is still cut in two, and one of 8 x the
+    # rule into 16 parts, not 64
+    monkeypatch.setattr(linalg, "_worker_count", lambda: 63)
+    rule = _rule(2)
+    for count in (rule, 8 * rule):
+        m = np.eye(2) + np.zeros((count, 1, 1))
+        recording_pool.futures.clear()
+        wrapped, sizes = _first_part_sizes(np.linalg.eigvalsh)
+        assert np.array_equal(_stacked(wrapped, m), np.linalg.eigvalsh(m))
+        assert len(recording_pool.futures) + 1 == _parts(count, 2, cpus=64) == count // (rule // 2)
+        assert sizes == [rule // 2]
+
+
+def test_a_plain_tuple_result_comes_back_a_plain_tuple(monkeypatch, recording_pool):
+    # numpy 1's eigh returns a plain tuple, numpy 2's a named one
+    def plain_eigh(a):
+        return tuple(np.linalg.eigh(a))
+
+    monkeypatch.setattr(linalg, "_SPLITTABLE", (plain_eigh,))
+    m = np.random.default_rng(7).normal(size=(2 * _rule(3), 3, 3))
+    m = m + np.swapaxes(m, -1, -2)
+    got = _stacked(plain_eigh, m)
+    assert recording_pool.futures
+    assert type(got) is tuple and len(got) == 2
+    assert all(np.array_equal(g, w) for g, w in zip(got, plain_eigh(m)))
 
 
 def test_a_process_on_one_cpu_starts_no_thread(monkeypatch):
@@ -428,7 +464,7 @@ class _RecordingPool(ThreadPoolExecutor):
 
 
 @pytest.fixture
-def recording_pool(monkeypatch, three_parts):
+def recording_pool(monkeypatch, three_cpus):
     pool = _RecordingPool()
     monkeypatch.setattr(linalg, "_pool", pool)
     yield pool
@@ -473,7 +509,7 @@ def test_a_split_lapack_failure_is_the_convergence_error_of_the_plain_call(
     bad, monkeypatch, recording_pool
 ):
     rng = np.random.default_rng(4)
-    flat = rng.normal(size=(_rule(3) + 2, 3, 3))
+    flat = rng.normal(size=(2 * _rule(3), 3, 3))
     flat[{"first": 0, "middle": flat.shape[0] // 2, "last": -1}[bad], 1, 1] = np.nan
     peak = np.abs(flat).max(axis=(1, 2))
     spec = norms.NormSpec.tracenorm()
@@ -498,20 +534,20 @@ def test_a_split_stack_raises_the_first_failure_in_stack_order_after_every_part(
         return a[..., 0]
 
     monkeypatch.setattr(linalg, "_SPLITTABLE", (smallest,))
-    rule = _rule(2)
-    m = np.zeros((rule, 2, 2))
-    for k in range(rule):
+    count = 2 * _rule(2)  # three parts
+    m = np.zeros((count, 2, 2))
+    for k in range(count):
         m[k] = -k
-    with pytest.raises(np.linalg.LinAlgError, match=f"part from {-(rule // 3 - 1)}.0$"):
+    with pytest.raises(np.linalg.LinAlgError, match=f"part from {-(count // 3 - 1)}.0$"):
         _stacked(smallest, m)
-    assert all(f.done() for f in recording_pool.futures)
-    m[: rule // 3] = 0.0  # the first part succeeds: the second one's error
-    with pytest.raises(np.linalg.LinAlgError, match=f"part from {-(2 * rule // 3 - 1)}.0$"):
+    assert len(recording_pool.futures) == 2 and all(f.done() for f in recording_pool.futures)
+    m[: count // 3] = 0.0  # the first part succeeds: the second one's error
+    with pytest.raises(np.linalg.LinAlgError, match=f"part from {-(2 * count // 3 - 1)}.0$"):
         _stacked(smallest, m)
     assert all(f.done() for f in recording_pool.futures)
 
 
-def test_callers_on_many_threads_share_one_pool(monkeypatch, three_parts):
+def test_callers_on_many_threads_share_one_pool(monkeypatch, three_cpus):
     # eight callers at once on a fresh process state, ten times over: a lost
     # update of the pool makes a second one
     import concurrent.futures
@@ -553,7 +589,7 @@ def test_callers_on_many_threads_share_one_pool(monkeypatch, three_parts):
             pool.shutdown()
 
 
-def test_a_forked_child_builds_its_own_pool(three_parts):
+def test_a_forked_child_builds_its_own_pool(three_cpus):
     m = np.eye(2) + np.zeros((_rule(2), 1, 1))
     want = np.linalg.eigvalsh(m)
     assert np.array_equal(_stacked(np.linalg.eigvalsh, m), want)

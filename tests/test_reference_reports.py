@@ -65,7 +65,7 @@ def test_report_matches_reference_whatever_the_lapack_pool(
     name, workers, tmp_path, capsys, monkeypatch
 ):
     # 0: every stacked decomposition a plain call; 2: the large ones cut into
-    # three parts, on any machine
+    # up to three parts, on any machine
     monkeypatch.setattr(linalg, "_worker_count", lambda: workers)
     test_report_matches_reference_byte_for_byte(name, tmp_path, capsys)
 
